@@ -8,6 +8,7 @@ from .errors import (
     IllConditioned,
     IndexOutOfRange,
     NearZeroEigenvalue,
+    NonFiniteInput,
     NonHermitianInput,
     NonUnitaryMember,
     NotInGroundRegister,
@@ -31,6 +32,7 @@ from .linalg import (
     unitary_phase_exp,
 )
 from .statevector import (
+    ControlledFamily,
     RegisterLayout,
     StateVector,
     apply_controlled_family,
@@ -39,6 +41,7 @@ from .statevector import (
     hadamard_deviation_register,
     init_basis,
     inverse_qft_deviation,
+    phase_deviation_register,
     prepare_system_state,
     preparation_unitary,
     sample_deviation,
@@ -51,7 +54,9 @@ from .qgpe import (
     evolution_family,
     extract_gradient_m1,
     extract_gradient_peak,
+    probe_distributions,
     qgpe_run,
+    qgpe_run_batch,
     suggest_gradient_bound,
 )
 from .lanczos import (
@@ -73,6 +78,7 @@ from .expectation import (
     RqblSource,
     classical_reference_expectation,
     eigenvalue_gradient_probe,
+    eigenvalue_gradient_probes,
     equal_superposition,
     logdet_gradient_entry,
     qgld_expectation,

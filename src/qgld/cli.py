@@ -31,7 +31,7 @@ from .expectation import (
     InverseExpectationRequest,
     RqblSource,
     classical_reference_expectation,
-    eigenvalue_gradient_probe,
+    eigenvalue_gradient_probes,
     qgld_expectation,
     sampled_qgld,
     sigma_qgld_expectation,
@@ -132,10 +132,11 @@ def cmd_gradient(args) -> str:
     dec = eig_hermitian(x)
     order = np.argsort(-np.abs(dec.values), kind="stable")
     k = args.k if args.k else len(order)
+    selected = order[:k]
     shift = float(np.linalg.norm(delta.matrix, ord=2))
+    grads = eigenvalue_gradient_probes(x, dec.vectors[:, selected], delta, enc, identity_shift=shift)
     rows = []
-    for p in order[:k]:
-        grad = eigenvalue_gradient_probe(x, dec.vectors[:, p], delta, enc, identity_shift=shift)
+    for p, grad in zip(selected, grads.tolist()):
         oracle = directional_eigen_derivative(x, delta.matrix, int(p))
         rows.append([int(p), float(dec.values[p]), args.delta, enc.L, enc.m,
                      grad, oracle, abs(grad - oracle)])

@@ -5,6 +5,10 @@ class QgldError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class NonFiniteInput(QgldError):
+    """Input matrix has NaN or infinite entries."""
+
+
 class NonHermitianInput(QgldError):
     """Input matrix violates the hermiticity tolerance."""
 

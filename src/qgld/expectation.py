@@ -3,7 +3,8 @@
 The entrywise derivative of log det X recovers the inverse: summing the
 per-eigenvalue directional derivatives weighted by 1/E_p gives, at full rank,
 the matrix element of X^-1 selected by the perturbation direction.  This
-module runs one probe circuit per eigenpair (per-eigenvector pipeline), or a
+module runs one probe circuit per eigenpair (per-eigenvector pipeline), all
+of them as the columns of one batched circuit per deviation window, or a
 single run on an equal superposition of eigenvectors with the perturbation
 rescaled by 1/E_p per eigenstate (superposition pipeline), and cross-checks
 both against the direct classical evaluation.
@@ -27,8 +28,8 @@ from .qgpe import (
     GradientEncoding,
     PerturbationDirection,
     build_delta,
-    evolution_family,
-    qgpe_run,
+    probe_distributions,
+    qgpe_run_batch,
 )
 from .lanczos import run_rqbl
 
@@ -117,17 +118,16 @@ class InverseExpectationReport:
 # ---------------------------------------------------------------------------
 # probes
 
-def eigenvalue_gradient_probe(x, p_vec, delta: PerturbationDirection, enc: GradientEncoding,
-                              identity_shift: float = 0.0, symmetric: bool = False,
-                              families: dict | None = None) -> float:
-    """Probed directional eigenvalue derivative for one eigenvector.
+def eigenvalue_gradient_probes(x, vectors, delta: PerturbationDirection, enc: GradientEncoding,
+                               identity_shift: float = 0.0, symmetric: bool = False) -> np.ndarray:
+    """Probed directional eigenvalue derivatives, one per eigenvector column
+    of ``vectors`` (N, B), from one batched circuit per deviation window.
 
-    Runs the circuit with the deviation register conditioned back on the
-    prepared eigenvector.  ``identity_shift`` c probes Delta + c*I and
+    Runs the circuits with the deviation register conditioned back on the
+    prepared eigenvectors.  ``identity_shift`` c probes Delta + c*I and
     subtracts c, recovering the sign of slopes in [-c, c].  ``symmetric``
     averages the unshifted and centered deviation windows, which cancels the
-    O(L) curvature term of the one-sided probe.  ``families`` caches the
-    evolution families across probes sharing (x, delta, enc).
+    O(L) curvature term of the one-sided probe.
     """
     if identity_shift:
         mat = delta.matrix + identity_shift * np.eye(delta.dim)
@@ -138,18 +138,19 @@ def eigenvalue_gradient_probe(x, p_vec, delta: PerturbationDirection, enc: Gradi
         encodings.append(replace(enc, shift=other))
     grads = []
     for enc_w in encodings:
-        family = None
-        if families is not None:
-            family = families.get(enc_w.shift)
-            if family is None:
-                family = evolution_family(x, delta, enc_w)
-                families[enc_w.shift] = family
-        outcome = qgpe_run(x, p_vec, delta, enc_w, family=family, project_back=True)
-        grad = outcome.amplitude_gradient
-        if grad is None:
-            grad = outcome.peak_gradient
-        grads.append(grad)
-    return float(np.mean(grads)) - identity_shift
+        outcomes = qgpe_run_batch(x, vectors, delta, enc_w, project_back=True)
+        grads.append([o.peak_gradient if o.amplitude_gradient is None else o.amplitude_gradient
+                      for o in outcomes])
+    return np.mean(grads, axis=0) - identity_shift
+
+
+def eigenvalue_gradient_probe(x, p_vec, delta: PerturbationDirection, enc: GradientEncoding,
+                              identity_shift: float = 0.0, symmetric: bool = False) -> float:
+    """Probed directional eigenvalue derivative for one eigenvector: the
+    one-column case of :func:`eigenvalue_gradient_probes`."""
+    columns = np.asarray(p_vec, dtype=complex)[:, None]
+    return float(eigenvalue_gradient_probes(x, columns, delta, enc, identity_shift=identity_shift,
+                                            symmetric=symmetric)[0])
 
 
 def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray,
@@ -220,13 +221,10 @@ def qgld_expectation(request: InverseExpectationRequest, symmetric: bool = False
 
     delta = build_delta("outer", x.shape[0], phi=phi)
     vectors, residuals = adapt_degenerate_eigenvectors(x, values, vectors, delta.matrix, request.enc.L)
-    families: dict = {}
+    delta_es = eigenvalue_gradient_probes(x, vectors[:, used], delta, request.enc, symmetric=symmetric)
     contributions = []
     used_residuals = []
-    for i in used:
-        delta_e = eigenvalue_gradient_probe(
-            x, vectors[:, i], delta, request.enc, symmetric=symmetric, families=families
-        )
+    for i, delta_e in zip(used, delta_es.tolist()):
         contributions.append(
             EigenContribution(eigenvalue=float(values[i]), delta_e=delta_e,
                               value=delta_e / float(values[i]))
@@ -262,13 +260,10 @@ def logdet_gradient_entry(x, i: int, j: int, k: int, enc: GradientEncoding = Gra
 
     delta = build_delta("element", x.shape[0], i=i, j=j)
     vectors, residuals = adapt_degenerate_eigenvectors(x, values, vectors, delta.matrix, enc.L)
-    families: dict = {}
+    delta_es = eigenvalue_gradient_probes(x, vectors[:, used], delta, enc, identity_shift=1.0,
+                                          symmetric=symmetric)
     total = 0.0
-    for p in used:
-        delta_e = eigenvalue_gradient_probe(
-            x, vectors[:, p], delta, enc, identity_shift=1.0, symmetric=symmetric,
-            families=families,
-        )
+    for p, delta_e in zip(used, delta_es.tolist()):
         total += delta_e / float(values[p])
     return float(total)
 
@@ -298,30 +293,26 @@ def equal_superposition(vectors: np.ndarray) -> np.ndarray:
     return psi / np.sqrt(n)
 
 
-def _two_basis_conditional_phase(x, psi, family) -> float:
-    """Signed phase of the conditional deviation-register amplitude.
+def _signed_phases(family: sv.ControlledFamily, columns: np.ndarray) -> np.ndarray:
+    """Signed phase of each column's conditional deviation-register amplitude.
 
-    Runs the single-deviation-qubit circuit twice, once as-is and once with a
-    quarter-wave offset on the eps = 1 member (the X- and Y-basis readings of
-    the deviation qubit), both conditioned on the system register returning to
-    the prepared state.  atan2 of the two population differences recovers the
-    signed phase without the arccos sign loss.
+    Runs the single-deviation-qubit circuit on every column twice, in one
+    batch: once as-is and once with a quarter-wave phase diag(1, -i) on the
+    deviation qubit (its X- and Y-basis readings), both conditioned on the
+    system register returning to the prepared column.  atan2 of the two
+    population differences recovers the signed phase without the arccos sign
+    loss.
     """
-    quadratures = []
-    for offset in (1.0, -1j):
-        members = [family[0], offset * family[1]]
-        layout = sv.RegisterLayout(m=1, n=sv.system_qubits_for_dim(x.shape[0]))
-        state = sv.init_basis(layout, 0)
-        sv.prepare_system_state(state, psi)
-        sv.hadamard_deviation_register(state)
-        sv.apply_controlled_family(state, members)
-        sv.inverse_qft_deviation(state)
-        dist = sv.conditional_deviation_distribution(state, psi)
-        quadratures.append(float(dist[0] - dist[1]))
-    return float(np.arctan2(quadratures[1], quadratures[0]))
+    b = columns.shape[1]
+    phases = np.ones((2, 2 * b), dtype=complex)
+    phases[1, b:] = -1j
+    dist = probe_distributions(family, np.concatenate([columns, columns], axis=1), m=1,
+                               project_back=True, deviation_phases=phases)
+    quadratures = dist[0] - dist[1]
+    return np.arctan2(quadratures[b:], quadratures[:b])
 
 
-def _scaled_phase_family(x, weights: np.ndarray, w_run: float) -> list[np.ndarray]:
+def _scaled_phase_family(x, weights: np.ndarray, w_run: float) -> sv.ControlledFamily:
     """Family Sum_p |p><p| exp(i t s(eps) weight_p) composed from the scaled
     evolution and the inverse evolution of the unperturbed matrix, so the bare
     eigenphases cancel member by member."""
@@ -330,12 +321,10 @@ def _scaled_phase_family(x, weights: np.ndarray, w_run: float) -> list[np.ndarra
     t = enc.time_step()
     offsets = enc.offsets()
     u_inverse = unitary_phase_exp(x, -t)
-    members = []
-    for s in offsets:
-        phases = np.exp(1j * t * (dec.values + s * weights))
-        u_scaled = (dec.vectors * phases) @ dec.vectors.conj().T
-        members.append(u_scaled @ u_inverse)
-    return members
+    return sv.ControlledFamily(
+        (dec.vectors * np.exp(1j * t * (dec.values + s * weights))) @ dec.vectors.conj().T @ u_inverse
+        for s in offsets
+    )
 
 
 def _superposition_weights(x, phi, inverse_scaled: bool):
@@ -375,7 +364,7 @@ def sigma_qgld_expectation(x, phi, enc: GradientEncoding = GradientEncoding()) -
     w_run = max(enc.W, SUPERPOSITION_ZOOM * float(np.max(np.abs(weights))))
     family = _scaled_phase_family(x, weights, w_run)
     psi = equal_superposition(dec.vectors)
-    phase = _two_basis_conditional_phase(x, psi, family)
+    phase = float(_signed_phases(family, psi[:, None])[0])
     return float(n * w_run * phase)
 
 
@@ -383,11 +372,13 @@ def sampled_qgld(x, phi, n_samples: int, rng_seed: int,
                  enc: GradientEncoding = GradientEncoding()) -> tuple[float, float]:
     """Superposition pipeline averaged over random orthonormal starting states.
 
-    Each sample runs two probes on a random state |r>: one with the
-    1/E_p-rescaled weights and one with the raw weights.  Their ratio is a
-    self-normalized estimate of <Y> (the raw weights integrate to tr of the
-    outer direction, which is 1), so a full orthonormal batch averages exactly
-    and the identity matrix gives 1.0 per sample.  Returns (mean, sample
+    Samples are the columns of random orthonormal (QR) batches, each batch
+    run as the columns of one batched circuit per family.  Each sample runs
+    two probes on a random state |r>: one with the 1/E_p-rescaled weights
+    and one with the raw weights.  Their ratio is a self-normalized estimate
+    of <Y> (the raw weights integrate to tr of the outer direction, which is
+    1), so a full orthonormal batch averages exactly and the identity matrix
+    gives 1.0 per sample.  Returns (mean, sample
     standard deviation); convergence over few samples is not promised.
     """
     if n_samples < 1:
@@ -404,16 +395,14 @@ def sampled_qgld(x, phi, n_samples: int, rng_seed: int,
 
     rng = np.random.default_rng(rng_seed)
     estimates = []
-    batch: list[np.ndarray] = []
-    for _ in range(n_samples):
-        if not batch:
-            gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            q, _ = np.linalg.qr(gauss)
-            batch = [q[:, c] for c in range(n)]
-        r = batch.pop(0)
-        numer = n * w_num * _two_basis_conditional_phase(x, r, family_num)
-        denom = n * w_den * _two_basis_conditional_phase(x, r, family_den)
-        estimates.append(numer / denom if abs(denom) > 1e-12 else 0.0)
+    for start in range(0, n_samples, n):
+        gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, _ = np.linalg.qr(gauss)
+        batch = q[:, :min(n, n_samples - start)]
+        numer = n * w_num * _signed_phases(family_num, batch)
+        denom = n * w_den * _signed_phases(family_den, batch)
+        for num, den in zip(numer.tolist(), denom.tolist()):
+            estimates.append(num / den if abs(den) > 1e-12 else 0.0)
     estimates = np.asarray(estimates)
     spread = float(np.std(estimates, ddof=1)) if n_samples > 1 else 0.0
     return float(np.mean(estimates)), spread

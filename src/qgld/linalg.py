@@ -14,6 +14,7 @@ import scipy.linalg
 
 from .errors import (
     DegenerateEigenvalue,
+    NonFiniteInput,
     NonHermitianInput,
     NotPositiveSemidefinite,
     RankDeficientBlock,
@@ -27,10 +28,16 @@ RANK_RTOL = 1e-10
 
 
 def as_complex_matrix(a) -> np.ndarray:
-    """Coerce input to a square complex128 array."""
+    """Coerce input to a square complex128 array with finite entries."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        bad = np.argwhere(~np.isfinite(a))
+        i, j = bad[0]
+        raise NonFiniteInput(
+            f"matrix has {len(bad)} non-finite entries (NaN or inf), first at ({i}, {j}): {a[i, j]}"
+        )
     return a
 
 

@@ -137,13 +137,13 @@ def suggest_gradient_bound(delta: PerturbationDirection) -> float:
     return 2.0 * float(np.linalg.norm(delta.matrix, ord=2))
 
 
-def evolution_family(x, delta: PerturbationDirection, enc: GradientEncoding) -> list[np.ndarray]:
-    """The M controlled members exp(i * t * (X + s(eps) * Delta))."""
+def evolution_family(x, delta: PerturbationDirection, enc: GradientEncoding) -> sv.ControlledFamily:
+    """The M controlled members exp(i * t * (X + s(eps) * Delta)), checked once."""
     x = require_hermitian(x)
     if delta.matrix.shape != x.shape:
         raise ValueError(f"direction shape {delta.matrix.shape} != matrix shape {x.shape}")
     t = enc.time_step()
-    return [unitary_phase_exp(x + s * delta.matrix, t) for s in enc.offsets()]
+    return sv.ControlledFamily(unitary_phase_exp(x + s * delta.matrix, t) for s in enc.offsets())
 
 
 @dataclass(frozen=True)
@@ -185,53 +185,89 @@ def extract_gradient_peak(distribution: np.ndarray, enc: GradientEncoding) -> fl
     return enc.bin_to_gradient(j)
 
 
-def qgpe_run(x, p_state: np.ndarray, delta: PerturbationDirection, enc: GradientEncoding,
-             family: list[np.ndarray] | None = None, project_back: bool = False) -> QgpeOutcome:
-    """Run the full probe circuit on an (intended) eigenvector p_state.
+def probe_distributions(family, columns: np.ndarray, m: int, project_back: bool = False,
+                        deviation_phases: np.ndarray | None = None) -> np.ndarray:
+    """Deviation distributions (M, B) of the probe circuit, run on every
+    column of ``columns`` (N, B) as an independent circuit.
 
-    Sequence: basis init, eigenstate preparation, Hadamard fan-out of the
-    deviations, controlled evolution family, inverse QFT, deviation readout.
+    Sequence: basis init, preparation of each column, Hadamard fan-out of the
+    deviations, the controlled ``family`` (checked once here if it is a raw
+    member list), optional per-column ``deviation_phases`` (M, B), inverse
+    QFT, and the marginal readout, or with ``project_back`` the readout
+    conditioned on the system register returning to the prepared column.
+    Columns run in chunks of at most ``batch_capacity(m, n)``, so every
+    amplitude tensor stays within the 2^MAX_QUBITS guard.
+    """
+    family = sv.ControlledFamily(family)
+    columns = np.asarray(columns, dtype=complex)
+    n = sv.system_qubits_for_dim(columns.shape[0])
+    chunk = sv.batch_capacity(m, n)
+    distributions = []
+    for start in range(0, columns.shape[1], chunk):
+        block = columns[:, start:start + chunk]
+        state = sv.init_basis(sv.RegisterLayout(m=m, n=n, batch=block.shape[1]), 0)
+        sv.prepare_system_state(state, block)
+        sv.hadamard_deviation_register(state)
+        sv.apply_controlled_family(state, family)
+        if deviation_phases is not None:
+            sv.phase_deviation_register(state, deviation_phases[:, start:start + chunk])
+        sv.inverse_qft_deviation(state)
+        if project_back:
+            distributions.append(sv.conditional_deviation_distribution(state, block))
+        else:
+            distributions.append(sv.deviation_distribution(state))
+    return np.concatenate(distributions, axis=1)
+
+
+def qgpe_run_batch(x, columns: np.ndarray, delta: PerturbationDirection, enc: GradientEncoding,
+                   family=None, project_back: bool = False) -> list[QgpeOutcome]:
+    """Run the full probe circuit on each (intended) eigenvector column of
+    ``columns`` (N, B), all columns as one batched circuit.
+
     With ``project_back`` the readout undoes the eigenstate preparation and
     conditions the deviation register on the system returning to |0...0>,
     which suppresses contamination from the small eigenvector tilt at finite
-    L.  A precomputed ``family`` may be passed to amortize the matrix
-    exponentials across runs that share (x, delta, enc).
+    L.  A precomputed ``family`` (a ControlledFamily, or a raw member list,
+    which is checked once) may be passed to amortize the matrix exponentials
+    across runs that share (x, delta, enc).
 
-    The input need not be an exact eigenvector; ``eigenresidual`` reports
-    ||X p - (p^dag X p) p|| so callers can detect drift.
+    The inputs need not be exact eigenvectors; each outcome's
+    ``eigenresidual`` reports ||X p - (p^dag X p) p|| so callers can detect
+    drift.  For m = 1 every column passes through ``extract_gradient_m1``'s
+    range and arccos/arcsin checks.
     """
     x = require_hermitian(x)
-    p_state = np.asarray(p_state, dtype=complex)
-    n = sv.system_qubits_for_dim(x.shape[0])
-    layout = sv.RegisterLayout(m=enc.m, n=n)
+    columns = np.asarray(columns, dtype=complex)
     if family is None:
         family = evolution_family(x, delta, enc)
+    distributions = probe_distributions(family, columns, enc.m, project_back=project_back)
 
-    state = sv.init_basis(layout, 0)
-    sv.prepare_system_state(state, p_state)
-    sv.hadamard_deviation_register(state)
-    sv.apply_controlled_family(state, family)
-    sv.inverse_qft_deviation(state)
-    if project_back:
-        distribution = sv.conditional_deviation_distribution(state, p_state)
-    else:
-        distribution = sv.deviation_distribution(state)
+    work = x @ columns
+    rayleigh = np.einsum("sb,sb->b", columns.conj(), work)
+    eigenresiduals = np.linalg.norm(work - rayleigh * columns, axis=0)
 
-    rayleigh = complex(p_state.conj() @ x @ p_state)
-    eigenresidual = float(np.linalg.norm(x @ p_state - rayleigh * p_state))
+    outcomes = []
+    for b, peak_index in enumerate(np.argmax(distributions, axis=0)):
+        distribution = distributions[:, b]
+        amplitude_gradient = None
+        if enc.m == 1:
+            amplitude_gradient = extract_gradient_m1(
+                float(distribution[0]), float(distribution[1]), enc.amplitude_scale()
+            )
+        outcomes.append(QgpeOutcome(
+            distribution=distribution,
+            peak_index=int(peak_index),
+            peak_gradient=enc.bin_to_gradient(int(peak_index)),
+            amplitude_gradient=amplitude_gradient,
+            eigenresidual=float(eigenresiduals[b]),
+            conditioned=project_back,
+        ))
+    return outcomes
 
-    peak_index = int(np.argmax(distribution))
-    peak_gradient = enc.bin_to_gradient(peak_index)
-    amplitude_gradient = None
-    if enc.m == 1:
-        amplitude_gradient = extract_gradient_m1(
-            float(distribution[0]), float(distribution[1]), enc.amplitude_scale()
-        )
-    return QgpeOutcome(
-        distribution=distribution,
-        peak_index=peak_index,
-        peak_gradient=peak_gradient,
-        amplitude_gradient=amplitude_gradient,
-        eigenresidual=eigenresidual,
-        conditioned=project_back,
-    )
+
+def qgpe_run(x, p_state: np.ndarray, delta: PerturbationDirection, enc: GradientEncoding,
+             family=None, project_back: bool = False) -> QgpeOutcome:
+    """The probe circuit on a single (intended) eigenvector p_state: the
+    one-column case of :func:`qgpe_run_batch`."""
+    columns = np.asarray(p_state, dtype=complex)[:, None]
+    return qgpe_run_batch(x, columns, delta, enc, family=family, project_back=project_back)[0]

@@ -5,8 +5,12 @@ occupy the high-order bits, so amplitude index eps*N + s addresses deviation
 basis state eps and system basis state s, and applying one controlled family
 member touches a contiguous block of N amplitudes.
 
+A state may also hold B independent circuits side by side: the amplitudes
+then form an (M, N, B) tensor, one column per circuit, and every gate acts on
+all columns at once.  Each controlled member is one N x N @ N x B product.
+
 Operations mutate the passed state in place and also return it, so they can
-be chained; a state belongs to a single circuit execution.
+be chained; a state belongs to a single (batched) circuit execution.
 """
 from __future__ import annotations
 
@@ -26,18 +30,31 @@ NORM_ATOL = 1e-10
 MAX_QUBITS = 26
 
 
+def batch_capacity(m: int, n: int) -> int:
+    """Most circuit columns whose M*N*B amplitudes fit the 2^MAX_QUBITS guard."""
+    return 1 << (MAX_QUBITS - m - n)
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Qubit counts: m deviation qubits (M = 2^m), n system qubits (N = 2^n)."""
+    """Qubit counts: m deviation qubits (M = 2^m), n system qubits (N = 2^n),
+    and ``batch`` independent circuits held as columns (None for a single
+    circuit without a column axis)."""
 
     m: int
     n: int
+    batch: int | None = None
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("need at least one qubit in each register")
         if self.m + self.n > MAX_QUBITS:
             raise ValueError(f"m + n = {self.m + self.n} exceeds the {MAX_QUBITS}-qubit guard")
+        if self.batch is not None and not 1 <= self.batch <= batch_capacity(self.m, self.n):
+            raise ValueError(
+                f"batch {self.batch} outside [1, {batch_capacity(self.m, self.n)}] "
+                f"for the {MAX_QUBITS}-qubit amplitude guard"
+            )
 
     @property
     def deviation_dim(self) -> int:
@@ -47,6 +64,15 @@ class RegisterLayout:
     def system_dim(self) -> int:
         return 1 << self.n
 
+    @property
+    def columns(self) -> int:
+        return 1 if self.batch is None else self.batch
+
+    @property
+    def batch_shape(self) -> tuple:
+        """Trailing shape of per-circuit inputs and readouts: () or (B,)."""
+        return () if self.batch is None else (self.batch,)
+
 
 @dataclass
 class StateVector:
@@ -54,8 +80,13 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def as_matrix(self) -> np.ndarray:
-        """View of the amplitudes as a (M, N) matrix, one row per deviation index."""
+        """View of a single circuit's amplitudes as a (M, N) matrix, one row per deviation index."""
         return self.amplitudes.reshape(self.layout.deviation_dim, self.layout.system_dim)
+
+    def as_tensor(self) -> np.ndarray:
+        """View of the amplitudes as a (M, N, B) tensor, one column per circuit."""
+        layout = self.layout
+        return self.amplitudes.reshape(layout.deviation_dim, layout.system_dim, layout.columns)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -73,20 +104,21 @@ def system_qubits_for_dim(dim: int) -> int:
 
 
 def init_basis(layout: RegisterLayout, index: int) -> StateVector:
-    """State with amplitude 1 at the given joint basis index."""
+    """State with amplitude 1 at the given joint basis index, in every column."""
     total = layout.deviation_dim * layout.system_dim
     if not 0 <= index < total:
         raise IndexOutOfRange(f"index {index} outside [0, {total})")
-    amplitudes = np.zeros(total, dtype=complex)
-    amplitudes[index] = 1.0
-    return StateVector(layout, amplitudes)
+    state = StateVector(layout, np.zeros(total * layout.columns, dtype=complex))
+    state.as_tensor()[divmod(index, layout.system_dim)] = 1.0
+    return state
 
 
 def preparation_unitary(v: np.ndarray) -> np.ndarray:
-    """Unitary completion whose first column is v (Householder reflection).
+    """Unitary completion Gamma whose first column is v (Householder reflection).
 
     A phase-adjusted reflection maps e_0 exactly onto v; the remaining columns
-    complete an orthonormal basis.
+    complete an orthonormal basis.  State preparation only ever acts on the
+    ground state, so it applies Gamma e_0 = v directly and never builds Gamma.
     """
     v = np.asarray(v, dtype=complex)
     n = v.shape[0]
@@ -102,39 +134,40 @@ def preparation_unitary(v: np.ndarray) -> np.ndarray:
 
 
 def prepare_system_state(state: StateVector, v: np.ndarray) -> StateVector:
-    """Load v into the system register; requires the system register in |0...0>."""
+    """Load v into the system register; requires the system register in |0...0>.
+
+    ``v`` has shape (N,) plus the layout's batch shape, one target per column.
+    """
+    layout = state.layout
     v = np.asarray(v, dtype=complex)
-    if v.shape != (state.layout.system_dim,):
-        raise ValueError(f"target has shape {v.shape}, expected ({state.layout.system_dim},)")
-    if abs(np.linalg.norm(v) - 1.0) > NORM_ATOL:
-        raise UnnormalizedTarget(f"target norm {np.linalg.norm(v):.12f} != 1")
-    mat = state.as_matrix()
-    if np.linalg.norm(mat[:, 1:]) > NORM_ATOL:
+    if v.shape != (layout.system_dim,) + layout.batch_shape:
+        raise ValueError(
+            f"target has shape {v.shape}, expected {(layout.system_dim,) + layout.batch_shape}"
+        )
+    columns = v.reshape(layout.system_dim, layout.columns)
+    norms = np.linalg.norm(columns, axis=0)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_ATOL)
+    if bad.size:
+        raise UnnormalizedTarget(f"target column {bad[0]} norm {norms[bad[0]]:.12f} != 1")
+    tensor = state.as_tensor()
+    if np.linalg.norm(tensor[:, 1:, :]) > NORM_ATOL:
         raise NotInGroundRegister("system register carries weight outside |0...0>")
-    gamma = preparation_unitary(v)
-    mat[:] = mat @ gamma.T
-    return state
-
-
-def unprepare_system_state(state: StateVector, v: np.ndarray) -> StateVector:
-    """Apply the inverse of the preparation unitary for v to the system register."""
-    v = np.asarray(v, dtype=complex)
-    gamma = preparation_unitary(v)
-    mat = state.as_matrix()
-    mat[:] = mat @ gamma.conj()
+    # Gamma e_0 = v: each deviation row's ground amplitude spreads over its column
+    np.multiply(tensor[:, :1, :], columns, out=tensor)
     return state
 
 
 def hadamard_deviation_register(state: StateVector) -> StateVector:
     """H on every deviation qubit, system register untouched."""
-    m, n_dim = state.layout.m, state.layout.system_dim
-    x = state.amplitudes.reshape((2,) * m + (n_dim,))
+    m = state.layout.m
+    x = state.amplitudes.reshape((2,) * m + (-1,))
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for axis in range(m):
-        a = np.take(x, 0, axis=axis)
-        b = np.take(x, 1, axis=axis)
-        hi, lo = (a + b) * inv_sqrt2, (a - b) * inv_sqrt2
-        x = np.stack([hi, lo], axis=axis)
+        a = x[(slice(None),) * axis + (0,)]
+        b = x[(slice(None),) * axis + (1,)]
+        hi = (a + b) * inv_sqrt2
+        b[...] = (a - b) * inv_sqrt2
+        a[...] = hi
     state.amplitudes = x.reshape(-1)
     return state
 
@@ -144,51 +177,100 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
 
 
+class ControlledFamily(tuple):
+    """The members U(eps) of a controlled family, each checked once, when the
+    family is built, for shape and unitarity within NORM_ATOL * N.
+
+    An immutable tuple of read-only copies, so the check holds for the
+    family's lifetime and circuits applying it need not repeat it.  Building
+    one from a ControlledFamily returns that family unchanged.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, members):
+        if isinstance(members, ControlledFamily):
+            return members
+        members = tuple(np.array(u, dtype=complex) for u in members)
+        if not members:
+            raise FamilySizeMismatch("family has no members")
+        n_dim = len(members[0])
+        for eps, u in enumerate(members):
+            if u.shape != (n_dim, n_dim):
+                raise FamilySizeMismatch(f"member {eps} has shape {u.shape}")
+            defect = unitarity_defect(u)
+            if defect > NORM_ATOL * n_dim:
+                raise NonUnitaryMember(f"member {eps} unitarity defect {defect:.3e}")
+            u.flags.writeable = False
+        return super().__new__(cls, members)
+
+
 def apply_controlled_family(state: StateVector, family) -> StateVector:
-    """For each deviation basis index eps, multiply the system block by family[eps]."""
+    """For each deviation basis index eps, multiply every column's system block by family[eps].
+
+    A ControlledFamily is applied as is; a raw sequence of members is checked
+    first by wrapping it in one.
+    """
+    family = ControlledFamily(family)
     m_dim = state.layout.deviation_dim
     n_dim = state.layout.system_dim
     if len(family) != m_dim:
         raise FamilySizeMismatch(f"family has {len(family)} members, expected {m_dim}")
-    mat = state.as_matrix()
+    if family[0].shape != (n_dim, n_dim):
+        raise FamilySizeMismatch(f"members have shape {family[0].shape}, expected ({n_dim}, {n_dim})")
+    tensor = state.as_tensor()
     for eps, u in enumerate(family):
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (n_dim, n_dim):
-            raise FamilySizeMismatch(f"member {eps} has shape {u.shape}")
-        if unitarity_defect(u) > NORM_ATOL * n_dim:
-            raise NonUnitaryMember(f"member {eps} unitarity defect {unitarity_defect(u):.3e}")
-        mat[eps] = u @ mat[eps]
+        tensor[eps] = u @ tensor[eps]
+    return state
+
+
+def phase_deviation_register(state: StateVector, phases: np.ndarray) -> StateVector:
+    """Diagonal gate on the deviation register: amplitude row eps picks up
+    phases[eps], with shape (M,) plus the layout's batch shape (one diagonal
+    per column).  With diag(1, -i) on one deviation qubit, the inverse QFT
+    reads that qubit in the Y basis instead of the X basis."""
+    layout = state.layout
+    phases = np.asarray(phases, dtype=complex).reshape(layout.deviation_dim, 1, layout.columns)
+    if np.max(np.abs(np.abs(phases) - 1.0)) > NORM_ATOL:
+        raise ValueError("deviation phases must have unit modulus")
+    state.as_tensor()[:] *= phases
     return state
 
 
 def inverse_qft_deviation(state: StateVector) -> StateVector:
     """M-point inverse Fourier kernel exp(-2*pi*i*j*k/M)/sqrt(M) on the deviation register."""
-    mat = state.as_matrix()
     m_dim = state.layout.deviation_dim
-    out = np.fft.fft(mat, axis=0) / np.sqrt(m_dim)
+    out = np.fft.fft(state.amplitudes.reshape(m_dim, -1), axis=0)
+    out /= np.sqrt(m_dim)
     state.amplitudes = out.reshape(-1)
     return state
 
 
 def deviation_distribution(state: StateVector) -> np.ndarray:
-    """Marginal probabilities of the deviation register."""
-    mat = state.as_matrix()
-    return np.sum(np.abs(mat) ** 2, axis=1)
+    """Marginal probabilities of the deviation register: shape (M,) plus the batch shape."""
+    layout = state.layout
+    probs = np.sum(np.abs(state.as_tensor()) ** 2, axis=1)
+    return probs.reshape((layout.deviation_dim,) + layout.batch_shape)
 
 
 def conditional_deviation_distribution(state: StateVector, system_state: np.ndarray) -> np.ndarray:
     """Deviation distribution conditioned on the system register being in system_state.
 
     Equivalent to undoing the preparation of system_state and post-selecting
-    the system register on |0...0>, renormalized.
+    the system register on |0...0>, renormalized.  ``system_state`` carries
+    one conditioning state per column, like the preparation target.
     """
-    system_state = np.asarray(system_state, dtype=complex)
-    mat = state.as_matrix()
-    amps = mat @ system_state.conj()
-    weight = float(np.sum(np.abs(amps) ** 2))
-    if weight < 1e-30:
-        raise NotInGroundRegister("conditioning state has no overlap with the register")
-    return np.abs(amps) ** 2 / weight
+    layout = state.layout
+    columns = np.asarray(system_state, dtype=complex).reshape(layout.system_dim, layout.columns)
+    amps = np.einsum("msb,sb->mb", state.as_tensor(), columns.conj())
+    probs = np.abs(amps) ** 2
+    weight = np.sum(probs, axis=0)
+    empty = np.flatnonzero(weight < 1e-30)
+    if empty.size:
+        raise NotInGroundRegister(
+            f"conditioning state of column {empty[0]} has no overlap with the register"
+        )
+    return (probs / weight).reshape((layout.deviation_dim,) + layout.batch_shape)
 
 
 def sample_deviation(state: StateVector, rng_seed: int, shots: int) -> np.ndarray:

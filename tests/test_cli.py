@@ -109,6 +109,18 @@ class TestQgldCommand:
         assert "numerical" in err
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", [("qgld", "--phi", "uniform"),
+                                         ("gradient", "--delta", "all-ones")])
+    def test_nan_matrix_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "nan.json"
+        save_matrix(str(path), np.array([[1.0, np.nan], [np.nan, 2.0]]))
+        code, out, err = run_cli(capsys, command[0], "--matrix", str(path), *command[1:])
+        assert code == 2
+        assert out == ""
+        assert "2 non-finite entries" in err
+
+
 class TestLanczosCommand:
     def test_ritz_output(self, capsys):
         code, out, _ = run_cli(capsys, "lanczos", "--matrix", "sigma-z", "--b", "1", "--k", "2")

@@ -3,6 +3,8 @@ import pytest
 
 from qgld import (
     DegenerateEigenvalue,
+    InverseExpectationRequest,
+    NonFiniteInput,
     NonHermitianInput,
     NotPositiveSemidefinite,
     RankDeficientBlock,
@@ -14,8 +16,10 @@ from qgld import (
     logdet_lu,
     orthonormalize_svd,
     psd_sqrt,
+    qgld_expectation,
     unitary_phase_exp,
 )
+from qgld.linalg import as_complex_matrix
 from conftest import HADAMARD, SIGMA_X, SIGMA_Z, gram_schmidt, random_hermitian, series_phase_exp
 
 
@@ -51,6 +55,22 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianInput):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejected_at_entry(self, bad):
+        a = np.eye(4, dtype=complex)
+        a[1, 2] = bad
+        with pytest.raises(NonFiniteInput, match=r"1 non-finite entries.*\(1, 2\)"):
+            as_complex_matrix(a)
+        with pytest.raises(NonFiniteInput):
+            eig_hermitian(a)
+
+    def test_pipeline_rejects_nan_matrix(self):
+        x = np.diag([2.0, np.nan]).astype(complex)
+        with pytest.raises(NonFiniteInput):
+            qgld_expectation(InverseExpectationRequest(x=x, phi=np.array([1.0, 0.0]), k=2))
 
 
 class TestUnitaryPhaseExp:

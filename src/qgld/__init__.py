@@ -80,6 +80,7 @@ from .expectation import (
     eigenvalue_gradient_probe,
     eigenvalue_gradient_probes,
     equal_superposition,
+    logdet_directional_derivative,
     logdet_gradient_entry,
     qgld_expectation,
     sampled_qgld,

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,9 +35,9 @@ from .expectation import (
     sigma_qgld_expectation,
 )
 from .kernel import kernel_fit, kernel_predict
-from .lanczos import build_factorization, dump_factorization, run_rqbl
+from .lanczos import assemble_and_solve, build_factorization, dump_factorization
 from .linalg import directional_eigen_derivative, eig_hermitian
-from .qgpe import GradientEncoding, PerturbationDirection, build_delta, qgpe_run
+from .qgpe import GradientEncoding, PerturbationDirection, build_delta, qgpe_run, require_weight_vector
 
 NUMERIC_ERRORS = (
     SingularMatrix,
@@ -88,7 +86,7 @@ def resolve_phi(source: str, n: int) -> np.ndarray:
         phi = np.zeros(n, dtype=complex)
         phi[0] = 1.0
         return phi
-    phi = qio.load_vector(source)
+    phi = require_weight_vector(qio.load_vector(source), n)
     return phi / np.linalg.norm(phi)
 
 
@@ -112,13 +110,6 @@ def resolve_delta(source: str, x: np.ndarray, phi: np.ndarray | None) -> Perturb
 
 def encoding_from_args(args) -> GradientEncoding:
     return GradientEncoding(L=args.L, W=args.W, m=args.m)
-
-
-def worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("QGLD_THREADS")
-    if cap is not None:
-        return max(1, min(int(cap), n_tasks))
-    return max(1, min(os.cpu_count() or 1, n_tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +181,7 @@ def cmd_qgld(args) -> str:
             return [l_value, report.total, report.classical_reference,
                     abs(report.total - report.classical_reference)]
 
-        with ThreadPoolExecutor(max_workers=worker_count(len(l_values))) as pool:
-            rows = list(pool.map(run_one, l_values))
+        rows = [run_one(l_value) for l_value in l_values]
         return qio.render_csv(["L", "total", "classical_reference", "abs_error"], rows)
 
     if args.mode == "per-eigenvector":
@@ -230,7 +220,7 @@ def cmd_lanczos(args) -> str:
     b = args.b or 1
     k = args.k or x.shape[0] // b
     fact = build_factorization(x, b, k, args.seed)
-    sol = run_rqbl(x, b, k, args.seed)
+    sol = assemble_and_solve(x, fact)
     payload = {
         "ritz_values": sol.values.tolist(),
         "residuals": sol.residuals.tolist(),

@@ -1,7 +1,7 @@
 """Inverse expectation values assembled from eigenvalue-gradient probes.
 
-The entrywise derivative of log det X recovers the inverse: summing the
-per-eigenvalue directional derivatives weighted by 1/E_p gives, at full rank,
+The directional derivative of log det X along Delta is tr(X^-1 Delta):
+summing the per-eigenvalue derivatives weighted by 1/E_p gives, at full rank,
 the matrix element of X^-1 selected by the perturbation direction.  This
 module runs one probe circuit per eigenpair (per-eigenvector pipeline), all
 of them as the columns of one batched circuit per deviation window, or a
@@ -10,10 +10,10 @@ rescaled by 1/E_p per eigenstate (superposition pipeline), and cross-checks
 both against the direct classical evaluation.
 
 Sign handling: the single-deviation-qubit readout yields |gradient| only, so
-probes that can go negative (single-entry directions on indefinite matrices)
-are run with an identity-shifted direction Delta + c*I.  The shift adds
-exactly c to every eigenvalue slope, keeps every probe phase positive, and is
-subtracted after readout.
+probes that can go negative (general directions, such as single entries on
+indefinite matrices) are run with an identity-shifted direction Delta + c*I.
+The shift adds exactly c to every eigenvalue slope, keeps every probe phase
+positive, and is subtracted after readout.
 """
 from __future__ import annotations
 
@@ -23,13 +23,14 @@ import numpy as np
 
 from . import statevector as sv
 from .errors import NearZeroEigenvalue
-from .linalg import eig_hermitian, inverse, require_hermitian, unitary_phase_exp
+from .linalg import as_complex_matrix, eig_hermitian, inverse, require_hermitian, unitary_phase_exp
 from .qgpe import (
     GradientEncoding,
     PerturbationDirection,
     build_delta,
     probe_distributions,
     qgpe_run_batch,
+    require_weight_vector,
 )
 from .lanczos import run_rqbl
 
@@ -81,8 +82,9 @@ class InverseExpectationRequest:
         x = require_hermitian(self.x)
         if not 1 <= self.k <= x.shape[0]:
             raise ValueError(f"k = {self.k} outside [1, {x.shape[0]}]")
-        if abs(np.linalg.norm(self.phi) - 1.0) > 1e-10:
-            raise ValueError(f"phi norm {np.linalg.norm(self.phi):.12f} != 1")
+        phi = require_weight_vector(self.phi, x.shape[0])
+        if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
+            raise ValueError(f"phi norm {np.linalg.norm(phi):.12f} != 1")
 
 
 @dataclass(frozen=True)
@@ -243,29 +245,40 @@ def qgld_expectation(request: InverseExpectationRequest, symmetric: bool = False
     )
 
 
-def logdet_gradient_entry(x, i: int, j: int, k: int, enc: GradientEncoding = GradientEncoding(),
-                          eigensource: DenseSource | RqblSource = DenseSource(),
-                          symmetric: bool = False) -> float:
-    """Entry of the log-determinant gradient via probes with a single-entry
-    direction (zero-based indices, symmetric-direction convention).
+def logdet_directional_derivative(x, delta, k: int, enc: GradientEncoding = GradientEncoding(),
+                                  eigensource: DenseSource | RqblSource = DenseSource(),
+                                  symmetric: bool = False) -> float:
+    """Directional derivative d/ds log det(X + s*Delta) at s = 0, read as
+    sum_p deltaE_p / E_p over the k most relevant eigenpairs.
 
-    At k = N and L -> 0 this converges to (X^-1)_ij + (X^-1)_ji for i != j and
-    (X^-1)_ii on the diagonal, because the probe direction carries both (i, j)
-    and (j, i).  Slopes may be negative here, so probes use an identity shift
-    equal to the direction's spectral norm (1 for single-entry directions).
+    At k = N and L -> 0 this converges to tr(X^-1 Delta).  ``delta`` is any
+    hermitian matrix.  Slopes may be negative, so probes use an identity
+    shift equal to the direction's spectral norm.
     """
     x = require_hermitian(x)
+    delta = build_delta("custom", x.shape[0], matrix=delta)
     values, vectors, residuals = eigensource.resolve(x)
     used, _ = _select_relevant(values, k, float(np.linalg.norm(x)))
 
-    delta = build_delta("element", x.shape[0], i=i, j=j)
     vectors, residuals = adapt_degenerate_eigenvectors(x, values, vectors, delta.matrix, enc.L)
-    delta_es = eigenvalue_gradient_probes(x, vectors[:, used], delta, enc, identity_shift=1.0,
+    shift = float(np.linalg.norm(delta.matrix, ord=2))
+    delta_es = eigenvalue_gradient_probes(x, vectors[:, used], delta, enc, identity_shift=shift,
                                           symmetric=symmetric)
     total = 0.0
     for p, delta_e in zip(used, delta_es.tolist()):
         total += delta_e / float(values[p])
     return float(total)
+
+
+def logdet_gradient_entry(x, i: int, j: int, k: int, enc: GradientEncoding = GradientEncoding(),
+                          eigensource: DenseSource | RqblSource = DenseSource(),
+                          symmetric: bool = False) -> float:
+    """Entry of the log-determinant gradient: the directional derivative along
+    ones at (i, j) and (j, i), zero-based.  At k = N and L -> 0 this converges
+    to (X^-1)_ij + (X^-1)_ji for i != j and (X^-1)_ii on the diagonal."""
+    n = as_complex_matrix(x).shape[0]
+    delta = build_delta("element", n, i=i, j=j)
+    return logdet_directional_derivative(x, delta.matrix, k, enc, eigensource, symmetric)
 
 
 def classical_reference_expectation(x, phi) -> float:
@@ -331,8 +344,9 @@ def _superposition_weights(x, phi, inverse_scaled: bool):
     """Per-eigenstate derivative weights <p|outer(phi)|p>, optionally divided
     by E_p, with pseudo-inverse skipping."""
     x = require_hermitian(x)
+    phi = require_weight_vector(phi, x.shape[0])
     dec = eig_hermitian(x)
-    overlaps = np.abs(dec.vectors.conj().T @ np.asarray(phi, dtype=complex)) ** 2
+    overlaps = np.abs(dec.vectors.conj().T @ phi) ** 2
     threshold = PSEUDO_INVERSE_RTOL * max(float(np.linalg.norm(x)), 1e-300)
     usable = np.abs(dec.values) > threshold
     if not np.any(usable):

@@ -1,10 +1,10 @@
 """Gaussian-kernel ridge regression with a classical or probe-based solver.
 
 The weights alpha = (K + lambda*I)^-1 f either come from the LU inverse or
-are recovered entry by entry from inverse-expectation probes: each alpha_i is
-a bilinear form e_i^dag (K + lambda*I)^-1 f, reconstructed by polarization
-from four quadratic forms with phi proportional to e_i +- f_hat and
-e_i +- i*f_hat.
+are recovered entry by entry from log-determinant directional derivatives:
+because K and f are real, alpha_i = ||f|| * e_i^T (K + lambda*I)^-1 f_hat is
+||f|| times the derivative of log det(K + lambda*I) along the signed
+direction (e_i f_hat^T + f_hat e_i^T)/2, one probe set per weight.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditioned
-from .expectation import DenseSource, InverseExpectationRequest, qgld_expectation
+from .expectation import logdet_directional_derivative
 from .linalg import inverse
 from .qgpe import GradientEncoding
 
@@ -38,18 +38,6 @@ def gaussian_kernel_matrix(points: np.ndarray, sigma: float, other: np.ndarray |
     return np.exp(-sq / sigma**2)
 
 
-def _quadratic_form(system: np.ndarray, w: np.ndarray, k: int, enc: GradientEncoding) -> float:
-    """w^dag (system)^-1 w via the probe pipeline, for unnormalized w."""
-    norm = np.linalg.norm(w)
-    if norm < 1e-14:
-        return 0.0
-    request = InverseExpectationRequest(
-        x=system, phi=w / norm, k=k, enc=enc, eigensource=DenseSource()
-    )
-    report = qgld_expectation(request, symmetric=True)
-    return float(norm**2 * report.total)
-
-
 def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "classical",
                k: int | None = None, enc: GradientEncoding = GradientEncoding()) -> KernelModel:
     """Fit alpha = (K + ridge*I)^-1 f with the chosen solver."""
@@ -72,15 +60,9 @@ def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "class
         f_norm = float(np.linalg.norm(targets))
         f_hat = targets / f_norm
         alpha = np.zeros(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            q_plus = _quadratic_form(system, e + f_hat, k, enc)
-            q_minus = _quadratic_form(system, e - f_hat, k, enc)
-            q_iplus = _quadratic_form(system, e + 1j * f_hat, k, enc)
-            q_iminus = _quadratic_form(system, e - 1j * f_hat, k, enc)
-            bilinear = ((q_plus - q_minus) + 1j * (q_iminus - q_iplus)) / 4.0
-            alpha[i] = f_norm * bilinear.real
+        for i, e in enumerate(np.eye(n)):
+            direction = (np.outer(e, f_hat) + np.outer(f_hat, e)) / 2
+            alpha[i] = f_norm * logdet_directional_derivative(system, direction, k, enc, symmetric=True)
     else:
         raise ValueError(f"unknown solver {solver!r}")
     return KernelModel(

@@ -125,7 +125,9 @@ def assemble_block_tridiagonal(fact: LanczosFactorization) -> np.ndarray:
 
 
 def assemble_and_solve(x: np.ndarray, fact: LanczosFactorization) -> RitzSolution:
-    """Diagonalize S and lift its eigenvectors through the basis blocks."""
+    """Diagonalize S and lift its eigenvectors through the basis blocks, as
+    Ritz pairs sorted by |value| descending (most relevant first).  Equal
+    magnitudes keep their ascending-eigenvalue order (stable sort)."""
     if fact.steps < 1:
         raise ValueError("factorization holds no blocks")
     s = assemble_block_tridiagonal(fact)
@@ -134,30 +136,23 @@ def assemble_and_solve(x: np.ndarray, fact: LanczosFactorization) -> RitzSolutio
     vectors = q @ dec.vectors
     vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     residuals = np.linalg.norm(x @ vectors - vectors * dec.values, axis=0)
-    return RitzSolution(values=dec.values, vectors=vectors, residuals=residuals)
+    order = np.argsort(-np.abs(dec.values), kind="stable")
+    return RitzSolution(values=dec.values[order], vectors=vectors[:, order], residuals=residuals[order])
 
 
 def run_rqbl(x: np.ndarray, b: int, k: int, rng_seed: int) -> RitzSolution:
     """Random init plus k recursion steps (early stop on breakdown), then the
-    Ritz pairs of S sorted by |value| descending (most relevant first).
-    Equal magnitudes keep their ascending-eigenvalue order (stable sort)."""
+    Ritz pairs of S."""
     x = np.asarray(x, dtype=complex)
-    n = x.shape[0]
-    if k * b > n:
-        raise ValueError(f"k*b = {k * b} exceeds the dimension {n}")
-    fact = build_factorization(x, b, k, rng_seed)
-    sol = assemble_and_solve(x, fact)
-    order = np.argsort(-np.abs(sol.values), kind="stable")
-    return RitzSolution(
-        values=sol.values[order],
-        vectors=sol.vectors[:, order],
-        residuals=sol.residuals[order],
-    )
+    return assemble_and_solve(x, build_factorization(x, b, k, rng_seed))
 
 
 def build_factorization(x: np.ndarray, b: int, k: int, rng_seed: int) -> LanczosFactorization:
     """The raw factorization behind run_rqbl, kept for inspection and dumps."""
-    psi = rqbl_init(x.shape[0], b, rng_seed)
+    n = x.shape[0]
+    if k * b > n:
+        raise ValueError(f"k*b = {k * b} exceeds the dimension {n}")
+    psi = rqbl_init(n, b, rng_seed)
     fact = LanczosFactorization(block_size=b)
     fact.basis_blocks.append(psi)
     psi_prev, b_p = None, None

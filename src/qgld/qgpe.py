@@ -22,6 +22,7 @@ from . import statevector as sv
 from .errors import (
     FlatDistribution,
     IndexOutOfRange,
+    NonFiniteInput,
     ProbabilityOutOfRange,
     UnnormalizedPhi,
 )
@@ -65,9 +66,7 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
     elif kind == "outer":
         if phi is None:
             raise ValueError("outer direction needs the weight vector phi")
-        phi = np.asarray(phi, dtype=complex)
-        if phi.shape != (n,):
-            raise ValueError(f"phi has shape {phi.shape}, expected ({n},)")
+        phi = require_weight_vector(phi, n)
         if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
             raise UnnormalizedPhi(f"phi norm {np.linalg.norm(phi):.12f} != 1")
         mat = np.outer(phi, phi.conj())
@@ -80,6 +79,21 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
     else:
         raise ValueError(f"unknown direction kind {kind!r}; choose from {DELTA_KINDS}")
     return PerturbationDirection(kind=kind, matrix=(mat + mat.conj().T) / 2)
+
+
+def require_weight_vector(phi, n: int) -> np.ndarray:
+    """phi as a complex vector of length n with finite entries, not all zero."""
+    phi = np.asarray(phi, dtype=complex)
+    if phi.shape != (n,):
+        raise ValueError(f"phi has shape {phi.shape}, expected ({n},)")
+    if not np.isfinite(phi).all():
+        bad = np.flatnonzero(~np.isfinite(phi))
+        raise NonFiniteInput(
+            f"weight vector phi has {len(bad)} non-finite entries (NaN or inf), first at {bad[0]}: {phi[bad[0]]}"
+        )
+    if not np.any(phi):
+        raise UnnormalizedPhi("weight vector phi is zero")
+    return phi
 
 
 @dataclass(frozen=True)

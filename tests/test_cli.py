@@ -120,6 +120,19 @@ class TestNonFiniteInput:
         assert out == ""
         assert "2 non-finite entries" in err
 
+    @pytest.mark.parametrize("mode", [(), ("--mode", "sigma"), ("--mode", "sampled"),
+                                      ("--sweep-L", "1e-3,1e-4")])
+    @pytest.mark.parametrize("weights, message", [([np.nan, 0.5, 0.5, 0.5], "non-finite"),
+                                                  ([0.0, 0.0, 0.0, 0.0], "zero")])
+    def test_bad_phi_exits_2(self, capsys, tmp_path, mode, weights, message):
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"re": weights}))
+        code, out, err = run_cli(capsys, "qgld", "--matrix", "random-spd:4:1",
+                                 "--phi", str(path), *mode)
+        assert code == 2
+        assert out == ""
+        assert "phi" in err and message in err
+
 
 class TestLanczosCommand:
     def test_ritz_output(self, capsys):
@@ -139,7 +152,7 @@ class TestLanczosCommand:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns(self, capsys, monkeypatch):
+    def test_byte_identical_reruns(self, capsys):
         configs = [
             ("gradient", "--matrix", "hadamard", "--delta", "element:0,1"),
             ("qgld", "--matrix", "random-spd:4:11", "--phi", "uniform", "--seed", "2"),
@@ -149,13 +162,11 @@ class TestDeterminism:
             _, first, _ = run_cli(capsys, *argv)
             _, second, _ = run_cli(capsys, *argv)
             assert first == second
-        monkeypatch.setenv("QGLD_THREADS", "2")
         sweep = ("qgld", "--matrix", "random-spd:4:7", "--phi", "uniform",
                  "--sweep-L", "1e-2,1e-3,1e-4")
-        _, parallel, _ = run_cli(capsys, *sweep)
-        monkeypatch.setenv("QGLD_THREADS", "1")
-        _, serial, _ = run_cli(capsys, *sweep)
-        assert parallel == serial
+        _, first, _ = run_cli(capsys, *sweep)
+        _, second, _ = run_cli(capsys, *sweep)
+        assert first == second
 
 
 class TestOutputFile:

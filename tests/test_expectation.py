@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgld import (
     DenseSource,
     InverseExpectationRequest,
     GradientEncoding,
+    NonFiniteInput,
+    NonHermitianInput,
     RqblSource,
+    UnnormalizedPhi,
+    build_delta,
     classical_reference_expectation,
     equal_superposition,
+    logdet_directional_derivative,
     logdet_gradient_entry,
     qgld_expectation,
     sampled_qgld,
@@ -41,6 +48,38 @@ class TestLogdetGradientEntry:
             got = logdet_gradient_entry(x, i, j, k=n)
             want = (inv[i, j] + inv[j, i]).real
             assert abs(got - want) <= 1e-4
+
+    def test_is_the_element_direction_derivative(self, rng):
+        for n, symmetric in ((2, False), (4, True), (8, False)):
+            x = random_hermitian(rng, n, indefinite=True)
+            for i, j in ((0, 0), (0, n - 1), (n - 1, 1)):
+                direction = np.zeros((n, n))
+                direction[i, j] = direction[j, i] = 1.0
+                assert logdet_gradient_entry(x, i, j, k=n, symmetric=symmetric) == \
+                    logdet_directional_derivative(x, direction, n, symmetric=symmetric)
+
+
+class TestLogdetDirectionalDerivative:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([2, 4, 8]),
+        indefinite=st.booleans(),
+        norm=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_trace_of_inverse_times_direction(self, n, indefinite, norm, seed):
+        rng = np.random.default_rng(seed)
+        x = random_hermitian(rng, n, indefinite=indefinite)
+        gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        delta = gauss + gauss.conj().T
+        delta *= norm / np.linalg.norm(delta, ord=2)
+        got = logdet_directional_derivative(x, delta, n)
+        want = np.trace(np.linalg.inv(x) @ delta).real
+        assert abs(got - want) <= 1e-4
+
+    def test_rejects_non_hermitian_direction(self):
+        with pytest.raises(NonHermitianInput):
+            logdet_directional_derivative(SIGMA_Z, np.array([[0.0, 1.0], [0.0, 0.0]]), 2)
 
 
 class TestQgldExpectation:
@@ -247,3 +286,21 @@ class TestRequestValidation:
         x = random_spd_pow2(rng, 4)
         with pytest.raises(ValueError):
             InverseExpectationRequest(x=x, phi=np.ones(4), k=2)
+
+    PIPELINES = {
+        "outer": lambda x, phi: build_delta("outer", 4, phi=phi),
+        "per-eigenvector": lambda x, phi: qgld_expectation(InverseExpectationRequest(x=x, phi=phi, k=4)),
+        "sigma": sigma_qgld_expectation,
+        "sampled": lambda x, phi: sampled_qgld(x, phi, 4, 0),
+    }
+
+    @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+    def test_non_finite_phi_rejected(self, rng, pipeline):
+        phi = np.array([np.nan, 0.5, 0.5, 0.5])
+        with pytest.raises(NonFiniteInput, match="phi"):
+            self.PIPELINES[pipeline](random_spd_pow2(rng, 4), phi)
+
+    @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+    def test_zero_phi_rejected(self, rng, pipeline):
+        with pytest.raises(UnnormalizedPhi, match="phi"):
+            self.PIPELINES[pipeline](random_spd_pow2(rng, 4), np.zeros(4))

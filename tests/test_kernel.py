@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qgld.expectation
 from qgld import IllConditioned, gaussian_kernel_matrix, kernel_fit, kernel_predict
 
 
@@ -84,3 +85,16 @@ class TestProbeSolver:
         pred_probe = kernel_predict(probe, grid)
         assert np.max(np.abs(pred_classical - np.sin(grid))) < 1e-2
         assert np.max(np.abs(pred_probe - pred_classical)) <= 1e-3
+
+    def test_one_probe_set_per_alpha(self, monkeypatch):
+        calls = []
+        probes = qgld.expectation.eigenvalue_gradient_probes
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return probes(*args, **kwargs)
+
+        monkeypatch.setattr(qgld.expectation, "eigenvalue_gradient_probes", counting)
+        points, targets = sin_training_set()
+        kernel_fit(points, targets, sigma=1.0, ridge=1e-6, solver="qgld")
+        assert len(calls) == len(points)

@@ -13,7 +13,7 @@ spectrum long before the subspace exhausts the full dimension.
 """
 import numpy as np
 
-from qgld import build_factorization, run_rqbl
+from qgld import assemble_and_solve, build_factorization, run_rqbl
 
 
 def decaying_symmetric(rng, n, top=10.0, ratio=0.7):
@@ -40,10 +40,12 @@ def convergence_table():
 
 def breakdown_on_invariant_subspace():
     print("invariant subspace: recursion stops early with the converged blocks")
-    x = np.diag([5.0, 2.0, 1.0, 0.5]).astype(complex)
-    fact = build_factorization(x, b=4, k=1, rng_seed=3)
-    sol = run_rqbl(x, b=4, k=1, rng_seed=3)
-    print(f"  breakdown={fact.breakdown}  steps={fact.steps}  "
+    # two distinct eigenvalues: every Krylov space has dimension 2, so 4
+    # requested steps stop after 2; exhausting the dimension is not breakdown
+    x = np.diag([5.0, 5.0, 2.0, 2.0]).astype(complex)
+    fact = build_factorization(x, b=1, k=4, rng_seed=3)
+    sol = assemble_and_solve(x, fact)
+    print(f"  breakdown={fact.breakdown}  steps={fact.steps} of 4  "
           f"ritz values={np.round(np.sort(sol.values), 10)}")
 
 

@@ -120,10 +120,11 @@ def cmd_gradient(args) -> str:
     phi = resolve_phi(args.phi, x.shape[0]) if args.phi else None
     delta = resolve_delta(args.delta, x, phi)
     enc = encoding_from_args(args)
+    n = x.shape[0]
+    if not 0 <= args.k <= n:
+        raise ValueError(f"--k {args.k} outside [0, {n}] (0 = all)")
     dec = eig_hermitian(x)
-    order = np.argsort(-np.abs(dec.values), kind="stable")
-    k = args.k if args.k else len(order)
-    selected = order[:k]
+    selected = np.argsort(-np.abs(dec.values), kind="stable")[:args.k or n]
     shift = float(np.linalg.norm(delta.matrix, ord=2))
     grads = eigenvalue_gradient_probes(x, dec.vectors[:, selected], delta, enc, identity_shift=shift)
     rows = []

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import statevector as sv
 from .errors import NearZeroEigenvalue
-from .linalg import as_complex_matrix, eig_hermitian, inverse, require_hermitian, unitary_phase_exp
+from .linalg import as_complex_matrix, eig_hermitian, inverse, require_hermitian
 from .qgpe import (
     GradientEncoding,
     PerturbationDirection,
@@ -187,16 +187,26 @@ def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray,
     return vectors, residuals
 
 
-def _select_relevant(values: np.ndarray, k: int, x_norm: float):
-    """Indices of the k most relevant eigenvalues (|E| descending), splitting
-    out those under the pseudo-inverse threshold."""
+def _relevant_eigenpairs(x, k: int, eigensource):
+    """Eigenpairs from ``eigensource``, the indices of the k most relevant
+    (|E| descending) and the eigenvalues skipped under the pseudo-inverse
+    threshold.  Raises when a used pair's eigen-residual exceeds
+    EIGEN_RESIDUAL_RTOL * ||X||_F, since its probe would read a wrong slope."""
+    values, vectors, residuals = eigensource.resolve(x)
+    x_norm = float(np.linalg.norm(x))
     order = np.argsort(-np.abs(values), kind="stable")[:k]
     threshold = PSEUDO_INVERSE_RTOL * max(x_norm, 1e-300)
     used = [int(i) for i in order if abs(values[i]) > threshold]
     skipped = [float(values[i]) for i in order if abs(values[i]) <= threshold]
     if not used:
         raise NearZeroEigenvalue("every requested eigenvalue is below the pseudo-inverse threshold")
-    return used, skipped
+    bad = [i for i in used if residuals[i] > EIGEN_RESIDUAL_RTOL * x_norm]
+    if bad:
+        raise ValueError(
+            f"eigensource residual {max(residuals[i] for i in bad):.3e} exceeds "
+            f"{EIGEN_RESIDUAL_RTOL:.0e} * ||X||_F; increase Lanczos steps"
+        )
+    return values, vectors, used, skipped
 
 
 def qgld_expectation(request: InverseExpectationRequest, symmetric: bool = False,
@@ -211,16 +221,7 @@ def qgld_expectation(request: InverseExpectationRequest, symmetric: bool = False
     """
     x = require_hermitian(request.x)
     phi = np.asarray(request.phi, dtype=complex)
-    values, vectors, residuals = request.eigensource.resolve(x)
-    x_norm = float(np.linalg.norm(x))
-    used, skipped = _select_relevant(values, request.k, x_norm)
-    bad = [i for i in used if residuals[i] > EIGEN_RESIDUAL_RTOL * x_norm]
-    if bad:
-        raise ValueError(
-            f"eigensource residual {max(residuals[i] for i in bad):.3e} exceeds "
-            f"{EIGEN_RESIDUAL_RTOL:.0e} * ||X||_F; increase Lanczos steps"
-        )
-
+    values, vectors, used, skipped = _relevant_eigenpairs(x, request.k, request.eigensource)
     delta = build_delta("outer", x.shape[0], phi=phi)
     vectors, residuals = adapt_degenerate_eigenvectors(x, values, vectors, delta.matrix, request.enc.L)
     delta_es = eigenvalue_gradient_probes(x, vectors[:, used], delta, request.enc, symmetric=symmetric)
@@ -257,10 +258,8 @@ def logdet_directional_derivative(x, delta, k: int, enc: GradientEncoding = Grad
     """
     x = require_hermitian(x)
     delta = build_delta("custom", x.shape[0], matrix=delta)
-    values, vectors, residuals = eigensource.resolve(x)
-    used, _ = _select_relevant(values, k, float(np.linalg.norm(x)))
-
-    vectors, residuals = adapt_degenerate_eigenvectors(x, values, vectors, delta.matrix, enc.L)
+    values, vectors, used, _ = _relevant_eigenpairs(x, k, eigensource)
+    vectors, _ = adapt_degenerate_eigenvectors(x, values, vectors, delta.matrix, enc.L)
     shift = float(np.linalg.norm(delta.matrix, ord=2))
     delta_es = eigenvalue_gradient_probes(x, vectors[:, used], delta, enc, identity_shift=shift,
                                           symmetric=symmetric)
@@ -325,37 +324,36 @@ def _signed_phases(family: sv.ControlledFamily, columns: np.ndarray) -> np.ndarr
     return np.arctan2(quadratures[b:], quadratures[:b])
 
 
-def _scaled_phase_family(x, weights: np.ndarray, w_run: float) -> sv.ControlledFamily:
+def _scaled_phase_family(dec, weights: np.ndarray, w_run: float) -> sv.ControlledFamily:
     """Family Sum_p |p><p| exp(i t s(eps) weight_p) composed from the scaled
-    evolution and the inverse evolution of the unperturbed matrix, so the bare
-    eigenphases cancel member by member."""
-    dec = eig_hermitian(x)
+    evolution and the inverse evolution of the unperturbed matrix, both built
+    from its eigendecomposition ``dec``, so the bare eigenphases cancel member
+    by member."""
     enc = GradientEncoding(L=1e-6, W=w_run, m=1)
     t = enc.time_step()
     offsets = enc.offsets()
-    u_inverse = unitary_phase_exp(x, -t)
+    u_inverse = (dec.vectors * np.exp(1j * -t * dec.values)) @ dec.vectors.conj().T
     return sv.ControlledFamily(
         (dec.vectors * np.exp(1j * t * (dec.values + s * weights))) @ dec.vectors.conj().T @ u_inverse
         for s in offsets
     )
 
 
-def _superposition_weights(x, phi, inverse_scaled: bool):
-    """Per-eigenstate derivative weights <p|outer(phi)|p>, optionally divided
-    by E_p, with pseudo-inverse skipping."""
-    x = require_hermitian(x)
-    phi = require_weight_vector(phi, x.shape[0])
+def _superposition_weights(x, phi):
+    """One eigendecomposition of X with the per-eigenstate derivative weights
+    <p|outer(phi)|p>, raw and divided by E_p, both zero on eigenvalues under
+    the pseudo-inverse threshold."""
     dec = eig_hermitian(x)
+    phi = require_weight_vector(phi, dec.dim)
     overlaps = np.abs(dec.vectors.conj().T @ phi) ** 2
     threshold = PSEUDO_INVERSE_RTOL * max(float(np.linalg.norm(x)), 1e-300)
     usable = np.abs(dec.values) > threshold
     if not np.any(usable):
         raise NearZeroEigenvalue("all eigenvalues below the pseudo-inverse threshold")
-    weights = overlaps.copy()
-    if inverse_scaled:
-        weights[usable] = overlaps[usable] / dec.values[usable]
-    weights[~usable] = 0.0
-    return dec, weights
+    raw = np.where(usable, overlaps, 0.0)
+    scaled = raw.copy()
+    scaled[usable] = overlaps[usable] / dec.values[usable]
+    return dec, raw, scaled
 
 
 def sigma_qgld_expectation(x, phi, enc: GradientEncoding = GradientEncoding()) -> float:
@@ -369,17 +367,14 @@ def sigma_qgld_expectation(x, phi, enc: GradientEncoding = GradientEncoding()) -
     coherent average of the per-eigenstate phases equals their mean; N * W *
     phase then returns sum_p deltaE_p / E_p directly.
     """
-    x = require_hermitian(x)
-    phi = np.asarray(phi, dtype=complex)
-    n = x.shape[0]
-    dec, weights = _superposition_weights(x, phi, inverse_scaled=True)
+    dec, _, weights = _superposition_weights(x, phi)
     if float(np.max(np.abs(weights))) == 0.0:
         return 0.0
     w_run = max(enc.W, SUPERPOSITION_ZOOM * float(np.max(np.abs(weights))))
-    family = _scaled_phase_family(x, weights, w_run)
+    family = _scaled_phase_family(dec, weights, w_run)
     psi = equal_superposition(dec.vectors)
     phase = float(_signed_phases(family, psi[:, None])[0])
-    return float(n * w_run * phase)
+    return float(dec.dim * w_run * phase)
 
 
 def sampled_qgld(x, phi, n_samples: int, rng_seed: int,
@@ -397,15 +392,12 @@ def sampled_qgld(x, phi, n_samples: int, rng_seed: int,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    x = require_hermitian(x)
-    phi = np.asarray(phi, dtype=complex)
-    n = x.shape[0]
-    dec, scaled = _superposition_weights(x, phi, inverse_scaled=True)
-    _, raw = _superposition_weights(x, phi, inverse_scaled=False)
+    dec, raw, scaled = _superposition_weights(x, phi)
+    n = dec.dim
     w_num = max(enc.W, SUPERPOSITION_ZOOM * float(np.max(np.abs(scaled))))
     w_den = max(enc.W, SUPERPOSITION_ZOOM * float(np.max(np.abs(raw))))
-    family_num = _scaled_phase_family(x, scaled, w_num)
-    family_den = _scaled_phase_family(x, raw, w_den)
+    family_num = _scaled_phase_family(dec, scaled, w_num)
+    family_den = _scaled_phase_family(dec, raw, w_den)
 
     rng = np.random.default_rng(rng_seed)
     estimates = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned
+from .errors import IllConditioned, NonFiniteInput
 from .expectation import logdet_directional_derivative
 from .linalg import inverse
 from .qgpe import GradientEncoding
@@ -47,6 +47,10 @@ def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "class
         raise ValueError("ridge regularizer must be positive")
     if len(points) != len(targets):
         raise ValueError("points and targets differ in length")
+    for name, values in (("points", points), ("targets", targets)):
+        if not np.isfinite(values).all():
+            bad = int(np.sum(~np.isfinite(values)))
+            raise NonFiniteInput(f"{name} has {bad} non-finite entries (NaN or inf)")
     n = len(targets)
     system = gaussian_kernel_matrix(points, sigma) + ridge * np.eye(n)
     cond = float(np.linalg.cond(system))
@@ -58,11 +62,12 @@ def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "class
     elif solver == "qgld":
         k = n if k is None else k
         f_norm = float(np.linalg.norm(targets))
-        f_hat = targets / f_norm
         alpha = np.zeros(n)
-        for i, e in enumerate(np.eye(n)):
-            direction = (np.outer(e, f_hat) + np.outer(f_hat, e)) / 2
-            alpha[i] = f_norm * logdet_directional_derivative(system, direction, k, enc, symmetric=True)
+        if f_norm > 0.0:  # zero targets give alpha = 0; f_hat would be 0/0
+            f_hat = targets / f_norm
+            for i, e in enumerate(np.eye(n)):
+                direction = (np.outer(e, f_hat) + np.outer(f_hat, e)) / 2
+                alpha[i] = f_norm * logdet_directional_derivative(system, direction, k, enc, symmetric=True)
     else:
         raise ValueError(f"unknown solver {solver!r}")
     return KernelModel(

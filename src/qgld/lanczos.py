@@ -4,11 +4,11 @@ Builds the three-term block recursion
 
     Psi_{p+1} B_{p+1} = X Psi_p - Psi_p A_p - Psi_{p-1} B_p^dag
 
-with A_p = Psi_p^dag X Psi_p, B_{p+1} the hermitian square root of R^dag R
-for the residual block R, and every new block reorthogonalized against the
-whole accumulated basis.  The blocks assemble into the block-tridiagonal S
-whose eigenpairs, lifted through the basis, are the Ritz approximations used
-as probe input states.
+with A_p = Psi_p^dag X Psi_p and the residual block R reorthogonalized against
+the whole accumulated basis.  One thin SVD R = U S V^dag gives B_{p+1} = V S V^dag
+(the hermitian square root of R^dag R) and Psi_{p+1} = U V^dag = R B_{p+1}^-1.  The
+blocks assemble into the block-tridiagonal S whose eigenpairs, lifted through
+the basis, are the Ritz approximations used as probe input states.
 """
 from __future__ import annotations
 
@@ -16,15 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import eig_hermitian, orthonormalize_svd, psd_sqrt
+from .linalg import eig_hermitian, orthonormalize_svd
 
 BREAKDOWN_RTOL = 1e-10
-PINV_RTOL = 1e-12
 
 
 @dataclass
 class LanczosFactorization:
-    """Accumulated blocks: A_p (hermitian b x b), B_p (b x b), basis blocks Psi_p."""
+    """Accumulated blocks: A_p (hermitian b x b), B_p (b x b), basis blocks Psi_p.
+    ``breakdown``: an invariant subspace stopped the recursion before k steps."""
 
     block_size: int
     a_blocks: list = field(default_factory=list)
@@ -70,9 +70,9 @@ def rqbl_init(n: int, b: int, rng_seed: int) -> np.ndarray:
 
 
 def _project_out(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    # twice-is-enough Gram-Schmidt against the accumulated basis
+    # twice-is-enough Gram-Schmidt; Psi^dag R as (R^dag Psi)^dag never conjugates the basis
     for _ in range(2):
-        block = block - basis @ (basis.conj().T @ block)
+        block = block - basis @ (block.conj().T @ basis).conj().T
     return block
 
 
@@ -82,8 +82,8 @@ def rqbl_step(x: np.ndarray, psi_p: np.ndarray, psi_prev: np.ndarray | None,
 
     ``history`` holds every previous basis block concatenated (full
     reorthogonalization); without it, only psi_p and psi_prev are projected
-    out.  Breakdown (residual block numerically rank-zero, i.e. an invariant
-    subspace) is reported on the returned step, not raised.
+    out.  Breakdown (smallest singular value of the residual under
+    BREAKDOWN_RTOL * ||X||_F: an invariant subspace) is reported, not raised.
     """
     x = np.asarray(x, dtype=complex)
     work = x @ psi_p
@@ -97,19 +97,11 @@ def rqbl_step(x: np.ndarray, psi_p: np.ndarray, psi_prev: np.ndarray | None,
     )
     r = _project_out(r, basis)
 
-    b_next = psd_sqrt(r.conj().T @ r)
-    smallest = np.linalg.svd(r, compute_uv=False)[-1]
-    if smallest < BREAKDOWN_RTOL * max(np.linalg.norm(x), 1e-300):
+    u, sigma, vh = np.linalg.svd(r, full_matrices=False)
+    b_next = (vh.conj().T * sigma) @ vh
+    if sigma[-1] < BREAKDOWN_RTOL * max(np.linalg.norm(x), 1e-300):
         return LanczosStep(a_block=a_p, b_next=b_next, psi_next=None, breakdown=True)
-
-    # Psi_{p+1} = R B^{-1} with a pseudo-inverse guard near breakdown
-    w, q = np.linalg.eigh(b_next)
-    keep = w > PINV_RTOL * max(w[-1], 1.0)
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / w[keep]
-    psi_next = r @ ((q * inv) @ q.conj().T)
-    psi_next = orthonormalize_svd(_project_out(psi_next, basis))
-    return LanczosStep(a_block=a_p, b_next=b_next, psi_next=psi_next, breakdown=False)
+    return LanczosStep(a_block=a_p, b_next=b_next, psi_next=u @ vh, breakdown=False)
 
 
 def assemble_block_tridiagonal(fact: LanczosFactorization) -> np.ndarray:
@@ -150,21 +142,24 @@ def run_rqbl(x: np.ndarray, b: int, k: int, rng_seed: int) -> RitzSolution:
 def build_factorization(x: np.ndarray, b: int, k: int, rng_seed: int) -> LanczosFactorization:
     """The raw factorization behind run_rqbl, kept for inspection and dumps."""
     n = x.shape[0]
-    if k * b > n:
-        raise ValueError(f"k*b = {k * b} exceeds the dimension {n}")
-    psi = rqbl_init(n, b, rng_seed)
+    if not 1 <= k * b <= n:
+        raise ValueError(f"k*b = {k * b} outside [1, {n}]")
+    # one column-major basis; the blocks and every step's history are views of it
+    basis = np.empty((n, k * b), dtype=complex, order="F")
+    basis[:, :b] = rqbl_init(n, b, rng_seed)
     fact = LanczosFactorization(block_size=b)
-    fact.basis_blocks.append(psi)
     psi_prev, b_p = None, None
-    for _ in range(k):
-        step = rqbl_step(x, psi, psi_prev, b_p, history=fact.basis())
+    for p in range(k):
+        psi = basis[:, p * b:(p + 1) * b]
+        fact.basis_blocks.append(psi)
+        step = rqbl_step(x, psi, psi_prev, b_p, history=basis[:, :(p + 1) * b])
         fact.a_blocks.append(step.a_block)
-        if step.breakdown or fact.steps == k:
-            fact.breakdown = step.breakdown
+        if step.breakdown or p + 1 == k:
             break
         fact.b_blocks.append(step.b_next)
-        fact.basis_blocks.append(step.psi_next)
-        psi_prev, b_p, psi = psi, step.b_next, step.psi_next
+        basis[:, (p + 1) * b:(p + 2) * b] = step.psi_next
+        psi_prev, b_p = psi, step.b_next
+    fact.breakdown = fact.steps < k
     return fact
 
 

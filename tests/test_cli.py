@@ -59,6 +59,21 @@ class TestGradient:
         for row in rows:
             assert abs(float(row[5]) - 1.0) <= 1e-5
 
+    @pytest.mark.parametrize("k", ["-1", "9"])
+    def test_k_out_of_range_exits_2(self, capsys, k):
+        code, out, err = run_cli(capsys, "gradient", "--matrix", "random-spd:8:3",
+                                 "--delta", "element:1,5", "--k", k)
+        assert code == 2
+        assert out == ""
+        assert "--k" in err
+
+    @pytest.mark.parametrize("k, rows", [("0", 8), ("3", 3), ("8", 8)])
+    def test_k_selects_rows(self, capsys, k, rows):
+        code, out, _ = run_cli(capsys, "gradient", "--matrix", "random-spd:8:3",
+                               "--delta", "element:1,5", "--k", k)
+        assert code == 0
+        assert len(parse_csv(out)[1]) == rows
+
     def test_missing_matrix_file(self, capsys):
         code, _, err = run_cli(capsys, "gradient", "--matrix", "/nonexistent/matrix.json")
         assert code == 2
@@ -149,6 +164,12 @@ class TestLanczosCommand:
         payload = json.loads(out)
         assert len(payload["factorization"]["a_blocks"]) == 3
         assert len(payload["factorization"]["b_blocks"]) == 2
+
+    @pytest.mark.parametrize("b", ["2", "3"])
+    def test_full_run_is_not_breakdown(self, capsys, b):
+        code, out, _ = run_cli(capsys, "lanczos", "--matrix", "random-spd:8:5", "--b", b)
+        assert code == 0
+        assert json.loads(out)["breakdown"] is False
 
 
 class TestDeterminism:

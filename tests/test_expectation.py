@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgld.expectation
+import qgld.linalg
 from qgld import (
     DenseSource,
     InverseExpectationRequest,
@@ -20,6 +22,7 @@ from qgld import (
     sampled_qgld,
     sigma_qgld_expectation,
 )
+from qgld.cli import random_spd
 from conftest import SIGMA_X, SIGMA_Z, random_hermitian, random_state
 
 
@@ -60,6 +63,13 @@ class TestLogdetGradientEntry:
 
 
 class TestLogdetDirectionalDerivative:
+    def test_unconverged_eigensource_rejected(self):
+        # four Lanczos steps leave the top Ritz pairs far from converged: the
+        # entry would read 0.0242 against (X^-1)_25 + (X^-1)_52 = 0.1188
+        source = RqblSource(b=1, seed=2, steps=4)
+        with pytest.raises(ValueError, match="residual"):
+            logdet_gradient_entry(random_spd(16, 3), 2, 5, k=4, eigensource=source)
+
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.sampled_from([2, 4, 8]),
@@ -258,6 +268,22 @@ class TestSampledQgld:
         phi = np.array([1, 1]) / np.sqrt(2)
         estimate, spread = sampled_qgld(x, phi, 256, rng_seed=12)
         assert abs(estimate - 0.375) <= 3 * max(spread, 1e-6)
+
+
+@pytest.mark.parametrize("pipeline", [sigma_qgld_expectation, lambda x, phi: sampled_qgld(x, phi, 6, 0)],
+                         ids=["sigma", "sampled"])
+def test_one_eigendecomposition_per_superposition_call(rng, monkeypatch, pipeline):
+    counted = []
+    eig = qgld.linalg.eig_hermitian
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(qgld.linalg, "eig_hermitian", counting)
+    monkeypatch.setattr(qgld.expectation, "eig_hermitian", counting)
+    pipeline(random_spd_pow2(rng, 4), random_state(rng, 4))
+    assert len(counted) == 1
 
 
 class TestEqualSuperposition:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qgld.expectation
-from qgld import IllConditioned, gaussian_kernel_matrix, kernel_fit, kernel_predict
+from qgld import IllConditioned, NonFiniteInput, gaussian_kernel_matrix, kernel_fit, kernel_predict
 
 
 def sin_training_set():
@@ -66,6 +66,19 @@ class TestClassicalSolver:
             kernel_fit([0.0, 1.0], [1.0], sigma=1.0, ridge=1e-6)
         with pytest.raises(ValueError):
             kernel_fit([0.0], [1.0], sigma=1.0, ridge=0.0)
+
+    @pytest.mark.parametrize("solver", ["classical", "qgld"])
+    @pytest.mark.parametrize("name", ["points", "targets"])
+    def test_non_finite_inputs_rejected(self, solver, name):
+        data = {"points": np.linspace(0.0, 3.0, 4), "targets": np.ones(4)}
+        data[name][1] = np.nan
+        with pytest.raises(NonFiniteInput, match=name):
+            kernel_fit(data["points"], data["targets"], sigma=1.0, ridge=1e-3, solver=solver)
+
+    @pytest.mark.parametrize("solver", ["classical", "qgld"])
+    def test_zero_targets_give_zero_alpha(self, solver):
+        model = kernel_fit(np.linspace(0.0, 3.0, 4), np.zeros(4), sigma=1.0, ridge=1e-3, solver=solver)
+        np.testing.assert_array_equal(model.alpha, np.zeros(4))
 
 
 class TestProbeSolver:

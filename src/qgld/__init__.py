@@ -81,6 +81,7 @@ from .expectation import (
     eigenvalue_gradient_probes,
     equal_superposition,
     logdet_directional_derivative,
+    logdet_directional_derivatives,
     logdet_gradient_entry,
     qgld_expectation,
     sampled_qgld,

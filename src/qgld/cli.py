@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -166,30 +167,30 @@ def _eigensource(args):
 
 
 def cmd_qgld(args) -> str:
+    if args.mode != "per-eigenvector":
+        for flag, value in (("--k", args.k), ("--b", args.b), ("--lanczos-steps", args.lanczos_steps),
+                            ("--sweep-L", args.sweep_L)):
+            if value:
+                raise ValueError(f"{flag} applies to --mode per-eigenvector only, not {args.mode}")
     x = resolve_matrix(args.matrix)
     phi = resolve_phi(args.phi or "uniform", x.shape[0])
     enc = encoding_from_args(args)
     k = args.k if args.k else x.shape[0]
 
+    def per_eigenvector(enc_run: GradientEncoding):
+        request = InverseExpectationRequest(x=x, phi=phi, k=k, enc=enc_run, eigensource=_eigensource(args))
+        return qgld_expectation(request, with_classical_reference=True)
+
     if args.sweep_L:
-        l_values = [float(v) for v in args.sweep_L.split(",")]
-
-        def run_one(l_value: float):
-            enc_l = GradientEncoding(L=l_value, W=enc.W, m=enc.m)
-            request = InverseExpectationRequest(x=x, phi=phi, k=k, enc=enc_l,
-                                                eigensource=_eigensource(args))
-            report = qgld_expectation(request, with_classical_reference=True)
-            return [l_value, report.total, report.classical_reference,
-                    abs(report.total - report.classical_reference)]
-
-        rows = [run_one(l_value) for l_value in l_values]
+        rows = []
+        for l_value in (float(v) for v in args.sweep_L.split(",")):
+            report = per_eigenvector(replace(enc, L=l_value))
+            rows.append([l_value, report.total, report.classical_reference,
+                         abs(report.total - report.classical_reference)])
         return qio.render_csv(["L", "total", "classical_reference", "abs_error"], rows)
 
     if args.mode == "per-eigenvector":
-        request = InverseExpectationRequest(x=x, phi=phi, k=k, enc=enc,
-                                            eigensource=_eigensource(args))
-        report = qgld_expectation(request, with_classical_reference=True)
-        payload = report.to_dict()
+        payload = per_eigenvector(enc).to_dict()
     elif args.mode == "sigma":
         total = sigma_qgld_expectation(x, phi, enc)
         payload = {

@@ -155,19 +155,19 @@ def eigenvalue_gradient_probe(x, p_vec, delta: PerturbationDirection, enc: Gradi
                                             symmetric=symmetric)[0])
 
 
-def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray,
-                                  delta_matrix: np.ndarray, l_value: float) -> tuple[np.ndarray, np.ndarray]:
+def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray, delta_matrix: np.ndarray,
+                                  l_value: float, delta_norm: float) -> tuple[np.ndarray, np.ndarray]:
     """Rotate eigenvector clusters so Delta is diagonal inside each degenerate
     (or nearly degenerate at the probe scale) eigenspace.
 
     Within a cluster whose internal gaps are below the perturbation reach
-    ~L*||Delta||, the perturbed eigenvectors re-sort along Delta's internal
-    eigendirections, so probing an unadapted basis vector reads a phase
-    mixture.  Standard degenerate perturbation theory: diagonalizing the
-    restriction of Delta fixes the basis the probes need.  Returns rotated
-    vectors and recomputed residuals.
+    ~L*||Delta||_2 (``delta_norm``), the perturbed eigenvectors re-sort along
+    Delta's internal eigendirections, so probing an unadapted basis vector
+    reads a phase mixture.  Standard degenerate perturbation theory:
+    diagonalizing the restriction of Delta fixes the basis the probes need.
+    Returns rotated vectors and recomputed residuals.
     """
-    tol = max(1e-8 * float(np.linalg.norm(x)), 4.0 * l_value * float(np.linalg.norm(delta_matrix, ord=2)))
+    tol = max(1e-8 * float(np.linalg.norm(x)), 4.0 * l_value * delta_norm)
     vectors = vectors.copy()
     order = np.argsort(values, kind="stable")
     start = 0
@@ -190,9 +190,12 @@ def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray,
 def _relevant_eigenpairs(x, k: int, eigensource):
     """Eigenpairs from ``eigensource``, the indices of the k most relevant
     (|E| descending) and the eigenvalues skipped under the pseudo-inverse
-    threshold.  Raises when a used pair's eigen-residual exceeds
-    EIGEN_RESIDUAL_RTOL * ||X||_F, since its probe would read a wrong slope."""
+    threshold.  Raises when k is outside [1, pairs resolved], and when a used
+    pair's eigen-residual exceeds EIGEN_RESIDUAL_RTOL * ||X||_F, since its
+    probe would read a wrong slope."""
     values, vectors, residuals = eigensource.resolve(x)
+    if not 1 <= k <= len(values):
+        raise ValueError(f"k = {k} outside [1, {len(values)}], the eigenpairs resolved")
     x_norm = float(np.linalg.norm(x))
     order = np.argsort(-np.abs(values), kind="stable")[:k]
     threshold = PSEUDO_INVERSE_RTOL * max(x_norm, 1e-300)
@@ -209,6 +212,30 @@ def _relevant_eigenpairs(x, k: int, eigensource):
     return values, vectors, used, skipped
 
 
+def _probe_relevant_eigenpairs(x, deltas, k: int, enc: GradientEncoding, eigensource, symmetric: bool):
+    """The one resolve-then-probe path of the log-det queries: validates X and
+    resolves its k most relevant eigenpairs once, then per direction adapts
+    degenerate clusters and probes the used pairs, unshifted for outer(phi)
+    (slopes |<p|phi>|^2 >= 0) and shifted by ||Delta||_2 otherwise.  Returns
+    the used eigenvalues (|E| descending), the skipped ones and, per direction,
+    (slopes, adapted residuals, sum_p deltaE_p / E_p summed in |E| order)."""
+    x = require_hermitian(x)
+    values, vectors, used, skipped = _relevant_eigenpairs(x, k, eigensource)
+    used_values = [float(values[i]) for i in used]
+    probed = []
+    for delta in deltas:
+        norm = float(np.linalg.norm(delta.matrix, ord=2))
+        adapted, residuals = adapt_degenerate_eigenvectors(x, values, vectors, delta.matrix, enc.L, norm)
+        adapted = adapted[:, used]  # drops the full rotated basis before the circuits run
+        slopes = eigenvalue_gradient_probes(x, adapted, delta, enc, symmetric=symmetric,
+                                            identity_shift=0.0 if delta.kind == "outer" else norm).tolist()
+        total = 0.0
+        for value, slope in zip(used_values, slopes):
+            total += slope / value
+        probed.append((slopes, [float(residuals[i]) for i in used], total))
+    return used_values, skipped, probed
+
+
 def qgld_expectation(request: InverseExpectationRequest, symmetric: bool = False,
                      with_classical_reference: bool = False) -> InverseExpectationReport:
     """Per-eigenvector pipeline: one probe per relevant eigenpair with the
@@ -216,57 +243,40 @@ def qgld_expectation(request: InverseExpectationRequest, symmetric: bool = False
 
     The outer-product direction makes every deltaE_p = |<p|phi>|^2 >= 0, so
     the magnitude readout is already signed; eigenvalue signs enter through
-    the classical 1/E_p weights.  Accumulation runs in descending |E_p| order
-    for bitwise reproducibility.
+    the classical 1/E_p weights.
     """
-    x = require_hermitian(request.x)
     phi = np.asarray(request.phi, dtype=complex)
-    values, vectors, used, skipped = _relevant_eigenpairs(x, request.k, request.eigensource)
-    delta = build_delta("outer", x.shape[0], phi=phi)
-    vectors, residuals = adapt_degenerate_eigenvectors(x, values, vectors, delta.matrix, request.enc.L)
-    delta_es = eigenvalue_gradient_probes(x, vectors[:, used], delta, request.enc, symmetric=symmetric)
-    contributions = []
-    used_residuals = []
-    for i, delta_e in zip(used, delta_es.tolist()):
-        contributions.append(
-            EigenContribution(eigenvalue=float(values[i]), delta_e=delta_e,
-                              value=delta_e / float(values[i]))
-        )
-        used_residuals.append(float(residuals[i]))
-    total = 0.0
-    for c in contributions:
-        total += c.value
-    reference = classical_reference_expectation(x, phi) if with_classical_reference else None
+    values, skipped, [(slopes, residuals, total)] = _probe_relevant_eigenpairs(
+        request.x, [build_delta("outer", len(phi), phi=phi)], request.k, request.enc,
+        request.eigensource, symmetric)
     return InverseExpectationReport(
-        contributions=tuple(contributions),
-        total=float(total),
-        classical_reference=reference,
-        residuals=tuple(used_residuals),
+        contributions=tuple(EigenContribution(eigenvalue=e, delta_e=s, value=s / e)
+                            for e, s in zip(values, slopes)),
+        total=total,
+        classical_reference=classical_reference_expectation(request.x, phi) if with_classical_reference else None,
+        residuals=tuple(residuals),
         skipped=tuple(skipped),
     )
+
+
+def logdet_directional_derivatives(x, deltas, k: int, enc: GradientEncoding = GradientEncoding(),
+                                   eigensource: DenseSource | RqblSource = DenseSource(),
+                                   symmetric: bool = False) -> list[float]:
+    """Directional derivatives d/ds log det(X + s*Delta) at s = 0 along each
+    hermitian matrix of the iterable ``deltas``, taken one at a time, read as
+    sum_p deltaE_p / E_p over the k most relevant eigenpairs of one
+    eigendecomposition.  At k = N and L -> 0 each converges to tr(X^-1 Delta)."""
+    n = as_complex_matrix(x).shape[0]
+    directions = (build_delta("custom", n, matrix=delta) for delta in deltas)
+    return [total for _, _, total in _probe_relevant_eigenpairs(x, directions, k, enc, eigensource, symmetric)[2]]
 
 
 def logdet_directional_derivative(x, delta, k: int, enc: GradientEncoding = GradientEncoding(),
                                   eigensource: DenseSource | RqblSource = DenseSource(),
                                   symmetric: bool = False) -> float:
-    """Directional derivative d/ds log det(X + s*Delta) at s = 0, read as
-    sum_p deltaE_p / E_p over the k most relevant eigenpairs.
-
-    At k = N and L -> 0 this converges to tr(X^-1 Delta).  ``delta`` is any
-    hermitian matrix.  Slopes may be negative, so probes use an identity
-    shift equal to the direction's spectral norm.
-    """
-    x = require_hermitian(x)
-    delta = build_delta("custom", x.shape[0], matrix=delta)
-    values, vectors, used, _ = _relevant_eigenpairs(x, k, eigensource)
-    vectors, _ = adapt_degenerate_eigenvectors(x, values, vectors, delta.matrix, enc.L)
-    shift = float(np.linalg.norm(delta.matrix, ord=2))
-    delta_es = eigenvalue_gradient_probes(x, vectors[:, used], delta, enc, identity_shift=shift,
-                                          symmetric=symmetric)
-    total = 0.0
-    for p, delta_e in zip(used, delta_es.tolist()):
-        total += delta_e / float(values[p])
-    return float(total)
+    """Directional derivative along one hermitian ``delta``: the one-direction
+    case of :func:`logdet_directional_derivatives`."""
+    return logdet_directional_derivatives(x, [delta], k, enc, eigensource, symmetric)[0]
 
 
 def logdet_gradient_entry(x, i: int, j: int, k: int, enc: GradientEncoding = GradientEncoding(),

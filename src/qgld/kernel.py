@@ -4,7 +4,8 @@ The weights alpha = (K + lambda*I)^-1 f either come from the LU inverse or
 are recovered entry by entry from log-determinant directional derivatives:
 because K and f are real, alpha_i = ||f|| * e_i^T (K + lambda*I)^-1 f_hat is
 ||f|| times the derivative of log det(K + lambda*I) along the signed
-direction (e_i f_hat^T + f_hat e_i^T)/2, one probe set per weight.
+direction (e_i f_hat^T + f_hat e_i^T)/2, one probe set per weight, all n
+directions read from one eigendecomposition of K + lambda*I.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditioned, NonFiniteInput
-from .expectation import logdet_directional_derivative
+from .expectation import logdet_directional_derivatives
 from .linalg import inverse
 from .qgpe import GradientEncoding
 
@@ -65,9 +66,8 @@ def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "class
         alpha = np.zeros(n)
         if f_norm > 0.0:  # zero targets give alpha = 0; f_hat would be 0/0
             f_hat = targets / f_norm
-            for i, e in enumerate(np.eye(n)):
-                direction = (np.outer(e, f_hat) + np.outer(f_hat, e)) / 2
-                alpha[i] = f_norm * logdet_directional_derivative(system, direction, k, enc, symmetric=True)
+            directions = ((np.outer(e, f_hat) + np.outer(f_hat, e)) / 2 for e in np.eye(n))
+            alpha = f_norm * np.array(logdet_directional_derivatives(system, directions, k, enc, symmetric=True))
     else:
         raise ValueError(f"unknown solver {solver!r}")
     return KernelModel(

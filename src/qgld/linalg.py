@@ -81,14 +81,10 @@ def eig_hermitian(a, rtol: float = HERMITICITY_RTOL) -> EigenDecomposition:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = np.argmax(np.abs(col) > 1e-8)
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            out[:, k] = col * (abs(pivot) / pivot)
-    return out
+    pivots = vectors[np.argmax(np.abs(vectors) > 1e-8, axis=0), np.arange(vectors.shape[1])]
+    magnitudes = np.abs(pivots)
+    fixable = magnitudes > 0
+    return vectors * np.where(fixable, magnitudes / np.where(fixable, pivots, 1.0), 1.0)
 
 
 def unitary_phase_exp(a, t: float, rtol: float = HERMITICITY_RTOL) -> np.ndarray:

@@ -116,6 +116,16 @@ class TestQgldCommand:
         errors = [float(r[3]) for r in rows]
         assert errors[0] > errors[1] > errors[2]
 
+    @pytest.mark.parametrize("mode", ["sigma", "sampled"])
+    @pytest.mark.parametrize("flag, value", [("--k", "99"), ("--b", "4"), ("--lanczos-steps", "3"),
+                                             ("--sweep-L", "1e-4")])
+    def test_superposition_modes_reject_per_eigenvector_flags(self, capsys, mode, flag, value):
+        code, out, err = run_cli(capsys, "qgld", "--matrix", "random-spd:4:1", "--phi", "uniform",
+                                 "--mode", mode, flag, value)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
     def test_singular_matrix_exit_code(self, capsys, tmp_path):
         path = tmp_path / "singular.json"
         save_matrix(str(path), np.ones((2, 2)))
@@ -197,6 +207,12 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("matrix,delta,eigenstate")
+
+    def test_kernel_demo_rejects_negative_k(self, capsys):
+        code, out, err = run_cli(capsys, "kernel-demo", "--k", "-1")
+        assert code == 2
+        assert out == ""
+        assert "k = -1" in err
 
     def test_kernel_demo_json(self, capsys):
         code, out, _ = run_cli(capsys, "kernel-demo", "--format", "json")

@@ -17,6 +17,7 @@ from qgld import (
     classical_reference_expectation,
     equal_superposition,
     logdet_directional_derivative,
+    logdet_directional_derivatives,
     logdet_gradient_entry,
     qgld_expectation,
     sampled_qgld,
@@ -90,6 +91,48 @@ class TestLogdetDirectionalDerivative:
     def test_rejects_non_hermitian_direction(self):
         with pytest.raises(NonHermitianInput):
             logdet_directional_derivative(SIGMA_Z, np.array([[0.0, 1.0], [0.0, 0.0]]), 2)
+
+    def test_batch_equals_one_direction_calls(self, rng):
+        for n, symmetric in ((2, False), (4, True), (8, False)):
+            x = random_hermitian(rng, n, indefinite=True)
+            deltas = []
+            for _ in range(3):
+                gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                deltas.append(gauss + gauss.conj().T)
+            deltas.append(np.outer(np.eye(n)[0], np.ones(n)) + np.outer(np.ones(n), np.eye(n)[0]))
+            batch = logdet_directional_derivatives(x, iter(deltas), n, symmetric=symmetric)
+            assert batch == [logdet_directional_derivative(x, d, n, symmetric=symmetric) for d in deltas]
+
+    def test_batch_resolves_once(self, rng, monkeypatch):
+        calls = []
+        resolve = DenseSource.resolve
+
+        def counting(self, x):
+            calls.append(1)
+            return resolve(self, x)
+
+        monkeypatch.setattr(DenseSource, "resolve", counting)
+        x = random_hermitian(rng, 4, indefinite=True)
+        logdet_directional_derivatives(x, [np.eye(4), x, np.ones((4, 4))], 4)
+        assert len(calls) == 1
+
+
+class TestRankRange:
+    # each of these returned a number at exit 0 before k was checked against
+    # the eigenpairs the source resolved: k = -1 read 0.1644 against -0.0331
+    @pytest.mark.parametrize("k", [-1, -7, 99])
+    def test_entry_rejects_k_outside_resolved_pairs(self, k):
+        with pytest.raises(ValueError, match="k = "):
+            logdet_gradient_entry(random_spd(8, 3), 1, 5, k=k)
+
+    def test_lanczos_breakdown_cannot_serve_full_rank(self):
+        # four distinct eigenvalues: a b = 1 Krylov space stops after 4 steps,
+        # and k = 8 silently used 4 pairs (0.333 against 0.508)
+        x = np.diag([5.0, 5.0, 2.0, 2.0, 1.0, 1.0, 3.0, 3.0]).astype(complex)
+        phi = np.ones(8) / np.sqrt(8)
+        request = InverseExpectationRequest(x=x, phi=phi, k=8, eigensource=RqblSource(b=1, seed=0))
+        with pytest.raises(ValueError, match=r"outside \[1, 4\]"):
+            qgld_expectation(request)
 
 
 class TestQgldExpectation:

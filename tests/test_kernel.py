@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 import qgld.expectation
-from qgld import IllConditioned, NonFiniteInput, gaussian_kernel_matrix, kernel_fit, kernel_predict
+from qgld import (
+    DenseSource,
+    IllConditioned,
+    NonFiniteInput,
+    gaussian_kernel_matrix,
+    kernel_fit,
+    kernel_predict,
+    logdet_directional_derivative,
+)
 
 
 def sin_training_set():
@@ -111,3 +119,33 @@ class TestProbeSolver:
         points, targets = sin_training_set()
         kernel_fit(points, targets, sigma=1.0, ridge=1e-6, solver="qgld")
         assert len(calls) == len(points)
+
+    def test_one_resolve_per_fit(self, monkeypatch):
+        calls = []
+        resolve = DenseSource.resolve
+
+        def counting(self, x):
+            calls.append(1)
+            return resolve(self, x)
+
+        monkeypatch.setattr(DenseSource, "resolve", counting)
+        points, targets = sin_training_set()
+        kernel_fit(points, targets, sigma=1.0, ridge=1e-6, solver="qgld")
+        assert len(calls) == 1
+
+    def test_alpha_is_per_weight_directional_derivative(self):
+        points, targets = sin_training_set()
+        model = kernel_fit(points, targets, sigma=1.0, ridge=1e-6, solver="qgld", k=12)
+        n = len(points)
+        system = gaussian_kernel_matrix(points, 1.0) + 1e-6 * np.eye(n)
+        f_norm = float(np.linalg.norm(targets))
+        f_hat = targets / f_norm
+        for i, e in enumerate(np.eye(n)):
+            direction = (np.outer(e, f_hat) + np.outer(f_hat, e)) / 2
+            assert model.alpha[i] == f_norm * logdet_directional_derivative(system, direction, 12, symmetric=True)
+
+    @pytest.mark.parametrize("k", [-1, 0, 17])
+    def test_k_outside_resolved_pairs_rejected(self, k):
+        points, targets = sin_training_set()
+        with pytest.raises(ValueError, match="k = "):
+            kernel_fit(points, targets, sigma=1.0, ridge=1e-6, solver="qgld", k=k)

@@ -19,7 +19,7 @@ from qgld import (
     qgld_expectation,
     unitary_phase_exp,
 )
-from qgld.linalg import as_complex_matrix
+from qgld.linalg import _fix_phases, as_complex_matrix
 from conftest import HADAMARD, SIGMA_X, SIGMA_Z, gram_schmidt, random_hermitian, series_phase_exp
 
 
@@ -55,6 +55,31 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianInput):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_phase_fix_matches_column_loop(self, rng):
+        # complex pivots may round differently in the last bit between the
+        # scalar and the array division, hence the eps-sized tolerance
+        def column_loop(vectors):
+            out = vectors.copy()
+            for k in range(out.shape[1]):
+                pivot = out[np.argmax(np.abs(out[:, k]) > 1e-8), k]
+                if abs(pivot) > 0:
+                    out[:, k] *= abs(pivot) / pivot
+            return out
+
+        cases = [np.array([[0.0, 1j, 0.0], [0.0, 0.0, -2.0], [0.0, 1.0, 1e-9j]])]
+        for n in (2, 5, 16):
+            a = random_hermitian(rng, n, indefinite=True)
+            block = np.zeros((n + 1, n + 1), dtype=complex)
+            block[0, 0] = 7.0  # every other column's pivot lies below the first row
+            block[1:, 1:] = a
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            paired = (q * np.repeat(np.arange(1.0, n), 2)[:n]) @ q.conj().T
+            for x in (a, block, np.diag(rng.integers(0, 3, n)).astype(complex), (paired + paired.conj().T) / 2):
+                cases.append(np.linalg.eigh(x)[1])
+        for vectors in cases:
+            np.testing.assert_allclose(_fix_phases(vectors), column_loop(vectors),
+                                       rtol=0, atol=4 * np.finfo(float).eps)
 
 
 class TestNonFiniteInput:

@@ -2,8 +2,9 @@
 
 Instead of looping k probe circuits over eigenpairs, the superposition
 pipeline prepares (1/sqrt(N)) sum_p |p> once, rescales the perturbation by
-1/E_p per eigenstate, cancels the bare eigenphases with an inverse
-evolution, and reads <phi| X^-1 |phi> from a single conditioned probe.
+1/E_p per eigenstate in a controlled family built straight in the
+eigenbasis of X (so the bare eigenphases never appear), and reads
+<phi| X^-1 |phi> from a single conditioned probe.
 The sampled variant replaces the equal superposition with random states and
 averages self-normalized readouts.
 

@@ -12,7 +12,6 @@ from .errors import (
     NonHermitianInput,
     NonUnitaryMember,
     NotInGroundRegister,
-    NotPositiveSemidefinite,
     ProbabilityOutOfRange,
     QgldError,
     RankDeficientBlock,
@@ -28,7 +27,7 @@ from .linalg import (
     inverse,
     logdet_lu,
     orthonormalize_svd,
-    psd_sqrt,
+    relevance_order,
     unitary_phase_exp,
 )
 from .statevector import (

@@ -21,7 +21,6 @@ from .errors import (
     FlatDistribution,
     IllConditioned,
     NearZeroEigenvalue,
-    NotPositiveSemidefinite,
     QgldError,
     SingularMatrix,
 )
@@ -37,13 +36,12 @@ from .expectation import (
 )
 from .kernel import kernel_fit, kernel_predict
 from .lanczos import assemble_and_solve, build_factorization, dump_factorization
-from .linalg import directional_eigen_derivative, eig_hermitian
+from .linalg import directional_eigen_derivative, eig_hermitian, relevance_order
 from .qgpe import GradientEncoding, PerturbationDirection, build_delta, qgpe_run, require_weight_vector
 
 NUMERIC_ERRORS = (
     SingularMatrix,
     NearZeroEigenvalue,
-    NotPositiveSemidefinite,
     DegenerateEigenvalue,
     FlatDistribution,
     IllConditioned,
@@ -125,7 +123,7 @@ def cmd_gradient(args) -> str:
     if not 0 <= args.k <= n:
         raise ValueError(f"--k {args.k} outside [0, {n}] (0 = all)")
     dec = eig_hermitian(x)
-    selected = np.argsort(-np.abs(dec.values), kind="stable")[:args.k or n]
+    selected = relevance_order(dec.values)[:args.k or n]
     shift = float(np.linalg.norm(delta.matrix, ord=2))
     grads = eigenvalue_gradient_probes(x, dec.vectors[:, selected], delta, enc, identity_shift=shift)
     rows = []

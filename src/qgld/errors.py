@@ -17,10 +17,6 @@ class SingularMatrix(QgldError):
     """A pivot underflowed tolerance during factorization."""
 
 
-class NotPositiveSemidefinite(QgldError):
-    """Matrix has an eigenvalue below the PSD tolerance."""
-
-
 class RankDeficientBlock(QgldError):
     """Block has numerical rank below its column count."""
 

@@ -6,7 +6,8 @@ the matrix element of X^-1 selected by the perturbation direction.  This
 module runs one probe circuit per eigenpair (per-eigenvector pipeline), all
 of them as the columns of one batched circuit per deviation window, or a
 single run on an equal superposition of eigenvectors with the perturbation
-rescaled by 1/E_p per eigenstate (superposition pipeline), and cross-checks
+rescaled by 1/E_p per eigenstate (superposition pipeline, whose controlled
+family is diagonal in the eigenbasis of X and built there), and cross-checks
 both against the direct classical evaluation.
 
 Sign handling: the single-deviation-qubit readout yields |gradient| only, so
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import statevector as sv
 from .errors import NearZeroEigenvalue
-from .linalg import as_complex_matrix, eig_hermitian, inverse, require_hermitian
+from .linalg import _fix_phases, as_complex_matrix, eig_hermitian, inverse, relevance_order, require_hermitian
 from .qgpe import (
     GradientEncoding,
     PerturbationDirection,
@@ -189,7 +190,7 @@ def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray, de
 
 def _relevant_eigenpairs(x, k: int, eigensource):
     """Eigenpairs from ``eigensource``, the indices of the k most relevant
-    (|E| descending) and the eigenvalues skipped under the pseudo-inverse
+    (``relevance_order``) and the eigenvalues skipped under the pseudo-inverse
     threshold.  Raises when k is outside [1, pairs resolved], and when a used
     pair's eigen-residual exceeds EIGEN_RESIDUAL_RTOL * ||X||_F, since its
     probe would read a wrong slope."""
@@ -197,7 +198,7 @@ def _relevant_eigenpairs(x, k: int, eigensource):
     if not 1 <= k <= len(values):
         raise ValueError(f"k = {k} outside [1, {len(values)}], the eigenpairs resolved")
     x_norm = float(np.linalg.norm(x))
-    order = np.argsort(-np.abs(values), kind="stable")[:k]
+    order = relevance_order(values)[:k]
     threshold = PSEUDO_INVERSE_RTOL * max(x_norm, 1e-300)
     used = [int(i) for i in order if abs(values[i]) > threshold]
     skipped = [float(values[i]) for i in order if abs(values[i]) <= threshold]
@@ -304,15 +305,9 @@ def classical_reference_expectation(x, phi) -> float:
 # superposition pipeline
 
 def equal_superposition(vectors: np.ndarray) -> np.ndarray:
-    """Equal-weight combination of eigenvector columns, each phase-fixed so its
-    largest-magnitude component is real positive."""
-    n = vectors.shape[1]
-    psi = np.zeros(vectors.shape[0], dtype=complex)
-    for p in range(n):
-        col = vectors[:, p]
-        pivot = col[np.argmax(np.abs(col))]
-        psi += col * (abs(pivot) / pivot)
-    return psi / np.sqrt(n)
+    """Equal-weight combination of the B eigenvector columns, each phase-fixed
+    so its first component of magnitude above 1e-8 is real positive."""
+    return _fix_phases(vectors).sum(axis=1) / np.sqrt(vectors.shape[1])
 
 
 def _signed_phases(family: sv.ControlledFamily, columns: np.ndarray) -> np.ndarray:
@@ -335,17 +330,13 @@ def _signed_phases(family: sv.ControlledFamily, columns: np.ndarray) -> np.ndarr
 
 
 def _scaled_phase_family(dec, weights: np.ndarray, w_run: float) -> sv.ControlledFamily:
-    """Family Sum_p |p><p| exp(i t s(eps) weight_p) composed from the scaled
-    evolution and the inverse evolution of the unperturbed matrix, both built
-    from its eigendecomposition ``dec``, so the bare eigenphases cancel member
-    by member."""
+    """Family Sum_p |p><p| exp(i t s(eps) weight_p), built in the eigenbasis
+    ``dec`` of X.  It equals exp(i t (X + s V diag(weights) V^dag)) exp(-i t X),
+    whose bare eigenphases exp(i t E_p) cancel exactly, so they are never formed."""
     enc = GradientEncoding(L=1e-6, W=w_run, m=1)
     t = enc.time_step()
-    offsets = enc.offsets()
-    u_inverse = (dec.vectors * np.exp(1j * -t * dec.values)) @ dec.vectors.conj().T
     return sv.ControlledFamily(
-        (dec.vectors * np.exp(1j * t * (dec.values + s * weights))) @ dec.vectors.conj().T @ u_inverse
-        for s in offsets
+        (dec.vectors * np.exp(1j * t * s * weights)) @ dec.vectors.conj().T for s in enc.offsets()
     )
 
 
@@ -370,9 +361,10 @@ def sigma_qgld_expectation(x, phi, enc: GradientEncoding = GradientEncoding()) -
     """Superposition pipeline: a single probe on the equal superposition of all
     eigenvectors, with the perturbation rescaled per eigenstate by 1/E_p.
 
-    The conditioned family is synthesized in the eigenbasis and composed with
-    the inverse evolution exp(-i t X), so each eigenstate keeps only the phase
-    eps * weight_p / W.  The probe scale W is raised far above max |weight|
+    The family is built directly in the eigenbasis of X: each member is
+    diagonal there, and eigenstate p picks up only the phase eps * weight_p / W
+    that the perturbed evolution composed with the inverse evolution
+    exp(-i t X) would leave.  The probe scale W is raised far above max |weight|
     (factor SUPERPOSITION_ZOOM), pushing every phase into the regime where the
     coherent average of the per-eigenstate phases equals their mean; N * W *
     phase then returns sum_p deltaE_p / E_p directly.

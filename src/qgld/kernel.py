@@ -62,6 +62,8 @@ def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "class
         alpha = (inverse(system) @ targets).real
     elif solver == "qgld":
         k = n if k is None else k
+        if not 1 <= k <= n:
+            raise ValueError(f"k = {k} outside [1, {n}]")
         f_norm = float(np.linalg.norm(targets))
         alpha = np.zeros(n)
         if f_norm > 0.0:  # zero targets give alpha = 0; f_hat would be 0/0

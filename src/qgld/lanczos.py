@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import eig_hermitian, orthonormalize_svd
+from .linalg import eig_hermitian, orthonormalize_svd, relevance_order
 
 BREAKDOWN_RTOL = 1e-10
 
@@ -77,12 +77,12 @@ def _project_out(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def rqbl_step(x: np.ndarray, psi_p: np.ndarray, psi_prev: np.ndarray | None,
-              b_p: np.ndarray | None, history: np.ndarray | None = None) -> LanczosStep:
+              b_p: np.ndarray | None, history: np.ndarray) -> LanczosStep:
     """One block recursion step.
 
-    ``history`` holds every previous basis block concatenated (full
-    reorthogonalization); without it, only psi_p and psi_prev are projected
-    out.  Breakdown (smallest singular value of the residual under
+    ``history`` holds every basis block so far, psi_p included, concatenated;
+    the residual is projected out of all of it (full reorthogonalization).
+    Breakdown (smallest singular value of the residual under
     BREAKDOWN_RTOL * ||X||_F: an invariant subspace) is reported, not raised.
     """
     x = np.asarray(x, dtype=complex)
@@ -92,10 +92,7 @@ def rqbl_step(x: np.ndarray, psi_p: np.ndarray, psi_prev: np.ndarray | None,
     r = work - psi_p @ a_p
     if psi_prev is not None and b_p is not None:
         r = r - psi_prev @ b_p.conj().T
-    basis = history if history is not None else np.hstack(
-        [blk for blk in (psi_prev, psi_p) if blk is not None]
-    )
-    r = _project_out(r, basis)
+    r = _project_out(r, history)
 
     u, sigma, vh = np.linalg.svd(r, full_matrices=False)
     b_next = (vh.conj().T * sigma) @ vh
@@ -118,8 +115,8 @@ def assemble_block_tridiagonal(fact: LanczosFactorization) -> np.ndarray:
 
 def assemble_and_solve(x: np.ndarray, fact: LanczosFactorization) -> RitzSolution:
     """Diagonalize S and lift its eigenvectors through the basis blocks, as
-    Ritz pairs sorted by |value| descending (most relevant first).  Equal
-    magnitudes keep their ascending-eigenvalue order (stable sort)."""
+    Ritz pairs in ``relevance_order``: |value| descending (most relevant
+    first), and magnitudes equal within DEGENERACY_RTOL in ascending-value order."""
     if fact.steps < 1:
         raise ValueError("factorization holds no blocks")
     s = assemble_block_tridiagonal(fact)
@@ -128,7 +125,7 @@ def assemble_and_solve(x: np.ndarray, fact: LanczosFactorization) -> RitzSolutio
     vectors = q @ dec.vectors
     vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     residuals = np.linalg.norm(x @ vectors - vectors * dec.values, axis=0)
-    order = np.argsort(-np.abs(dec.values), kind="stable")
+    order = relevance_order(dec.values)
     return RitzSolution(values=dec.values[order], vectors=vectors[:, order], residuals=residuals[order])
 
 

@@ -16,7 +16,6 @@ from .errors import (
     DegenerateEigenvalue,
     NonFiniteInput,
     NonHermitianInput,
-    NotPositiveSemidefinite,
     RankDeficientBlock,
     SingularMatrix,
 )
@@ -87,6 +86,20 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(fixable, magnitudes / np.where(fixable, pivots, 1.0), 1.0)
 
 
+def relevance_order(values) -> np.ndarray:
+    """Indices of ``values`` by |E| descending (most relevant first).
+
+    Magnitudes within DEGENERACY_RTOL * max|E| of their neighbour in that
+    order are ties, ordered by ascending E, so a +-lambda pair comes out the
+    same way whichever of the two rounding puts further out.
+    """
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(-np.abs(values), kind="stable")
+    magnitudes = np.abs(values[order])
+    cluster = np.concatenate([[0], np.cumsum(-np.diff(magnitudes) > DEGENERACY_RTOL * magnitudes[0])])
+    return order[np.lexsort((values[order], cluster))]
+
+
 def unitary_phase_exp(a, t: float, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     """exp(i*t*A) for hermitian A, through the eigendecomposition."""
     dec = eig_hermitian(a, rtol)
@@ -129,23 +142,6 @@ def inverse(a, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
     a = as_complex_matrix(a)
     lu, piv, _ = _lu_pivots(a, pivot_rtol)
     return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0], dtype=complex))
-
-
-def psd_sqrt(b2, eig_rtol: float = 1e-12) -> np.ndarray:
-    """Hermitian square root of a positive-semidefinite matrix.
-
-    Eigenvalues in [-eig_rtol*||B2||_F, 0) are clamped to zero; anything more
-    negative raises NotPositiveSemidefinite.
-    """
-    dec = eig_hermitian(b2)
-    scale = max(float(np.linalg.norm(np.asarray(b2))), 1e-300)
-    if np.min(dec.values) < -eig_rtol * scale:
-        raise NotPositiveSemidefinite(
-            f"eigenvalue {np.min(dec.values):.3e} below -{eig_rtol:.1e} * ||B2||_F"
-        )
-    roots = np.sqrt(np.clip(dec.values, 0.0, None))
-    out = (dec.vectors * roots) @ dec.vectors.conj().T
-    return (out + out.conj().T) / 2
 
 
 def orthonormalize_svd(block, rank_rtol: float = RANK_RTOL) -> np.ndarray:

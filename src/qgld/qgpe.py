@@ -5,12 +5,13 @@ Conventions.  A deviation register of m qubits (M = 2^m) indexes perturbation
 strengths s(eps), either the unshifted window s = L*eps/M or the centered
 window s = (L/M)*(eps - M/2).  Each controlled family member is
 
-    U(eps) = exp(i * t * (X + s(eps) * Delta)),   t = M/(W*L)
+    U(eps) = exp(i * t * (X + s(eps) * Delta)),   t = M/(W*L).
 
-with an optional 2*pi factor in t.  Under the canonical convention
-(unshifted, no 2*pi, W = 1) the eps-dependent phase is exp(i*eps*grad/W), so
+With the unshifted window the eps-dependent phase is exp(i*eps*grad/W), so
 for m = 1 the gradient magnitude is 2*arccos(sqrt(p0))*W, and for m >= 2 the
-inverse QFT peaks at bin j = M*grad/(2*pi*W).
+inverse QFT peaks at bin j = M*grad/(2*pi*W).  The paper's main-text
+convention, with 2*pi inside the exponent, t = 2*pi*M/(W'*L), is this one at
+W = W'/(2*pi): the time step, the bin decode and the m = 1 decode all agree.
 """
 from __future__ import annotations
 
@@ -99,14 +100,12 @@ def require_weight_vector(phi, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class GradientEncoding:
     """Probe parameters: linearization length L, gradient scale W, m deviation
-    qubits, deviation window, and whether the 2*pi factor sits inside the
-    evolution operator or in the readout decode (the canonical choice)."""
+    qubits and deviation window."""
 
     L: float = 1e-6
     W: float = 1.0
     m: int = 1
     shift: str = "unshifted"
-    prefactor_2pi: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.L <= 1e-2:
@@ -130,20 +129,14 @@ class GradientEncoding:
         return self.L * eps / self.deviation_dim
 
     def time_step(self) -> float:
-        t = self.deviation_dim / (self.W * self.L)
-        return 2 * np.pi * t if self.prefactor_2pi else t
+        return self.deviation_dim / (self.W * self.L)
 
     def bin_to_gradient(self, j: int) -> float:
         """Map an inverse-QFT bin index to a gradient value."""
         m_dim = self.deviation_dim
         if self.shift == "centered" and j >= m_dim / 2:
             j = j - m_dim
-        scale = 1.0 if self.prefactor_2pi else 2 * np.pi
-        return j * scale * self.W / m_dim
-
-    def amplitude_scale(self) -> float:
-        """Multiplier turning the m = 1 arccos phase into a gradient."""
-        return self.W if not self.prefactor_2pi else self.W / (2 * np.pi)
+        return j * 2 * np.pi * self.W / m_dim
 
 
 def suggest_gradient_bound(delta: PerturbationDirection) -> float:
@@ -169,7 +162,6 @@ class QgpeOutcome:
     peak_gradient: float
     amplitude_gradient: float | None
     eigenresidual: float
-    conditioned: bool = False
 
 
 def extract_gradient_m1(p0: float, p1: float, w: float = 1.0) -> float:
@@ -266,7 +258,7 @@ def qgpe_run_batch(x, columns: np.ndarray, delta: PerturbationDirection, enc: Gr
         amplitude_gradient = None
         if enc.m == 1:
             amplitude_gradient = extract_gradient_m1(
-                float(distribution[0]), float(distribution[1]), enc.amplitude_scale()
+                float(distribution[0]), float(distribution[1]), enc.W
             )
         outcomes.append(QgpeOutcome(
             distribution=distribution,
@@ -274,7 +266,6 @@ def qgpe_run_batch(x, columns: np.ndarray, delta: PerturbationDirection, enc: Gr
             peak_gradient=enc.bin_to_gradient(int(peak_index)),
             amplitude_gradient=amplitude_gradient,
             eigenresidual=float(eigenresiduals[b]),
-            conditioned=project_back,
         ))
     return outcomes
 

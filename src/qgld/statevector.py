@@ -1,13 +1,13 @@
 """Dense statevector simulator for the two-register gradient probe circuits.
 
-The state holds m deviation qubits and n system qubits.  Deviation qubits
-occupy the high-order bits, so amplitude index eps*N + s addresses deviation
-basis state eps and system basis state s, and applying one controlled family
-member touches a contiguous block of N amplitudes.
-
-A state may also hold B independent circuits side by side: the amplitudes
-then form an (M, N, B) tensor, one column per circuit, and every gate acts on
-all columns at once.  Each controlled member is one N x N @ N x B product.
+The state holds m deviation qubits and n system qubits for B independent
+circuits side by side: the amplitudes form one (M, N, B) tensor, deviation
+index first, one column per circuit, and every gate acts on all columns at
+once.  Deviation qubits occupy the high-order bits, so within a column
+amplitude eps*N + s addresses deviation basis state eps and system basis
+state s, and each controlled family member is one N x N @ N x B product.
+Inputs carry one column per circuit ((N, B) targets, (M, B) phases) and
+every readout returns (M, B); a single circuit is the case B = 1.
 
 Operations mutate the passed state in place and also return it, so they can
 be chained; a state belongs to a single (batched) circuit execution.
@@ -38,19 +38,18 @@ def batch_capacity(m: int, n: int) -> int:
 @dataclass(frozen=True)
 class RegisterLayout:
     """Qubit counts: m deviation qubits (M = 2^m), n system qubits (N = 2^n),
-    and ``batch`` independent circuits held as columns (None for a single
-    circuit without a column axis)."""
+    and ``batch`` independent circuits held as columns."""
 
     m: int
     n: int
-    batch: int | None = None
+    batch: int = 1
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("need at least one qubit in each register")
         if self.m + self.n > MAX_QUBITS:
             raise ValueError(f"m + n = {self.m + self.n} exceeds the {MAX_QUBITS}-qubit guard")
-        if self.batch is not None and not 1 <= self.batch <= batch_capacity(self.m, self.n):
+        if not 1 <= self.batch <= batch_capacity(self.m, self.n):
             raise ValueError(
                 f"batch {self.batch} outside [1, {batch_capacity(self.m, self.n)}] "
                 f"for the {MAX_QUBITS}-qubit amplitude guard"
@@ -64,29 +63,16 @@ class RegisterLayout:
     def system_dim(self) -> int:
         return 1 << self.n
 
-    @property
-    def columns(self) -> int:
-        return 1 if self.batch is None else self.batch
-
-    @property
-    def batch_shape(self) -> tuple:
-        """Trailing shape of per-circuit inputs and readouts: () or (B,)."""
-        return () if self.batch is None else (self.batch,)
-
 
 @dataclass
 class StateVector:
     layout: RegisterLayout
     amplitudes: np.ndarray = field(repr=False)
 
-    def as_matrix(self) -> np.ndarray:
-        """View of a single circuit's amplitudes as a (M, N) matrix, one row per deviation index."""
-        return self.amplitudes.reshape(self.layout.deviation_dim, self.layout.system_dim)
-
     def as_tensor(self) -> np.ndarray:
         """View of the amplitudes as a (M, N, B) tensor, one column per circuit."""
         layout = self.layout
-        return self.amplitudes.reshape(layout.deviation_dim, layout.system_dim, layout.columns)
+        return self.amplitudes.reshape(layout.deviation_dim, layout.system_dim, layout.batch)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -108,7 +94,7 @@ def init_basis(layout: RegisterLayout, index: int) -> StateVector:
     total = layout.deviation_dim * layout.system_dim
     if not 0 <= index < total:
         raise IndexOutOfRange(f"index {index} outside [0, {total})")
-    state = StateVector(layout, np.zeros(total * layout.columns, dtype=complex))
+    state = StateVector(layout, np.zeros(total * layout.batch, dtype=complex))
     state.as_tensor()[divmod(index, layout.system_dim)] = 1.0
     return state
 
@@ -133,18 +119,18 @@ def preparation_unitary(v: np.ndarray) -> np.ndarray:
     return phase * refl
 
 
-def prepare_system_state(state: StateVector, v: np.ndarray) -> StateVector:
-    """Load v into the system register; requires the system register in |0...0>.
+def prepare_system_state(state: StateVector, columns: np.ndarray) -> StateVector:
+    """Load each column's target into its system register; requires the
+    system register in |0...0>.
 
-    ``v`` has shape (N,) plus the layout's batch shape, one target per column.
+    ``columns`` has shape (N, B), one target per circuit column.
     """
     layout = state.layout
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (layout.system_dim,) + layout.batch_shape:
+    columns = np.asarray(columns, dtype=complex)
+    if columns.shape != (layout.system_dim, layout.batch):
         raise ValueError(
-            f"target has shape {v.shape}, expected {(layout.system_dim,) + layout.batch_shape}"
+            f"target has shape {columns.shape}, expected {(layout.system_dim, layout.batch)}"
         )
-    columns = v.reshape(layout.system_dim, layout.columns)
     norms = np.linalg.norm(columns, axis=0)
     bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_ATOL)
     if bad.size:
@@ -226,11 +212,11 @@ def apply_controlled_family(state: StateVector, family) -> StateVector:
 
 def phase_deviation_register(state: StateVector, phases: np.ndarray) -> StateVector:
     """Diagonal gate on the deviation register: amplitude row eps picks up
-    phases[eps], with shape (M,) plus the layout's batch shape (one diagonal
-    per column).  With diag(1, -i) on one deviation qubit, the inverse QFT
-    reads that qubit in the Y basis instead of the X basis."""
+    phases[eps], with shape (M, B) (one diagonal per column).  With
+    diag(1, -i) on one deviation qubit, the inverse QFT reads that qubit in
+    the Y basis instead of the X basis."""
     layout = state.layout
-    phases = np.asarray(phases, dtype=complex).reshape(layout.deviation_dim, 1, layout.columns)
+    phases = np.asarray(phases, dtype=complex).reshape(layout.deviation_dim, 1, layout.batch)
     if np.max(np.abs(np.abs(phases) - 1.0)) > NORM_ATOL:
         raise ValueError("deviation phases must have unit modulus")
     state.as_tensor()[:] *= phases
@@ -247,21 +233,19 @@ def inverse_qft_deviation(state: StateVector) -> StateVector:
 
 
 def deviation_distribution(state: StateVector) -> np.ndarray:
-    """Marginal probabilities of the deviation register: shape (M,) plus the batch shape."""
-    layout = state.layout
-    probs = np.sum(np.abs(state.as_tensor()) ** 2, axis=1)
-    return probs.reshape((layout.deviation_dim,) + layout.batch_shape)
+    """Marginal probabilities of the deviation register, shape (M, B)."""
+    return np.sum(np.abs(state.as_tensor()) ** 2, axis=1)
 
 
 def conditional_deviation_distribution(state: StateVector, system_state: np.ndarray) -> np.ndarray:
     """Deviation distribution conditioned on the system register being in system_state.
 
     Equivalent to undoing the preparation of system_state and post-selecting
-    the system register on |0...0>, renormalized.  ``system_state`` carries
-    one conditioning state per column, like the preparation target.
+    the system register on |0...0>, renormalized.  ``system_state`` (N, B)
+    carries one conditioning state per column, like the preparation target.
+    Returns shape (M, B).
     """
-    layout = state.layout
-    columns = np.asarray(system_state, dtype=complex).reshape(layout.system_dim, layout.columns)
+    columns = np.asarray(system_state, dtype=complex)
     amps = np.einsum("msb,sb->mb", state.as_tensor(), columns.conj())
     probs = np.abs(amps) ** 2
     weight = np.sum(probs, axis=0)
@@ -270,24 +254,14 @@ def conditional_deviation_distribution(state: StateVector, system_state: np.ndar
         raise NotInGroundRegister(
             f"conditioning state of column {empty[0]} has no overlap with the register"
         )
-    return (probs / weight).reshape((layout.deviation_dim,) + layout.batch_shape)
+    return probs / weight
 
 
 def sample_deviation(state: StateVector, rng_seed: int, shots: int) -> np.ndarray:
-    """Multinomial counts over deviation outcomes; seed-reproducible (PCG64)."""
+    """Multinomial counts over deviation outcomes, shape (M, B): one draw of
+    ``shots`` per column, columns in order from one seeded PCG64 stream."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = deviation_distribution(state)
-    probs = probs / probs.sum()
     rng = np.random.default_rng(rng_seed)
-    return rng.multinomial(shots, probs)
-
-
-def dump_state(state: StateVector) -> dict:
-    """Debug representation: {"m", "n", "re", "im"}."""
-    return {
-        "m": state.layout.m,
-        "n": state.layout.n,
-        "re": state.amplitudes.real.tolist(),
-        "im": state.amplitudes.imag.tolist(),
-    }
+    return np.stack([rng.multinomial(shots, p / p.sum()) for p in probs.T], axis=1)

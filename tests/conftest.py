@@ -60,9 +60,9 @@ def gram_schmidt(block):
 
 def forward_qft_deviation(state):
     """Forward QFT on the deviation register; exists only for round-trip tests."""
-    mat = state.as_matrix()
     m_dim = state.layout.deviation_dim
-    state.amplitudes = (np.fft.ifft(mat, axis=0) * np.sqrt(m_dim)).reshape(-1)
+    rows = state.amplitudes.reshape(m_dim, -1)
+    state.amplitudes = (np.fft.ifft(rows, axis=0) * np.sqrt(m_dim)).reshape(-1)
     return state
 
 

@@ -181,6 +181,14 @@ class TestLanczosCommand:
         assert code == 0
         assert json.loads(out)["breakdown"] is False
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tied_magnitudes_print_ascending(self, capsys, seed):
+        # sigma-x's Ritz values +-1 differ in magnitude only by rounding
+        code, out, _ = run_cli(capsys, "lanczos", "--matrix", "sigma-x", "--seed", str(seed))
+        assert code == 0
+        values = json.loads(out)["ritz_values"]
+        assert values == sorted(values)
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):

@@ -15,6 +15,7 @@ from qgld import (
     UnnormalizedPhi,
     build_delta,
     classical_reference_expectation,
+    eig_hermitian,
     equal_superposition,
     logdet_directional_derivative,
     logdet_directional_derivatives,
@@ -22,6 +23,7 @@ from qgld import (
     qgld_expectation,
     sampled_qgld,
     sigma_qgld_expectation,
+    unitary_phase_exp,
 )
 from qgld.cli import random_spd
 from conftest import SIGMA_X, SIGMA_Z, random_hermitian, random_state
@@ -290,6 +292,33 @@ class TestSigmaQgld:
         phi = random_state(rng, 4)
         want = classical_reference_expectation(x, phi)
         assert abs(sigma_qgld_expectation(x, phi) - want) <= 1e-6
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_large_matches_reference(self, seed):
+        # at N = 256 the family carries no eigenphase rounding for the zoom to amplify
+        x = random_spd(256, seed)
+        rng = np.random.default_rng(seed)
+        phi = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        phi /= np.linalg.norm(phi)
+        want = classical_reference_expectation(x, phi)
+        assert abs(sigma_qgld_expectation(x, phi) - want) <= 1e-8 * abs(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 16), reach=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_family_members_equal_composed_evolutions(self, n, reach, seed):
+        # each member is exp(it(X + s V diag(w) V^dag)) exp(-itX), for t ||X|| = reach
+        rng = np.random.default_rng(seed)
+        x = random_hermitian(rng, n, indefinite=True)
+        dec = eig_hermitian(x)
+        weights = rng.standard_normal(n)
+        w_run = 2.0 * np.linalg.norm(x, ord=2) / (1e-6 * reach)
+        enc = GradientEncoding(L=1e-6, W=w_run, m=1)
+        t = enc.time_step()
+        delta = (dec.vectors * weights) @ dec.vectors.conj().T
+        family = qgld.expectation._scaled_phase_family(dec, weights, w_run)
+        for s, member in zip(enc.offsets(), family):
+            want = unitary_phase_exp(x + s * delta, t) @ unitary_phase_exp(x, -t)
+            assert np.max(np.abs(member - want)) <= 1e-12
 
 
 class TestSampledQgld:

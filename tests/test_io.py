@@ -1,8 +1,5 @@
-import json
-
 import numpy as np
 
-from qgld import RegisterLayout, hadamard_deviation_register, init_basis
 from qgld.io import (
     format_number,
     load_matrix,
@@ -11,7 +8,6 @@ from qgld.io import (
     render_csv,
     save_matrix,
 )
-from qgld.statevector import dump_state
 
 
 class TestMatrixFormat:
@@ -36,16 +32,6 @@ class TestMatrixFormat:
     def test_dict_round_trip(self, rng):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         np.testing.assert_allclose(matrix_from_dict(matrix_to_dict(a)), a, atol=1e-15)
-
-
-class TestStateDump:
-    def test_fields(self):
-        state = init_basis(RegisterLayout(1, 1), 0)
-        hadamard_deviation_register(state)
-        payload = dump_state(state)
-        assert payload["m"] == 1 and payload["n"] == 1
-        np.testing.assert_allclose(payload["re"], [1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0])
-        assert json.dumps(payload)  # JSON-serializable
 
 
 class TestCsv:

@@ -149,3 +149,8 @@ class TestProbeSolver:
         points, targets = sin_training_set()
         with pytest.raises(ValueError, match="k = "):
             kernel_fit(points, targets, sigma=1.0, ridge=1e-6, solver="qgld", k=k)
+
+    @pytest.mark.parametrize("k", [-1, 0, 5])
+    def test_k_checked_with_zero_targets(self, k):
+        with pytest.raises(ValueError, match="k = "):
+            kernel_fit(np.arange(4.0), np.zeros(4), sigma=1.0, ridge=1e-3, solver="qgld", k=k)

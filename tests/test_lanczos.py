@@ -34,14 +34,14 @@ class TestStep:
     def test_invariant_subspace_breakdown(self):
         x = np.diag([3.0, 1.0, 0.5, 0.2]).astype(complex)
         psi0 = np.eye(4, dtype=complex)[:, :2]
-        step = rqbl_step(x, psi0, None, None)
+        step = rqbl_step(x, psi0, None, None, history=psi0)
         assert step.breakdown
         np.testing.assert_allclose(step.a_block, np.diag([3.0, 1.0]), atol=1e-12)
         assert step.psi_next is None
 
     def test_sigma_x_hand_recursion(self):
         psi0 = np.array([[1.0], [0.0]], dtype=complex)
-        step = rqbl_step(SIGMA_X, psi0, None, None)
+        step = rqbl_step(SIGMA_X, psi0, None, None, history=psi0)
         assert step.a_block[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert step.b_next[0, 0] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(step.psi_next, [[0.0], [1.0]], atol=1e-12)

@@ -6,7 +6,6 @@ from qgld import (
     InverseExpectationRequest,
     NonFiniteInput,
     NonHermitianInput,
-    NotPositiveSemidefinite,
     RankDeficientBlock,
     SingularMatrix,
     degenerate_directional_derivatives,
@@ -15,8 +14,8 @@ from qgld import (
     inverse,
     logdet_lu,
     orthonormalize_svd,
-    psd_sqrt,
     qgld_expectation,
+    relevance_order,
     unitary_phase_exp,
 )
 from qgld.linalg import _fix_phases, as_complex_matrix
@@ -172,29 +171,14 @@ class TestInverse:
             inverse(np.ones((3, 3)))
 
 
-class TestPsdSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
+class TestRelevanceOrder:
+    def test_magnitude_descending_near_ties_ascending(self):
+        values = [-3.0, -1.0, 0.5, 1.0 + 1e-15, 3.0 - 1e-15, 2.0]
+        np.testing.assert_array_equal(relevance_order(values), [0, 4, 5, 1, 3, 2])
 
-    def test_diag(self):
-        np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_two_by_two_squares_back(self):
-        b2 = np.array([[2.0, 1.0], [1.0, 2.0]])
-        b = psd_sqrt(b2)
-        np.testing.assert_allclose(
-            np.sort(np.linalg.eigvalsh(b)), [1.0, np.sqrt(3.0)], atol=1e-12
-        )
-        assert np.linalg.norm(b @ b - b2) <= 1e-9 * np.linalg.norm(b2)
-
-    def test_clamps_small_negatives(self):
-        b2 = np.diag([1.0, -1e-14])
-        b = psd_sqrt(b2)
-        assert b[1, 1] == 0.0
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveSemidefinite):
-            psd_sqrt(np.diag([1.0, -0.5]))
+    def test_stable_magnitude_sort_without_ties(self, rng):
+        values = np.sort(rng.standard_normal(64))
+        np.testing.assert_array_equal(relevance_order(values), np.argsort(-np.abs(values), kind="stable"))
 
 
 class TestOrthonormalizeSvd:

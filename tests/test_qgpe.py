@@ -81,7 +81,8 @@ class TestEncoding:
     def test_time_step(self):
         enc = GradientEncoding(L=1e-6, W=2.0, m=1)
         assert enc.time_step() == pytest.approx(2 / (2.0 * 1e-6))
-        with_2pi = GradientEncoding(L=1e-6, W=2.0, m=1, prefactor_2pi=True)
+        # the 2*pi-in-the-exponent convention at W is the canonical one at W/(2*pi)
+        with_2pi = GradientEncoding(L=1e-6, W=2.0 / (2 * np.pi), m=1)
         assert with_2pi.time_step() == pytest.approx(2 * np.pi * 2 / (2.0 * 1e-6))
 
     def test_bin_decode(self):
@@ -219,7 +220,7 @@ class TestExtractPeak:
         family = [np.exp(1j * eps * g / enc.W) * np.eye(2) for eps in range(m_dim)]
         apply_controlled_family(state, family)
         inverse_qft_deviation(state)
-        dist = deviation_distribution(state)
+        dist = deviation_distribution(state)[:, 0]
         eps = np.arange(m_dim)
         oracle = np.abs(
             np.exp(-2j * np.pi * np.outer(eps, eps) / m_dim) @ np.exp(1j * eps * g) / m_dim
@@ -241,7 +242,7 @@ class TestExtractPeak:
         family = [np.exp(1j * eps * g) * np.eye(2) for eps in range(m_dim)]
         apply_controlled_family(state, family)
         inverse_qft_deviation(state)
-        got = extract_gradient_peak(deviation_distribution(state), enc)
+        got = extract_gradient_peak(deviation_distribution(state)[:, 0], enc)
         assert got == pytest.approx(g, abs=1e-12)
 
 
@@ -300,9 +301,10 @@ class TestOracleEquivalence:
 class TestMainTextConvention:
     def test_prefactor_amplitude_extraction(self):
         # with the 2*pi inside the evolution operator the m=1 phase is
-        # 2*pi*grad/W; W=4 keeps it below pi and the decoded gradient agrees
+        # 2*pi*grad/W; W=4 keeps it below pi and the decoded gradient agrees.
+        # That convention at W is the canonical encoding at W/(2*pi).
         dec = eig_hermitian(SIGMA_X)
-        enc = GradientEncoding(L=1e-6, W=4.0, m=1, prefactor_2pi=True)
+        enc = GradientEncoding(L=1e-6, W=4.0 / (2 * np.pi), m=1)
         outcome = qgpe_run(SIGMA_X, dec.vectors[:, 1],
                            build_delta("custom", 2, matrix=SIGMA_X), enc)
         assert outcome.amplitude_gradient == pytest.approx(1.0, abs=1e-5)
@@ -311,15 +313,16 @@ class TestMainTextConvention:
         m = 3
         m_dim = 8
         j0 = 2
-        enc = GradientEncoding(m=m, W=1.0, prefactor_2pi=True)
+        w_main = 1.0
+        enc = GradientEncoding(m=m, W=w_main / (2 * np.pi))
         g = enc.bin_to_gradient(j0)
-        assert g == pytest.approx(j0 * enc.W / m_dim)
+        assert g == pytest.approx(j0 * w_main / m_dim)
         state = init_basis(RegisterLayout(m, 1), 0)
         hadamard_deviation_register(state)
-        family = [np.exp(2j * np.pi * eps * g / enc.W) * np.eye(2) for eps in range(m_dim)]
+        family = [np.exp(2j * np.pi * eps * g / w_main) * np.eye(2) for eps in range(m_dim)]
         apply_controlled_family(state, family)
         inverse_qft_deviation(state)
-        got = extract_gradient_peak(deviation_distribution(state), enc)
+        got = extract_gradient_peak(deviation_distribution(state)[:, 0], enc)
         assert got == pytest.approx(g, abs=1e-12)
 
 
@@ -342,7 +345,7 @@ class TestPhaseProperties:
             hadamard_deviation_register(state)
             apply_controlled_family(state, [np.eye(2), np.exp(sign * 1j * g) * np.eye(2)])
             inverse_qft_deviation(state)
-            dist = deviation_distribution(state)
+            dist = deviation_distribution(state)[:, 0]
             if sign > 0:
                 reference = dist
         np.testing.assert_allclose(dist, reference, atol=1e-14)

@@ -50,15 +50,15 @@ class TestLayoutAndInit:
 class TestPreparation:
     def test_plus_state(self):
         state = init_basis(RegisterLayout(1, 1), 0)
-        prepare_system_state(state, np.array([1, 1]) / np.sqrt(2))
+        prepare_system_state(state, (np.array([1, 1]) / np.sqrt(2))[:, None])
         np.testing.assert_allclose(
-            state.as_matrix()[0], [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12
+            state.as_tensor()[0, :, 0], [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12
         )
 
     def test_ground_identity(self):
         state = init_basis(RegisterLayout(1, 2), 0)
         before = state.amplitudes.copy()
-        prepare_system_state(state, np.array([1.0, 0, 0, 0]))
+        prepare_system_state(state, np.array([1.0, 0, 0, 0])[:, None])
         np.testing.assert_allclose(state.amplitudes, before, atol=1e-12)
 
     def test_matches_ry_rotation(self):
@@ -68,27 +68,27 @@ class TestPreparation:
             [[np.cos(theta / 2), -np.sin(theta / 2)], [np.sin(theta / 2), np.cos(theta / 2)]]
         )
         state = init_basis(RegisterLayout(1, 1), 0)
-        prepare_system_state(state, np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)]))
-        np.testing.assert_allclose(state.as_matrix()[0], ry @ [1, 0], atol=1e-12)
+        prepare_system_state(state, np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)])[:, None])
+        np.testing.assert_allclose(state.as_tensor()[0, :, 0], ry @ [1, 0], atol=1e-12)
 
     def test_deviation_register_untouched(self, rng):
         state = init_basis(RegisterLayout(2, 2), 0)
         hadamard_deviation_register(state)
-        weights = state.as_matrix()[:, 0].copy()
+        weights = state.as_tensor()[:, 0, 0].copy()
         v = random_state(rng, 4)
-        prepare_system_state(state, v)
+        prepare_system_state(state, v[:, None])
         for eps in range(4):
-            np.testing.assert_allclose(state.as_matrix()[eps], weights[eps] * v, atol=1e-12)
+            np.testing.assert_allclose(state.as_tensor()[eps, :, 0], weights[eps] * v, atol=1e-12)
 
     def test_rejects_occupied_register(self):
         state = init_basis(RegisterLayout(1, 1), 1)
         with pytest.raises(NotInGroundRegister):
-            prepare_system_state(state, np.array([0.0, 1.0]))
+            prepare_system_state(state, np.array([0.0, 1.0])[:, None])
 
     def test_rejects_unnormalized(self):
         state = init_basis(RegisterLayout(1, 1), 0)
         with pytest.raises(UnnormalizedTarget):
-            prepare_system_state(state, np.array([1.0, 1.0]))
+            prepare_system_state(state, np.array([1.0, 1.0])[:, None])
 
     def test_completion_unitary(self, rng):
         for n in (2, 4, 8):
@@ -102,9 +102,9 @@ class TestHadamard:
     def test_m1(self, rng):
         state = init_basis(RegisterLayout(1, 1), 0)
         v = random_state(rng, 2)
-        prepare_system_state(state, v)
+        prepare_system_state(state, v[:, None])
         hadamard_deviation_register(state)
-        mat = state.as_matrix()
+        mat = state.as_tensor()[:, :, 0]
         np.testing.assert_allclose(mat[0], v / np.sqrt(2), atol=1e-12)
         np.testing.assert_allclose(mat[1], v / np.sqrt(2), atol=1e-12)
 
@@ -117,7 +117,7 @@ class TestHadamard:
     def test_m3_uniform(self):
         state = init_basis(RegisterLayout(3, 1), 0)
         hadamard_deviation_register(state)
-        np.testing.assert_allclose(state.as_matrix()[:, 0], np.full(8, 1 / np.sqrt(8)), atol=1e-12)
+        np.testing.assert_allclose(state.as_tensor()[:, 0, 0], np.full(8, 1 / np.sqrt(8)), atol=1e-12)
 
 
 class TestControlledFamily:
@@ -140,7 +140,7 @@ class TestControlledFamily:
         phi = 0.8121
         v = random_state(rng, 2)
         state = init_basis(RegisterLayout(1, 1), 0)
-        prepare_system_state(state, v)
+        prepare_system_state(state, v[:, None])
         hadamard_deviation_register(state)
         apply_controlled_family(state, [np.eye(2), np.exp(1j * phi) * np.eye(2)])
         direct = np.concatenate([v / np.sqrt(2), np.exp(1j * phi) * v / np.sqrt(2)])
@@ -155,7 +155,7 @@ class TestControlledFamily:
             state = init_basis(layout, 0)
             hadamard_deviation_register(state)
             psi = random_state(rng, layout.system_dim)
-            prepare_system_state(state, psi)
+            prepare_system_state(state, psi[:, None])
             reference = np.kron(np.eye(layout.deviation_dim), u) @ state.amplitudes
             apply_controlled_family(state, [u] * layout.deviation_dim)
             np.testing.assert_allclose(state.amplitudes, reference, atol=1e-12)
@@ -176,7 +176,7 @@ class TestInverseQft:
         state = init_basis(RegisterLayout(3, 1), 0)
         hadamard_deviation_register(state)
         inverse_qft_deviation(state)
-        dist = deviation_distribution(state)
+        dist = deviation_distribution(state)[:, 0]
         assert dist[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_synthetic_phase_hits_bin(self, rng):
@@ -185,22 +185,22 @@ class TestInverseQft:
         m_dim = 8
         j0 = 5
         state = init_basis(RegisterLayout(m, 1), 0)
-        mat = state.as_matrix()
+        mat = state.as_tensor()[:, :, 0]
         eps = np.arange(m_dim)
         mat[:, 0] = np.exp(2j * np.pi * eps * j0 / m_dim) / np.sqrt(m_dim)
         kernel = np.exp(-2j * np.pi * np.outer(eps, eps) / m_dim) / np.sqrt(m_dim)
         direct = kernel @ mat[:, 0]
         inverse_qft_deviation(state)
-        np.testing.assert_allclose(state.as_matrix()[:, 0], direct, atol=1e-12)
-        dist = deviation_distribution(state)
+        np.testing.assert_allclose(state.as_tensor()[:, 0, 0], direct, atol=1e-12)
+        dist = deviation_distribution(state)[:, 0]
         assert dist[j0] == pytest.approx(1.0, abs=1e-12)
 
     def test_m1_minus_state(self):
         state = init_basis(RegisterLayout(1, 1), 0)
-        mat = state.as_matrix()
+        mat = state.as_tensor()[:, :, 0]
         mat[:, 0] = [1 / np.sqrt(2), -1 / np.sqrt(2)]
         inverse_qft_deviation(state)
-        assert deviation_distribution(state)[1] == pytest.approx(1.0, abs=1e-12)
+        assert deviation_distribution(state)[1, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_round_trip(self, rng):
         layout = RegisterLayout(4, 2)
@@ -215,47 +215,47 @@ class TestDistributionAndSampling:
     def test_product_state_indicator(self, rng):
         state = init_basis(RegisterLayout(2, 2), 0)
         v = random_state(rng, 4)
-        prepare_system_state(state, v)
-        mat = state.as_matrix()
+        prepare_system_state(state, v[:, None])
+        mat = state.as_tensor()[:, :, 0]
         mat[2] = mat[0]
         mat[0] = 0.0
         state.amplitudes /= state.norm()
-        dist = deviation_distribution(state)
+        dist = deviation_distribution(state)[:, 0]
         np.testing.assert_allclose(dist, [0, 0, 1, 0], atol=1e-12)
 
     def test_uniform(self):
         state = init_basis(RegisterLayout(2, 1), 0)
         hadamard_deviation_register(state)
-        np.testing.assert_allclose(deviation_distribution(state), np.full(4, 0.25), atol=1e-12)
+        np.testing.assert_allclose(deviation_distribution(state)[:, 0], np.full(4, 0.25), atol=1e-12)
 
     def test_bell_like(self):
         # (|0>|0> + |1>|1>)/sqrt(2): direct amplitude summation gives (1/2, 1/2)
         state = init_basis(RegisterLayout(1, 1), 0)
         state.amplitudes = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        np.testing.assert_allclose(deviation_distribution(state), [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(deviation_distribution(state)[:, 0], [0.5, 0.5], atol=1e-12)
 
     def test_conditional_distribution(self):
         state = init_basis(RegisterLayout(1, 1), 0)
         state.amplitudes = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        dist = conditional_deviation_distribution(state, np.array([1.0, 0.0]))
+        dist = conditional_deviation_distribution(state, np.array([[1.0], [0.0]]))[:, 0]
         np.testing.assert_allclose(dist, [1.0, 0.0], atol=1e-12)
 
     def test_sampling_indicator(self):
         state = init_basis(RegisterLayout(2, 1), 6)
-        counts = sample_deviation(state, rng_seed=5, shots=1000)
+        counts = sample_deviation(state, rng_seed=5, shots=1000)[:, 0]
         assert counts[3] == 1000
 
     def test_sampling_uniform_binomial_bound(self):
         state = init_basis(RegisterLayout(1, 1), 0)
         hadamard_deviation_register(state)
-        counts = sample_deviation(state, rng_seed=11, shots=10**6)
+        counts = sample_deviation(state, rng_seed=11, shots=10**6)[:, 0]
         assert abs(counts[0] / 10**6 - 0.5) <= 0.002
 
     def test_sampling_deterministic(self):
         state = init_basis(RegisterLayout(2, 1), 0)
         hadamard_deviation_register(state)
-        first = sample_deviation(state, rng_seed=42, shots=5000)
-        second = sample_deviation(state, rng_seed=42, shots=5000)
+        first = sample_deviation(state, rng_seed=42, shots=5000)[:, 0]
+        second = sample_deviation(state, rng_seed=42, shots=5000)[:, 0]
         np.testing.assert_array_equal(first, second)
 
 
@@ -263,7 +263,7 @@ class TestNormPreservation:
     def test_gates_preserve_norm(self, rng):
         layout = RegisterLayout(2, 2)
         state = init_basis(layout, 0)
-        prepare_system_state(state, random_state(rng, 4))
+        prepare_system_state(state, random_state(rng, 4)[:, None])
         assert abs(state.norm() - 1.0) <= 1e-10
         hadamard_deviation_register(state)
         assert abs(state.norm() - 1.0) <= 1e-10
@@ -291,7 +291,7 @@ class TestClosedFormCircuit:
             vectors = np.linalg.eigh(x)[1]
             p_state = vectors[:, 1]
             state = init_basis(RegisterLayout(1, 1), 0)
-            prepare_system_state(state, p_state)
+            prepare_system_state(state, p_state[:, None])
             hadamard_deviation_register(state)
             apply_controlled_family(state, evolution_family(x, delta, enc))
             inverse_qft_deviation(state)

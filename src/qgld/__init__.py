@@ -42,7 +42,6 @@ from .statevector import (
     inverse_qft_deviation,
     phase_deviation_register,
     prepare_system_state,
-    preparation_unitary,
     sample_deviation,
 )
 from .qgpe import (
@@ -83,6 +82,7 @@ from .expectation import (
     logdet_directional_derivatives,
     logdet_gradient_entry,
     qgld_expectation,
+    qgld_expectation_sweep,
     sampled_qgld,
     sigma_qgld_expectation,
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -31,12 +30,13 @@ from .expectation import (
     classical_reference_expectation,
     eigenvalue_gradient_probes,
     qgld_expectation,
+    qgld_expectation_sweep,
     sampled_qgld,
     sigma_qgld_expectation,
 )
 from .kernel import kernel_fit, kernel_predict
 from .lanczos import assemble_and_solve, build_factorization, dump_factorization
-from .linalg import directional_eigen_derivative, eig_hermitian, relevance_order
+from .linalg import eig_hermitian, hellmann_feynman_derivative, relevance_order
 from .qgpe import GradientEncoding, PerturbationDirection, build_delta, qgpe_run, require_weight_vector
 
 NUMERIC_ERRORS = (
@@ -124,11 +124,12 @@ def cmd_gradient(args) -> str:
         raise ValueError(f"--k {args.k} outside [0, {n}] (0 = all)")
     dec = eig_hermitian(x)
     selected = relevance_order(dec.values)[:args.k or n]
-    shift = float(np.linalg.norm(delta.matrix, ord=2))
-    grads = eigenvalue_gradient_probes(x, dec.vectors[:, selected], delta, enc, identity_shift=shift)
+    grads = eigenvalue_gradient_probes(x, dec.vectors[:, selected], delta, enc,
+                                       identity_shift=delta.spectral_norm())
+    x_norm = float(np.linalg.norm(x))
     rows = []
     for p, grad in zip(selected, grads.tolist()):
-        oracle = directional_eigen_derivative(x, delta.matrix, int(p))
+        oracle = hellmann_feynman_derivative(dec, delta.matrix, int(p), x_norm)
         rows.append([int(p), float(dec.values[p]), args.delta, enc.L, enc.m,
                      grad, oracle, abs(grad - oracle)])
     return qio.render_csv(
@@ -175,20 +176,16 @@ def cmd_qgld(args) -> str:
     enc = encoding_from_args(args)
     k = args.k if args.k else x.shape[0]
 
-    def per_eigenvector(enc_run: GradientEncoding):
-        request = InverseExpectationRequest(x=x, phi=phi, k=k, enc=enc_run, eigensource=_eigensource(args))
-        return qgld_expectation(request, with_classical_reference=True)
-
-    if args.sweep_L:
-        rows = []
-        for l_value in (float(v) for v in args.sweep_L.split(",")):
-            report = per_eigenvector(replace(enc, L=l_value))
-            rows.append([l_value, report.total, report.classical_reference,
-                         abs(report.total - report.classical_reference)])
-        return qio.render_csv(["L", "total", "classical_reference", "abs_error"], rows)
-
     if args.mode == "per-eigenvector":
-        payload = per_eigenvector(enc).to_dict()
+        request = InverseExpectationRequest(x=x, phi=phi, k=k, enc=enc, eigensource=_eigensource(args))
+        if args.sweep_L:
+            l_values = [float(v) for v in args.sweep_L.split(",")]
+            reports = qgld_expectation_sweep(request, l_values, with_classical_reference=True)
+            rows = [[l_value, report.total, report.classical_reference,
+                     abs(report.total - report.classical_reference)]
+                    for l_value, report in zip(l_values, reports)]
+            return qio.render_csv(["L", "total", "classical_reference", "abs_error"], rows)
+        payload = qgld_expectation(request, with_classical_reference=True).to_dict()
     elif args.mode == "sigma":
         total = sigma_qgld_expectation(x, phi, enc)
         payload = {

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import statevector as sv
 from .errors import NearZeroEigenvalue
-from .linalg import _fix_phases, as_complex_matrix, eig_hermitian, inverse, relevance_order, require_hermitian
+from .linalg import as_complex_matrix, eig_hermitian, inverse, relevance_order, require_hermitian
 from .qgpe import (
     GradientEncoding,
     PerturbationDirection,
@@ -213,19 +213,20 @@ def _relevant_eigenpairs(x, k: int, eigensource):
     return values, vectors, used, skipped
 
 
-def _probe_relevant_eigenpairs(x, deltas, k: int, enc: GradientEncoding, eigensource, symmetric: bool):
+def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool):
     """The one resolve-then-probe path of the log-det queries: validates X and
-    resolves its k most relevant eigenpairs once, then per direction adapts
-    degenerate clusters and probes the used pairs, unshifted for outer(phi)
-    (slopes |<p|phi>|^2 >= 0) and shifted by ||Delta||_2 otherwise.  Returns
-    the used eigenvalues (|E| descending), the skipped ones and, per direction,
-    (slopes, adapted residuals, sum_p deltaE_p / E_p summed in |E| order)."""
+    resolves its k most relevant eigenpairs once, then per (direction,
+    encoding) pair of ``probes`` adapts degenerate clusters and probes the
+    used pairs, unshifted for outer(phi) (slopes |<p|phi>|^2 >= 0) and shifted
+    by ||Delta||_2 otherwise.  Returns the used eigenvalues (|E| descending),
+    the skipped ones and, per pair, (slopes, adapted residuals,
+    sum_p deltaE_p / E_p summed in |E| order)."""
     x = require_hermitian(x)
     values, vectors, used, skipped = _relevant_eigenpairs(x, k, eigensource)
     used_values = [float(values[i]) for i in used]
     probed = []
-    for delta in deltas:
-        norm = float(np.linalg.norm(delta.matrix, ord=2))
+    for delta, enc in probes:
+        norm = delta.spectral_norm()
         adapted, residuals = adapt_degenerate_eigenvectors(x, values, vectors, delta.matrix, enc.L, norm)
         adapted = adapted[:, used]  # drops the full rotated basis before the circuits run
         slopes = eigenvalue_gradient_probes(x, adapted, delta, enc, symmetric=symmetric,
@@ -237,27 +238,43 @@ def _probe_relevant_eigenpairs(x, deltas, k: int, enc: GradientEncoding, eigenso
     return used_values, skipped, probed
 
 
-def qgld_expectation(request: InverseExpectationRequest, symmetric: bool = False,
-                     with_classical_reference: bool = False) -> InverseExpectationReport:
-    """Per-eigenvector pipeline: one probe per relevant eigenpair with the
-    outer-product direction of phi, accumulated as sum_p deltaE_p / E_p.
+def qgld_expectation_sweep(request: InverseExpectationRequest, l_values, symmetric: bool = False,
+                           with_classical_reference: bool = False) -> list[InverseExpectationReport]:
+    """Per-eigenvector pipeline at each linearization length of ``l_values``
+    (``request.enc`` with L replaced), one report per value, from one
+    validation, one eigenpair resolve and at most one classical reference.
 
-    The outer-product direction makes every deltaE_p = |<p|phi>|^2 >= 0, so
-    the magnitude readout is already signed; eigenvalue signs enter through
+    Only the degenerate-cluster adaptation and the probe families depend on
+    L, so each report equals the single-L :func:`qgld_expectation` run bit for
+    bit.  The outer-product direction makes every deltaE_p = |<p|phi>|^2 >= 0,
+    so the magnitude readout is already signed; eigenvalue signs enter through
     the classical 1/E_p weights.
     """
     phi = np.asarray(request.phi, dtype=complex)
-    values, skipped, [(slopes, residuals, total)] = _probe_relevant_eigenpairs(
-        request.x, [build_delta("outer", len(phi), phi=phi)], request.k, request.enc,
-        request.eigensource, symmetric)
-    return InverseExpectationReport(
-        contributions=tuple(EigenContribution(eigenvalue=e, delta_e=s, value=s / e)
-                            for e, s in zip(values, slopes)),
-        total=total,
-        classical_reference=classical_reference_expectation(request.x, phi) if with_classical_reference else None,
-        residuals=tuple(residuals),
-        skipped=tuple(skipped),
-    )
+    outer = build_delta("outer", len(phi), phi=phi)
+    encodings = [replace(request.enc, L=float(l_value)) for l_value in l_values]
+    values, skipped, probed = _probe_relevant_eigenpairs(
+        request.x, [(outer, enc) for enc in encodings], request.k, request.eigensource, symmetric)
+    reference = classical_reference_expectation(request.x, phi) if with_classical_reference else None
+    return [
+        InverseExpectationReport(
+            contributions=tuple(EigenContribution(eigenvalue=e, delta_e=s, value=s / e)
+                                for e, s in zip(values, slopes)),
+            total=total,
+            classical_reference=reference,
+            residuals=tuple(residuals),
+            skipped=tuple(skipped),
+        )
+        for slopes, residuals, total in probed
+    ]
+
+
+def qgld_expectation(request: InverseExpectationRequest, symmetric: bool = False,
+                     with_classical_reference: bool = False) -> InverseExpectationReport:
+    """Per-eigenvector pipeline: one probe per relevant eigenpair with the
+    outer-product direction of phi, accumulated as sum_p deltaE_p / E_p; the
+    one-L case of :func:`qgld_expectation_sweep`."""
+    return qgld_expectation_sweep(request, [request.enc.L], symmetric, with_classical_reference)[0]
 
 
 def logdet_directional_derivatives(x, deltas, k: int, enc: GradientEncoding = GradientEncoding(),
@@ -268,8 +285,8 @@ def logdet_directional_derivatives(x, deltas, k: int, enc: GradientEncoding = Gr
     sum_p deltaE_p / E_p over the k most relevant eigenpairs of one
     eigendecomposition.  At k = N and L -> 0 each converges to tr(X^-1 Delta)."""
     n = as_complex_matrix(x).shape[0]
-    directions = (build_delta("custom", n, matrix=delta) for delta in deltas)
-    return [total for _, _, total in _probe_relevant_eigenpairs(x, directions, k, enc, eigensource, symmetric)[2]]
+    probes = ((build_delta("custom", n, matrix=delta), enc) for delta in deltas)
+    return [total for _, _, total in _probe_relevant_eigenpairs(x, probes, k, eigensource, symmetric)[2]]
 
 
 def logdet_directional_derivative(x, delta, k: int, enc: GradientEncoding = GradientEncoding(),
@@ -288,7 +305,8 @@ def logdet_gradient_entry(x, i: int, j: int, k: int, enc: GradientEncoding = Gra
     to (X^-1)_ij + (X^-1)_ji for i != j and (X^-1)_ii on the diagonal."""
     n = as_complex_matrix(x).shape[0]
     delta = build_delta("element", n, i=i, j=j)
-    return logdet_directional_derivative(x, delta.matrix, k, enc, eigensource, symmetric)
+    [(_, _, total)] = _probe_relevant_eigenpairs(x, [(delta, enc)], k, eigensource, symmetric)[2]
+    return total
 
 
 def classical_reference_expectation(x, phi) -> float:
@@ -305,9 +323,10 @@ def classical_reference_expectation(x, phi) -> float:
 # superposition pipeline
 
 def equal_superposition(vectors: np.ndarray) -> np.ndarray:
-    """Equal-weight combination of the B eigenvector columns, each phase-fixed
-    so its first component of magnitude above 1e-8 is real positive."""
-    return _fix_phases(vectors).sum(axis=1) / np.sqrt(vectors.shape[1])
+    """Equal-weight combination of the B eigenvector columns.  The columns must
+    already be phase-fixed (first component of magnitude above 1e-8 real
+    positive), as :func:`eig_hermitian` returns them; no phase is changed here."""
+    return vectors.sum(axis=1) / np.sqrt(vectors.shape[1])
 
 
 def _signed_phases(family: sv.ControlledFamily, columns: np.ndarray) -> np.ndarray:

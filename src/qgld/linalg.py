@@ -1,16 +1,16 @@
 """Dense complex linear algebra and the classical oracles used for cross-checking.
 
-Everything here is plain numpy/scipy on dense arrays.  Matrices are
-``np.ndarray`` of complex dtype; "hermitian" always means hermitian within
-``HERMITICITY_RTOL`` relative to the largest entry.  All tolerances are
-keyword-overridable.
+Everything here is plain numpy on dense arrays, except the LU oracles
+(``logdet_lu``, ``inverse``), which import scipy when first called, so
+``import qgld`` does not load it.  Matrices are ``np.ndarray`` of complex
+dtype; "hermitian" always means hermitian within ``HERMITICITY_RTOL``
+relative to the largest entry.  All tolerances are keyword-overridable.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateEigenvalue,
@@ -110,6 +110,8 @@ def unitary_phase_exp(a, t: float, rtol: float = HERMITICITY_RTOL) -> np.ndarray
 def _lu_pivots(a: np.ndarray, pivot_rtol: float):
     import warnings
 
+    import scipy.linalg
+
     with warnings.catch_warnings():
         # exact zero pivots surface via our SingularMatrix check below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -139,6 +141,8 @@ def logdet_lu(a, pivot_rtol: float = PIVOT_RTOL) -> complex:
 
 def inverse(a, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
     """A^-1 via LU with partial pivoting; raises SingularMatrix on pivot underflow."""
+    import scipy.linalg
+
     a = as_complex_matrix(a)
     lu, piv, _ = _lu_pivots(a, pivot_rtol)
     return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0], dtype=complex))
@@ -166,6 +170,21 @@ def _eigenvalue_gap(values: np.ndarray, p: int) -> float:
     return min(gaps) if gaps else np.inf
 
 
+def hellmann_feynman_derivative(dec: EigenDecomposition, delta: np.ndarray, p: int, a_norm: float,
+                                gap_rtol: float = DEGENERACY_RTOL) -> float:
+    """<p|Delta|p>, the slope of the p-th eigenvalue of ``dec`` along the
+    hermitian ``delta``, read from an existing eigendecomposition of A
+    (``a_norm`` = ||A||_F).  Raises DegenerateEigenvalue when the eigenvalue's
+    gap is at most gap_rtol * ||A||_F."""
+    if _eigenvalue_gap(dec.values, p) <= gap_rtol * max(a_norm, 1e-300):
+        raise DegenerateEigenvalue(
+            f"gap at index {p} below {gap_rtol:.1e} * ||A||_F; "
+            "use degenerate_directional_derivatives"
+        )
+    v = dec.vectors[:, p]
+    return float(np.real(v.conj() @ delta @ v))
+
+
 def directional_eigen_derivative(
     a,
     delta,
@@ -184,15 +203,7 @@ def directional_eigen_derivative(
     a = require_hermitian(a)
     delta = require_hermitian(delta)
     if mode == "hellmann_feynman":
-        dec = eig_hermitian(a)
-        scale = max(float(np.linalg.norm(a)), 1e-300)
-        if _eigenvalue_gap(dec.values, p) <= gap_rtol * scale:
-            raise DegenerateEigenvalue(
-                f"gap at index {p} below {gap_rtol:.1e} * ||A||_F; "
-                "use degenerate_directional_derivatives"
-            )
-        v = dec.vectors[:, p]
-        return float(np.real(v.conj() @ delta @ v))
+        return hellmann_feynman_derivative(eig_hermitian(a), delta, p, float(np.linalg.norm(a)), gap_rtol)
     if mode == "central_difference":
         up = np.linalg.eigvalsh(a + h * delta)
         dn = np.linalg.eigvalsh(a - h * delta)

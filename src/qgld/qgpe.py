@@ -35,14 +35,25 @@ SHIFTS = ("unshifted", "centered")
 
 @dataclass(frozen=True)
 class PerturbationDirection:
-    """Hermitian direction Delta selecting which entries of X are differentiated."""
+    """Hermitian direction Delta selecting which entries of X are differentiated.
+
+    ``exact_norm`` is ||Delta||_2 where the construction fixes it (see
+    :func:`build_delta`); without it :meth:`spectral_norm` takes the SVD.
+    """
 
     kind: str
     matrix: np.ndarray = field(repr=False)
+    exact_norm: float | None = None
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def spectral_norm(self) -> float:
+        """||Delta||_2, the largest singular value."""
+        if self.exact_norm is not None:
+            return self.exact_norm
+        return float(np.linalg.norm(self.matrix, ord=2))
 
 
 def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
@@ -53,7 +64,12 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
     all_ones  -- every entry 1
     outer     -- conj(phi_i) * phi_j from a normalized weight vector phi
     custom    -- any hermitian matrix
+
+    ``element`` (eigenvalues +-1, or a single 1) and ``outer`` (rank one,
+    eigenvalue ||phi||^2) carry their spectral norm; the others leave it to
+    the SVD.
     """
+    norm = None
     if kind == "element":
         if i is None or j is None:
             raise ValueError("element direction needs indices i and j")
@@ -62,6 +78,7 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
         mat = np.zeros((n, n), dtype=complex)
         mat[i, j] = 1.0
         mat[j, i] = 1.0
+        norm = 1.0
     elif kind == "all_ones":
         mat = np.ones((n, n), dtype=complex)
     elif kind == "outer":
@@ -71,6 +88,7 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
         if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
             raise UnnormalizedPhi(f"phi norm {np.linalg.norm(phi):.12f} != 1")
         mat = np.outer(phi, phi.conj())
+        norm = float(np.vdot(phi, phi).real)
     elif kind == "custom":
         if matrix is None:
             raise ValueError("custom direction needs a matrix")
@@ -79,7 +97,7 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
             raise ValueError(f"matrix has shape {mat.shape}, expected ({n}, {n})")
     else:
         raise ValueError(f"unknown direction kind {kind!r}; choose from {DELTA_KINDS}")
-    return PerturbationDirection(kind=kind, matrix=(mat + mat.conj().T) / 2)
+    return PerturbationDirection(kind=kind, matrix=(mat + mat.conj().T) / 2, exact_norm=norm)
 
 
 def require_weight_vector(phi, n: int) -> np.ndarray:
@@ -141,7 +159,7 @@ class GradientEncoding:
 
 def suggest_gradient_bound(delta: PerturbationDirection) -> float:
     """A safe W: twice the spectral norm of Delta, so |grad|/W <= 1/2 < pi."""
-    return 2.0 * float(np.linalg.norm(delta.matrix, ord=2))
+    return 2.0 * delta.spectral_norm()
 
 
 def evolution_family(x, delta: PerturbationDirection, enc: GradientEncoding) -> sv.ControlledFamily:

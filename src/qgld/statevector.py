@@ -99,26 +99,6 @@ def init_basis(layout: RegisterLayout, index: int) -> StateVector:
     return state
 
 
-def preparation_unitary(v: np.ndarray) -> np.ndarray:
-    """Unitary completion Gamma whose first column is v (Householder reflection).
-
-    A phase-adjusted reflection maps e_0 exactly onto v; the remaining columns
-    complete an orthonormal basis.  State preparation only ever acts on the
-    ground state, so it applies Gamma e_0 = v directly and never builds Gamma.
-    """
-    v = np.asarray(v, dtype=complex)
-    n = v.shape[0]
-    e0 = np.zeros(n, dtype=complex)
-    e0[0] = 1.0
-    phase = v[0] / abs(v[0]) if abs(v[0]) > 1e-14 else 1.0
-    w = e0 - v / phase
-    wn = np.linalg.norm(w)
-    if wn < 1e-14:
-        return np.eye(n, dtype=complex) * phase
-    refl = np.eye(n, dtype=complex) - 2.0 * np.outer(w, w.conj()) / wn**2
-    return phase * refl
-
-
 def prepare_system_state(state: StateVector, columns: np.ndarray) -> StateVector:
     """Load each column's target into its system register; requires the
     system register in |0...0>.

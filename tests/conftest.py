@@ -58,6 +58,27 @@ def gram_schmidt(block):
     return np.stack(cols, axis=1)
 
 
+def preparation_unitary(v: np.ndarray) -> np.ndarray:
+    """Unitary completion Gamma whose first column is v (Householder reflection).
+
+    A phase-adjusted reflection maps e_0 exactly onto v; the remaining columns
+    complete an orthonormal basis.  The reference for state preparation, which
+    only ever acts on the ground state and so applies Gamma e_0 = v directly
+    without building Gamma.
+    """
+    v = np.asarray(v, dtype=complex)
+    n = v.shape[0]
+    e0 = np.zeros(n, dtype=complex)
+    e0[0] = 1.0
+    phase = v[0] / abs(v[0]) if abs(v[0]) > 1e-14 else 1.0
+    w = e0 - v / phase
+    wn = np.linalg.norm(w)
+    if wn < 1e-14:
+        return np.eye(n, dtype=complex) * phase
+    refl = np.eye(n, dtype=complex) - 2.0 * np.outer(w, w.conj()) / wn**2
+    return phase * refl
+
+
 def forward_qft_deviation(state):
     """Forward QFT on the deviation register; exists only for round-trip tests."""
     m_dim = state.layout.deviation_dim

@@ -21,13 +21,12 @@ from qgld import (
     eigenvalue_gradient_probes,
     evolution_family,
     init_basis,
-    preparation_unitary,
     probe_distributions,
     qgld_expectation,
     qgpe_run,
     qgpe_run_batch,
 )
-from conftest import SIGMA_X, random_hermitian, random_state
+from conftest import SIGMA_X, preparation_unitary, random_hermitian, random_state
 
 
 def single_circuit_distribution(family, v, project_back):

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from qgld.cli import main
-from qgld.io import save_matrix
+import qgld.cli
+import qgld.expectation
+import qgld.linalg
+from qgld import GradientEncoding, InverseExpectationRequest, qgld_expectation, qgld_expectation_sweep
+from qgld.cli import main, random_spd
+from qgld.io import render_csv, save_matrix
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +83,30 @@ class TestGradient:
         assert code == 2
         assert err
 
+    def test_oracle_reads_the_one_eigendecomposition(self, capsys, monkeypatch):
+        # 1 resolve plus the 2 members of the m = 1 family; the Hellmann-Feynman
+        # oracle re-diagonalizes nothing
+        counted = []
+        eig = qgld.linalg.eig_hermitian
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return eig(*args, **kwargs)
+
+        for module in (qgld.linalg, qgld.cli, qgld.expectation):
+            monkeypatch.setattr(module, "eig_hermitian", counting)
+        code, out, _ = run_cli(capsys, "gradient", "--matrix", "random-spd:8:3",
+                               "--delta", "element:1,4", "--k", "0")
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 8
+        assert len(counted) == 3
+
+    def test_degenerate_oracle_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "gradient", "--matrix", "identity:4", "--delta", "element:0,1")
+        assert code == 3
+        assert out == ""
+        assert "gap at index" in err
+
 
 class TestQgldCommand:
     def test_sigma_z_uniform(self, capsys):
@@ -115,6 +143,37 @@ class TestQgldCommand:
         assert header == ["L", "total", "classical_reference", "abs_error"]
         errors = [float(r[3]) for r in rows]
         assert errors[0] > errors[1] > errors[2]
+
+    def test_l_sweep_resolves_and_inverts_once(self, capsys, monkeypatch):
+        l_values = [1e-3, 1e-4, 1e-5, 1e-6]
+        x = random_spd(8, 3)
+        phi = np.ones(8, dtype=complex) / np.sqrt(8)
+        single = [qgld_expectation(InverseExpectationRequest(x=x, phi=phi, k=8, enc=GradientEncoding(L=l_value)),
+                                   with_classical_reference=True)
+                  for l_value in l_values]
+        resolves, inverses = [], []
+        resolve, inverse = qgld.expectation.DenseSource.resolve, qgld.expectation.inverse
+
+        def counting_resolve(self, *args):
+            resolves.append(1)
+            return resolve(self, *args)
+
+        def counting_inverse(*args, **kwargs):
+            inverses.append(1)
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(qgld.expectation.DenseSource, "resolve", counting_resolve)
+        monkeypatch.setattr(qgld.expectation, "inverse", counting_inverse)
+        code, out, _ = run_cli(capsys, "qgld", "--matrix", "random-spd:8:3", "--phi", "uniform",
+                               "--sweep-L", ",".join(f"{v:g}" for v in l_values))
+        assert code == 0
+        assert (len(resolves), len(inverses)) == (1, 1)
+        want = render_csv(["L", "total", "classical_reference", "abs_error"],
+                          [[l_value, r.total, r.classical_reference, abs(r.total - r.classical_reference)]
+                           for l_value, r in zip(l_values, single)])
+        assert out == want
+        request = InverseExpectationRequest(x=x, phi=phi, k=8)
+        assert qgld_expectation_sweep(request, l_values, with_classical_reference=True) == single
 
     @pytest.mark.parametrize("mode", ["sigma", "sampled"])
     @pytest.mark.parametrize("flag, value", [("--k", "99"), ("--b", "4"), ("--lanczos-steps", "3"),

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qgld
 from qgld import (
     DegenerateEigenvalue,
     InverseExpectationRequest,
@@ -169,6 +175,26 @@ class TestInverse:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
             inverse(np.ones((3, 3)))
+
+    def test_import_leaves_scipy_to_the_lu_oracles(self):
+        # a fresh interpreter: this test process may already hold scipy.linalg
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import qgld, qgld.cli\n"
+            "assert 'scipy.linalg' not in sys.modules, 'import qgld loaded scipy.linalg'\n"
+            "try:\n"
+            "    qgld.inverse(np.ones((3, 3)))\n"
+            "except qgld.SingularMatrix:\n"
+            "    print('SingularMatrix')\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(qgld.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "SingularMatrix\n"
 
 
 class TestRelevanceOrder:

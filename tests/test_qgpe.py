@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgld import (
     FlatDistribution,
@@ -57,6 +59,29 @@ class TestBuildDelta:
     def test_unnormalized_phi(self):
         with pytest.raises(UnnormalizedPhi):
             build_delta("outer", 2, phi=np.array([1.0, 1.0]))
+
+    # n <= 16: the SVD reference's own rounding grows with n (about 10 eps for
+    # the uniform phi at n = 128), while the carried norms do not
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 16), data=st.data())
+    def test_carried_norm_matches_svd(self, n, data):
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        parts = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * n, max_size=2 * n))
+        phi = np.asarray(parts[:n]) + 1j * np.asarray(parts[n:])
+        if np.linalg.norm(phi) < 1e-6:
+            phi = np.ones(n, dtype=complex)
+        phi = phi / np.linalg.norm(phi)
+        for delta in (build_delta("element", n, i=i, j=j), build_delta("outer", n, phi=phi)):
+            assert delta.exact_norm is not None
+            svd = float(np.linalg.norm(delta.matrix, ord=2))
+            assert abs(delta.spectral_norm() - svd) <= 4 * np.finfo(float).eps
+
+    def test_other_kinds_take_the_svd(self, rng):
+        x = random_hermitian(rng, 4, indefinite=True)
+        for delta in (build_delta("all_ones", 4), build_delta("custom", 4, matrix=x)):
+            assert delta.exact_norm is None
+            assert delta.spectral_norm() == float(np.linalg.norm(delta.matrix, ord=2))
 
 
 class TestEncoding:

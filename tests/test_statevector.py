@@ -15,11 +15,10 @@ from qgld import (
     init_basis,
     inverse_qft_deviation,
     prepare_system_state,
-    preparation_unitary,
     sample_deviation,
     unitary_phase_exp,
 )
-from conftest import SIGMA_X, forward_qft_deviation, random_state
+from conftest import SIGMA_X, forward_qft_deviation, preparation_unitary, random_state
 
 
 class TestLayoutAndInit:

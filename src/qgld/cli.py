@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
-Subcommands: gradient, reproduce-table1, qgld, lanczos, kernel-demo.
-Matrices come from JSON files ({"dim", "re", "im"}) or built-in presets
-(sigma-x, sigma-z, hadamard, identity[:N], random-spd:N:SEED).  Identical
-configuration and seeds produce byte-identical output.  Exit codes: 0 on
-success, 2 on validation or I/O failure, 3 on numerical failure.
+Subcommands: gradient, reproduce-table1, qgld, lanczos, kernel-demo, each
+taking only the flags its handler reads (COMMANDS).  Matrices come from JSON
+files ({"dim", "re", "im"}) or built-in presets (sigma-x, sigma-z, hadamard,
+identity[:N], random-spd:N:SEED).  Identical configuration and seeds produce
+byte-identical output.  Exit codes: 0 on success, 2 on validation or I/O
+failure (an unread flag included), 3 on numerical failure.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .expectation import (
 from .kernel import kernel_fit, kernel_predict
 from .lanczos import assemble_and_solve, build_factorization, dump_factorization
 from .linalg import eig_hermitian, hellmann_feynman_derivative, relevance_order
-from .qgpe import GradientEncoding, PerturbationDirection, build_delta, qgpe_run, require_weight_vector
+from .qgpe import GradientEncoding, PerturbationDirection, build_delta, qgpe_run_batch, require_weight_vector
 
 NUMERIC_ERRORS = (
     SingularMatrix,
@@ -140,8 +141,7 @@ def cmd_gradient(args) -> str:
 
 def cmd_reproduce_table1(args) -> str:
     enc = GradientEncoding(L=1e-6, W=1.0, m=1)
-    dec = eig_hermitian(SIGMA_X)
-    states = {"+": dec.vectors[:, 1], "-": dec.vectors[:, 0]}
+    dec = eig_hermitian(SIGMA_X)  # column 1 is |+>, column 0 is |->
     directions = [
         ("X", build_delta("custom", 2, matrix=SIGMA_X)),
         ("|0><0|", build_delta("element", 2, i=0, j=0)),
@@ -150,34 +150,25 @@ def cmd_reproduce_table1(args) -> str:
     ]
     rows = []
     for name, delta in directions:
-        for label in ("+", "-"):
-            outcome = qgpe_run(SIGMA_X, states[label], delta, enc)
-            rows.append(["sigma-x", name, label, enc.L, enc.m, outcome.amplitude_gradient])
+        outcomes = qgpe_run_batch(SIGMA_X, dec.vectors[:, [1, 0]], delta, enc)
+        rows += [["sigma-x", name, label, enc.L, enc.m, outcome.amplitude_gradient]
+                 for label, outcome in zip("+-", outcomes)]
     hdec = eig_hermitian(HADAMARD)
-    outcome = qgpe_run(HADAMARD, hdec.vectors[:, 1], build_delta("custom", 2, matrix=SIGMA_X), enc)
+    [outcome] = qgpe_run_batch(HADAMARD, hdec.vectors[:, [1]], build_delta("custom", 2, matrix=SIGMA_X), enc)
     rows.append(["hadamard", "X", "H+", enc.L, enc.m, outcome.amplitude_gradient])
     return qio.render_csv(["matrix", "delta", "eigenstate", "L", "m", "gradient"], rows)
 
 
-def _eigensource(args):
-    if args.b:
-        return RqblSource(b=args.b, seed=args.seed, steps=args.lanczos_steps)
-    return DenseSource()
-
-
 def cmd_qgld(args) -> str:
-    if args.mode != "per-eigenvector":
-        for flag, value in (("--k", args.k), ("--b", args.b), ("--lanczos-steps", args.lanczos_steps),
-                            ("--sweep-L", args.sweep_L)):
-            if value:
-                raise ValueError(f"{flag} applies to --mode per-eigenvector only, not {args.mode}")
+    reject_unread(args, COMMANDS["qgld"][2])
     x = resolve_matrix(args.matrix)
     phi = resolve_phi(args.phi or "uniform", x.shape[0])
     enc = encoding_from_args(args)
     k = args.k if args.k else x.shape[0]
 
     if args.mode == "per-eigenvector":
-        request = InverseExpectationRequest(x=x, phi=phi, k=k, enc=enc, eigensource=_eigensource(args))
+        source = RqblSource(b=args.b, seed=args.seed, steps=args.lanczos_steps) if args.b else DenseSource()
+        request = InverseExpectationRequest(x=x, phi=phi, k=k, enc=enc, eigensource=source)
         if args.sweep_L:
             l_values = [float(v) for v in args.sweep_L.split(",")]
             reports = qgld_expectation_sweep(request, l_values, with_classical_reference=True)
@@ -193,7 +184,7 @@ def cmd_qgld(args) -> str:
             "total": total,
             "classical_reference": classical_reference_expectation(x, phi),
         }
-    elif args.mode == "sampled":
+    else:  # sampled
         estimate, spread = sampled_qgld(x, phi, args.shots, args.seed, enc)
         payload = {
             "mode": "sampled",
@@ -203,8 +194,6 @@ def cmd_qgld(args) -> str:
             "spread": spread,
             "classical_reference": classical_reference_expectation(x, phi),
         }
-    else:
-        raise ValueError(f"unknown mode {args.mode!r}")
     payload["L"] = enc.L
     payload["W"] = enc.W
     payload["m"] = enc.m
@@ -234,7 +223,7 @@ def cmd_kernel_demo(args) -> str:
     points = np.linspace(0.0, 2 * np.pi, 16)
     targets = np.sin(points)
     sigma, ridge = 1.0, 1e-6
-    enc = GradientEncoding(L=args.L, W=args.W, m=args.m)
+    enc = encoding_from_args(args)
     classical = kernel_fit(points, targets, sigma, ridge, solver="classical")
     probe = kernel_fit(points, targets, sigma, ridge, solver="qgld",
                        k=args.k or len(points), enc=enc)
@@ -263,57 +252,71 @@ def cmd_kernel_demo(args) -> str:
 # ---------------------------------------------------------------------------
 # parser / entry point
 
+# Every flag a subcommand may take, as argparse keywords.
+FLAGS = {
+    "--matrix": dict(default="sigma-x", help="matrix JSON path or preset (sigma-x, sigma-z, hadamard, "
+                                              "identity[:N], random-spd:N:SEED)"),
+    "--phi": dict(default=None, help="weight vector: uniform, basis0, or JSON path"),
+    "--delta": dict(default="matrix", help="element:i,j (zero-based) | all-ones | outer | identity | matrix"),
+    "--L": dict(type=float, default=1e-6, help="linearization length"),
+    "--W": dict(type=float, default=1.0, help="gradient scale of the readout"),
+    "--m": dict(type=int, default=1, help="deviation qubits"),
+    "--k": dict(type=int, default=0),
+    "--b": dict(type=int, default=0),
+    "--lanczos-steps": dict(type=int, default=None, help="Lanczos steps of the --b source (default N // b)"),
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--shots": dict(type=int, default=64, help="sampled starting states"),
+    "--mode": dict(choices=("per-eigenvector", "sigma", "sampled"), default="per-eigenvector"),
+    "--sweep-L": dict(default=None, help="comma-separated L values; emits error-vs-L CSV"),
+    "--dump-blocks": dict(action="store_true", help="add every block of the factorization"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+}
+
+PER_EIGENVECTOR = ("--mode per-eigenvector", lambda args: args.mode == "per-eigenvector")
+
+# subcommand -> (handler, help, {flag the handler reads, besides --out: keywords
+# replacing those of FLAGS, and "when", the (condition, test) it is read under})
+COMMANDS = {
+    "gradient": (cmd_gradient, "per-eigenpair gradient probe vs oracle", {
+        "--matrix": {}, "--phi": {}, "--delta": {}, "--L": {}, "--W": {}, "--m": {},
+        "--k": {"help": "pairs probed, most relevant first (0 = all)"}}),
+    "reproduce-table1": (cmd_reproduce_table1, "single-qubit gradient benchmark table", {}),
+    "qgld": (cmd_qgld, "inverse expectation value pipelines", {
+        "--matrix": {}, "--phi": {}, "--L": {}, "--W": {}, "--m": {}, "--mode": {},
+        "--k": {"help": "rank cutoff: the k most relevant eigenpairs (0 = all)", "when": PER_EIGENVECTOR},
+        "--b": {"help": "Lanczos block size of the eigenpair source (0 = dense)", "when": PER_EIGENVECTOR},
+        "--lanczos-steps": {"when": ("--b", lambda args: args.b != 0)},
+        "--sweep-L": {"when": PER_EIGENVECTOR},
+        "--shots": {"when": ("--mode sampled", lambda args: args.mode == "sampled")},
+        "--seed": {"help": "seed of the --b source and of --mode sampled"}}),
+    "lanczos": (cmd_lanczos, "randomized block Lanczos eigenpairs", {
+        "--matrix": {}, "--b": {"help": "block size (0 = 1)"}, "--k": {"help": "Lanczos steps (0 = N // b)"},
+        "--seed": {}, "--dump-blocks": {}}),
+    "kernel-demo": (cmd_kernel_demo, "kernel ridge fit of sin(x), both solvers", {
+        "--L": {}, "--W": {}, "--m": {}, "--format": {},
+        "--k": {"help": "rank cutoff of K + ridge*I (0 = all 16 points)"}}),
+}
+
+
+def reject_unread(args, flags: dict) -> None:
+    """Raise ValueError naming a flag of ``flags`` set away from its default
+    whose "when" test fails, since the handler would not read it."""
+    for flag, spec in flags.items():
+        condition, holds = spec.get("when", (None, None))
+        if holds and getattr(args, flag[2:].replace("-", "_")) != FLAGS[flag]["default"] and not holds(args):
+            raise ValueError(f"{flag} applies only with {condition}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qgld",
                                      description="log-determinant gradient pipelines")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_delta=False):
-        p.add_argument("--matrix", default="sigma-x",
-                       help="matrix JSON path or preset (sigma-x, sigma-z, hadamard, "
-                            "identity[:N], random-spd:N:SEED)")
-        p.add_argument("--phi", default=None,
-                       help="weight vector: uniform, basis0, or JSON path")
-        if with_delta:
-            p.add_argument("--delta", default="matrix",
-                           help="element:i,j (zero-based) | all-ones | outer | identity | matrix")
-        p.add_argument("--L", type=float, default=1e-6)
-        p.add_argument("--W", type=float, default=1.0)
-        p.add_argument("--m", type=int, default=1)
-        p.add_argument("--k", type=int, default=0, help="rank cutoff (0 = full)")
-        p.add_argument("--b", type=int, default=0, help="Lanczos block size (0 = dense source)")
-        p.add_argument("--lanczos-steps", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--shots", type=int, default=64)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p_grad = sub.add_parser("gradient", help="per-eigenpair gradient probe vs oracle")
-    common(p_grad, with_delta=True)
-    p_grad.set_defaults(handler=cmd_gradient)
-
-    p_tab = sub.add_parser("reproduce-table1",
-                           help="single-qubit gradient benchmark table")
-    common(p_tab)
-    p_tab.set_defaults(handler=cmd_reproduce_table1)
-
-    p_qgld = sub.add_parser("qgld", help="inverse expectation value pipelines")
-    common(p_qgld)
-    p_qgld.add_argument("--mode", choices=("per-eigenvector", "sigma", "sampled"),
-                        default="per-eigenvector")
-    p_qgld.add_argument("--sweep-L", default=None,
-                        help="comma-separated L values; emits error-vs-L CSV")
-    p_qgld.set_defaults(handler=cmd_qgld)
-
-    p_lan = sub.add_parser("lanczos", help="randomized block Lanczos eigenpairs")
-    common(p_lan)
-    p_lan.add_argument("--dump-blocks", action="store_true")
-    p_lan.set_defaults(handler=cmd_lanczos)
-
-    p_ker = sub.add_parser("kernel-demo", help="kernel ridge fit of sin(x), both solvers")
-    common(p_ker)
-    p_ker.set_defaults(handler=cmd_kernel_demo)
-
+    for name, (handler, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)  # else lanczos --m reads as --matrix
+        for flag, spec in {**flags, "--out": {}}.items():
+            p.add_argument(flag, **{**FLAGS[flag], **{key: v for key, v in spec.items() if key != "when"}})
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -156,8 +156,9 @@ def eigenvalue_gradient_probe(x, p_vec, delta: PerturbationDirection, enc: Gradi
                                             symmetric=symmetric)[0])
 
 
-def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray, delta_matrix: np.ndarray,
-                                  l_value: float, delta_norm: float) -> tuple[np.ndarray, np.ndarray]:
+def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray, residuals: np.ndarray,
+                                  delta_matrix: np.ndarray, l_value: float,
+                                  delta_norm: float) -> tuple[np.ndarray, np.ndarray]:
     """Rotate eigenvector clusters so Delta is diagonal inside each degenerate
     (or nearly degenerate at the probe scale) eigenspace.
 
@@ -166,10 +167,10 @@ def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray, de
     Delta's internal eigendirections, so probing an unadapted basis vector
     reads a phase mixture.  Standard degenerate perturbation theory:
     diagonalizing the restriction of Delta fixes the basis the probes need.
-    Returns rotated vectors and recomputed residuals.
+    Returns rotated vectors and residuals, recomputed for rotated columns only.
     """
     tol = max(1e-8 * float(np.linalg.norm(x)), 4.0 * l_value * delta_norm)
-    vectors = vectors.copy()
+    vectors, residuals = vectors.copy(), np.array(residuals, dtype=float)
     order = np.argsort(values, kind="stable")
     start = 0
     sorted_values = values[order]
@@ -183,17 +184,17 @@ def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray, de
             restricted = basis.conj().T @ delta_matrix @ basis
             _, rot = np.linalg.eigh((restricted + restricted.conj().T) / 2)
             vectors[:, idx] = basis @ rot
+            residuals[idx] = np.linalg.norm(x @ vectors[:, idx] - vectors[:, idx] * values[idx], axis=0)
         start = stop
-    residuals = np.linalg.norm(x @ vectors - vectors * values, axis=0)
     return vectors, residuals
 
 
 def _relevant_eigenpairs(x, k: int, eigensource):
-    """Eigenpairs from ``eigensource``, the indices of the k most relevant
-    (``relevance_order``) and the eigenvalues skipped under the pseudo-inverse
-    threshold.  Raises when k is outside [1, pairs resolved], and when a used
-    pair's eigen-residual exceeds EIGEN_RESIDUAL_RTOL * ||X||_F, since its
-    probe would read a wrong slope."""
+    """Eigenpairs and their residuals from ``eigensource``, the indices of the
+    k most relevant (``relevance_order``) and the eigenvalues skipped under
+    the pseudo-inverse threshold.  Raises when k is outside [1, pairs
+    resolved], and when a used pair's eigen-residual exceeds
+    EIGEN_RESIDUAL_RTOL * ||X||_F, since its probe would read a wrong slope."""
     values, vectors, residuals = eigensource.resolve(x)
     if not 1 <= k <= len(values):
         raise ValueError(f"k = {k} outside [1, {len(values)}], the eigenpairs resolved")
@@ -210,7 +211,7 @@ def _relevant_eigenpairs(x, k: int, eigensource):
             f"eigensource residual {max(residuals[i] for i in bad):.3e} exceeds "
             f"{EIGEN_RESIDUAL_RTOL:.0e} * ||X||_F; increase Lanczos steps"
         )
-    return values, vectors, used, skipped
+    return values, vectors, residuals, used, skipped
 
 
 def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool):
@@ -222,12 +223,13 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool):
     the skipped ones and, per pair, (slopes, adapted residuals,
     sum_p deltaE_p / E_p summed in |E| order)."""
     x = require_hermitian(x)
-    values, vectors, used, skipped = _relevant_eigenpairs(x, k, eigensource)
+    values, vectors, resolved_residuals, used, skipped = _relevant_eigenpairs(x, k, eigensource)
     used_values = [float(values[i]) for i in used]
     probed = []
     for delta, enc in probes:
         norm = delta.spectral_norm()
-        adapted, residuals = adapt_degenerate_eigenvectors(x, values, vectors, delta.matrix, enc.L, norm)
+        adapted, residuals = adapt_degenerate_eigenvectors(x, values, vectors, resolved_residuals,
+                                                           delta.matrix, enc.L, norm)
         adapted = adapted[:, used]  # drops the full rotated basis before the circuits run
         slopes = eigenvalue_gradient_probes(x, adapted, delta, enc, symmetric=symmetric,
                                             identity_shift=0.0 if delta.kind == "outer" else norm).tolist()

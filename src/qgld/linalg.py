@@ -4,7 +4,7 @@ Everything here is plain numpy on dense arrays, except the LU oracles
 (``logdet_lu``, ``inverse``), which import scipy when first called, so
 ``import qgld`` does not load it.  Matrices are ``np.ndarray`` of complex
 dtype; "hermitian" always means hermitian within ``HERMITICITY_RTOL``
-relative to the largest entry.  All tolerances are keyword-overridable.
+relative to the largest entry.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ HERMITICITY_RTOL = 1e-12
 PIVOT_RTOL = 1e-13
 DEGENERACY_RTOL = 1e-8
 RANK_RTOL = 1e-10
+CENTRAL_DIFFERENCE_STEP = 1e-5
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -45,12 +46,12 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def require_hermitian(a, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     a = as_complex_matrix(a)
     scale = max(float(np.max(np.abs(a))), 1e-300)
-    if hermiticity_defect(a) > rtol * scale:
+    if hermiticity_defect(a) > HERMITICITY_RTOL * scale:
         raise NonHermitianInput(
-            f"hermiticity defect {hermiticity_defect(a):.3e} exceeds {rtol:.1e} * {scale:.3e}"
+            f"hermiticity defect {hermiticity_defect(a):.3e} exceeds {HERMITICITY_RTOL:.1e} * {scale:.3e}"
         )
     return a
 
@@ -67,13 +68,13 @@ class EigenDecomposition:
         return len(self.values)
 
 
-def eig_hermitian(a, rtol: float = HERMITICITY_RTOL) -> EigenDecomposition:
+def eig_hermitian(a) -> EigenDecomposition:
     """Full eigendecomposition of a hermitian matrix.
 
     Ordering is deterministic: eigenvalues ascending, and each eigenvector's
     first component of magnitude above 1e-8 is made real and positive.
     """
-    a = require_hermitian(a, rtol)
+    a = require_hermitian(a)
     values, vectors = np.linalg.eigh(a)
     vectors = _fix_phases(vectors)
     return EigenDecomposition(values=values, vectors=vectors)
@@ -100,14 +101,14 @@ def relevance_order(values) -> np.ndarray:
     return order[np.lexsort((values[order], cluster))]
 
 
-def unitary_phase_exp(a, t: float, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def unitary_phase_exp(a, t: float) -> np.ndarray:
     """exp(i*t*A) for hermitian A, through the eigendecomposition."""
-    dec = eig_hermitian(a, rtol)
+    dec = eig_hermitian(a)
     phases = np.exp(1j * t * dec.values)
     return (dec.vectors * phases) @ dec.vectors.conj().T
 
 
-def _lu_pivots(a: np.ndarray, pivot_rtol: float):
+def _lu_pivots(a: np.ndarray):
     import warnings
 
     import scipy.linalg
@@ -118,17 +119,17 @@ def _lu_pivots(a: np.ndarray, pivot_rtol: float):
         lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
     diag = np.diag(lu)
     scale = max(float(np.linalg.norm(a)), 1e-300)
-    if np.min(np.abs(diag)) <= pivot_rtol * scale:
+    if np.min(np.abs(diag)) <= PIVOT_RTOL * scale:
         raise SingularMatrix(
-            f"LU pivot {np.min(np.abs(diag)):.3e} below {pivot_rtol:.1e} * ||A||_F"
+            f"LU pivot {np.min(np.abs(diag)):.3e} below {PIVOT_RTOL:.1e} * ||A||_F"
         )
     return lu, piv, diag
 
 
-def logdet_lu(a, pivot_rtol: float = PIVOT_RTOL) -> complex:
+def logdet_lu(a) -> complex:
     """log det A by LU factorization, imaginary part on the principal branch (-pi, pi]."""
     a = as_complex_matrix(a)
-    lu, piv, diag = _lu_pivots(a, pivot_rtol)
+    lu, piv, diag = _lu_pivots(a)
     real = float(np.sum(np.log(np.abs(diag))))
     # row swaps contribute a sign: permutation parity from the pivot list
     swaps = int(np.sum(piv != np.arange(len(piv))))
@@ -139,24 +140,24 @@ def logdet_lu(a, pivot_rtol: float = PIVOT_RTOL) -> complex:
     return complex(real, phase)
 
 
-def inverse(a, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
+def inverse(a) -> np.ndarray:
     """A^-1 via LU with partial pivoting; raises SingularMatrix on pivot underflow."""
     import scipy.linalg
 
     a = as_complex_matrix(a)
-    lu, piv, _ = _lu_pivots(a, pivot_rtol)
+    lu, piv, _ = _lu_pivots(a)
     return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0], dtype=complex))
 
 
-def orthonormalize_svd(block, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+def orthonormalize_svd(block) -> np.ndarray:
     """Replace an N x b block by U V^dag from its SVD (orthonormal, same span)."""
     block = np.asarray(block, dtype=complex)
     if block.ndim == 1:
         block = block[:, None]
     u, s, vh = np.linalg.svd(block, full_matrices=False)
-    if s[-1] <= rank_rtol * s[0]:
+    if s[-1] <= RANK_RTOL * s[0]:
         raise RankDeficientBlock(
-            f"singular value ratio {s[-1] / s[0]:.3e} below {rank_rtol:.1e}"
+            f"singular value ratio {s[-1] / s[0]:.3e} below {RANK_RTOL:.1e}"
         )
     return u @ vh
 
@@ -170,48 +171,41 @@ def _eigenvalue_gap(values: np.ndarray, p: int) -> float:
     return min(gaps) if gaps else np.inf
 
 
-def hellmann_feynman_derivative(dec: EigenDecomposition, delta: np.ndarray, p: int, a_norm: float,
-                                gap_rtol: float = DEGENERACY_RTOL) -> float:
+def hellmann_feynman_derivative(dec: EigenDecomposition, delta: np.ndarray, p: int, a_norm: float) -> float:
     """<p|Delta|p>, the slope of the p-th eigenvalue of ``dec`` along the
     hermitian ``delta``, read from an existing eigendecomposition of A
     (``a_norm`` = ||A||_F).  Raises DegenerateEigenvalue when the eigenvalue's
-    gap is at most gap_rtol * ||A||_F."""
-    if _eigenvalue_gap(dec.values, p) <= gap_rtol * max(a_norm, 1e-300):
+    gap is at most DEGENERACY_RTOL * ||A||_F."""
+    if _eigenvalue_gap(dec.values, p) <= DEGENERACY_RTOL * max(a_norm, 1e-300):
         raise DegenerateEigenvalue(
-            f"gap at index {p} below {gap_rtol:.1e} * ||A||_F; "
+            f"gap at index {p} below {DEGENERACY_RTOL:.1e} * ||A||_F; "
             "use degenerate_directional_derivatives"
         )
     v = dec.vectors[:, p]
     return float(np.real(v.conj() @ delta @ v))
 
 
-def directional_eigen_derivative(
-    a,
-    delta,
-    p: int,
-    mode: str = "hellmann_feynman",
-    h: float = 1e-5,
-    gap_rtol: float = DEGENERACY_RTOL,
-) -> float:
+def directional_eigen_derivative(a, delta, p: int, mode: str = "hellmann_feynman") -> float:
     """d/ds of the p-th ascending eigenvalue of A + s*Delta at s = 0.
 
     ``hellmann_feynman`` evaluates <p|Delta|p> and requires the eigenvalue to
-    be nondegenerate; ``central_difference`` re-diagonalizes at +-h and is the
-    independent cross-check.  For degenerate eigenvalues see
-    :func:`degenerate_directional_derivatives`.
+    be nondegenerate; ``central_difference`` re-diagonalizes at +-h
+    (h = CENTRAL_DIFFERENCE_STEP) and is the independent cross-check.  For
+    degenerate eigenvalues see :func:`degenerate_directional_derivatives`.
     """
     a = require_hermitian(a)
     delta = require_hermitian(delta)
     if mode == "hellmann_feynman":
-        return hellmann_feynman_derivative(eig_hermitian(a), delta, p, float(np.linalg.norm(a)), gap_rtol)
+        return hellmann_feynman_derivative(eig_hermitian(a), delta, p, float(np.linalg.norm(a)))
     if mode == "central_difference":
+        h = CENTRAL_DIFFERENCE_STEP
         up = np.linalg.eigvalsh(a + h * delta)
         dn = np.linalg.eigvalsh(a - h * delta)
         return float((up[p] - dn[p]) / (2 * h))
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def degenerate_directional_derivatives(a, delta, p: int, gap_rtol: float = DEGENERACY_RTOL) -> np.ndarray:
+def degenerate_directional_derivatives(a, delta, p: int) -> np.ndarray:
     """Directional derivatives for a degenerate eigenvalue.
 
     Diagonalizes Delta restricted to the degenerate subspace containing index
@@ -222,7 +216,7 @@ def degenerate_directional_derivatives(a, delta, p: int, gap_rtol: float = DEGEN
     delta = require_hermitian(delta)
     dec = eig_hermitian(a)
     scale = max(float(np.linalg.norm(a)), 1e-300)
-    members = np.abs(dec.values - dec.values[p]) <= gap_rtol * scale
+    members = np.abs(dec.values - dec.values[p]) <= DEGENERACY_RTOL * scale
     basis = dec.vectors[:, members]
     restricted = basis.conj().T @ delta @ basis
     return np.linalg.eigvalsh((restricted + restricted.conj().T) / 2)

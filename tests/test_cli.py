@@ -6,8 +6,9 @@ import pytest
 import qgld.cli
 import qgld.expectation
 import qgld.linalg
+import qgld.qgpe
 from qgld import GradientEncoding, InverseExpectationRequest, qgld_expectation, qgld_expectation_sweep
-from qgld.cli import main, random_spd
+from qgld.cli import build_parser, main, random_spd
 from qgld.io import render_csv, save_matrix
 
 
@@ -42,6 +43,20 @@ class TestReproduceTable1:
             assert abs(float(row[-1]) - want) <= 1e-5
         assert rows[8][0] == "hadamard"
         assert abs(float(rows[8][-1]) - 0.70710691) <= 1e-6
+
+    def test_one_family_per_distinct_direction(self, capsys, monkeypatch):
+        # four sigma-x directions, each probing both eigenstates, and one Hadamard row
+        built = []
+        family = qgld.qgpe.evolution_family
+
+        def counting(*args):
+            built.append(1)
+            return family(*args)
+
+        monkeypatch.setattr(qgld.qgpe, "evolution_family", counting)
+        code, _, _ = run_cli(capsys, "reproduce-table1")
+        assert code == 0
+        assert len(built) == 5
 
 
 class TestGradient:
@@ -265,6 +280,54 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, *sweep)
         _, second, _ = run_cli(capsys, *sweep)
         assert first == second
+
+
+# the flags each subcommand's handler reads, besides --out
+READS = {
+    "gradient": {"--matrix", "--phi", "--delta", "--L", "--W", "--m", "--k"},
+    "reproduce-table1": set(),
+    "qgld": {"--matrix", "--phi", "--L", "--W", "--m", "--k", "--b", "--lanczos-steps", "--seed", "--shots",
+             "--mode", "--sweep-L"},
+    "lanczos": {"--matrix", "--b", "--k", "--seed", "--dump-blocks"},
+    "kernel-demo": {"--L", "--W", "--m", "--k", "--format"},
+}
+# every flag that all five subcommands used to accept, with a value each would take
+SHARED = {"--matrix": "sigma-z", "--phi": "uniform", "--L": "1e-3", "--W": "2", "--m": "2", "--k": "1",
+          "--b": "1", "--lanczos-steps": "1", "--seed": "3", "--shots": "8", "--format": "json"}
+
+
+class TestFlagLists:
+    def test_option_slots(self):
+        [sub] = [a for a in build_parser()._actions if a.dest == "command"]
+        slots = {name: sorted(s for a in p._actions if a.dest != "help" for s in a.option_strings)
+                 for name, p in sub.choices.items()}
+        assert slots == {name: sorted(flags | {"--out"}) for name, flags in READS.items()}
+        assert sum(map(len, slots.values())) == 34
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c in READS for f in SHARED if f not in READS[c]])
+    def test_unread_flag_exits_2(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, flag, SHARED[flag])
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    @pytest.mark.parametrize("mode", [(), ("--mode", "sigma")])
+    def test_shots_outside_sampled_exits_2(self, capsys, mode):
+        code, out, err = run_cli(capsys, "qgld", "--matrix", "random-spd:4:1", "--phi", "uniform",
+                                 *mode, "--shots", "8")
+        assert code == 2
+        assert out == ""
+        assert "--shots" in err
+
+    def test_lanczos_steps_needs_b(self, capsys):
+        argv = ("qgld", "--matrix", "random-spd:4:1", "--phi", "uniform", "--lanczos-steps", "2")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--lanczos-steps" in err
+        code, out, _ = run_cli(capsys, *argv, "--b", "2")
+        assert code == 0
+        assert json.loads(out)["total"] == pytest.approx(json.loads(out)["classical_reference"], abs=1e-4)
 
 
 class TestOutputFile:

@@ -7,6 +7,7 @@ import qgld.expectation
 import qgld.linalg
 from qgld import (
     DenseSource,
+    adapt_degenerate_eigenvectors,
     InverseExpectationRequest,
     GradientEncoding,
     NonFiniteInput,
@@ -402,3 +403,24 @@ class TestRequestValidation:
     def test_zero_phi_rejected(self, rng, pipeline):
         with pytest.raises(UnnormalizedPhi, match="phi"):
             self.PIPELINES[pipeline](random_spd_pow2(rng, 4), np.zeros(4))
+
+
+class TestAdaptDegenerateEigenvectors:
+    def test_recomputes_residuals_of_rotated_columns_only(self, rng):
+        # clusters {0, 1, 2} and {4, 5}; columns 3, 6 and 7 stay unrotated
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        x = (q * np.array([1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 4.0, 5.0])) @ q.conj().T
+        dec = eig_hermitian(x)
+        delta = random_hermitian(rng, 8)
+        passed = np.arange(1, 9) * 1e-3  # not residuals of any column, so a recompute shows
+        vectors, residuals = adapt_degenerate_eigenvectors(x, dec.values, dec.vectors, passed, delta,
+                                                           1e-6, 1.0)
+        unrotated, rotated = [3, 6, 7], [0, 1, 2, 4, 5]
+        np.testing.assert_array_equal(vectors[:, unrotated], dec.vectors[:, unrotated])
+        np.testing.assert_array_equal(residuals[unrotated], passed[unrotated])
+        direct = np.linalg.norm(x @ vectors - vectors * dec.values, axis=0)
+        eps_scale = 4 * np.finfo(float).eps * np.linalg.norm(x)
+        np.testing.assert_allclose(residuals[rotated], direct[rotated], rtol=0, atol=eps_scale)
+        for cluster in ([0, 1, 2], [4, 5]):
+            block = vectors[:, cluster].conj().T @ delta @ vectors[:, cluster]
+            np.testing.assert_allclose(block, np.diag(np.diag(block)), atol=1e-12)

@@ -2,6 +2,7 @@
 simulator, with independent classical oracles for every quantum readout."""
 
 from .errors import (
+    AliasedReadout,
     DegenerateEigenvalue,
     FamilySizeMismatch,
     FlatDistribution,
@@ -26,6 +27,7 @@ from .linalg import (
     eig_hermitian,
     inverse,
     logdet_lu,
+    low_rank_update_eigh,
     orthonormalize_svd,
     relevance_order,
     unitary_phase_exp,
@@ -49,6 +51,7 @@ from .qgpe import (
     PerturbationDirection,
     QgpeOutcome,
     build_delta,
+    eigenbasis_families,
     evolution_family,
     extract_gradient_m1,
     extract_gradient_peak,

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import io as qio
 from .errors import (
+    AliasedReadout,
     DegenerateEigenvalue,
     FlatDistribution,
     IllConditioned,
@@ -41,6 +42,7 @@ from .linalg import eig_hermitian, hellmann_feynman_derivative, relevance_order
 from .qgpe import GradientEncoding, PerturbationDirection, build_delta, qgpe_run_batch, require_weight_vector
 
 NUMERIC_ERRORS = (
+    AliasedReadout,
     SingularMatrix,
     NearZeroEigenvalue,
     DegenerateEigenvalue,
@@ -274,6 +276,9 @@ FLAGS = {
 }
 
 PER_EIGENVECTOR = ("--mode per-eigenvector", lambda args: args.mode == "per-eigenvector")
+# --sweep-L replaces --L row by row; the superposition modes run their fixed L and m
+ONE_L = ("--mode per-eigenvector and no --sweep-L",
+         lambda args: args.mode == "per-eigenvector" and args.sweep_L is None)
 
 # subcommand -> (handler, help, {flag the handler reads, besides --out: keywords
 # replacing those of FLAGS, and "when", the (condition, test) it is read under})
@@ -283,7 +288,8 @@ COMMANDS = {
         "--k": {"help": "pairs probed, most relevant first (0 = all)"}}),
     "reproduce-table1": (cmd_reproduce_table1, "single-qubit gradient benchmark table", {}),
     "qgld": (cmd_qgld, "inverse expectation value pipelines", {
-        "--matrix": {}, "--phi": {}, "--L": {}, "--W": {}, "--m": {}, "--mode": {},
+        "--matrix": {}, "--phi": {}, "--L": {"when": ONE_L}, "--W": {}, "--m": {"when": PER_EIGENVECTOR},
+        "--mode": {},
         "--k": {"help": "rank cutoff: the k most relevant eigenpairs (0 = all)", "when": PER_EIGENVECTOR},
         "--b": {"help": "Lanczos block size of the eigenpair source (0 = dense)", "when": PER_EIGENVECTOR},
         "--lanczos-steps": {"when": ("--b", lambda args: args.b != 0)},

@@ -57,6 +57,10 @@ class FlatDistribution(QgldError):
     """Readout distribution has no usable peak (aliasing or wrong scale)."""
 
 
+class AliasedReadout(QgldError):
+    """A gradient the probe may have to read lies beyond its window's readout range."""
+
+
 class NearZeroEigenvalue(QgldError):
     """All usable eigenvalues fell below the pseudo-inverse threshold."""
 

@@ -8,7 +8,9 @@ of them as the columns of one batched circuit per deviation window, or a
 single run on an equal superposition of eigenvectors with the perturbation
 rescaled by 1/E_p per eigenstate (superposition pipeline, whose controlled
 family is diagonal in the eigenbasis of X and built there), and cross-checks
-both against the direct classical evaluation.
+both against the direct classical evaluation.  With the dense eigenpair
+source, the per-eigenvector circuits of a low-rank direction also run in the
+eigenbasis of X, their families from the secular equation.
 
 Sign handling: the single-deviation-qubit readout yields |gradient| only, so
 probes that can go negative (general directions, such as single entries on
@@ -23,14 +25,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import statevector as sv
-from .errors import NearZeroEigenvalue
+from .errors import AliasedReadout, NearZeroEigenvalue
 from .linalg import as_complex_matrix, eig_hermitian, inverse, relevance_order, require_hermitian
 from .qgpe import (
     GradientEncoding,
     PerturbationDirection,
     build_delta,
+    eigenbasis_families,
+    evolution_family,
     probe_distributions,
-    qgpe_run_batch,
+    readout_gradients,
     require_weight_vector,
 )
 from .lanczos import run_rqbl
@@ -121,30 +125,53 @@ class InverseExpectationReport:
 # ---------------------------------------------------------------------------
 # probes
 
+def _windows(enc: GradientEncoding, symmetric: bool) -> list[GradientEncoding]:
+    """``enc``, and with ``symmetric`` the same encoding in the other window."""
+    if not symmetric:
+        return [enc]
+    return [enc, replace(enc, shift="centered" if enc.shift == "unshifted" else "unshifted")]
+
+
+def _require_readout_range(bound: float, encodings) -> None:
+    """Raise AliasedReadout, before any circuit runs, when ``bound`` on the
+    probed |slope| (||Delta||_2 + |c|) exceeds a window's readout range."""
+    for enc in encodings:
+        if bound > enc.readout_range():
+            scale = enc.readout_range() / enc.W
+            raise AliasedReadout(
+                f"slopes up to ||Delta||_2 + |c| = {bound:.4g} exceed the {enc.shift} window's readout "
+                f"range {enc.readout_range():.4g} at W = {enc.W:g}, m = {enc.m}; use W >= {bound / scale:.4g}"
+            )
+
+
+def _read_slopes(families, columns: np.ndarray, encodings, identity_shift: float) -> np.ndarray:
+    """Slopes of the prepared ``columns``, one probe circuit per column and
+    window, read back conditioned on the prepared column, averaged over the
+    windows, minus the identity shift."""
+    grads = [readout_gradients(probe_distributions(family, columns, enc.m, project_back=True), enc)
+             for family, enc in zip(families, encodings)]
+    return np.mean(grads, axis=0) - identity_shift
+
+
 def eigenvalue_gradient_probes(x, vectors, delta: PerturbationDirection, enc: GradientEncoding,
                                identity_shift: float = 0.0, symmetric: bool = False) -> np.ndarray:
     """Probed directional eigenvalue derivatives, one per eigenvector column
-    of ``vectors`` (N, B), from one batched circuit per deviation window.
+    of ``vectors`` (N, B), from one batched circuit per deviation window over
+    the dense family exp(i t (X + s Delta)).
 
     Runs the circuits with the deviation register conditioned back on the
     prepared eigenvectors.  ``identity_shift`` c probes Delta + c*I and
     subtracts c, recovering the sign of slopes in [-c, c].  ``symmetric``
     averages the unshifted and centered deviation windows, which cancels the
-    O(L) curvature term of the one-sided probe.
+    O(L) curvature term of the one-sided probe.  Raises AliasedReadout when
+    ||Delta||_2 + |c| exceeds a window's readout range.
     """
+    encodings = _windows(enc, symmetric)
+    _require_readout_range(delta.spectral_norm() + abs(identity_shift), encodings)
     if identity_shift:
-        mat = delta.matrix + identity_shift * np.eye(delta.dim)
-        delta = PerturbationDirection(kind="custom", matrix=mat)
-    encodings = [enc]
-    if symmetric:
-        other = "centered" if enc.shift == "unshifted" else "unshifted"
-        encodings.append(replace(enc, shift=other))
-    grads = []
-    for enc_w in encodings:
-        outcomes = qgpe_run_batch(x, vectors, delta, enc_w, project_back=True)
-        grads.append([o.peak_gradient if o.amplitude_gradient is None else o.amplitude_gradient
-                      for o in outcomes])
-    return np.mean(grads, axis=0) - identity_shift
+        delta = PerturbationDirection(kind="custom", matrix=delta.matrix + identity_shift * np.eye(delta.dim))
+    families = [evolution_family(x, delta, enc_w) for enc_w in encodings]
+    return _read_slopes(families, np.asarray(vectors, dtype=complex), encodings, identity_shift)
 
 
 def eigenvalue_gradient_probe(x, p_vec, delta: PerturbationDirection, enc: GradientEncoding,
@@ -219,24 +246,60 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool):
     resolves its k most relevant eigenpairs once, then per (direction,
     encoding) pair of ``probes`` adapts degenerate clusters and probes the
     used pairs, unshifted for outer(phi) (slopes |<p|phi>|^2 >= 0) and shifted
-    by ||Delta||_2 otherwise.  Returns the used eigenvalues (|E| descending),
-    the skipped ones and, per pair, (slopes, adapted residuals,
-    sum_p deltaE_p / E_p summed in |E| order)."""
+    by ||Delta||_2 otherwise.  Every readout range is checked before any
+    circuit runs.  Returns the used eigenvalues (|E| descending), the skipped
+    ones and, per pair, (slopes, adapted residuals, sum_p deltaE_p / E_p
+    summed in |E| order).
+
+    With a DenseSource, a direction that carries factors is probed in the
+    eigenbasis V of the resolve: each used eigenvector is a unit column, and
+    the families are :func:`eigenbasis_families` of Lambda = diag(values)
+    and the couplings V^dag F, built for all such probes in one batch per
+    signs pattern.  Inside an adapted cluster V^dag X V is replaced by
+    diag(values); the dropped part is at most the cluster's width, below
+    the adaptation tolerance.  Full-rank directions, and Ritz pairs of an
+    RqblSource (no full eigenbasis), run the dense family on the adapted
+    vectors.
+    """
     x = require_hermitian(x)
     values, vectors, resolved_residuals, used, skipped = _relevant_eigenpairs(x, k, eigensource)
     used_values = [float(values[i]) for i in used]
-    probed = []
-    for delta, enc in probes:
+    # one pass checks, adapts and keeps what the circuits need; they all run after it
+    plans, dense, residuals = [], [], []  # per probe: (windows, shift), dense-family job or None
+    in_eigenbasis = {}  # signs -> [(probe index, coupling V^dag F)]
+    for j, (delta, enc) in enumerate(probes):
         norm = delta.spectral_norm()
-        adapted, residuals = adapt_degenerate_eigenvectors(x, values, vectors, resolved_residuals,
-                                                           delta.matrix, enc.L, norm)
-        adapted = adapted[:, used]  # drops the full rotated basis before the circuits run
-        slopes = eigenvalue_gradient_probes(x, adapted, delta, enc, symmetric=symmetric,
-                                            identity_shift=0.0 if delta.kind == "outer" else norm).tolist()
+        shift = 0.0 if delta.kind == "outer" else norm
+        encodings = _windows(enc, symmetric)
+        _require_readout_range(norm + shift, encodings)
+        plans.append((encodings, shift))
+        adapted, adapted_residuals = adapt_degenerate_eigenvectors(x, values, vectors, resolved_residuals,
+                                                                   delta.matrix, enc.L, norm)
+        residuals.append([float(adapted_residuals[i]) for i in used])
+        if delta.factors is not None and isinstance(eigensource, DenseSource):
+            in_eigenbasis.setdefault(delta.signs, []).append((j, (delta.factors.conj().T @ adapted).conj().T))
+            dense.append(None)
+        else:
+            dense.append((adapted[:, used], delta))
+        del adapted  # only the used columns or the couplings outlive the pass
+
+    slopes = [None if job is None else
+              eigenvalue_gradient_probes(x, *job, encodings[0], identity_shift=shift, symmetric=symmetric)
+              for job, (encodings, shift) in zip(dense, plans)]
+    columns = np.eye(len(values), dtype=complex)[:, used]
+    for signs, couplings in in_eigenbasis.items():
+        families = eigenbasis_families(values, signs, [(coupling, enc_w, plans[j][1])
+                                                       for j, coupling in couplings for enc_w in plans[j][0]])
+        for j, _ in couplings:
+            encodings, shift = plans[j]
+            slopes[j] = _read_slopes([next(families) for _ in encodings], columns, encodings, shift)
+
+    probed = []
+    for slope, residual in zip(slopes, residuals):
         total = 0.0
-        for value, slope in zip(used_values, slopes):
-            total += slope / value
-        probed.append((slopes, [float(residuals[i]) for i in used], total))
+        for value, s in zip(used_values, slope.tolist()):
+            total += s / value
+        probed.append((slope.tolist(), residual, total))
     return used_values, skipped, probed
 
 
@@ -283,11 +346,21 @@ def logdet_directional_derivatives(x, deltas, k: int, enc: GradientEncoding = Gr
                                    eigensource: DenseSource | RqblSource = DenseSource(),
                                    symmetric: bool = False) -> list[float]:
     """Directional derivatives d/ds log det(X + s*Delta) at s = 0 along each
-    hermitian matrix of the iterable ``deltas``, taken one at a time, read as
-    sum_p deltaE_p / E_p over the k most relevant eigenpairs of one
-    eigendecomposition.  At k = N and L -> 0 each converges to tr(X^-1 Delta)."""
+    direction of the iterable ``deltas`` (hermitian matrices, or
+    PerturbationDirections, whose factors let a dense resolve probe them in
+    the eigenbasis), taken one at a time, read as sum_p deltaE_p / E_p over
+    the k most relevant eigenpairs of one eigendecomposition.  At k = N and
+    L -> 0 each converges to tr(X^-1 Delta)."""
     n = as_complex_matrix(x).shape[0]
-    probes = ((build_delta("custom", n, matrix=delta), enc) for delta in deltas)
+
+    def direction(delta):
+        if not isinstance(delta, PerturbationDirection):
+            return build_delta("custom", n, matrix=delta)
+        if delta.dim != n:
+            raise ValueError(f"direction has dimension {delta.dim}, expected {n}")
+        return delta
+
+    probes = ((direction(delta), enc) for delta in deltas)
     return [total for _, _, total in _probe_relevant_eigenpairs(x, probes, k, eigensource, symmetric)[2]]
 
 

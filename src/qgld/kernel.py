@@ -5,7 +5,9 @@ are recovered entry by entry from log-determinant directional derivatives:
 because K and f are real, alpha_i = ||f|| * e_i^T (K + lambda*I)^-1 f_hat is
 ||f|| times the derivative of log det(K + lambda*I) along the signed
 direction (e_i f_hat^T + f_hat e_i^T)/2, one probe set per weight, all n
-directions read from one eigendecomposition of K + lambda*I.
+directions read from one eigendecomposition of K + lambda*I.  Each direction
+is passed in its rank-two factored form, so its probes run in the
+eigenbasis of K + lambda*I.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 from .errors import IllConditioned, NonFiniteInput
 from .expectation import logdet_directional_derivatives
 from .linalg import inverse
-from .qgpe import GradientEncoding
+from .qgpe import GradientEncoding, PerturbationDirection
 
 CONDITION_LIMIT = 1e12
 
@@ -68,7 +70,9 @@ def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "class
         alpha = np.zeros(n)
         if f_norm > 0.0:  # zero targets give alpha = 0; f_hat would be 0/0
             f_hat = targets / f_norm
-            directions = ((np.outer(e, f_hat) + np.outer(f_hat, e)) / 2 for e in np.eye(n))
+            # (e_i f^T + f e_i^T)/2 = a a^T - b b^T with a, b = (e_i +- f)/2
+            directions = (PerturbationDirection.from_factors(np.stack([e + f_hat, e - f_hat], axis=1) / 2,
+                                                             (1.0, -1.0)) for e in np.eye(n))
             alpha = f_norm * np.array(logdet_directional_derivatives(system, directions, k, enc, symmetric=True))
     else:
         raise ValueError(f"unknown solver {solver!r}")

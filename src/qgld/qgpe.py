@@ -12,10 +12,15 @@ for m = 1 the gradient magnitude is 2*arccos(sqrt(p0))*W, and for m >= 2 the
 inverse QFT peaks at bin j = M*grad/(2*pi*W).  The paper's main-text
 convention, with 2*pi inside the exponent, t = 2*pi*M/(W'*L), is this one at
 W = W'/(2*pi): the time step, the bin decode and the m = 1 decode all agree.
+
+:func:`eigenbasis_families` builds the same family in the eigenbasis of X,
+each member right-multiplied by the common exp(-i t Lambda), for directions
+that carry low-rank factors; :func:`evolution_family` builds it densely.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,10 +32,11 @@ from .errors import (
     ProbabilityOutOfRange,
     UnnormalizedPhi,
 )
-from .linalg import require_hermitian, unitary_phase_exp
+from .linalg import low_rank_update_eigh, require_hermitian, unitary_phase_exp
 
 DELTA_KINDS = ("element", "all_ones", "outer", "custom")
 SHIFTS = ("unshifted", "centered")
+EIGENBASIS_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -38,12 +44,27 @@ class PerturbationDirection:
     """Hermitian direction Delta selecting which entries of X are differentiated.
 
     ``exact_norm`` is ||Delta||_2 where the construction fixes it (see
-    :func:`build_delta`); without it :meth:`spectral_norm` takes the SVD.
+    :func:`build_delta`); without it :meth:`spectral_norm` takes the SVD, once.
+    Low-rank directions also carry ``factors`` F (N, r) and ``signs`` (r,) of
+    +-1 with Delta = F diag(signs) F^dag; full-rank ``custom`` ones carry None.
     """
 
     kind: str
     matrix: np.ndarray = field(repr=False)
     exact_norm: float | None = None
+    factors: np.ndarray | None = field(default=None, repr=False)
+    signs: tuple | None = None
+
+    @classmethod
+    def from_factors(cls, factors, signs) -> "PerturbationDirection":
+        """The ``custom`` direction F diag(signs) F^dag, with ||Delta||_2 read
+        from the r x r matrix diag(signs) F^dag F, which has its nonzero
+        eigenvalues."""
+        factors = np.asarray(factors, dtype=complex)
+        signs = tuple(float(v) for v in signs)
+        mat = (factors * signs) @ factors.conj().T
+        norm = float(np.max(np.abs(np.linalg.eigvals(np.array(signs)[:, None] * (factors.conj().T @ factors)))))
+        return cls(kind="custom", matrix=(mat + mat.conj().T) / 2, exact_norm=norm, factors=factors, signs=signs)
 
     @property
     def dim(self) -> int:
@@ -53,6 +74,10 @@ class PerturbationDirection:
         """||Delta||_2, the largest singular value."""
         if self.exact_norm is not None:
             return self.exact_norm
+        return self._svd_norm
+
+    @cached_property
+    def _svd_norm(self) -> float:
         return float(np.linalg.norm(self.matrix, ord=2))
 
 
@@ -65,11 +90,12 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
     outer     -- conj(phi_i) * phi_j from a normalized weight vector phi
     custom    -- any hermitian matrix
 
-    ``element`` (eigenvalues +-1, or a single 1) and ``outer`` (rank one,
-    eigenvalue ||phi||^2) carry their spectral norm; the others leave it to
-    the SVD.
+    All but ``custom`` carry their spectral norm (``element``: eigenvalues
+    +-1, or a single 1; ``all_ones``: N; ``outer``: ||phi||^2) and their
+    factors: e_i for a diagonal element, (e_i +- e_j)/sqrt(2) with signs +-1
+    otherwise, the all-ones vector, and phi.
     """
-    norm = None
+    signs = (1.0,)
     if kind == "element":
         if i is None or j is None:
             raise ValueError("element direction needs indices i and j")
@@ -79,8 +105,16 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
         mat[i, j] = 1.0
         mat[j, i] = 1.0
         norm = 1.0
+        factors = np.zeros((n, 1 if i == j else 2), dtype=complex)
+        if i == j:
+            factors[i, 0] = 1.0
+        else:
+            factors[[i, j, i, j], [0, 0, 1, 1]] = np.array([1.0, 1.0, 1.0, -1.0]) / np.sqrt(2.0)
+            signs = (1.0, -1.0)
     elif kind == "all_ones":
         mat = np.ones((n, n), dtype=complex)
+        norm = float(n)
+        factors = np.ones((n, 1), dtype=complex)
     elif kind == "outer":
         if phi is None:
             raise ValueError("outer direction needs the weight vector phi")
@@ -89,15 +123,18 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
             raise UnnormalizedPhi(f"phi norm {np.linalg.norm(phi):.12f} != 1")
         mat = np.outer(phi, phi.conj())
         norm = float(np.vdot(phi, phi).real)
+        factors = phi[:, None]
     elif kind == "custom":
         if matrix is None:
             raise ValueError("custom direction needs a matrix")
         mat = require_hermitian(matrix)
         if mat.shape != (n, n):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({n}, {n})")
+        norm, factors, signs = None, None, None
     else:
         raise ValueError(f"unknown direction kind {kind!r}; choose from {DELTA_KINDS}")
-    return PerturbationDirection(kind=kind, matrix=(mat + mat.conj().T) / 2, exact_norm=norm)
+    return PerturbationDirection(kind=kind, matrix=(mat + mat.conj().T) / 2, exact_norm=norm,
+                                 factors=factors, signs=signs)
 
 
 def require_weight_vector(phi, n: int) -> np.ndarray:
@@ -149,6 +186,11 @@ class GradientEncoding:
     def time_step(self) -> float:
         return self.deviation_dim / (self.W * self.L)
 
+    def readout_range(self) -> float:
+        """Largest |gradient| the window reads without aliasing: pi*W at m = 1
+        or in the centered window, 2*pi*W in the unshifted window at m >= 2."""
+        return (2.0 if self.m >= 2 and self.shift == "unshifted" else 1.0) * np.pi * self.W
+
     def bin_to_gradient(self, j: int) -> float:
         """Map an inverse-QFT bin index to a gradient value."""
         m_dim = self.deviation_dim
@@ -169,6 +211,62 @@ def evolution_family(x, delta: PerturbationDirection, enc: GradientEncoding) -> 
         raise ValueError(f"direction shape {delta.matrix.shape} != matrix shape {x.shape}")
     t = enc.time_step()
     return sv.ControlledFamily(unitary_phase_exp(x + s * delta.matrix, t) for s in enc.offsets())
+
+
+def eigenbasis_families(values, signs, probes):
+    """Controlled families in the eigenbasis of X = V diag(values) V^dag, one
+    per (coupling C, encoding, identity shift c) of ``probes``, where C =
+    V^dag F for a direction Delta = F diag(signs) F^dag; yielded in order.
+
+    Member eps is exp(i t (Lambda + s (C diag(signs) C^dag + c I))) exp(-i t
+    Lambda).  The right factor is the same for every member, so it changes
+    no conditional readout, and it makes the s = 0 member the identity.  The
+    other members come from :func:`low_rank_update_eigh`, batched over
+    consecutive probes up to EIGENBASIS_BATCH entries of N x N work arrays.
+    Its eigenvalues are held against the unperturbed ones, so each phase
+    t (lambda_k + s c - Lambda_b) keeps relative precision instead of losing
+    t * eps * ||X||.
+    """
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    jobs = [[(eps, s) for eps, s in enumerate(enc.offsets()) if s] for _, enc, _ in probes]
+    start = 0
+    while start < len(probes):
+        stop, size = start + 1, len(jobs[start])
+        while stop < len(probes) and (size + len(jobs[stop])) * n * n <= EIGENBASIS_BATCH:
+            size += len(jobs[stop])
+            stop += 1
+        batch = [(j, eps, s) for j in range(start, stop) for eps, s in jobs[j]]
+        members = _solved_members(values, signs, probes, batch)
+        for j in range(start, stop):
+            # popped, so a yielded family holds the only copy of its members
+            solved = members.pop(j, {})
+            yield sv.ControlledFamily(solved.pop(eps) if eps in solved else np.eye(n, dtype=complex)
+                                      for eps in range(probes[j][1].deviation_dim))
+        start = stop
+
+
+def _solved_members(values, signs, probes, batch) -> dict:
+    """{probe: {eps: member}} for the (probe, eps, s != 0) of ``batch``, from
+    one low-rank update solve."""
+    members: dict = {}
+    if not batch:
+        return members
+    vectors, anchor, offset = low_rank_update_eigh(
+        values, np.stack([probes[j][0] for j, _, _ in batch]), signs, [s for _, _, s in batch])
+    for (j, eps, s), q, a, o in zip(batch, vectors, anchor, offset):
+        _, enc, shift = probes[j]
+        angle = values[a][:, None] - values  # lambda_k - Lambda_b, held as (pole, offset)
+        angle += (o + s * shift)[:, None]
+        angle *= enc.time_step()
+        # phases * q^dag, built as conj(exp(-i angle) * q^T) with no second N x N temporary
+        phases = np.empty(angle.shape, dtype=complex)
+        np.cos(angle, out=phases.real)
+        np.sin(angle, out=phases.imag)
+        np.negative(phases.imag, out=phases.imag)
+        phases *= q.T
+        members.setdefault(j, {})[eps] = q @ np.conjugate(phases, out=phases)
+    return members
 
 
 @dataclass(frozen=True)
@@ -207,6 +305,15 @@ def extract_gradient_peak(distribution: np.ndarray, enc: GradientEncoding) -> fl
         )
     j = int(np.argmax(distribution))
     return enc.bin_to_gradient(j)
+
+
+def readout_gradients(distributions: np.ndarray, enc: GradientEncoding) -> np.ndarray:
+    """Gradient of each column of (M, B) deviation distributions: the m = 1
+    amplitude readout, with :func:`extract_gradient_m1`'s range and
+    arccos/arcsin checks, or the peak bin at m >= 2."""
+    if enc.m == 1:
+        return np.array([extract_gradient_m1(float(p0), float(p1), enc.W) for p0, p1 in distributions.T])
+    return np.array([enc.bin_to_gradient(int(j)) for j in np.argmax(distributions, axis=0)])
 
 
 def probe_distributions(family, columns: np.ndarray, m: int, project_back: bool = False,
@@ -270,22 +377,17 @@ def qgpe_run_batch(x, columns: np.ndarray, delta: PerturbationDirection, enc: Gr
     rayleigh = np.einsum("sb,sb->b", columns.conj(), work)
     eigenresiduals = np.linalg.norm(work - rayleigh * columns, axis=0)
 
-    outcomes = []
-    for b, peak_index in enumerate(np.argmax(distributions, axis=0)):
-        distribution = distributions[:, b]
-        amplitude_gradient = None
-        if enc.m == 1:
-            amplitude_gradient = extract_gradient_m1(
-                float(distribution[0]), float(distribution[1]), enc.W
-            )
-        outcomes.append(QgpeOutcome(
-            distribution=distribution,
+    amplitudes = readout_gradients(distributions, enc).tolist() if enc.m == 1 else [None] * columns.shape[1]
+    return [
+        QgpeOutcome(
+            distribution=distributions[:, b],
             peak_index=int(peak_index),
             peak_gradient=enc.bin_to_gradient(int(peak_index)),
-            amplitude_gradient=amplitude_gradient,
+            amplitude_gradient=amplitudes[b],
             eigenresidual=float(eigenresiduals[b]),
-        ))
-    return outcomes
+        )
+        for b, peak_index in enumerate(np.argmax(distributions, axis=0))
+    ]
 
 
 def qgpe_run(x, p_state: np.ndarray, delta: PerturbationDirection, enc: GradientEncoding,

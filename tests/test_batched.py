@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgld.expectation
 import qgld.qgpe
 import qgld.statevector as sv
 from qgld import (
@@ -110,27 +111,31 @@ class TestBatchedAgainstSingleCircuit:
 
 
 class TestValidateOnce:
+    # a dense per-eigenvector call builds its families in the eigenbasis: per
+    # window the identity s = 0 member and one secular member, each checked once
     @pytest.mark.parametrize("symmetric,members", [(False, 2), (True, 4)])
     def test_unitarity_checked_once_per_member(self, rng, monkeypatch, symmetric, members):
-        checks, built = [], []
-        real_defect, real_family = sv.unitarity_defect, qgld.qgpe.evolution_family
+        checks, built, dense = [], [], []
+        real_defect, real_families = sv.unitarity_defect, qgld.expectation.eigenbasis_families
 
         def counting_defect(u):
             checks.append(1)
             return real_defect(u)
 
-        def counting_family(*args):
-            family = real_family(*args)
-            built.append(len(family))
-            return family
+        def counting_families(*args):
+            families = list(real_families(*args))
+            built.extend(len(family) for family in families)
+            return iter(families)
 
         monkeypatch.setattr(sv, "unitarity_defect", counting_defect)
-        monkeypatch.setattr(qgld.qgpe, "evolution_family", counting_family)
+        monkeypatch.setattr(qgld.expectation, "eigenbasis_families", counting_families)
+        monkeypatch.setattr(qgld.expectation, "evolution_family", lambda *args: dense.append(1))
         x = random_hermitian(rng, 16)
         request = InverseExpectationRequest(x=x, phi=random_state(rng, 16), k=16)
         qgld_expectation(request, symmetric=symmetric)
         assert sum(built) == members
         assert len(checks) == members
+        assert dense == []
 
     def test_non_unitary_member_rejected_at_build(self):
         with pytest.raises(NonUnitaryMember):

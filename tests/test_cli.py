@@ -191,14 +191,35 @@ class TestQgldCommand:
         assert qgld_expectation_sweep(request, l_values, with_classical_reference=True) == single
 
     @pytest.mark.parametrize("mode", ["sigma", "sampled"])
+    # --L and --m were echoed into the JSON while L = 1e-6, m = 1 ran
     @pytest.mark.parametrize("flag, value", [("--k", "99"), ("--b", "4"), ("--lanczos-steps", "3"),
-                                             ("--sweep-L", "1e-4")])
+                                             ("--sweep-L", "1e-4"), ("--L", "1e-3"), ("--m", "3")])
     def test_superposition_modes_reject_per_eigenvector_flags(self, capsys, mode, flag, value):
         code, out, err = run_cli(capsys, "qgld", "--matrix", "random-spd:4:1", "--phi", "uniform",
                                  "--mode", mode, flag, value)
         assert code == 2
         assert out == ""
         assert flag in err
+
+    # --L 0.5 failed on a value no row uses; --L 1e-3 was dropped silently
+    @pytest.mark.parametrize("l_value", ["0.5", "1e-3"])
+    def test_sweep_rejects_l(self, capsys, l_value):
+        code, out, err = run_cli(capsys, "qgld", "--matrix", "random-spd:4:1", "--phi", "uniform",
+                                 "--L", l_value, "--sweep-L", "1e-4")
+        assert code == 2
+        assert out == ""
+        assert "--L applies only" in err
+
+    # both exited 0 with wrong numbers: abs_error 2.86, and 0.335 against 0.925
+    @pytest.mark.parametrize("argv", [
+        ("gradient", "--matrix", "sigma-z", "--delta", "all-ones", "--W", "0.1"),
+        ("qgld", "--matrix", "random-spd:4:1", "--phi", "uniform", "--W", "0.05"),
+    ])
+    def test_aliased_readout_exits_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "readout range" in err
 
     def test_singular_matrix_exit_code(self, capsys, tmp_path):
         path = tmp_path / "singular.json"

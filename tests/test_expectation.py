@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import qgld.expectation
 import qgld.linalg
 from qgld import (
+    AliasedReadout,
     DenseSource,
     adapt_degenerate_eigenvectors,
     InverseExpectationRequest,
@@ -17,6 +18,7 @@ from qgld import (
     build_delta,
     classical_reference_expectation,
     eig_hermitian,
+    eigenvalue_gradient_probes,
     equal_superposition,
     logdet_directional_derivative,
     logdet_directional_derivatives,
@@ -60,8 +62,10 @@ class TestLogdetGradientEntry:
         for n, symmetric in ((2, False), (4, True), (8, False)):
             x = random_hermitian(rng, n, indefinite=True)
             for i, j in ((0, 0), (0, n - 1), (n - 1, 1)):
-                direction = np.zeros((n, n))
-                direction[i, j] = direction[j, i] = 1.0
+                direction = build_delta("element", n, i=i, j=j)
+                want = np.zeros((n, n))
+                want[i, j] = want[j, i] = 1.0
+                np.testing.assert_array_equal(direction.matrix, want)
                 assert logdet_gradient_entry(x, i, j, k=n, symmetric=symmetric) == \
                     logdet_directional_derivative(x, direction, n, symmetric=symmetric)
 
@@ -103,6 +107,8 @@ class TestLogdetDirectionalDerivative:
                 gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 deltas.append(gauss + gauss.conj().T)
             deltas.append(np.outer(np.eye(n)[0], np.ones(n)) + np.outer(np.ones(n), np.eye(n)[0]))
+            # unit spectral norm keeps every shifted slope inside the W = 1 readout range
+            deltas = [d / np.linalg.norm(d, ord=2) for d in deltas]
             batch = logdet_directional_derivatives(x, iter(deltas), n, symmetric=symmetric)
             assert batch == [logdet_directional_derivative(x, d, n, symmetric=symmetric) for d in deltas]
 
@@ -116,7 +122,7 @@ class TestLogdetDirectionalDerivative:
 
         monkeypatch.setattr(DenseSource, "resolve", counting)
         x = random_hermitian(rng, 4, indefinite=True)
-        logdet_directional_derivatives(x, [np.eye(4), x, np.ones((4, 4))], 4)
+        logdet_directional_derivatives(x, [np.eye(4), x, np.ones((4, 4)) / 4], 4)
         assert len(calls) == 1
 
 
@@ -357,6 +363,81 @@ def test_one_eigendecomposition_per_superposition_call(rng, monkeypatch, pipelin
     monkeypatch.setattr(qgld.expectation, "eig_hermitian", counting)
     pipeline(random_spd_pow2(rng, 4), random_state(rng, 4))
     assert len(counted) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: qgld_expectation(InverseExpectationRequest(x=x, phi=np.ones(4) / 2, k=4), symmetric=True),
+    lambda x: logdet_gradient_entry(x, 0, 3, k=4),
+], ids=["qgld_expectation", "logdet_gradient_entry"])
+def test_one_eigendecomposition_per_dense_per_eigenvector_call(rng, monkeypatch, call):
+    # the resolve only: the s = 0 members are the identity and the others come
+    # from the secular equation (1 + 2 family members at the parent)
+    counted = []
+    eig = qgld.linalg.eig_hermitian
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(qgld.linalg, "eig_hermitian", counting)
+    monkeypatch.setattr(qgld.expectation, "eig_hermitian", counting)
+    call(random_spd_pow2(rng, 4))
+    assert len(counted) == 1
+
+
+def test_clustered_spectrum_keeps_relative_precision():
+    # half the spectrum in a 1e-9-wide cluster at 1e-3: the dense members'
+    # phase floor t * eps * ||X|| made this raise ProbabilityOutOfRange at
+    # every L below
+    n = 256
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    values = np.concatenate([1e-3 + rng.uniform(0.0, 1e-9, n // 2), rng.uniform(0.5, 2.0, n // 2)])
+    x = (q * values) @ q.conj().T
+    x = (x + x.conj().T) / 2
+    phi = random_state(rng, n)
+    want = float(np.real(phi.conj() @ np.linalg.solve(x, phi)))
+    for l_value in (1e-6, 1e-7, 1e-8):
+        request = InverseExpectationRequest(x=x, phi=phi, k=n, enc=GradientEncoding(L=l_value))
+        assert abs(qgld_expectation(request).total / want - 1.0) <= 1e-6
+
+
+class TestReadoutRange:
+    @pytest.fixture
+    def no_circuit(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a circuit ran")
+
+        monkeypatch.setattr(qgld.expectation, "probe_distributions", fail)
+
+    @pytest.mark.parametrize("m, shift, symmetric, w_limit", [
+        (1, "unshifted", False, 1.0),
+        (1, "centered", False, 1.0),
+        (2, "centered", False, 1.0),
+        (2, "unshifted", False, 2.0),
+        (2, "unshifted", True, 1.0),  # the centered window of the pair
+    ])
+    def test_bound_beyond_range_raises_before_any_circuit(self, no_circuit, m, shift, symmetric, w_limit):
+        # sigma-z, all-ones, shift c = ||Delta||_2 = 2: slopes up to 4, read up to w_limit * pi * W
+        w = 4.0 / (w_limit * np.pi) * 0.99
+        enc = GradientEncoding(W=w, m=m, shift=shift)
+        with pytest.raises(AliasedReadout, match="readout range"):
+            eigenvalue_gradient_probes(SIGMA_Z, np.eye(2), build_delta("all_ones", 2), enc,
+                                       identity_shift=2.0, symmetric=symmetric)
+
+    @pytest.mark.parametrize("m, shift, w_limit", [(1, "unshifted", 1.0), (2, "unshifted", 2.0)])
+    def test_bound_inside_range_reads(self, m, shift, w_limit):
+        enc = GradientEncoding(W=4.0 / (w_limit * np.pi) * 1.01, m=m, shift=shift)
+        got = eigenvalue_gradient_probes(SIGMA_Z, np.eye(2), build_delta("all_ones", 2), enc, identity_shift=2.0)
+        # m = 1 reads the slope <p|J|p> = 1; m = 2 to within half a bin, pi W / M
+        np.testing.assert_allclose(got, [1.0, 1.0], atol=1e-4 if m == 1 else np.pi * enc.W / 4)
+
+    def test_pipeline_checks_before_any_circuit(self, no_circuit):
+        # random-spd:4:1 with uniform phi read 0.335 against 0.925 at W = 0.05
+        request = InverseExpectationRequest(x=random_spd(4, 1), phi=np.ones(4) / 2, k=4,
+                                            enc=GradientEncoding(W=0.05))
+        with pytest.raises(AliasedReadout, match="W >= 0.3183"):
+            qgld_expectation(request)
 
 
 class TestEqualSuperposition:

@@ -6,6 +6,7 @@ from qgld import (
     DenseSource,
     IllConditioned,
     NonFiniteInput,
+    PerturbationDirection,
     gaussian_kernel_matrix,
     kernel_fit,
     kernel_predict,
@@ -108,17 +109,25 @@ class TestProbeSolver:
         assert np.max(np.abs(pred_probe - pred_classical)) <= 1e-3
 
     def test_one_probe_set_per_alpha(self, monkeypatch):
-        calls = []
-        probes = qgld.expectation.eigenvalue_gradient_probes
+        circuits, batches = [], []
+        distributions, families = qgld.expectation.probe_distributions, qgld.expectation.eigenbasis_families
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return probes(*args, **kwargs)
+        def counting_circuit(*args, **kwargs):
+            circuits.append(1)
+            return distributions(*args, **kwargs)
 
-        monkeypatch.setattr(qgld.expectation, "eigenvalue_gradient_probes", counting)
+        def counting_families(values, signs, probes):
+            batches.append(len(probes))
+            return families(values, signs, probes)
+
+        monkeypatch.setattr(qgld.expectation, "probe_distributions", counting_circuit)
+        monkeypatch.setattr(qgld.expectation, "eigenbasis_families", counting_families)
         points, targets = sin_training_set()
         kernel_fit(points, targets, sigma=1.0, ridge=1e-6, solver="qgld")
-        assert len(calls) == len(points)
+        # one batched circuit per deviation window (the fit is symmetric) per
+        # weight; every weight's families come from one batch
+        assert len(circuits) == 2 * len(points)
+        assert batches == [2 * len(points)]
 
     def test_one_resolve_per_fit(self, monkeypatch):
         calls = []
@@ -141,7 +150,10 @@ class TestProbeSolver:
         f_norm = float(np.linalg.norm(targets))
         f_hat = targets / f_norm
         for i, e in enumerate(np.eye(n)):
-            direction = (np.outer(e, f_hat) + np.outer(f_hat, e)) / 2
+            factors = np.stack([e + f_hat, e - f_hat], axis=1) / 2
+            direction = PerturbationDirection.from_factors(factors, (1.0, -1.0))
+            np.testing.assert_allclose(direction.matrix, (np.outer(e, f_hat) + np.outer(f_hat, e)) / 2,
+                                       rtol=0, atol=4 * np.finfo(float).eps)
             assert model.alpha[i] == f_norm * logdet_directional_derivative(system, direction, 12, symmetric=True)
 
     @pytest.mark.parametrize("k", [-1, 0, 17])

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgld
 from qgld import (
@@ -19,12 +21,14 @@ from qgld import (
     eig_hermitian,
     inverse,
     logdet_lu,
+    low_rank_update_eigh,
     orthonormalize_svd,
     qgld_expectation,
     relevance_order,
     unitary_phase_exp,
 )
 from qgld.linalg import _fix_phases, as_complex_matrix
+from qgld.qgpe import build_delta
 from conftest import HADAMARD, SIGMA_X, SIGMA_Z, gram_schmidt, random_hermitian, series_phase_exp
 
 
@@ -128,6 +132,64 @@ class TestUnitaryPhaseExp:
         a = random_hermitian(rng, 8, indefinite=True)
         u = unitary_phase_exp(a, 2.3)
         assert np.linalg.norm(u.conj().T @ u - np.eye(8)) <= 1e-10 * 8
+
+
+class TestLowRankUpdateEigh:
+    EPS = np.finfo(float).eps
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), rank=st.sampled_from([1, 2]), scale=st.sampled_from([1e-9, 1e-6, 0.3, 5.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_eigensystems_match_dense(self, n, rank, scale, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-5.0, 5.0, n)
+        factors = rng.standard_normal((3, n, rank)) + 1j * rng.standard_normal((3, n, rank))
+        signs = (1.0, -1.0)[:rank]
+        strengths = scale * np.array([1.0, -1.0, 0.5])
+        vectors, anchor, offset = low_rank_update_eigh(values, factors, signs, strengths)
+        for p in range(3):
+            a = np.diag(values) + strengths[p] * (factors[p] * signs) @ factors[p].conj().T
+            lam = values[anchor[p]] + offset[p]
+            # the input's scale: a cancelling sum can leave ||a|| far smaller
+            size = np.max(np.abs(values)) + abs(strengths[p]) * np.linalg.norm(factors[p], ord=2) ** 2
+            residual = np.linalg.norm(a @ vectors[p] - vectors[p] * lam, axis=0)
+            assert np.max(residual) <= 64 * n * self.EPS * size
+            assert np.linalg.norm(vectors[p].conj().T @ vectors[p] - np.eye(n)) <= 64 * n * self.EPS
+            assert np.max(np.abs(np.sort(lam) - np.linalg.eigvalsh(a))) <= 64 * n * self.EPS * size
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (2, 6)])
+    def test_ties_and_zero_components_deflate_exactly(self, i, j):
+        # element directions on repeated values: within the tied run (0, 1) the
+        # pair splits to 1 +- s, across runs (2, 6) it is a plain rank-two
+        # update; every untouched pole keeps its value exactly
+        values = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 4.0])
+        s = 1e-6
+        delta = build_delta("element", 8, i=i, j=j)
+        vectors, anchor, offset = low_rank_update_eigh(values, delta.factors[None], delta.signs, [s])
+        lam = values[anchor[0]] + offset[0]
+        a = np.diag(values) + s * delta.matrix
+        np.testing.assert_allclose(a @ vectors[0], vectors[0] * lam, rtol=0, atol=1e-15)
+        assert np.sum(offset[0] != 0.0) == 2
+        if (i, j) == (0, 1):
+            np.testing.assert_allclose(np.sort(offset[0][offset[0] != 0.0]), [-s, s], rtol=1e-12)
+        np.testing.assert_allclose(np.sort(lam), np.linalg.eigvalsh(a), rtol=0, atol=1e-15)
+
+    def test_offsets_keep_relative_precision(self, rng):
+        # poles near 1e3, strength 1e-9: the offsets are ~1e-11, where a dense
+        # eigh's absolute error eps * 2e3 would be 4% of them
+        n = 16
+        values = 1e3 + 10.0 * np.arange(n) + rng.uniform(0.0, 1.0, n)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z /= np.linalg.norm(z)
+        rho = 1e-9
+        _, anchor, offset = low_rank_update_eigh(values, z[None, :, None], (1.0,), [rho])
+        assert np.array_equal(anchor[0], np.arange(n))
+        weights = np.abs(z) ** 2
+        gaps = values[:, None] - values[None, :]
+        np.fill_diagonal(gaps, np.inf)
+        # second-order perturbation theory; the third-order term is ~1e-20 relative
+        want = rho * weights + rho**2 * weights * np.sum(weights[None, :] / gaps, axis=1)
+        np.testing.assert_allclose(offset[0], want, rtol=1e-12, atol=0)
 
 
 class TestLogdetLu:

@@ -7,6 +7,7 @@ from qgld import (
     FlatDistribution,
     GradientEncoding,
     IndexOutOfRange,
+    PerturbationDirection,
     ProbabilityOutOfRange,
     RegisterLayout,
     UnnormalizedPhi,
@@ -15,6 +16,7 @@ from qgld import (
     deviation_distribution,
     directional_eigen_derivative,
     eig_hermitian,
+    eigenbasis_families,
     evolution_family,
     extract_gradient_m1,
     extract_gradient_peak,
@@ -78,10 +80,23 @@ class TestBuildDelta:
             assert abs(delta.spectral_norm() - svd) <= 4 * np.finfo(float).eps
 
     def test_other_kinds_take_the_svd(self, rng):
+        # custom is the one kind without a carried norm
         x = random_hermitian(rng, 4, indefinite=True)
-        for delta in (build_delta("all_ones", 4), build_delta("custom", 4, matrix=x)):
-            assert delta.exact_norm is None
-            assert delta.spectral_norm() == float(np.linalg.norm(delta.matrix, ord=2))
+        delta = build_delta("custom", 4, matrix=x)
+        assert delta.exact_norm is None and delta.factors is None
+        assert delta.spectral_norm() == float(np.linalg.norm(delta.matrix, ord=2))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_low_rank_kinds_carry_factors_and_norm(self, rng, n):
+        phi, f = random_state(rng, n), random_state(rng, n).real
+        e = np.eye(n)[n - 1]
+        for delta in (build_delta("all_ones", n), build_delta("element", n, i=0, j=n - 1),
+                      build_delta("element", n, i=n - 1, j=n - 1), build_delta("outer", n, phi=phi),
+                      PerturbationDirection.from_factors(np.stack([e + f, e - f], axis=1) / 2, (1.0, -1.0))):
+            rebuilt = (delta.factors * delta.signs) @ delta.factors.conj().T
+            np.testing.assert_allclose(rebuilt, delta.matrix, rtol=0, atol=8 * n * np.finfo(float).eps)
+            svd = float(np.linalg.norm(delta.matrix, ord=2))
+            assert abs(delta.spectral_norm() - svd) <= 8 * n * np.finfo(float).eps * svd
 
 
 class TestEncoding:
@@ -382,3 +397,43 @@ class TestPhaseProperties:
         for phase in (0.1, 0.5, 1.3, 2.9):
             p0 = np.cos(phase / 2) ** 2
             assert extract_gradient_m1(p0, 1 - p0) == pytest.approx(phase, abs=1e-10)
+
+
+class TestEigenbasisFamily:
+    # Well-separated spectra (every gap >= 0.045).  The dense members carry
+    # the absolute eigh rounding eps * ||X|| times t = M / (W L) in every
+    # phase, the floor M * eps * ||X|| / (W L) per entry; summed over the N
+    # eigenpairs of one entry that is at most N times the floor, and the bound
+    # allows 16 N.  The eigenbasis members are right-multiplied by
+    # exp(-i t Lambda), which is undone before comparing.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 4, 8, 16, 32]),
+        kind=st.sampled_from(["outer", "element", "signed_pair"]),
+        shifted=st.booleans(),
+        shift=st.sampled_from(["unshifted", "centered"]),
+        m=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_members(self, n, kind, shifted, shift, m, seed):
+        rng = np.random.default_rng(seed)
+        x = random_hermitian(rng, n, indefinite=True)
+        if kind == "outer":
+            delta = build_delta("outer", n, phi=random_state(rng, n))
+        elif kind == "element":
+            i, j = (int(v) for v in rng.integers(0, n, size=2))
+            delta = build_delta("element", n, i=i, j=j)
+        else:  # the kernel weight's (e_i f^T + f e_i^T) / 2
+            e, f = np.eye(n)[int(rng.integers(0, n))], random_state(rng, n)
+            delta = PerturbationDirection.from_factors(np.stack([e + f, e - f], axis=1) / 2, (1.0, -1.0))
+        c = delta.spectral_norm() if shifted else 0.0
+        enc = GradientEncoding(L=1e-5, W=4.0, m=m, shift=shift)
+        dec = eig_hermitian(x)
+        [family] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc, c)])
+        dense = evolution_family(x, PerturbationDirection("custom", delta.matrix + c * np.eye(n)), enc)
+        t = enc.time_step()
+        bound = 16 * n * t * np.finfo(float).eps * np.linalg.norm(x, ord=2)
+        np.testing.assert_array_equal(family[list(enc.offsets()).index(0.0)], np.eye(n))
+        for member, u in zip(family, dense):
+            want = dec.vectors.conj().T @ u @ dec.vectors
+            assert np.max(np.abs(member * np.exp(1j * t * dec.values) - want)) <= bound

@@ -77,15 +77,15 @@ def _project_out(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def rqbl_step(x: np.ndarray, psi_p: np.ndarray, psi_prev: np.ndarray | None,
-              b_p: np.ndarray | None, history: np.ndarray) -> LanczosStep:
-    """One block recursion step.
+              b_p: np.ndarray | None, history: np.ndarray, breakdown_floor: float) -> LanczosStep:
+    """One block recursion step on a complex X.
 
     ``history`` holds every basis block so far, psi_p included, concatenated;
     the residual is projected out of all of it (full reorthogonalization).
     Breakdown (smallest singular value of the residual under
+    ``breakdown_floor``, which the factorization sets once to
     BREAKDOWN_RTOL * ||X||_F: an invariant subspace) is reported, not raised.
     """
-    x = np.asarray(x, dtype=complex)
     work = x @ psi_p
     a_p = psi_p.conj().T @ work
     a_p = (a_p + a_p.conj().T) / 2
@@ -96,7 +96,7 @@ def rqbl_step(x: np.ndarray, psi_p: np.ndarray, psi_prev: np.ndarray | None,
 
     u, sigma, vh = np.linalg.svd(r, full_matrices=False)
     b_next = (vh.conj().T * sigma) @ vh
-    if sigma[-1] < BREAKDOWN_RTOL * max(np.linalg.norm(x), 1e-300):
+    if sigma[-1] < breakdown_floor:
         return LanczosStep(a_block=a_p, b_next=b_next, psi_next=None, breakdown=True)
     return LanczosStep(a_block=a_p, b_next=b_next, psi_next=u @ vh, breakdown=False)
 
@@ -138,6 +138,7 @@ def run_rqbl(x: np.ndarray, b: int, k: int, rng_seed: int) -> RitzSolution:
 
 def build_factorization(x: np.ndarray, b: int, k: int, rng_seed: int) -> LanczosFactorization:
     """The raw factorization behind run_rqbl, kept for inspection and dumps."""
+    x = np.asarray(x, dtype=complex)
     n = x.shape[0]
     if not 1 <= k * b <= n:
         raise ValueError(f"k*b = {k * b} outside [1, {n}]")
@@ -145,11 +146,13 @@ def build_factorization(x: np.ndarray, b: int, k: int, rng_seed: int) -> Lanczos
     basis = np.empty((n, k * b), dtype=complex, order="F")
     basis[:, :b] = rqbl_init(n, b, rng_seed)
     fact = LanczosFactorization(block_size=b)
+    floor = BREAKDOWN_RTOL * max(float(np.linalg.norm(x)), 1e-300)
     psi_prev, b_p = None, None
     for p in range(k):
         psi = basis[:, p * b:(p + 1) * b]
         fact.basis_blocks.append(psi)
-        step = rqbl_step(x, psi, psi_prev, b_p, history=basis[:, :(p + 1) * b])
+        step = rqbl_step(x, psi, psi_prev, b_p, history=basis[:, :(p + 1) * b],
+                         breakdown_floor=floor)
         fact.a_blocks.append(step.a_block)
         if step.breakdown or p + 1 == k:
             break

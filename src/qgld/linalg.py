@@ -1,10 +1,10 @@
 """Dense complex linear algebra and the classical oracles used for cross-checking.
 
-Everything here is plain numpy on dense arrays, except the LU oracles
-(``logdet_lu``, ``inverse``), which import scipy when first called, so
-``import qgld`` does not load it.  Matrices are ``np.ndarray`` of complex
-dtype; "hermitian" always means hermitian within ``HERMITICITY_RTOL``
-relative to the largest entry.
+Everything here is plain numpy on dense arrays, the LU oracles
+(``logdet_lu``, ``inverse``) included: their factorization is a blocked LU
+with LAPACK's pivot rule, written in numpy.  Matrices are ``np.ndarray`` of
+complex dtype; "hermitian" always means hermitian within
+``HERMITICITY_RTOL`` relative to the largest entry.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ CENTRAL_DIFFERENCE_STEP = 1e-5
 EPS = float(np.finfo(float).eps)
 SECULAR_DEFLATION = 8 * EPS
 SECULAR_MAX_STEPS = 64
+LU_PANEL = 32
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -287,27 +288,47 @@ def _secular_rank_one(values, anchor, offset, z, rho):
 
 
 def _lu_pivots(a: np.ndarray):
-    import warnings
+    """Pivot list and U diagonal of PA = LU, in LAPACK getrf's layout (row j
+    was swapped with row piv[j]); raises SingularMatrix when a pivot is at
+    most PIVOT_RTOL * ||A||_F.
 
-    import scipy.linalg
-
-    with warnings.catch_warnings():
-        # exact zero pivots surface via our SingularMatrix check below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
-    diag = np.diag(lu)
+    Blocked right-looking LU with partial pivoting: each LU_PANEL-wide panel
+    is factored column by column, then its rows of U to the right are solved
+    for, then the trailing block takes one matmul.  Pivots follow LAPACK's
+    izamax rule, the largest |re| + |im| with ties to the first, as getrf
+    does, so the pivots and U diagonal are getrf's up to rounding.
+    """
+    lu = a.copy()
+    n = lu.shape[0]
+    piv = np.empty(n, dtype=np.intp)
+    for start in range(0, n, LU_PANEL):
+        stop = min(start + LU_PANEL, n)
+        for j in range(start, stop):
+            column = lu[j:, j]
+            p = j + int(np.argmax(np.abs(column.real) + np.abs(column.imag)))
+            piv[j] = p
+            if p != j:
+                lu[[j, p]] = lu[[p, j]]
+            if lu[j, j] != 0:  # an exact zero pivot is left to the check below
+                lu[j + 1:, j] /= lu[j, j]
+            lu[j + 1:, j + 1:stop] -= np.outer(lu[j + 1:, j], lu[j, j + 1:stop])
+        # the panel's rows of U right of it, once its swaps are done: L11^-1 A12
+        for j in range(start, stop - 1):
+            lu[j + 1:stop, stop:] -= np.outer(lu[j + 1:stop, j], lu[j, stop:])
+        lu[stop:, stop:] -= lu[stop:, start:stop] @ lu[start:stop, stop:]
+    diag = np.diag(lu).copy()
     scale = max(float(np.linalg.norm(a)), 1e-300)
     if np.min(np.abs(diag)) <= PIVOT_RTOL * scale:
         raise SingularMatrix(
             f"LU pivot {np.min(np.abs(diag)):.3e} below {PIVOT_RTOL:.1e} * ||A||_F"
         )
-    return lu, piv, diag
+    return piv, diag
 
 
 def logdet_lu(a) -> complex:
     """log det A by LU factorization, imaginary part on the principal branch (-pi, pi]."""
     a = as_complex_matrix(a)
-    lu, piv, diag = _lu_pivots(a)
+    piv, diag = _lu_pivots(a)
     real = float(np.sum(np.log(np.abs(diag))))
     # row swaps contribute a sign: permutation parity from the pivot list
     swaps = int(np.sum(piv != np.arange(len(piv))))
@@ -319,12 +340,13 @@ def logdet_lu(a) -> complex:
 
 
 def inverse(a) -> np.ndarray:
-    """A^-1 via LU with partial pivoting; raises SingularMatrix on pivot underflow."""
-    import scipy.linalg
+    """A^-1 via LU with partial pivoting; raises SingularMatrix on pivot underflow.
 
+    The pivot check is ``_lu_pivots``; the inverse itself is LAPACK gesv
+    through numpy, whose getrf picks the same pivots."""
     a = as_complex_matrix(a)
-    lu, piv, _ = _lu_pivots(a)
-    return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0], dtype=complex))
+    _lu_pivots(a)
+    return np.linalg.solve(a, np.eye(a.shape[0], dtype=complex))
 
 
 def orthonormalize_svd(block) -> np.ndarray:

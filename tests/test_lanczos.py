@@ -12,6 +12,7 @@ from qgld import (
     run_rqbl,
 )
 from qgld.cli import random_spd
+from qgld.lanczos import BREAKDOWN_RTOL
 from conftest import SIGMA_X, SIGMA_Z, random_hermitian, random_symmetric_decaying
 
 
@@ -34,14 +35,16 @@ class TestStep:
     def test_invariant_subspace_breakdown(self):
         x = np.diag([3.0, 1.0, 0.5, 0.2]).astype(complex)
         psi0 = np.eye(4, dtype=complex)[:, :2]
-        step = rqbl_step(x, psi0, None, None, history=psi0)
+        step = rqbl_step(x, psi0, None, None, history=psi0,
+                         breakdown_floor=BREAKDOWN_RTOL * np.linalg.norm(x))
         assert step.breakdown
         np.testing.assert_allclose(step.a_block, np.diag([3.0, 1.0]), atol=1e-12)
         assert step.psi_next is None
 
     def test_sigma_x_hand_recursion(self):
         psi0 = np.array([[1.0], [0.0]], dtype=complex)
-        step = rqbl_step(SIGMA_X, psi0, None, None, history=psi0)
+        step = rqbl_step(SIGMA_X, psi0, None, None, history=psi0,
+                         breakdown_floor=BREAKDOWN_RTOL * np.linalg.norm(SIGMA_X))
         assert step.a_block[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert step.b_next[0, 0] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(step.psi_next, [[0.0], [1.0]], atol=1e-12)
@@ -66,7 +69,8 @@ class TestStep:
         psi_p = history[:, depth * b:]
         psi_prev = history[:, (depth - 1) * b:depth * b] if depth else None
         b_p = random_hermitian(rng, b) if depth else None
-        step = rqbl_step(x, psi_p, psi_prev, b_p, history=history)
+        step = rqbl_step(x, psi_p, psi_prev, b_p, history=history,
+                         breakdown_floor=BREAKDOWN_RTOL * np.linalg.norm(x))
 
         residual = x @ psi_p - psi_p @ step.a_block
         if depth:

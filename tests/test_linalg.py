@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from qgld import (
     relevance_order,
     unitary_phase_exp,
 )
-from qgld.linalg import _fix_phases, as_complex_matrix
+from qgld.linalg import EPS, PIVOT_RTOL, _fix_phases, _lu_pivots, as_complex_matrix
 from qgld.qgpe import build_delta
 from conftest import HADAMARD, SIGMA_X, SIGMA_Z, gram_schmidt, random_hermitian, series_phase_exp
 
@@ -238,17 +239,23 @@ class TestInverse:
         with pytest.raises(SingularMatrix):
             inverse(np.ones((3, 3)))
 
-    def test_import_leaves_scipy_to_the_lu_oracles(self):
-        # a fresh interpreter: this test process may already hold scipy.linalg
+    @pytest.mark.parametrize("scipy_state", ["installed", "unimportable"])
+    def test_program_runs_without_scipy(self, scipy_state):
+        # a fresh interpreter: this test process holds scipy.linalg as the LU test oracle
         script = (
-            "import sys\n"
-            "import numpy as np\n"
+            "import contextlib, io, sys\n"
+            + ("sys.modules['scipy'] = None\n" if scipy_state == "unimportable" else "")
+            + "import numpy as np\n"
             "import qgld, qgld.cli\n"
-            "assert 'scipy.linalg' not in sys.modules, 'import qgld loaded scipy.linalg'\n"
-            "try:\n"
-            "    qgld.inverse(np.ones((3, 3)))\n"
-            "except qgld.SingularMatrix:\n"
-            "    print('SingularMatrix')\n"
+            "x = np.array([[2.0, 1.0j], [-1.0j, 3.0]])\n"
+            "print(round(qgld.logdet_lu(x).real, 12), round(float(qgld.inverse(x)[0, 0].real), 12))\n"
+            "for argv in (['qgld', '--matrix', 'random-spd:8:1', '--phi', 'uniform', '--sweep-L', '1e-3,1e-4'],\n"
+            "             ['kernel-demo']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert qgld.cli.main(argv) == 0, argv\n"
+            "loaded = [name for name, module in sys.modules.items()\n"
+            "          if module is not None and name.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n"
         )
         env = dict(os.environ)
         src = str(Path(qgld.__file__).resolve().parents[1])
@@ -256,7 +263,52 @@ class TestInverse:
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "SingularMatrix\n"
+        assert proc.stdout == f"{round(np.log(5.0), 12)} 0.6\n"
+
+
+class TestLuFactorization:
+    """The numpy LU behind both oracles, against LAPACK getrf through scipy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 80), complex_entries=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_getrf(self, n, complex_entries, seed):
+        # n crosses the LU_PANEL boundaries at 32 and 64
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_entries else 0.0)
+        a = a.astype(complex)
+        lu, piv = scipy.linalg.lu_factor(a)
+        got_piv, got_diag = _lu_pivots(a)
+        np.testing.assert_array_equal(got_piv, piv)
+        tol = 64 * n * EPS * np.linalg.norm(a)
+        assert np.max(np.abs(got_diag - np.diag(lu))) <= tol
+        # each |u_ii| within tol moves log|u_ii| by at most tol / |u_ii|, to first order
+        log_tol = 2 * tol * np.sum(1.0 / np.abs(np.diag(lu)))
+        sign, logabsdet = np.linalg.slogdet(a)
+        got = logdet_lu(a)
+        assert abs(got.real - logabsdet) <= log_tol
+        assert abs(np.exp(1j * got.imag) - sign) <= log_tol
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_singular_boundary(self, rng, factor):
+        # a row-permuted upper-triangular matrix factors exactly (every multiplier
+        # is 0), so its U diagonal, small pivot included, is known exactly
+        n, small = 40, 35
+        u = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        u[small, small] = 0.0
+        u[small, small] = factor * PIVOT_RTOL * np.linalg.norm(u) * np.exp(0.3j)
+        perm = rng.permutation(n)
+        a = u[perm]
+        if factor < 1:
+            for oracle in (logdet_lu, inverse):
+                with pytest.raises(SingularMatrix):
+                    oracle(a)
+            return
+        piv, diag = _lu_pivots(a)
+        np.testing.assert_array_equal(piv, scipy.linalg.lu_factor(a)[1])
+        np.testing.assert_array_equal(diag, np.diag(u))
+        sign, logabsdet = np.linalg.slogdet(a)
+        assert abs(logdet_lu(a).real - logabsdet) <= 1e-12 * max(1.0, abs(logabsdet))
+        assert np.isfinite(inverse(a)).all()
 
 
 class TestRelevanceOrder:

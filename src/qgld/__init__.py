@@ -54,7 +54,6 @@ from .qgpe import (
     eigenbasis_families,
     evolution_family,
     extract_gradient_m1,
-    extract_gradient_peak,
     probe_distributions,
     qgpe_run,
     qgpe_run_batch,

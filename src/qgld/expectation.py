@@ -45,14 +45,14 @@ SUPERPOSITION_ZOOM = 1e4
 
 
 # ---------------------------------------------------------------------------
-# eigenpair sources
+# eigenpair sources: each one's resolve validates the matrix it is given
 
 @dataclass(frozen=True)
 class DenseSource:
     """All eigenpairs from the dense solver."""
 
     def resolve(self, x: np.ndarray):
-        dec = eig_hermitian(x)
+        dec = eig_hermitian(x)  # which validates x
         residuals = np.linalg.norm(x @ dec.vectors - dec.vectors * dec.values, axis=0)
         return dec.values, dec.vectors, residuals
 
@@ -66,6 +66,7 @@ class RqblSource:
     steps: int | None = None
 
     def resolve(self, x: np.ndarray):
+        x = require_hermitian(x)
         n = x.shape[0]
         steps = self.steps if self.steps is not None else n // self.b
         sol = run_rqbl(x, self.b, steps, self.seed)
@@ -242,14 +243,14 @@ def _relevant_eigenpairs(x, k: int, eigensource):
 
 
 def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool):
-    """The one resolve-then-probe path of the log-det queries: validates X and
-    resolves its k most relevant eigenpairs once, then per (direction,
-    encoding) pair of ``probes`` adapts degenerate clusters and probes the
-    used pairs, unshifted for outer(phi) (slopes |<p|phi>|^2 >= 0) and shifted
-    by ||Delta||_2 otherwise.  Every readout range is checked before any
-    circuit runs.  Returns the used eigenvalues (|E| descending), the skipped
-    ones and, per pair, (slopes, adapted residuals, sum_p deltaE_p / E_p
-    summed in |E| order).
+    """The one resolve-then-probe path of the log-det queries: validates X
+    (in the eigenpair source's resolve) and resolves its k most relevant
+    eigenpairs once, then per (direction, encoding) pair of ``probes`` adapts
+    degenerate clusters and probes the used pairs, unshifted for outer(phi)
+    (slopes |<p|phi>|^2 >= 0) and shifted by ||Delta||_2 otherwise.  Every
+    readout range is checked before any circuit runs.  Returns the used
+    eigenvalues (|E| descending), the skipped ones and, per pair, (slopes,
+    adapted residuals, sum_p deltaE_p / E_p summed in |E| order).
 
     With a DenseSource, a direction that carries factors is probed in the
     eigenbasis V of the resolve: each used eigenvector is a unit column, and
@@ -261,7 +262,7 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool):
     RqblSource (no full eigenbasis), run the dense family on the adapted
     vectors.
     """
-    x = require_hermitian(x)
+    x = np.asarray(x, dtype=complex)  # validated by the resolve, before any other use
     values, vectors, resolved_residuals, used, skipped = _relevant_eigenpairs(x, k, eigensource)
     used_values = [float(values[i]) for i in used]
     # one pass checks, adapts and keeps what the circuits need; they all run after it

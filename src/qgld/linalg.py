@@ -85,10 +85,15 @@ def eig_hermitian(a) -> EigenDecomposition:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    pivots = vectors[np.argmax(np.abs(vectors) > 1e-8, axis=0), np.arange(vectors.shape[1])]
+    """Scale each eigenvector column, of one matrix or of a stack, in place
+    so that its first component of magnitude above 1e-8 is real and
+    positive; returns ``vectors``."""
+    first = np.argmax(np.abs(vectors) > 1e-8, axis=-2)[..., None, :]
+    pivots = np.take_along_axis(vectors, first, axis=-2)
     magnitudes = np.abs(pivots)
     fixable = magnitudes > 0
-    return vectors * np.where(fixable, magnitudes / np.where(fixable, pivots, 1.0), 1.0)
+    vectors *= np.where(fixable, magnitudes / np.where(fixable, pivots, 1.0), 1.0)
+    return vectors
 
 
 def relevance_order(values) -> np.ndarray:
@@ -106,10 +111,19 @@ def relevance_order(values) -> np.ndarray:
 
 
 def unitary_phase_exp(a, t: float) -> np.ndarray:
-    """exp(i*t*A) for hermitian A, through the eigendecomposition."""
-    dec = eig_hermitian(a)
-    phases = np.exp(1j * t * dec.values)
-    return (dec.vectors * phases) @ dec.vectors.conj().T
+    """exp(i*t*A) for hermitian A, through the eigendecomposition; or for
+    each matrix of a (K, N, N) stack, through one stacked eigh, its vectors
+    phase-fixed as eig_hermitian's.  A stack is not checked for hermiticity:
+    its caller forms it from matrices already checked."""
+    if np.ndim(a) == 3:
+        values, vectors = np.linalg.eigh(a)
+        _fix_phases(vectors)
+    else:
+        dec = eig_hermitian(a)
+        values, vectors = dec.values, dec.vectors
+    right = np.swapaxes(vectors.conj(), -1, -2)
+    vectors *= np.exp(1j * t * values)[..., None, :]
+    return vectors @ right
 
 
 def low_rank_update_eigh(values, factors, signs, strengths):
@@ -217,8 +231,10 @@ def _secular_rank_one(values, anchor, offset, z, rho):
     left_pole = np.where(last & (before >= 0), gaps[rows, idx, np.maximum(before, 0)], 0.0)
     right_pole = np.where(last, 0.0, width)
 
-    below = np.tri(n)
-    masks = np.stack([below, 1.0 - below], axis=2)  # pole j at or below pole k, and above it
+    # pole j at or below pole k, and above it: each side is its own masked
+    # sum, so a small side keeps its relative precision next to a large one
+    side_below = np.tri(n)
+    side_above = 1.0 - side_below
     counted = np.broadcast_to(active[:, None, :], gaps.shape)  # deflated poles drop out of every sum
     diff, terms, dterms = np.empty(gaps.shape), np.zeros(gaps.shape), np.zeros(gaps.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -234,8 +250,9 @@ def _secular_rank_one(values, anchor, offset, z, rho):
             np.subtract(delta, tau[:, :, None], out=diff)
             np.divide(weight[:, None, :], diff, out=terms, where=counted)
             np.divide(terms, diff, out=dterms, where=counted)
-            psi, phi = np.einsum("pkj,kjs->spk", terms, masks)
-            dpsi, dphi = np.einsum("pkj,kjs->spk", dterms, masks)
+            psi, phi = np.einsum("pkj,kj->pk", terms, side_below), np.einsum("pkj,kj->pk", terms, side_above)
+            dpsi = np.einsum("pkj,kj->pk", dterms, side_below)
+            dphi = np.einsum("pkj,kj->pk", dterms, side_above)
             f = 1.0 + psi + phi
             bound = 8.0 * (phi - psi) + 2.0
             # the last root's own pole is the model's right one

@@ -37,6 +37,10 @@ from .linalg import low_rank_update_eigh, require_hermitian, unitary_phase_exp
 DELTA_KINDS = ("element", "all_ones", "outer", "custom")
 SHIFTS = ("unshifted", "centered")
 EIGENBASIS_BATCH = 1 << 14
+# One eigenvector's readout is a Fejer kernel: its peak bin holds at least
+# 1 / (M^2 sin^2(pi / 2M)) > 4 / pi^2 ~ 0.405 (slope midway between two bins),
+# which at M = 4 is below 2/M, so the flat bar stays under it.
+FLAT_PEAK_FLOOR = 0.4
 
 
 @dataclass(frozen=True)
@@ -90,10 +94,11 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
     outer     -- conj(phi_i) * phi_j from a normalized weight vector phi
     custom    -- any hermitian matrix
 
-    All but ``custom`` carry their spectral norm (``element``: eigenvalues
-    +-1, or a single 1; ``all_ones``: N; ``outer``: ||phi||^2) and their
-    factors: e_i for a diagonal element, (e_i +- e_j)/sqrt(2) with signs +-1
-    otherwise, the all-ones vector, and phi.
+    All but ``custom`` are hermitian bit for bit as built and carry their
+    spectral norm (``element``: eigenvalues +-1, or a single 1; ``all_ones``:
+    N; ``outer``: ||phi||^2) and their factors: e_i for a diagonal element,
+    (e_i +- e_j)/sqrt(2) with signs +-1 otherwise, the all-ones vector, and
+    phi.  A ``custom`` matrix is symmetrized.
     """
     signs = (1.0,)
     if kind == "element":
@@ -130,11 +135,11 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
         mat = require_hermitian(matrix)
         if mat.shape != (n, n):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({n}, {n})")
+        mat = (mat + mat.conj().T) / 2
         norm, factors, signs = None, None, None
     else:
         raise ValueError(f"unknown direction kind {kind!r}; choose from {DELTA_KINDS}")
-    return PerturbationDirection(kind=kind, matrix=(mat + mat.conj().T) / 2, exact_norm=norm,
-                                 factors=factors, signs=signs)
+    return PerturbationDirection(kind=kind, matrix=mat, exact_norm=norm, factors=factors, signs=signs)
 
 
 def require_weight_vector(phi, n: int) -> np.ndarray:
@@ -205,12 +210,19 @@ def suggest_gradient_bound(delta: PerturbationDirection) -> float:
 
 
 def evolution_family(x, delta: PerturbationDirection, enc: GradientEncoding) -> sv.ControlledFamily:
-    """The M controlled members exp(i * t * (X + s(eps) * Delta)), checked once."""
+    """The M controlled members exp(i * t * (X + s(eps) * Delta)), from
+    stacked eigendecompositions of at most EIGENBASIS_BATCH // N^2 members
+    each, every stack checked once."""
     x = require_hermitian(x)
     if delta.matrix.shape != x.shape:
         raise ValueError(f"direction shape {delta.matrix.shape} != matrix shape {x.shape}")
     t = enc.time_step()
-    return sv.ControlledFamily(unitary_phase_exp(x + s * delta.matrix, t) for s in enc.offsets())
+    offsets = enc.offsets()
+    chunk = max(1, EIGENBASIS_BATCH // x.size)
+    return sv.ControlledFamily._adopt([
+        unitary_phase_exp(x + offsets[start:start + chunk, None, None] * delta.matrix, t)
+        for start in range(0, len(offsets), chunk)
+    ])
 
 
 def eigenbasis_families(values, signs, probes):
@@ -220,12 +232,10 @@ def eigenbasis_families(values, signs, probes):
 
     Member eps is exp(i t (Lambda + s (C diag(signs) C^dag + c I))) exp(-i t
     Lambda).  The right factor is the same for every member, so it changes
-    no conditional readout, and it makes the s = 0 member the identity.  The
-    other members come from :func:`low_rank_update_eigh`, batched over
-    consecutive probes up to EIGENBASIS_BATCH entries of N x N work arrays.
-    Its eigenvalues are held against the unperturbed ones, so each phase
-    t (lambda_k + s c - Lambda_b) keeps relative precision instead of losing
-    t * eps * ||X||.
+    no conditional readout, and it makes the s = 0 member the identity, which
+    the family marks as an identity slot.  The other members come from
+    :func:`low_rank_update_eigh`, batched over consecutive probes up to
+    EIGENBASIS_BATCH entries of N x N work arrays (see :func:`_solved_members`).
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
@@ -238,35 +248,33 @@ def eigenbasis_families(values, signs, probes):
             stop += 1
         batch = [(j, eps, s) for j in range(start, stop) for eps, s in jobs[j]]
         members = _solved_members(values, signs, probes, batch)
+        done = 0
         for j in range(start, stop):
-            # popped, so a yielded family holds the only copy of its members
-            solved = members.pop(j, {})
-            yield sv.ControlledFamily(solved.pop(eps) if eps in solved else np.eye(n, dtype=complex)
-                                      for eps in range(probes[j][1].deviation_dim))
+            solved = {eps for eps, _ in jobs[j]}
+            identity = [eps for eps in range(probes[j][1].deviation_dim) if eps not in solved]
+            yield sv.ControlledFamily._adopt([members[done:done + len(solved)]], identity)
+            done += len(solved)
         start = stop
 
 
-def _solved_members(values, signs, probes, batch) -> dict:
-    """{probe: {eps: member}} for the (probe, eps, s != 0) of ``batch``, from
-    one low-rank update solve."""
-    members: dict = {}
-    if not batch:
-        return members
+def _solved_members(values, signs, probes, batch) -> np.ndarray:
+    """Members (P, N, N) for the (probe, eps, s != 0) of ``batch``, in order,
+    from one low-rank update solve.
+
+    With eigenvalue k held as values[anchor_k] + offset_k and E = exp(i t
+    Lambda), member eps is Q diag(E[anchor] exp(i t (offset + s c))) Q^dag
+    diag(conj(E)): 2N exponentials per member.  On each anchor's own
+    diagonal entry E_b conj(E_b) is real to one rounding, so the phase the
+    readout decodes stays t (offset + s c) at full relative precision.
+    """
     vectors, anchor, offset = low_rank_update_eigh(
         values, np.stack([probes[j][0] for j, _, _ in batch]), signs, [s for _, _, s in batch])
-    for (j, eps, s), q, a, o in zip(batch, vectors, anchor, offset):
-        _, enc, shift = probes[j]
-        angle = values[a][:, None] - values  # lambda_k - Lambda_b, held as (pole, offset)
-        angle += (o + s * shift)[:, None]
-        angle *= enc.time_step()
-        # phases * q^dag, built as conj(exp(-i angle) * q^T) with no second N x N temporary
-        phases = np.empty(angle.shape, dtype=complex)
-        np.cos(angle, out=phases.real)
-        np.sin(angle, out=phases.imag)
-        np.negative(phases.imag, out=phases.imag)
-        phases *= q.T
-        members.setdefault(j, {})[eps] = q @ np.conjugate(phases, out=phases)
-    return members
+    times = np.array([probes[j][1].time_step() for j, _, _ in batch])[:, None]
+    shifts = np.array([s * probes[j][2] for j, _, s in batch])[:, None]
+    bare = np.exp(1j * times * values)
+    right = vectors.transpose(0, 2, 1) * bare[:, None, :]  # conjugated below: Q^dag diag(conj(E))
+    vectors *= (np.take_along_axis(bare, anchor, axis=1) * np.exp(1j * times * (offset + shifts)))[:, None, :]
+    return vectors @ np.conjugate(right, out=right)
 
 
 @dataclass(frozen=True)
@@ -281,38 +289,47 @@ class QgpeOutcome:
 
 
 def extract_gradient_m1(p0: float, p1: float, w: float = 1.0) -> float:
-    """Gradient magnitude from the two-outcome distribution: 2*arccos(sqrt(p0))*W."""
-    if not (0.0 <= p0 <= 1.0 + 1e-12 and 0.0 <= p1 <= 1.0 + 1e-12):
-        raise ProbabilityOutOfRange(f"p0 = {p0}, p1 = {p1}")
-    if abs(p0 + p1 - 1.0) > 1e-8:
-        raise ProbabilityOutOfRange(f"p0 + p1 = {p0 + p1} != 1")
-    from_p0 = 2.0 * np.arccos(min(1.0, np.sqrt(p0))) * w
-    from_p1 = 2.0 * np.arcsin(min(1.0, np.sqrt(p1))) * w
-    if abs(from_p0 - from_p1) > 1e-8 * max(1.0, w):
+    """Gradient magnitude from the two-outcome distribution: 2*arccos(sqrt(p0))*W,
+    the one-column case of :func:`readout_gradients`."""
+    return float(_amplitude_readout(np.array([p0], dtype=float), np.array([p1], dtype=float), w)[0])
+
+
+def _amplitude_readout(p0: np.ndarray, p1: np.ndarray, w: float) -> np.ndarray:
+    """2*arccos(sqrt(p0))*W for every column, after checking all columns at
+    once: each probability in [0, 1] (to 1e-12), each pair summing to one
+    (to 1e-8), and the arccos and arcsin extractions agreeing (to 1e-8 *
+    max(1, W)).  Raises ProbabilityOutOfRange naming the first failing column."""
+    # negated, so that a NaN fails here, before any sqrt sees it
+    bad = np.flatnonzero(~((p0 >= 0.0) & (p0 <= 1.0 + 1e-12) & (p1 >= 0.0) & (p1 <= 1.0 + 1e-12)))
+    if bad.size:
+        raise ProbabilityOutOfRange(f"column {bad[0]}: p0 = {p0[bad[0]]}, p1 = {p1[bad[0]]}")
+    total = p0 + p1
+    bad = np.flatnonzero(np.abs(total - 1.0) > 1e-8)
+    if bad.size:
+        raise ProbabilityOutOfRange(f"column {bad[0]}: p0 + p1 = {total[bad[0]]} != 1")
+    from_p0 = 2.0 * np.arccos(np.minimum(1.0, np.sqrt(p0))) * w
+    from_p1 = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(p1))) * w
+    bad = np.flatnonzero(np.abs(from_p0 - from_p1) > 1e-8 * max(1.0, w))
+    if bad.size:
         raise ProbabilityOutOfRange(
-            f"arccos/arcsin extractions disagree: {from_p0} vs {from_p1}"
+            f"column {bad[0]}: arccos/arcsin extractions disagree: {from_p0[bad[0]]} vs {from_p1[bad[0]]}"
         )
-    return float(from_p0)
-
-
-def extract_gradient_peak(distribution: np.ndarray, enc: GradientEncoding) -> float:
-    """Gradient from the argmax bin of the deviation distribution."""
-    distribution = np.asarray(distribution, dtype=float)
-    m_dim = len(distribution)
-    if float(np.max(distribution)) < 2.0 / m_dim:
-        raise FlatDistribution(
-            f"max probability {np.max(distribution):.3e} below 2/M = {2.0 / m_dim:.3e}"
-        )
-    j = int(np.argmax(distribution))
-    return enc.bin_to_gradient(j)
+    return from_p0
 
 
 def readout_gradients(distributions: np.ndarray, enc: GradientEncoding) -> np.ndarray:
     """Gradient of each column of (M, B) deviation distributions: the m = 1
-    amplitude readout, with :func:`extract_gradient_m1`'s range and
-    arccos/arcsin checks, or the peak bin at m >= 2."""
+    amplitude readout with its range and arccos/arcsin checks, or at m >= 2
+    the peak bin, raising FlatDistribution for a column whose peak is below
+    min(2/M, FLAT_PEAK_FLOOR) (no bin stands out, so the argmax is noise)."""
+    distributions = np.asarray(distributions, dtype=float)
     if enc.m == 1:
-        return np.array([extract_gradient_m1(float(p0), float(p1), enc.W) for p0, p1 in distributions.T])
+        return _amplitude_readout(distributions[0], distributions[1], enc.W)
+    floor = min(2.0 / enc.deviation_dim, FLAT_PEAK_FLOOR)
+    peaks = np.max(distributions, axis=0)
+    flat = np.flatnonzero(peaks < floor)
+    if flat.size:
+        raise FlatDistribution(f"column {flat[0]}: max probability {peaks[flat[0]]:.3e} below {floor:.3e}")
     return np.array([enc.bin_to_gradient(int(j)) for j in np.argmax(distributions, axis=0)])
 
 
@@ -364,7 +381,7 @@ def qgpe_run_batch(x, columns: np.ndarray, delta: PerturbationDirection, enc: Gr
 
     The inputs need not be exact eigenvectors; each outcome's
     ``eigenresidual`` reports ||X p - (p^dag X p) p|| so callers can detect
-    drift.  For m = 1 every column passes through ``extract_gradient_m1``'s
+    drift.  For m = 1 every column passes through :func:`readout_gradients`'
     range and arccos/arcsin checks.
     """
     x = require_hermitian(x)

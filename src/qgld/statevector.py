@@ -138,41 +138,71 @@ def hadamard_deviation_register(state: StateVector) -> StateVector:
     return state
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    n = u.shape[0]
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
+def unitarity_defect(u: np.ndarray):
+    """||U^dag U - I||_F of one N x N member, or of each member of a (K, N, N) stack."""
+    gram = np.swapaxes(u, -1, -2).conj() @ u
+    np.einsum("...ii->...i", gram)[...] -= 1.0
+    parts = gram.reshape(*gram.shape[:-2], -1).view(float)  # real and imaginary parts, no copy
+    return np.sqrt(np.einsum("...i,...i->...", parts, parts))
 
 
 class ControlledFamily(tuple):
     """The members U(eps) of a controlled family, each checked once, when the
     family is built, for shape and unitarity within NORM_ATOL * N.
 
-    An immutable tuple of read-only copies, so the check holds for the
-    family's lifetime and circuits applying it need not repeat it.  Building
-    one from a ControlledFamily returns that family unchanged.
+    An immutable tuple of read-only members, so the check holds for the
+    family's lifetime and circuits applying it need not repeat it.  Members
+    passed in are copied first; building one from a ControlledFamily returns
+    that family unchanged.  A family formed by a builder (:meth:`_adopt`) may
+    mark ``identity_slots``: those members are the exact identity, neither
+    checked nor applied.
     """
 
-    __slots__ = ()
+    identity_slots = frozenset()
 
     def __new__(cls, members):
         if isinstance(members, ControlledFamily):
             return members
-        members = tuple(np.array(u, dtype=complex) for u in members)
+        members = [np.array(u, dtype=complex) for u in members]
         if not members:
             raise FamilySizeMismatch("family has no members")
         n_dim = len(members[0])
         for eps, u in enumerate(members):
             if u.shape != (n_dim, n_dim):
                 raise FamilySizeMismatch(f"member {eps} has shape {u.shape}")
-            defect = unitarity_defect(u)
-            if defect > NORM_ATOL * n_dim:
-                raise NonUnitaryMember(f"member {eps} unitarity defect {defect:.3e}")
-            u.flags.writeable = False
-        return super().__new__(cls, members)
+        return cls._adopt([u[None] for u in members])
+
+    @classmethod
+    def _adopt(cls, stacks, identity_slots=()):
+        """The family a builder has just formed, taken over without a copy:
+        ``stacks`` of members (K, N, N) in slot order with the
+        ``identity_slots`` left out, each stack checked with one batched
+        U^dag U product."""
+        identity_slots = frozenset(identity_slots)
+        size = len(identity_slots) + sum(len(stack) for stack in stacks)
+        slots = [eps for eps in range(size) if eps not in identity_slots]
+        n_dim = stacks[0].shape[-1]
+        members = {}
+        for stack in stacks:
+            defects = unitarity_defect(stack)
+            bad = np.flatnonzero(defects > NORM_ATOL * n_dim)
+            if bad.size:
+                raise NonUnitaryMember(f"member {slots[len(members) + bad[0]]} unitarity defect "
+                                       f"{defects[bad[0]]:.3e}")
+            stack.flags.writeable = False
+            members.update(zip(slots[len(members):], stack))
+        if identity_slots:
+            identity = np.eye(n_dim, dtype=complex)
+            identity.flags.writeable = False
+            members.update(dict.fromkeys(identity_slots, identity))
+        family = super().__new__(cls, (members[eps] for eps in range(size)))
+        family.identity_slots = identity_slots
+        return family
 
 
 def apply_controlled_family(state: StateVector, family) -> StateVector:
-    """For each deviation basis index eps, multiply every column's system block by family[eps].
+    """For each deviation basis index eps, multiply every column's system
+    block by family[eps]; rows of the family's identity slots stay as they are.
 
     A ControlledFamily is applied as is; a raw sequence of members is checked
     first by wrapping it in one.
@@ -186,7 +216,8 @@ def apply_controlled_family(state: StateVector, family) -> StateVector:
         raise FamilySizeMismatch(f"members have shape {family[0].shape}, expected ({n_dim}, {n_dim})")
     tensor = state.as_tensor()
     for eps, u in enumerate(family):
-        tensor[eps] = u @ tensor[eps]
+        if eps not in family.identity_slots:
+            tensor[eps] = u @ tensor[eps]
     return state
 
 
@@ -204,8 +235,12 @@ def phase_deviation_register(state: StateVector, phases: np.ndarray) -> StateVec
 
 
 def inverse_qft_deviation(state: StateVector) -> StateVector:
-    """M-point inverse Fourier kernel exp(-2*pi*i*j*k/M)/sqrt(M) on the deviation register."""
+    """M-point inverse Fourier kernel exp(-2*pi*i*j*k/M)/sqrt(M) on the
+    deviation register.  At M = 2 that is the Hadamard; larger registers go
+    through np.fft."""
     m_dim = state.layout.deviation_dim
+    if m_dim == 2:
+        return hadamard_deviation_register(state)
     out = np.fft.fft(state.amplitudes.reshape(m_dim, -1), axis=0)
     out /= np.sqrt(m_dim)
     state.amplitudes = out.reshape(-1)

@@ -112,7 +112,8 @@ class TestBatchedAgainstSingleCircuit:
 
 class TestValidateOnce:
     # a dense per-eigenvector call builds its families in the eigenbasis: per
-    # window the identity s = 0 member and one secular member, each checked once
+    # window the s = 0 member, an identity slot that is neither checked nor
+    # applied, and one secular member, checked once
     @pytest.mark.parametrize("symmetric,members", [(False, 2), (True, 4)])
     def test_unitarity_checked_once_per_member(self, rng, monkeypatch, symmetric, members):
         checks, built, dense = [], [], []
@@ -124,7 +125,7 @@ class TestValidateOnce:
 
         def counting_families(*args):
             families = list(real_families(*args))
-            built.extend(len(family) for family in families)
+            built.extend(families)
             return iter(families)
 
         monkeypatch.setattr(sv, "unitarity_defect", counting_defect)
@@ -133,8 +134,11 @@ class TestValidateOnce:
         x = random_hermitian(rng, 16)
         request = InverseExpectationRequest(x=x, phi=random_state(rng, 16), k=16)
         qgld_expectation(request, symmetric=symmetric)
-        assert sum(built) == members
-        assert len(checks) == members
+        assert sum(len(family) for family in built) == members
+        assert len(checks) == members // 2
+        for family in built:
+            [slot] = family.identity_slots
+            np.testing.assert_array_equal(family[slot], np.eye(16))
         assert dense == []
 
     def test_non_unitary_member_rejected_at_build(self):

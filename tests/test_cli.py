@@ -99,22 +99,29 @@ class TestGradient:
         assert err
 
     def test_oracle_reads_the_one_eigendecomposition(self, capsys, monkeypatch):
-        # 1 resolve plus the 2 members of the m = 1 family; the Hellmann-Feynman
-        # oracle re-diagonalizes nothing
-        counted = []
-        eig = qgld.linalg.eig_hermitian
+        # LAPACK eigh runs twice: the resolve, and one stacked call for the 2
+        # members of the m = 1 family; the Hellmann-Feynman oracle
+        # re-diagonalizes nothing
+        resolved, lapack = [], []
+        eig, eigh = qgld.linalg.eig_hermitian, np.linalg.eigh
 
         def counting(*args, **kwargs):
-            counted.append(1)
+            resolved.append(1)
             return eig(*args, **kwargs)
+
+        def counting_lapack(a, *args, **kwargs):
+            lapack.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
 
         for module in (qgld.linalg, qgld.cli, qgld.expectation):
             monkeypatch.setattr(module, "eig_hermitian", counting)
+        monkeypatch.setattr(np.linalg, "eigh", counting_lapack)
         code, out, _ = run_cli(capsys, "gradient", "--matrix", "random-spd:8:3",
                                "--delta", "element:1,4", "--k", "0")
         assert code == 0
         assert len(parse_csv(out)[1]) == 8
-        assert len(counted) == 3
+        assert len(resolved) == 1
+        assert lapack == [(8, 8), (2, 8, 8)]
 
     def test_degenerate_oracle_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "gradient", "--matrix", "identity:4", "--delta", "element:0,1")

@@ -17,16 +17,20 @@ from qgld import (
     directional_eigen_derivative,
     eig_hermitian,
     eigenbasis_families,
+    eigenvalue_gradient_probes,
     evolution_family,
     extract_gradient_m1,
-    extract_gradient_peak,
     hadamard_deviation_register,
     init_basis,
     inverse_qft_deviation,
+    low_rank_update_eigh,
     qgpe_run,
     suggest_gradient_bound,
     unitary_phase_exp,
 )
+import qgld.qgpe
+import qgld.statevector as sv
+from qgld.qgpe import probe_distributions, readout_gradients
 from conftest import HADAMARD, SIGMA_X, SIGMA_Z, random_hermitian, random_state
 
 
@@ -240,12 +244,26 @@ class TestExtractM1:
         with pytest.raises(ProbabilityOutOfRange):
             extract_gradient_m1(-0.1, 1.1)
 
+    def test_columns_checked_at_once_naming_the_first_failure(self):
+        enc = GradientEncoding()
+        p0 = np.cos(0.25) ** 2
+        good = [p0, 1 - p0]
+        cases = [
+            ([good, [-0.1, 1.1], good, [np.nan, 0.5]], "column 1: p0 = -0.1"),
+            ([good, good, [np.nan, 0.5]], "column 2: p0 = nan"),
+            ([good, good, good, [0.7, 0.7]], "column 3: p0 \\+ p1"),
+        ]
+        for columns, message in cases:
+            with pytest.raises(ProbabilityOutOfRange, match=message):
+                readout_gradients(np.array(columns).T, enc)
+        np.testing.assert_allclose(readout_gradients(np.array([good] * 3).T, enc), 0.5, atol=1e-12)
+
 
 class TestExtractPeak:
     def test_indicator_at_zero(self):
         dist = np.zeros(8)
         dist[0] = 1.0
-        assert extract_gradient_peak(dist, GradientEncoding(m=3)) == 0.0
+        assert readout_gradients(dist[:, None], GradientEncoding(m=3))[0] == 0.0
 
     def test_synthetic_on_bin_phase(self):
         # family of pure deviation phases e^{i eps g / W} with g on bin j0;
@@ -266,11 +284,38 @@ class TestExtractPeak:
             np.exp(-2j * np.pi * np.outer(eps, eps) / m_dim) @ np.exp(1j * eps * g) / m_dim
         ) ** 2
         np.testing.assert_allclose(dist, oracle, atol=1e-12)
-        assert extract_gradient_peak(dist, enc) == pytest.approx(g, abs=1e-12)
+        assert readout_gradients(dist[:, None], enc)[0] == pytest.approx(g, abs=1e-12)
 
     def test_uniform_is_flat(self):
         with pytest.raises(FlatDistribution):
-            extract_gradient_peak(np.full(8, 1 / 8), GradientEncoding(m=3))
+            readout_gradients(np.full((8, 1), 1 / 8), GradientEncoding(m=3))
+
+    def test_mixed_column_is_flat(self):
+        # a column mixing three eigenvectors whose slopes 0, pi/2 and pi sit
+        # in three different bins: each bin holds 1/3 < 2/M, and the argmax
+        # would read one of them as if it were the column's slope
+        x = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        delta = build_delta("custom", 4, matrix=np.diag([0.0, np.pi / 2, np.pi, 0.0]))
+        column = np.array([1.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(3.0)
+        with pytest.raises(FlatDistribution, match="column 0"):
+            eigenvalue_gradient_probes(x, column[:, None], delta, GradientEncoding(L=1e-6, m=2))
+        # each eigenvector alone reads its bin
+        slopes = eigenvalue_gradient_probes(x, np.eye(4, dtype=complex)[:, :3], delta, GradientEncoding(L=1e-6, m=2))
+        np.testing.assert_allclose(slopes, [0.0, np.pi / 2, np.pi], atol=1e-12)
+
+    def test_mid_bin_eigenvector_reads_a_neighbouring_bin(self):
+        # at M = 4 a slope midway between bins 0 and pi/2 puts only
+        # 1 / (16 sin^2(pi/8)) ~ 0.427 < 2/M on each: a single eigenvector, so
+        # not flat, and it reads one of the two bins within half a bin
+        x = np.diag([1.0, 2.0]).astype(complex)
+        delta = build_delta("custom", 2, matrix=np.diag([np.pi / 4, 0.0]))
+        enc = GradientEncoding(L=1e-6, W=1.0, m=2)
+        columns = np.eye(2, dtype=complex)
+        distributions = probe_distributions(evolution_family(x, delta, enc), columns, enc.m)
+        assert np.max(distributions[:, 0]) == pytest.approx(1 / (16 * np.sin(np.pi / 8) ** 2), abs=1e-6)
+        slopes = eigenvalue_gradient_probes(x, columns, delta, enc)
+        assert min(abs(slopes[0]), abs(slopes[0] - np.pi / 2)) <= 1e-5
+        assert slopes[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_centered_negative_gradient(self):
         m = 4
@@ -282,7 +327,7 @@ class TestExtractPeak:
         family = [np.exp(1j * eps * g) * np.eye(2) for eps in range(m_dim)]
         apply_controlled_family(state, family)
         inverse_qft_deviation(state)
-        got = extract_gradient_peak(deviation_distribution(state)[:, 0], enc)
+        got = readout_gradients(deviation_distribution(state), enc)[0]
         assert got == pytest.approx(g, abs=1e-12)
 
 
@@ -362,7 +407,7 @@ class TestMainTextConvention:
         family = [np.exp(2j * np.pi * eps * g / w_main) * np.eye(2) for eps in range(m_dim)]
         apply_controlled_family(state, family)
         inverse_qft_deviation(state)
-        got = extract_gradient_peak(deviation_distribution(state)[:, 0], enc)
+        got = readout_gradients(deviation_distribution(state), enc)[0]
         assert got == pytest.approx(g, abs=1e-12)
 
 
@@ -437,3 +482,40 @@ class TestEigenbasisFamily:
         for member, u in zip(family, dense):
             want = dec.vectors.conj().T @ u @ dec.vectors
             assert np.max(np.abs(member * np.exp(1j * t * dec.values) - want)) <= bound
+
+    def test_phase_keeps_relative_precision_at_large_t(self, rng):
+        # poles near 1e3, strength s = 1e-9 and t = 1e7: each diagonal entry
+        # <e_p|W|e_p> carries the phase t (offset_p + s c) of the eigenvalue
+        # held against pole p, although t * lambda ~ 1e10 rad
+        n = 16
+        values = 1e3 + 0.37 * np.arange(n) + rng.uniform(0.0, 0.1, n)
+        coupling = random_state(rng, n)[:, None]
+        enc = GradientEncoding(L=2e-9, W=100.0, m=1)
+        assert enc.time_step() == pytest.approx(1e7)
+        s, c = enc.offsets()[1], 0.5
+        [family] = eigenbasis_families(values, (1.0,), [(coupling, enc, c)])
+        _, anchor, offset = low_rank_update_eigh(values, coupling[None], (1.0,), [s])
+        assert sorted(anchor[0]) == list(range(n))
+        want = np.empty(n)
+        want[anchor[0]] = enc.time_step() * (offset[0] + s * c)
+        got = np.angle(np.diag(family[1]))
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+class TestDenseFamily:
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_stacked_members_match_one_exponential_each(self, rng, monkeypatch, m):
+        # a budget of 3 members per stack splits M = 8 into stacks of 3, 3, 2
+        n = 8
+        x = random_hermitian(rng, n, indefinite=True)
+        delta = build_delta("outer", n, phi=random_state(rng, n))
+        enc = GradientEncoding(L=1e-5, W=4.0, m=m, shift="centered")
+        checks = []
+        real_defect = sv.unitarity_defect
+        monkeypatch.setattr(qgld.qgpe, "EIGENBASIS_BATCH", 3 * n * n)
+        monkeypatch.setattr(sv, "unitarity_defect", lambda u: checks.append(len(u)) or real_defect(u))
+        family = evolution_family(x, delta, enc)
+        assert checks == ([2] if m == 1 else [3, 3, 2])
+        for member, s in zip(family, enc.offsets()):
+            want = unitary_phase_exp(x + s * delta.matrix, enc.time_step())
+            np.testing.assert_allclose(member, want, rtol=0, atol=1e-14)

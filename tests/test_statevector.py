@@ -18,6 +18,7 @@ from qgld import (
     sample_deviation,
     unitary_phase_exp,
 )
+from qgld.statevector import ControlledFamily, StateVector
 from conftest import SIGMA_X, forward_qft_deviation, preparation_unitary, random_state
 
 
@@ -169,6 +170,37 @@ class TestControlledFamily:
         with pytest.raises(NonUnitaryMember):
             apply_controlled_family(state, [np.eye(2), 2.0 * np.eye(2)])
 
+    def test_identity_slot_rows_left_bit_identical(self, rng):
+        layout = RegisterLayout(2, 3, batch=5)
+        members = np.stack([unitary_phase_exp(np.diag(rng.standard_normal(8)).astype(complex) + 0.3, t)
+                            for t in (0.7, 1.1, 2.3)])
+        family = ControlledFamily._adopt([members[:2], members[2:]], identity_slots=[1])
+        assert family.identity_slots == {1}
+        np.testing.assert_array_equal(family[1], np.eye(8))
+        state = StateVector(layout, rng.standard_normal(4 * 8 * 5) + 1j * rng.standard_normal(4 * 8 * 5))
+        before = state.as_tensor().copy()
+        apply_controlled_family(state, family)
+        after = state.as_tensor()
+        np.testing.assert_array_equal(after[1], before[1])
+        for eps, u in ((0, members[0]), (2, members[1]), (3, members[2])):
+            np.testing.assert_array_equal(after[eps], u @ before[eps])
+
+    def test_adopted_members_read_only_without_copy(self, rng):
+        stack = np.stack([unitary_phase_exp(np.diag(rng.standard_normal(4)).astype(complex), 1.0)])
+        family = ControlledFamily._adopt([stack], identity_slots=[0])
+        assert np.shares_memory(family[1], stack)
+        for member in family:
+            with pytest.raises(ValueError):
+                member[0, 0] = 2.0
+
+    def test_stacked_check_names_the_member(self):
+        good = np.eye(2, dtype=complex)
+        # slot 0 is the identity, so the stacks hold slots 1, 2 and 3, 4
+        with pytest.raises(NonUnitaryMember, match="member 4 "):
+            ControlledFamily._adopt([np.stack([good, good]), np.stack([good, 2.0 * good])], identity_slots=[0])
+        with pytest.raises(NonUnitaryMember, match="member 2 "):
+            ControlledFamily([good, good, 2.0 * good, good])
+
 
 class TestInverseQft:
     def test_uniform_to_dc(self):
@@ -200,6 +232,17 @@ class TestInverseQft:
         mat[:, 0] = [1 / np.sqrt(2), -1 / np.sqrt(2)]
         inverse_qft_deviation(state)
         assert deviation_distribution(state)[1, 0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_equals_normalized_fft(self, rng, m, batch):
+        layout = RegisterLayout(m, 2, batch=batch)
+        size = layout.deviation_dim * layout.system_dim * batch
+        state = StateVector(layout, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        want = np.fft.fft(state.amplitudes.reshape(layout.deviation_dim, -1), axis=0)
+        want /= np.sqrt(layout.deviation_dim)
+        inverse_qft_deviation(state)
+        np.testing.assert_array_equal(state.amplitudes.reshape(layout.deviation_dim, -1), want)
 
     def test_round_trip(self, rng):
         layout = RegisterLayout(4, 2)

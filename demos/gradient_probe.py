@@ -18,7 +18,7 @@ Hadamard matrix, delta = sigma-x: probe residual vs 1/sqrt(2)
 """
 import numpy as np
 
-from qgld import GradientEncoding, build_delta, eig_hermitian, qgpe_run
+from qgld import GradientEncoding, build_delta, eig_hermitian, eigenvalue_gradient_probes
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -28,7 +28,7 @@ def probe_sigma_x():
     enc = GradientEncoding(L=1e-6)
     print(f"probing X = sigma-x eigenstates, L = {enc.L}")
     dec = eig_hermitian(SIGMA_X)
-    states = {"+": dec.vectors[:, 1], "-": dec.vectors[:, 0]}
+    states = dec.vectors[:, [1, 0]]  # |+>, |->
     directions = {
         "X": build_delta("custom", 2, matrix=SIGMA_X),
         "|0><0|": build_delta("element", 2, i=0, j=0),
@@ -36,11 +36,10 @@ def probe_sigma_x():
         "I": build_delta("custom", 2, matrix=np.eye(2, dtype=complex)),
     }
     for name, delta in directions.items():
-        for label, vec in states.items():
-            outcome = qgpe_run(SIGMA_X, vec, delta, enc)
+        probes = eigenvalue_gradient_probes(SIGMA_X, states, delta, enc)
+        for label, vec, probe in zip("+-", states.T, probes):
             oracle = abs(np.real(vec.conj() @ delta.matrix @ vec))
-            print(f"  delta={name:<8} state={label}  probe={outcome.amplitude_gradient:.9f}"
-                  f"  oracle={oracle:.9f}")
+            print(f"  delta={name:<8} state={label}  probe={probe:.9f}  oracle={oracle:.9f}")
 
 
 def hadamard_residual_sweep():
@@ -48,20 +47,20 @@ def hadamard_residual_sweep():
     dec = eig_hermitian(HADAMARD)
     delta = build_delta("custom", 2, matrix=SIGMA_X)
     for l_value in (1e-4, 1e-5, 1e-6):
-        outcome = qgpe_run(HADAMARD, dec.vectors[:, 1], delta, GradientEncoding(L=l_value))
-        residual = abs(outcome.amplitude_gradient - 1 / np.sqrt(2))
-        print(f"  L={l_value:.0e}  residual={residual:.2e}")
+        [probe] = eigenvalue_gradient_probes(HADAMARD, dec.vectors[:, [1]], delta, GradientEncoding(L=l_value))
+        print(f"  L={l_value:.0e}  residual={abs(probe - 1 / np.sqrt(2)):.2e}")
 
 
 def peak_readout_with_more_qubits():
     print("six deviation qubits: signed gradient from the distribution peak")
     enc = GradientEncoding(L=1e-6, m=6, shift="centered")
+    width = 2 * np.pi * enc.W / enc.deviation_dim
     dec = eig_hermitian(HADAMARD)
     delta = build_delta("custom", 2, matrix=SIGMA_X)
-    for which, label in ((1, "H+"), (0, "H-")):
-        outcome = qgpe_run(HADAMARD, dec.vectors[:, which], delta, enc)
-        print(f"  state={label}  peak bin={outcome.peak_index}  "
-              f"decoded={outcome.peak_gradient:+.4f} (bin width {2 * np.pi / 64:.4f})")
+    decoded = eigenvalue_gradient_probes(HADAMARD, dec.vectors[:, [1, 0]], delta, enc)
+    for label, grad in zip(("H+", "H-"), decoded):
+        peak = round(grad / width) % enc.deviation_dim
+        print(f"  state={label}  peak bin={peak}  decoded={grad:+.4f} (bin width {width:.4f})")
 
 
 def main():

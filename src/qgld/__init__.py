@@ -49,14 +49,10 @@ from .statevector import (
 from .qgpe import (
     GradientEncoding,
     PerturbationDirection,
-    QgpeOutcome,
     build_delta,
     eigenbasis_families,
     evolution_family,
-    extract_gradient_m1,
     probe_distributions,
-    qgpe_run,
-    qgpe_run_batch,
     suggest_gradient_bound,
 )
 from .lanczos import (
@@ -80,7 +76,6 @@ from .expectation import (
     eigenvalue_gradient_probe,
     eigenvalue_gradient_probes,
     equal_superposition,
-    logdet_directional_derivative,
     logdet_directional_derivatives,
     logdet_gradient_entry,
     qgld_expectation,

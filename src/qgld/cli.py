@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -39,7 +40,7 @@ from .expectation import (
 from .kernel import kernel_fit, kernel_predict
 from .lanczos import assemble_and_solve, build_factorization, dump_factorization
 from .linalg import eig_hermitian, hellmann_feynman_derivative, relevance_order
-from .qgpe import GradientEncoding, PerturbationDirection, build_delta, qgpe_run_batch, require_weight_vector
+from .qgpe import GradientEncoding, PerturbationDirection, build_delta, require_weight_vector
 
 NUMERIC_ERRORS = (
     AliasedReadout,
@@ -64,6 +65,15 @@ def random_spd(n: int, seed: int) -> np.ndarray:
     return (q * values) @ q.conj().T
 
 
+def _spec_integers(flag: str, source: str, form: str, pattern: str) -> list[int]:
+    """The integer fields of the spec ``source`` matching ``pattern``, or a
+    ValueError naming ``flag`` and the expected ``form``."""
+    match = re.fullmatch(pattern, source)
+    if match is None:
+        raise ValueError(f"{flag} {source!r}: expected {form}")
+    return [int(v) for v in match.groups()]
+
+
 def resolve_matrix(source: str) -> np.ndarray:
     if source == "sigma-x":
         return SIGMA_X.copy()
@@ -74,10 +84,11 @@ def resolve_matrix(source: str) -> np.ndarray:
     if source == "identity":
         return np.eye(2, dtype=complex)
     if source.startswith("identity:"):
-        return np.eye(int(source.split(":")[1]), dtype=complex)
+        [n] = _spec_integers("--matrix", source, "identity:N", r"identity:(\d+)")
+        return np.eye(n, dtype=complex)
     if source.startswith("random-spd:"):
-        _, n, seed = source.split(":")
-        return random_spd(int(n), int(seed))
+        n, seed = _spec_integers("--matrix", source, "random-spd:N:SEED", r"random-spd:(\d+):(\d+)")
+        return random_spd(n, seed)
     return qio.load_matrix(source)
 
 
@@ -95,7 +106,7 @@ def resolve_phi(source: str, n: int) -> np.ndarray:
 def resolve_delta(source: str, x: np.ndarray, phi: np.ndarray | None) -> PerturbationDirection:
     n = x.shape[0]
     if source.startswith("element:"):
-        i, j = (int(v) for v in source.split(":")[1].split(","))
+        i, j = _spec_integers("--delta", source, "element:i,j", r"element:(-?\d+),(-?\d+)")
         return build_delta("element", n, i=i, j=j)
     if source == "all-ones":
         return build_delta("all_ones", n)
@@ -144,20 +155,19 @@ def cmd_gradient(args) -> str:
 def cmd_reproduce_table1(args) -> str:
     enc = GradientEncoding(L=1e-6, W=1.0, m=1)
     dec = eig_hermitian(SIGMA_X)  # column 1 is |+>, column 0 is |->
+    along_x = build_delta("custom", 2, matrix=SIGMA_X)
     directions = [
-        ("X", build_delta("custom", 2, matrix=SIGMA_X)),
+        ("X", along_x),
         ("|0><0|", build_delta("element", 2, i=0, j=0)),
         ("|1><1|", build_delta("element", 2, i=1, j=1)),
         ("I", build_delta("custom", 2, matrix=np.eye(2, dtype=complex))),
     ]
     rows = []
     for name, delta in directions:
-        outcomes = qgpe_run_batch(SIGMA_X, dec.vectors[:, [1, 0]], delta, enc)
-        rows += [["sigma-x", name, label, enc.L, enc.m, outcome.amplitude_gradient]
-                 for label, outcome in zip("+-", outcomes)]
-    hdec = eig_hermitian(HADAMARD)
-    [outcome] = qgpe_run_batch(HADAMARD, hdec.vectors[:, [1]], build_delta("custom", 2, matrix=SIGMA_X), enc)
-    rows.append(["hadamard", "X", "H+", enc.L, enc.m, outcome.amplitude_gradient])
+        grads = eigenvalue_gradient_probes(SIGMA_X, dec.vectors[:, [1, 0]], delta, enc).tolist()
+        rows += [["sigma-x", name, label, enc.L, enc.m, grad] for label, grad in zip("+-", grads)]
+    [grad] = eigenvalue_gradient_probes(HADAMARD, eig_hermitian(HADAMARD).vectors[:, [1]], along_x, enc).tolist()
+    rows.append(["hadamard", "X", "H+", enc.L, enc.m, grad])
     return qio.render_csv(["matrix", "delta", "eigenstate", "L", "m", "gradient"], rows)
 
 

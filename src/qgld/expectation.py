@@ -149,7 +149,7 @@ def _read_slopes(families, columns: np.ndarray, encodings, identity_shift: float
     """Slopes of the prepared ``columns``, one probe circuit per column and
     window, read back conditioned on the prepared column, averaged over the
     windows, minus the identity shift."""
-    grads = [readout_gradients(probe_distributions(family, columns, enc.m, project_back=True), enc)
+    grads = [readout_gradients(probe_distributions(family, columns, enc.m), enc)
              for family, enc in zip(families, encodings)]
     return np.mean(grads, axis=0) - identity_shift
 
@@ -365,24 +365,14 @@ def logdet_directional_derivatives(x, deltas, k: int, enc: GradientEncoding = Gr
     return [total for _, _, total in _probe_relevant_eigenpairs(x, probes, k, eigensource, symmetric)[2]]
 
 
-def logdet_directional_derivative(x, delta, k: int, enc: GradientEncoding = GradientEncoding(),
-                                  eigensource: DenseSource | RqblSource = DenseSource(),
-                                  symmetric: bool = False) -> float:
-    """Directional derivative along one hermitian ``delta``: the one-direction
-    case of :func:`logdet_directional_derivatives`."""
-    return logdet_directional_derivatives(x, [delta], k, enc, eigensource, symmetric)[0]
-
-
 def logdet_gradient_entry(x, i: int, j: int, k: int, enc: GradientEncoding = GradientEncoding(),
                           eigensource: DenseSource | RqblSource = DenseSource(),
                           symmetric: bool = False) -> float:
     """Entry of the log-determinant gradient: the directional derivative along
     ones at (i, j) and (j, i), zero-based.  At k = N and L -> 0 this converges
     to (X^-1)_ij + (X^-1)_ji for i != j and (X^-1)_ii on the diagonal."""
-    n = as_complex_matrix(x).shape[0]
-    delta = build_delta("element", n, i=i, j=j)
-    [(_, _, total)] = _probe_relevant_eigenpairs(x, [(delta, enc)], k, eigensource, symmetric)[2]
-    return total
+    delta = build_delta("element", as_complex_matrix(x).shape[0], i=i, j=j)
+    return logdet_directional_derivatives(x, [delta], k, enc, eigensource, symmetric)[0]
 
 
 def classical_reference_expectation(x, phi) -> float:
@@ -419,7 +409,7 @@ def _signed_phases(family: sv.ControlledFamily, columns: np.ndarray) -> np.ndarr
     phases = np.ones((2, 2 * b), dtype=complex)
     phases[1, b:] = -1j
     dist = probe_distributions(family, np.concatenate([columns, columns], axis=1), m=1,
-                               project_back=True, deviation_phases=phases)
+                               deviation_phases=phases)
     quadratures = dist[0] - dist[1]
     return np.arctan2(quadratures[b:], quadratures[:b])
 

@@ -277,23 +277,6 @@ def _solved_members(values, signs, probes, batch) -> np.ndarray:
     return vectors @ np.conjugate(right, out=right)
 
 
-@dataclass(frozen=True)
-class QgpeOutcome:
-    """Readout of one gradient probe circuit."""
-
-    distribution: np.ndarray
-    peak_index: int
-    peak_gradient: float
-    amplitude_gradient: float | None
-    eigenresidual: float
-
-
-def extract_gradient_m1(p0: float, p1: float, w: float = 1.0) -> float:
-    """Gradient magnitude from the two-outcome distribution: 2*arccos(sqrt(p0))*W,
-    the one-column case of :func:`readout_gradients`."""
-    return float(_amplitude_readout(np.array([p0], dtype=float), np.array([p1], dtype=float), w)[0])
-
-
 def _amplitude_readout(p0: np.ndarray, p1: np.ndarray, w: float) -> np.ndarray:
     """2*arccos(sqrt(p0))*W for every column, after checking all columns at
     once: each probability in [0, 1] (to 1e-12), each pair summing to one
@@ -333,7 +316,7 @@ def readout_gradients(distributions: np.ndarray, enc: GradientEncoding) -> np.nd
     return np.array([enc.bin_to_gradient(int(j)) for j in np.argmax(distributions, axis=0)])
 
 
-def probe_distributions(family, columns: np.ndarray, m: int, project_back: bool = False,
+def probe_distributions(family, columns: np.ndarray, m: int,
                         deviation_phases: np.ndarray | None = None) -> np.ndarray:
     """Deviation distributions (M, B) of the probe circuit, run on every
     column of ``columns`` (N, B) as an independent circuit.
@@ -341,10 +324,11 @@ def probe_distributions(family, columns: np.ndarray, m: int, project_back: bool 
     Sequence: basis init, preparation of each column, Hadamard fan-out of the
     deviations, the controlled ``family`` (checked once here if it is a raw
     member list), optional per-column ``deviation_phases`` (M, B), inverse
-    QFT, and the marginal readout, or with ``project_back`` the readout
-    conditioned on the system register returning to the prepared column.
-    Columns run in chunks of at most ``batch_capacity(m, n)``, so every
-    amplitude tensor stays within the 2^MAX_QUBITS guard.
+    QFT, and the readout conditioned on the system register returning to the
+    prepared column, which suppresses the contamination from the small
+    eigenvector tilt at finite L.  Columns run in chunks of at most
+    ``batch_capacity(m, n)``, so every amplitude tensor stays within the
+    2^MAX_QUBITS guard.
     """
     family = sv.ControlledFamily(family)
     columns = np.asarray(columns, dtype=complex)
@@ -360,56 +344,5 @@ def probe_distributions(family, columns: np.ndarray, m: int, project_back: bool 
         if deviation_phases is not None:
             sv.phase_deviation_register(state, deviation_phases[:, start:start + chunk])
         sv.inverse_qft_deviation(state)
-        if project_back:
-            distributions.append(sv.conditional_deviation_distribution(state, block))
-        else:
-            distributions.append(sv.deviation_distribution(state))
+        distributions.append(sv.conditional_deviation_distribution(state, block))
     return np.concatenate(distributions, axis=1)
-
-
-def qgpe_run_batch(x, columns: np.ndarray, delta: PerturbationDirection, enc: GradientEncoding,
-                   family=None, project_back: bool = False) -> list[QgpeOutcome]:
-    """Run the full probe circuit on each (intended) eigenvector column of
-    ``columns`` (N, B), all columns as one batched circuit.
-
-    With ``project_back`` the readout undoes the eigenstate preparation and
-    conditions the deviation register on the system returning to |0...0>,
-    which suppresses contamination from the small eigenvector tilt at finite
-    L.  A precomputed ``family`` (a ControlledFamily, or a raw member list,
-    which is checked once) may be passed to amortize the matrix exponentials
-    across runs that share (x, delta, enc).
-
-    The inputs need not be exact eigenvectors; each outcome's
-    ``eigenresidual`` reports ||X p - (p^dag X p) p|| so callers can detect
-    drift.  For m = 1 every column passes through :func:`readout_gradients`'
-    range and arccos/arcsin checks.
-    """
-    x = require_hermitian(x)
-    columns = np.asarray(columns, dtype=complex)
-    if family is None:
-        family = evolution_family(x, delta, enc)
-    distributions = probe_distributions(family, columns, enc.m, project_back=project_back)
-
-    work = x @ columns
-    rayleigh = np.einsum("sb,sb->b", columns.conj(), work)
-    eigenresiduals = np.linalg.norm(work - rayleigh * columns, axis=0)
-
-    amplitudes = readout_gradients(distributions, enc).tolist() if enc.m == 1 else [None] * columns.shape[1]
-    return [
-        QgpeOutcome(
-            distribution=distributions[:, b],
-            peak_index=int(peak_index),
-            peak_gradient=enc.bin_to_gradient(int(peak_index)),
-            amplitude_gradient=amplitudes[b],
-            eigenresidual=float(eigenresiduals[b]),
-        )
-        for b, peak_index in enumerate(np.argmax(distributions, axis=0))
-    ]
-
-
-def qgpe_run(x, p_state: np.ndarray, delta: PerturbationDirection, enc: GradientEncoding,
-             family=None, project_back: bool = False) -> QgpeOutcome:
-    """The probe circuit on a single (intended) eigenvector p_state: the
-    one-column case of :func:`qgpe_run_batch`."""
-    columns = np.asarray(p_state, dtype=complex)[:, None]
-    return qgpe_run_batch(x, columns, delta, enc, family=family, project_back=project_back)[0]

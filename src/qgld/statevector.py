@@ -77,9 +77,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.amplitudes.copy())
-
 
 def system_qubits_for_dim(dim: int) -> int:
     """Number of qubits for a dimension that must be a power of two."""

@@ -16,7 +16,7 @@ from qgld import (
     deviation_distribution,
     directional_eigen_derivative,
     eig_hermitian,
-    extract_gradient_m1,
+    eigenvalue_gradient_probes,
     hadamard_deviation_register,
     init_basis,
     inverse,
@@ -26,10 +26,10 @@ from qgld import (
     logdet_gradient_entry,
     logdet_lu,
     qgld_expectation,
-    qgpe_run,
     run_rqbl,
     sigma_qgld_expectation,
 )
+from qgld.qgpe import readout_gradients
 from conftest import (
     HADAMARD,
     SIGMA_X,
@@ -78,12 +78,12 @@ def test_criterion_2_hadamard_gradient():
         delta = build_delta("custom", 2, matrix=SIGMA_X)
         dec = eig_hermitian(HADAMARD)
         for which in (0, 1):
-            outcome = qgpe_run(HADAMARD, dec.vectors[:, which], delta, GradientEncoding(L=1e-6))
-            assert abs(outcome.amplitude_gradient - 1 / np.sqrt(2)) <= 1e-6
+            [grad] = eigenvalue_gradient_probes(HADAMARD, dec.vectors[:, [which]], delta, GradientEncoding(L=1e-6))
+            assert abs(grad - 1 / np.sqrt(2)) <= 1e-6
         residuals = []
         for l_value in (1e-5, 1e-6):
-            outcome = qgpe_run(HADAMARD, dec.vectors[:, 1], delta, GradientEncoding(L=l_value))
-            residuals.append(abs(outcome.amplitude_gradient - 1 / np.sqrt(2)))
+            [grad] = eigenvalue_gradient_probes(HADAMARD, dec.vectors[:, [1]], delta, GradientEncoding(L=l_value))
+            residuals.append(abs(grad - 1 / np.sqrt(2)))
         assert 5 <= residuals[0] / residuals[1] <= 20
 
 
@@ -221,13 +221,12 @@ def test_criterion_8_property_suites():
         delta = build_delta("all_ones", 4)
         enc = GradientEncoding(L=1e-5, m=2)
         dec = eig_hermitian(x)
-        from qgld import evolution_family
+        from qgld import evolution_family, probe_distributions
 
         family = evolution_family(x, delta, enc)
-        base = qgpe_run(x, dec.vectors[:, 0], delta, enc, family=family)
-        rotated = qgpe_run(x, dec.vectors[:, 0], delta, enc,
-                           family=[np.exp(1.234j) * u for u in family])
-        assert np.max(np.abs(base.distribution - rotated.distribution)) <= 1e-12
+        base = probe_distributions(family, dec.vectors[:, [0]], enc.m)
+        rotated = probe_distributions([np.exp(1.234j) * u for u in family], dec.vectors[:, [0]], enc.m)
+        assert np.max(np.abs(base - rotated)) <= 1e-12
 
         distributions = []
         for sign in (1.0, -1.0):
@@ -237,7 +236,7 @@ def test_criterion_8_property_suites():
             inverse_qft_deviation(state)
             distributions.append(deviation_distribution(state)[:, 0])
         np.testing.assert_allclose(distributions[0], distributions[1], atol=1e-14)
-        assert extract_gradient_m1(distributions[0][0], distributions[0][1]) == pytest.approx(0.9)
+        assert readout_gradients(distributions[0][:, None], GradientEncoding())[0] == pytest.approx(0.9)
 
         layout = RegisterLayout(4, 2)
         state = init_basis(layout, 0)

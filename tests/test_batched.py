@@ -24,16 +24,14 @@ from qgld import (
     init_basis,
     probe_distributions,
     qgld_expectation,
-    qgpe_run,
-    qgpe_run_batch,
 )
 from conftest import SIGMA_X, preparation_unitary, random_hermitian, random_state
 
 
-def single_circuit_distribution(family, v, project_back):
+def single_circuit_distribution(family, v):
     """One probe circuit on one state, as dense matrices: Householder
     preparation, uniform deviation fan-out, block-diagonal controlled family,
-    explicit inverse-DFT matrix, then the marginal or conditional readout."""
+    explicit inverse-DFT matrix, then the readout conditioned on v."""
     m_dim, n_dim = len(family), len(v)
     system = preparation_unitary(v)[:, 0]
     state = np.kron(np.full(m_dim, 1 / np.sqrt(m_dim)), system)
@@ -43,10 +41,8 @@ def single_circuit_distribution(family, v, project_back):
     k = np.arange(m_dim)
     dft = np.exp(-2j * np.pi * np.outer(k, k) / m_dim) / np.sqrt(m_dim)
     mat = (np.kron(dft, np.eye(n_dim)) @ controlled @ state).reshape(m_dim, n_dim)
-    if project_back:
-        probs = np.abs(mat @ v.conj()) ** 2
-        return probs / probs.sum()
-    return np.sum(np.abs(mat) ** 2, axis=1)
+    probs = np.abs(mat @ v.conj()) ** 2
+    return probs / probs.sum()
 
 
 class TestBatchedAgainstSingleCircuit:
@@ -56,11 +52,9 @@ class TestBatchedAgainstSingleCircuit:
         m=st.sampled_from([1, 2, 3]),
         shift=st.sampled_from(["unshifted", "centered"]),
         identity_shift=st.booleans(),
-        project_back=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_distributions_match_per_column_circuit(self, n, m, shift, identity_shift,
-                                                     project_back, seed):
+    def test_distributions_match_per_column_circuit(self, n, m, shift, identity_shift, seed):
         rng = np.random.default_rng(seed)
         x = random_hermitian(rng, n, indefinite=True)
         i, j = (int(v) for v in rng.integers(0, n, size=2))
@@ -70,13 +64,13 @@ class TestBatchedAgainstSingleCircuit:
         enc = GradientEncoding(L=1e-5, W=4.0, m=m, shift=shift)
         vectors = eig_hermitian(x).vectors
         family = evolution_family(x, delta, enc)
-        outcomes = qgpe_run_batch(x, vectors, delta, enc, family=family, project_back=project_back)
-        for p, outcome in enumerate(outcomes):
-            want = single_circuit_distribution(family, vectors[:, p], project_back)
-            np.testing.assert_allclose(outcome.distribution, want, rtol=0, atol=1e-12)
-            single = qgpe_run(x, vectors[:, p], delta, enc, family=family, project_back=project_back)
-            np.testing.assert_allclose(single.distribution, outcome.distribution, rtol=0, atol=1e-12)
-            assert single.peak_index == outcome.peak_index
+        distributions = probe_distributions(family, vectors, enc.m)
+        for p, distribution in enumerate(distributions.T):
+            want = single_circuit_distribution(family, vectors[:, p])
+            np.testing.assert_allclose(distribution, want, rtol=0, atol=1e-12)
+            single = probe_distributions(family, vectors[:, [p]], enc.m)[:, 0]
+            np.testing.assert_allclose(single, distribution, rtol=0, atol=1e-12)
+            assert np.argmax(single) == np.argmax(distribution)
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_probes_match_one_column_probes(self, rng, symmetric):
@@ -96,11 +90,11 @@ class TestBatchedAgainstSingleCircuit:
         enc = GradientEncoding(L=1e-5, m=2)
         vectors = eig_hermitian(x).vectors
         family = evolution_family(x, build_delta("all_ones", 8), enc)
-        whole = probe_distributions(family, vectors, enc.m, project_back=True)
+        whole = probe_distributions(family, vectors, enc.m)
         # a 6-qubit guard leaves room for 2 columns of M*N = 32 amplitudes
         monkeypatch.setattr(sv, "MAX_QUBITS", 6)
         assert sv.batch_capacity(2, 3) == 2
-        chunked = probe_distributions(family, vectors, enc.m, project_back=True)
+        chunked = probe_distributions(family, vectors, enc.m)
         np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
 
     def test_layout_rejects_batch_beyond_guard(self):
@@ -150,11 +144,10 @@ class TestValidateOnce:
         with pytest.raises(NonUnitaryMember):
             apply_controlled_family(state, [np.eye(2), 2.0 * np.eye(2)])
 
-    def test_raw_list_checked_by_qgpe_run(self):
-        v = eig_hermitian(SIGMA_X).vectors[:, 1]
-        delta = build_delta("custom", 2, matrix=SIGMA_X)
+    def test_raw_list_checked_by_probe_distributions(self):
+        v = eig_hermitian(SIGMA_X).vectors[:, [1]]
         with pytest.raises(NonUnitaryMember):
-            qgpe_run(SIGMA_X, v, delta, GradientEncoding(), family=[np.eye(2), 2.0 * np.eye(2)])
+            probe_distributions([np.eye(2), 2.0 * np.eye(2)], v, 1)
 
     def test_members_are_read_only_copies(self):
         member = np.eye(2, dtype=complex)

@@ -6,7 +6,6 @@ import pytest
 import qgld.cli
 import qgld.expectation
 import qgld.linalg
-import qgld.qgpe
 from qgld import GradientEncoding, InverseExpectationRequest, qgld_expectation, qgld_expectation_sweep
 from qgld.cli import build_parser, main, random_spd
 from qgld.io import render_csv, save_matrix
@@ -25,7 +24,24 @@ def parse_csv(text):
     return header, rows
 
 
+TABLE1_STDOUT = """\
+matrix,delta,eigenstate,L,m,gradient
+sigma-x,X,+,1e-06,1,1
+sigma-x,X,-,1e-06,1,1
+sigma-x,|0><0|,+,1e-06,1,0.500000062
+sigma-x,|0><0|,-,1e-06,1,0.499999937
+sigma-x,|1><1|,+,1e-06,1,0.500000062
+sigma-x,|1><1|,-,1e-06,1,0.499999937
+sigma-x,I,+,1e-06,1,1
+sigma-x,I,-,1e-06,1,1
+hadamard,X,H+,1e-06,1,0.707106906
+"""
+
+
 class TestReproduceTable1:
+    def test_stdout_is_pinned(self, capsys):
+        assert run_cli(capsys, "reproduce-table1") == (0, TABLE1_STDOUT, "")
+
     def test_emits_all_rows_within_tolerance(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce-table1")
         assert code == 0
@@ -47,13 +63,13 @@ class TestReproduceTable1:
     def test_one_family_per_distinct_direction(self, capsys, monkeypatch):
         # four sigma-x directions, each probing both eigenstates, and one Hadamard row
         built = []
-        family = qgld.qgpe.evolution_family
+        family = qgld.expectation.evolution_family
 
         def counting(*args):
             built.append(1)
             return family(*args)
 
-        monkeypatch.setattr(qgld.qgpe, "evolution_family", counting)
+        monkeypatch.setattr(qgld.expectation, "evolution_family", counting)
         code, _, _ = run_cli(capsys, "reproduce-table1")
         assert code == 0
         assert len(built) == 5
@@ -92,6 +108,18 @@ class TestGradient:
                                "--delta", "element:1,5", "--k", k)
         assert code == 0
         assert len(parse_csv(out)[1]) == rows
+
+    @pytest.mark.parametrize("flag, spec, form", [
+        ("--delta", "element:1", "element:i,j"),
+        ("--delta", "element:a,b", "element:i,j"),
+        ("--matrix", "identity:x", "identity:N"),
+        ("--matrix", "random-spd:4", "random-spd:N:SEED"),
+    ])
+    def test_malformed_spec_names_flag_and_form(self, capsys, flag, spec, form):
+        code, out, err = run_cli(capsys, "gradient", flag, spec)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} {spec!r}: expected {form}\n"
 
     def test_missing_matrix_file(self, capsys):
         code, _, err = run_cli(capsys, "gradient", "--matrix", "/nonexistent/matrix.json")

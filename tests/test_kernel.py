@@ -10,7 +10,7 @@ from qgld import (
     gaussian_kernel_matrix,
     kernel_fit,
     kernel_predict,
-    logdet_directional_derivative,
+    logdet_directional_derivatives,
 )
 
 
@@ -154,7 +154,8 @@ class TestProbeSolver:
             direction = PerturbationDirection.from_factors(factors, (1.0, -1.0))
             np.testing.assert_allclose(direction.matrix, (np.outer(e, f_hat) + np.outer(f_hat, e)) / 2,
                                        rtol=0, atol=4 * np.finfo(float).eps)
-            assert model.alpha[i] == f_norm * logdet_directional_derivative(system, direction, 12, symmetric=True)
+            [derivative] = logdet_directional_derivatives(system, [direction], 12, symmetric=True)
+            assert model.alpha[i] == f_norm * derivative
 
     @pytest.mark.parametrize("k", [-1, 0, 17])
     def test_k_outside_resolved_pairs_rejected(self, k):

@@ -19,12 +19,10 @@ from qgld import (
     eigenbasis_families,
     eigenvalue_gradient_probes,
     evolution_family,
-    extract_gradient_m1,
     hadamard_deviation_register,
     init_basis,
     inverse_qft_deviation,
     low_rank_update_eigh,
-    qgpe_run,
     suggest_gradient_bound,
     unitary_phase_exp,
 )
@@ -194,55 +192,50 @@ def _direction(tag):
 
 
 class TestQgpeRun:
+    # the probe circuit on single eigenvectors, read conditioned on each
     @pytest.mark.parametrize("tag,which,want", TABLE_ROWS)
     def test_single_qubit_reference_rows(self, tag, which, want):
         dec = eig_hermitian(SIGMA_X)
-        outcome = qgpe_run(SIGMA_X, dec.vectors[:, which], _direction(tag), GradientEncoding())
-        assert outcome.amplitude_gradient == pytest.approx(want, abs=1e-5)
+        [grad] = eigenvalue_gradient_probes(SIGMA_X, dec.vectors[:, [which]], _direction(tag), GradientEncoding())
+        assert grad == pytest.approx(want, abs=1e-5)
 
     def test_hadamard_gradient(self):
         dec = eig_hermitian(HADAMARD)
         delta = build_delta("custom", 2, matrix=SIGMA_X)
         for which in (0, 1):
-            outcome = qgpe_run(HADAMARD, dec.vectors[:, which], delta, GradientEncoding())
-            assert abs(outcome.amplitude_gradient - 1 / np.sqrt(2)) <= 1e-6
+            [grad] = eigenvalue_gradient_probes(HADAMARD, dec.vectors[:, [which]], delta, GradientEncoding())
+            assert abs(grad - 1 / np.sqrt(2)) <= 1e-6
 
     def test_sigma_z_zero_gradient(self):
         dec = eig_hermitian(SIGMA_Z)
         delta = build_delta("custom", 2, matrix=SIGMA_X)
-        outcome = qgpe_run(SIGMA_Z, dec.vectors[:, 1], delta, GradientEncoding())
-        assert abs(outcome.amplitude_gradient) <= 1e-6
+        [grad] = eigenvalue_gradient_probes(SIGMA_Z, dec.vectors[:, [1]], delta, GradientEncoding())
+        assert abs(grad) <= 1e-6
 
-    def test_eigenresidual_reported(self, rng):
-        x = random_hermitian(rng, 2)
-        not_eigen = random_state(rng, 2)
-        outcome = qgpe_run(x, not_eigen, build_delta("custom", 2, matrix=x), GradientEncoding())
-        rayleigh = not_eigen.conj() @ x @ not_eigen
-        want = np.linalg.norm(x @ not_eigen - rayleigh * not_eigen)
-        assert outcome.eigenresidual == pytest.approx(want, abs=1e-12)
-        dec = eig_hermitian(x)
-        clean = qgpe_run(x, dec.vectors[:, 0], build_delta("custom", 2, matrix=x), GradientEncoding())
-        assert clean.eigenresidual <= 1e-10
+
+def amplitude_readout(p0, p1, w=1.0):
+    """The m = 1 readout of one column (p0, p1) at gradient scale w."""
+    return readout_gradients(np.array([[p0], [p1]]), GradientEncoding(W=w))[0]
 
 
 class TestExtractM1:
     def test_endpoints(self):
-        assert extract_gradient_m1(1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert extract_gradient_m1(0.0, 1.0) == pytest.approx(np.pi, abs=1e-12)
+        assert amplitude_readout(1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert amplitude_readout(0.0, 1.0) == pytest.approx(np.pi, abs=1e-12)
 
     def test_inverts_formula(self):
         p0 = np.cos(0.25) ** 2
-        assert extract_gradient_m1(p0, 1 - p0) == pytest.approx(0.5, abs=1e-12)
+        assert amplitude_readout(p0, 1 - p0) == pytest.approx(0.5, abs=1e-12)
 
     def test_scales_with_w(self):
         p0 = np.cos(0.25) ** 2
-        assert extract_gradient_m1(p0, 1 - p0, w=3.0) == pytest.approx(1.5, abs=1e-12)
+        assert amplitude_readout(p0, 1 - p0, w=3.0) == pytest.approx(1.5, abs=1e-12)
 
     def test_probability_errors(self):
         with pytest.raises(ProbabilityOutOfRange):
-            extract_gradient_m1(0.7, 0.7)
+            amplitude_readout(0.7, 0.7)
         with pytest.raises(ProbabilityOutOfRange):
-            extract_gradient_m1(-0.1, 1.1)
+            amplitude_readout(-0.1, 1.1)
 
     def test_columns_checked_at_once_naming_the_first_failure(self):
         enc = GradientEncoding()
@@ -342,9 +335,9 @@ class TestOracleEquivalence:
             dec = eig_hermitian(x)
             p = int(rng.integers(0, n))
             enc = GradientEncoding(L=1e-4)
-            outcome = qgpe_run(x, dec.vectors[:, p], delta, enc)
+            [grad] = eigenvalue_gradient_probes(x, dec.vectors[:, [p]], delta, enc)
             oracle = directional_eigen_derivative(x, delta_mat, p)
-            assert abs(outcome.amplitude_gradient - abs(oracle)) <= 5 * enc.L * n
+            assert abs(grad - abs(oracle)) <= 5 * enc.L * n
 
     def test_error_linear_in_l(self, rng):
         instances = []
@@ -354,17 +347,15 @@ class TestOracleEquivalence:
             delta_mat = random_hermitian(rng, n, indefinite=True, min_eig=0.0)
             delta_mat = delta_mat / np.linalg.norm(delta_mat, ord=2)
             dec = eig_hermitian(x)
-            instances.append((x, delta_mat, dec.vectors[:, 0], 0))
+            instances.append((x, delta_mat, dec.vectors[:, [0]], 0))
         mean_errors = []
         for l_value in (1e-2, 1e-3, 1e-4):
             errs = []
             for x, delta_mat, vec, p in instances:
-                outcome = qgpe_run(
-                    x, vec, build_delta("custom", x.shape[0], matrix=delta_mat),
-                    GradientEncoding(L=l_value), project_back=True,
-                )
+                [grad] = eigenvalue_gradient_probes(
+                    x, vec, build_delta("custom", x.shape[0], matrix=delta_mat), GradientEncoding(L=l_value))
                 oracle = directional_eigen_derivative(x, delta_mat, p)
-                errs.append(abs(outcome.amplitude_gradient - abs(oracle)))
+                errs.append(abs(grad - abs(oracle)))
             mean_errors.append(np.mean(errs))
         assert 5 <= mean_errors[0] / mean_errors[1] <= 20
         assert 5 <= mean_errors[1] / mean_errors[2] <= 20
@@ -377,10 +368,10 @@ class TestOracleEquivalence:
         delta = build_delta("custom", n, matrix=delta_mat)
         dec = eig_hermitian(x)
         enc = GradientEncoding(L=1e-6, W=1.0, m=7, shift="centered")
-        outcome = qgpe_run(x, dec.vectors[:, 2], delta, enc)
+        [grad] = eigenvalue_gradient_probes(x, dec.vectors[:, [2]], delta, enc)
         oracle = directional_eigen_derivative(x, delta_mat, 2)
         quantization = np.pi * enc.W / enc.deviation_dim
-        assert abs(outcome.peak_gradient - oracle) <= quantization
+        assert abs(grad - oracle) <= quantization
 
 
 class TestMainTextConvention:
@@ -390,9 +381,9 @@ class TestMainTextConvention:
         # That convention at W is the canonical encoding at W/(2*pi).
         dec = eig_hermitian(SIGMA_X)
         enc = GradientEncoding(L=1e-6, W=4.0 / (2 * np.pi), m=1)
-        outcome = qgpe_run(SIGMA_X, dec.vectors[:, 1],
-                           build_delta("custom", 2, matrix=SIGMA_X), enc)
-        assert outcome.amplitude_gradient == pytest.approx(1.0, abs=1e-5)
+        delta = build_delta("custom", 2, matrix=SIGMA_X)
+        [grad] = eigenvalue_gradient_probes(SIGMA_X, dec.vectors[:, [1]], delta, enc)
+        assert grad == pytest.approx(1.0, abs=1e-5)
 
     def test_prefactor_peak_decode(self):
         m = 3
@@ -418,10 +409,10 @@ class TestPhaseProperties:
         enc = GradientEncoding(L=1e-5, m=2)
         dec = eig_hermitian(x)
         family = evolution_family(x, delta, enc)
-        base = qgpe_run(x, dec.vectors[:, 1], delta, enc, family=family)
+        base = probe_distributions(family, dec.vectors[:, [1]], enc.m)
         shifted = [np.exp(0.737j) * member for member in family]
-        rotated = qgpe_run(x, dec.vectors[:, 1], delta, enc, family=shifted)
-        assert np.max(np.abs(base.distribution - rotated.distribution)) <= 1e-12
+        rotated = probe_distributions(shifted, dec.vectors[:, [1]], enc.m)
+        assert np.max(np.abs(base - rotated)) <= 1e-12
 
     def test_m1_sign_blindness(self):
         g = 0.83
@@ -434,14 +425,14 @@ class TestPhaseProperties:
             if sign > 0:
                 reference = dist
         np.testing.assert_allclose(dist, reference, atol=1e-14)
-        assert extract_gradient_m1(dist[0], dist[1]) == pytest.approx(g, abs=1e-12)
+        assert amplitude_readout(dist[0], dist[1]) == pytest.approx(g, abs=1e-12)
 
     def test_m1_closed_form_consistency(self):
         # exact simulator probabilities |c0|^2 = cos^2(phase/2) invert to the
         # phase within 1e-10
         for phase in (0.1, 0.5, 1.3, 2.9):
             p0 = np.cos(phase / 2) ** 2
-            assert extract_gradient_m1(p0, 1 - p0) == pytest.approx(phase, abs=1e-10)
+            assert amplitude_readout(p0, 1 - p0) == pytest.approx(phase, abs=1e-10)
 
 
 class TestEigenbasisFamily:

@@ -22,8 +22,6 @@ from .errors import (
 )
 from .linalg import (
     EigenDecomposition,
-    directional_eigen_derivative,
-    degenerate_directional_derivatives,
     eig_hermitian,
     inverse,
     logdet_lu,
@@ -38,13 +36,11 @@ from .statevector import (
     StateVector,
     apply_controlled_family,
     conditional_deviation_distribution,
-    deviation_distribution,
     hadamard_deviation_register,
     init_basis,
     inverse_qft_deviation,
     phase_deviation_register,
     prepare_system_state,
-    sample_deviation,
 )
 from .qgpe import (
     GradientEncoding,

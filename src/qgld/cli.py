@@ -181,8 +181,11 @@ def cmd_qgld(args) -> str:
     if args.mode == "per-eigenvector":
         source = RqblSource(b=args.b, seed=args.seed, steps=args.lanczos_steps) if args.b else DenseSource()
         request = InverseExpectationRequest(x=x, phi=phi, k=k, enc=enc, eigensource=source)
-        if args.sweep_L:
-            l_values = [float(v) for v in args.sweep_L.split(",")]
+        if args.sweep_L is not None:
+            try:
+                l_values = [float(v) for v in args.sweep_L.split(",")]
+            except ValueError:
+                raise ValueError(f"--sweep-L {args.sweep_L!r}: expected comma-separated L values") from None
             reports = qgld_expectation_sweep(request, l_values, with_classical_reference=True)
             rows = [[l_value, report.total, report.classical_reference,
                      abs(report.total - report.classical_reference)]

@@ -242,7 +242,7 @@ def _relevant_eigenpairs(x, k: int, eigensource):
     return values, vectors, residuals, used, skipped
 
 
-def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool):
+def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool = False):
     """The one resolve-then-probe path of the log-det queries: validates X
     (in the eigenpair source's resolve) and resolves its k most relevant
     eigenpairs once, then per (direction, encoding) pair of ``probes`` adapts
@@ -304,7 +304,7 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool):
     return used_values, skipped, probed
 
 
-def qgld_expectation_sweep(request: InverseExpectationRequest, l_values, symmetric: bool = False,
+def qgld_expectation_sweep(request: InverseExpectationRequest, l_values,
                            with_classical_reference: bool = False) -> list[InverseExpectationReport]:
     """Per-eigenvector pipeline at each linearization length of ``l_values``
     (``request.enc`` with L replaced), one report per value, from one
@@ -320,7 +320,7 @@ def qgld_expectation_sweep(request: InverseExpectationRequest, l_values, symmetr
     outer = build_delta("outer", len(phi), phi=phi)
     encodings = [replace(request.enc, L=float(l_value)) for l_value in l_values]
     values, skipped, probed = _probe_relevant_eigenpairs(
-        request.x, [(outer, enc) for enc in encodings], request.k, request.eigensource, symmetric)
+        request.x, [(outer, enc) for enc in encodings], request.k, request.eigensource)
     reference = classical_reference_expectation(request.x, phi) if with_classical_reference else None
     return [
         InverseExpectationReport(
@@ -335,12 +335,12 @@ def qgld_expectation_sweep(request: InverseExpectationRequest, l_values, symmetr
     ]
 
 
-def qgld_expectation(request: InverseExpectationRequest, symmetric: bool = False,
+def qgld_expectation(request: InverseExpectationRequest,
                      with_classical_reference: bool = False) -> InverseExpectationReport:
     """Per-eigenvector pipeline: one probe per relevant eigenpair with the
     outer-product direction of phi, accumulated as sum_p deltaE_p / E_p; the
     one-L case of :func:`qgld_expectation_sweep`."""
-    return qgld_expectation_sweep(request, [request.enc.L], symmetric, with_classical_reference)[0]
+    return qgld_expectation_sweep(request, [request.enc.L], with_classical_reference)[0]
 
 
 def logdet_directional_derivatives(x, deltas, k: int, enc: GradientEncoding = GradientEncoding(),
@@ -366,13 +366,12 @@ def logdet_directional_derivatives(x, deltas, k: int, enc: GradientEncoding = Gr
 
 
 def logdet_gradient_entry(x, i: int, j: int, k: int, enc: GradientEncoding = GradientEncoding(),
-                          eigensource: DenseSource | RqblSource = DenseSource(),
-                          symmetric: bool = False) -> float:
+                          eigensource: DenseSource | RqblSource = DenseSource()) -> float:
     """Entry of the log-determinant gradient: the directional derivative along
     ones at (i, j) and (j, i), zero-based.  At k = N and L -> 0 this converges
     to (X^-1)_ij + (X^-1)_ji for i != j and (X^-1)_ii on the diagonal."""
     delta = build_delta("element", as_complex_matrix(x).shape[0], i=i, j=j)
-    return logdet_directional_derivatives(x, [delta], k, enc, eigensource, symmetric)[0]
+    return logdet_directional_derivatives(x, [delta], k, enc, eigensource)[0]
 
 
 def classical_reference_expectation(x, phi) -> float:
@@ -417,12 +416,11 @@ def _signed_phases(family: sv.ControlledFamily, columns: np.ndarray) -> np.ndarr
 def _scaled_phase_family(dec, weights: np.ndarray, w_run: float) -> sv.ControlledFamily:
     """Family Sum_p |p><p| exp(i t s(eps) weight_p), built in the eigenbasis
     ``dec`` of X.  It equals exp(i t (X + s V diag(weights) V^dag)) exp(-i t X),
-    whose bare eigenphases exp(i t E_p) cancel exactly, so they are never formed."""
+    whose bare eigenphases exp(i t E_p) cancel exactly, so they are never formed.
+    The s = 0 member is exactly I, an identity slot; the others form one stack."""
     enc = GradientEncoding(L=1e-6, W=w_run, m=1)
-    t = enc.time_step()
-    return sv.ControlledFamily(
-        (dec.vectors * np.exp(1j * t * s * weights)) @ dec.vectors.conj().T for s in enc.offsets()
-    )
+    phases = np.exp(1j * enc.time_step() * enc.offsets()[1:, None] * weights)
+    return sv.ControlledFamily._adopt([(dec.vectors * phases[:, None, :]) @ dec.vectors.conj().T], [0])
 
 
 def _superposition_weights(x, phi):

@@ -1,4 +1,4 @@
-"""File formats: matrix JSON, vectors, reports, and deterministic CSV."""
+"""File formats: matrix and vector JSON, reports, and deterministic CSV."""
 from __future__ import annotations
 
 import json
@@ -6,39 +6,41 @@ import json
 import numpy as np
 
 
-def matrix_to_dict(a: np.ndarray) -> dict:
-    a = np.asarray(a, dtype=complex)
-    return {"dim": a.shape[0], "re": a.real.tolist(), "im": a.imag.tolist()}
-
-
 def matrix_from_dict(data: dict) -> np.ndarray:
     dim = int(data["dim"])
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data.get("im", np.zeros((dim, dim))), dtype=float)
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ValueError(f"matrix entries do not match dim = {dim}")
+    for field, part in (("re", re), ("im", im)):
+        if part.shape != (dim, dim):
+            raise ValueError(f"field {field!r} has shape {part.shape}, expected ({dim}, {dim}) from 'dim'")
     return re + 1j * im
-
-
-def load_matrix(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_dict(json.load(fh))
-
-
-def save_matrix(path: str, a: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_dict(a), fh, sort_keys=True)
 
 
 def vector_from_dict(data: dict) -> np.ndarray:
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
+    if im.shape != re.shape:
+        raise ValueError(f"field 'im' has shape {im.shape}, expected {re.shape} as 're'")
     return re + 1j * im
 
 
-def load_vector(path: str) -> np.ndarray:
+def _load(path: str, from_dict) -> np.ndarray:
+    """``from_dict`` of the JSON in ``path``; malformed content raises a ValueError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return vector_from_dict(json.load(fh))
+        try:
+            return from_dict(json.load(fh))
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def load_matrix(path: str) -> np.ndarray:
+    return _load(path, matrix_from_dict)
+
+
+def load_vector(path: str) -> np.ndarray:
+    return _load(path, vector_from_dict)
 
 
 def format_number(x) -> str:

@@ -24,7 +24,6 @@ HERMITICITY_RTOL = 1e-12
 PIVOT_RTOL = 1e-13
 DEGENERACY_RTOL = 1e-8
 RANK_RTOL = 1e-10
-CENTRAL_DIFFERENCE_STEP = 1e-5
 EPS = float(np.finfo(float).eps)
 SECULAR_DEFLATION = 8 * EPS
 SECULAR_MAX_STEPS = 64
@@ -47,7 +46,7 @@ def as_complex_matrix(a) -> np.ndarray:
 
 def hermiticity_defect(a: np.ndarray) -> float:
     """max_ij |a_ij - conj(a_ji)|, the absolute deviation from hermiticity."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    return float(np.max(np.abs(a - a.conj().T)))
 
 
 def require_hermitian(a) -> np.ndarray:
@@ -393,47 +392,9 @@ def hellmann_feynman_derivative(dec: EigenDecomposition, delta: np.ndarray, p: i
     hermitian ``delta``, read from an existing eigendecomposition of A
     (``a_norm`` = ||A||_F).  Raises DegenerateEigenvalue when the eigenvalue's
     gap is at most DEGENERACY_RTOL * ||A||_F."""
-    if _eigenvalue_gap(dec.values, p) <= DEGENERACY_RTOL * max(a_norm, 1e-300):
-        raise DegenerateEigenvalue(
-            f"gap at index {p} below {DEGENERACY_RTOL:.1e} * ||A||_F; "
-            "use degenerate_directional_derivatives"
-        )
+    gap = _eigenvalue_gap(dec.values, p)
+    if gap <= DEGENERACY_RTOL * max(a_norm, 1e-300):
+        raise DegenerateEigenvalue(f"gap at index {p} is {gap:.3e}, at most {DEGENERACY_RTOL:.1e} * ||A||_F")
     v = dec.vectors[:, p]
     return float(np.real(v.conj() @ delta @ v))
 
-
-def directional_eigen_derivative(a, delta, p: int, mode: str = "hellmann_feynman") -> float:
-    """d/ds of the p-th ascending eigenvalue of A + s*Delta at s = 0.
-
-    ``hellmann_feynman`` evaluates <p|Delta|p> and requires the eigenvalue to
-    be nondegenerate; ``central_difference`` re-diagonalizes at +-h
-    (h = CENTRAL_DIFFERENCE_STEP) and is the independent cross-check.  For
-    degenerate eigenvalues see :func:`degenerate_directional_derivatives`.
-    """
-    a = require_hermitian(a)
-    delta = require_hermitian(delta)
-    if mode == "hellmann_feynman":
-        return hellmann_feynman_derivative(eig_hermitian(a), delta, p, float(np.linalg.norm(a)))
-    if mode == "central_difference":
-        h = CENTRAL_DIFFERENCE_STEP
-        up = np.linalg.eigvalsh(a + h * delta)
-        dn = np.linalg.eigvalsh(a - h * delta)
-        return float((up[p] - dn[p]) / (2 * h))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def degenerate_directional_derivatives(a, delta, p: int) -> np.ndarray:
-    """Directional derivatives for a degenerate eigenvalue.
-
-    Diagonalizes Delta restricted to the degenerate subspace containing index
-    p and returns its eigenvalues ascending (standard degenerate perturbation
-    theory).
-    """
-    a = require_hermitian(a)
-    delta = require_hermitian(delta)
-    dec = eig_hermitian(a)
-    scale = max(float(np.linalg.norm(a)), 1e-300)
-    members = np.abs(dec.values - dec.values[p]) <= DEGENERACY_RTOL * scale
-    basis = dec.vectors[:, members]
-    restricted = basis.conj().T @ delta @ basis
-    return np.linalg.eigvalsh((restricted + restricted.conj().T) / 2)

@@ -244,11 +244,6 @@ def inverse_qft_deviation(state: StateVector) -> StateVector:
     return state
 
 
-def deviation_distribution(state: StateVector) -> np.ndarray:
-    """Marginal probabilities of the deviation register, shape (M, B)."""
-    return np.sum(np.abs(state.as_tensor()) ** 2, axis=1)
-
-
 def conditional_deviation_distribution(state: StateVector, system_state: np.ndarray) -> np.ndarray:
     """Deviation distribution conditioned on the system register being in system_state.
 
@@ -268,12 +263,3 @@ def conditional_deviation_distribution(state: StateVector, system_state: np.ndar
         )
     return probs / weight
 
-
-def sample_deviation(state: StateVector, rng_seed: int, shots: int) -> np.ndarray:
-    """Multinomial counts over deviation outcomes, shape (M, B): one draw of
-    ``shots`` per column, columns in order from one seeded PCG64 stream."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    probs = deviation_distribution(state)
-    rng = np.random.default_rng(rng_seed)
-    return np.stack([rng.multinomial(shots, p / p.sum()) for p in probs.T], axis=1)

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+
+from qgld.linalg import DEGENERACY_RTOL, eig_hermitian, hellmann_feynman_derivative, require_hermitian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -85,6 +89,63 @@ def forward_qft_deviation(state):
     rows = state.amplitudes.reshape(m_dim, -1)
     state.amplitudes = (np.fft.ifft(rows, axis=0) * np.sqrt(m_dim)).reshape(-1)
     return state
+
+
+def deviation_distribution(state):
+    """Marginal probabilities of the deviation register, shape (M, B): the
+    reference readout for gate tests, which need no conditioning state."""
+    return np.sum(np.abs(state.as_tensor()) ** 2, axis=1)
+
+
+CENTRAL_DIFFERENCE_STEP = 1e-5
+
+
+def directional_eigen_derivative(a, delta, p: int, mode: str = "hellmann_feynman") -> float:
+    """d/ds of the p-th ascending eigenvalue of A + s*Delta at s = 0.
+
+    ``hellmann_feynman`` evaluates <p|Delta|p> and requires the eigenvalue to
+    be nondegenerate; ``central_difference`` re-diagonalizes at +-h
+    (h = CENTRAL_DIFFERENCE_STEP) and is the independent cross-check.  For
+    degenerate eigenvalues see :func:`degenerate_directional_derivatives`.
+    """
+    a = require_hermitian(a)
+    delta = require_hermitian(delta)
+    if mode == "hellmann_feynman":
+        return hellmann_feynman_derivative(eig_hermitian(a), delta, p, float(np.linalg.norm(a)))
+    if mode == "central_difference":
+        h = CENTRAL_DIFFERENCE_STEP
+        up = np.linalg.eigvalsh(a + h * delta)
+        dn = np.linalg.eigvalsh(a - h * delta)
+        return float((up[p] - dn[p]) / (2 * h))
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def degenerate_directional_derivatives(a, delta, p: int) -> np.ndarray:
+    """Directional derivatives for a degenerate eigenvalue.
+
+    Diagonalizes Delta restricted to the degenerate subspace containing index
+    p and returns its eigenvalues ascending (standard degenerate perturbation
+    theory).
+    """
+    a = require_hermitian(a)
+    delta = require_hermitian(delta)
+    dec = eig_hermitian(a)
+    scale = max(float(np.linalg.norm(a)), 1e-300)
+    members = np.abs(dec.values - dec.values[p]) <= DEGENERACY_RTOL * scale
+    basis = dec.vectors[:, members]
+    restricted = basis.conj().T @ delta @ basis
+    return np.linalg.eigvalsh((restricted + restricted.conj().T) / 2)
+
+
+def matrix_dict(a) -> dict:
+    """The matrix JSON object {"dim", "re", "im"} that the CLI reads."""
+    a = np.asarray(a, dtype=complex)
+    return {"dim": a.shape[0], "re": a.real.tolist(), "im": a.imag.tolist()}
+
+
+def write_matrix(path, a) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(matrix_dict(a), fh, sort_keys=True)
 
 
 @pytest.fixture

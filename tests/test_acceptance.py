@@ -13,8 +13,6 @@ from qgld import (
     build_delta,
     build_factorization,
     classical_reference_expectation,
-    deviation_distribution,
-    directional_eigen_derivative,
     eig_hermitian,
     eigenvalue_gradient_probes,
     hadamard_deviation_register,
@@ -34,6 +32,8 @@ from conftest import (
     HADAMARD,
     SIGMA_X,
     SIGMA_Z,
+    deviation_distribution,
+    directional_eigen_derivative,
     forward_qft_deviation,
     random_hermitian,
     random_state,

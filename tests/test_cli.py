@@ -8,7 +8,8 @@ import qgld.expectation
 import qgld.linalg
 from qgld import GradientEncoding, InverseExpectationRequest, qgld_expectation, qgld_expectation_sweep
 from qgld.cli import build_parser, main, random_spd
-from qgld.io import render_csv, save_matrix
+from qgld.io import render_csv
+from conftest import write_matrix
 
 
 def run_cli(capsys, *argv):
@@ -236,6 +237,16 @@ class TestQgldCommand:
         assert out == ""
         assert flag in err
 
+    # '' printed the single-L report at exit 0; the others printed float()'s
+    # "could not convert string to float" without naming the flag
+    @pytest.mark.parametrize("spec", ["", "1e-3,abc", ",", "1e-3,"])
+    def test_malformed_sweep_exits_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "qgld", "--matrix", "random-spd:4:1", "--phi", "uniform",
+                                 "--sweep-L", spec)
+        assert code == 2
+        assert out == ""
+        assert f"--sweep-L {spec!r}: expected comma-separated L values" in err
+
     # --L 0.5 failed on a value no row uses; --L 1e-3 was dropped silently
     @pytest.mark.parametrize("l_value", ["0.5", "1e-3"])
     def test_sweep_rejects_l(self, capsys, l_value):
@@ -258,10 +269,29 @@ class TestQgldCommand:
 
     def test_singular_matrix_exit_code(self, capsys, tmp_path):
         path = tmp_path / "singular.json"
-        save_matrix(str(path), np.ones((2, 2)))
+        write_matrix(path, np.ones((2, 2)))
         code, _, err = run_cli(capsys, "qgld", "--matrix", str(path), "--phi", "uniform")
         assert code == 3
         assert "numerical" in err
+
+
+class TestMalformedJson:
+    # each exited 2 naming neither file nor field: "'dim'", "'re'" and numpy's
+    # "operands could not be broadcast together with shapes (4,) (2,)"
+    @pytest.mark.parametrize("flag, content, field", [
+        ("--matrix", {"re": [[2, 0], [0, 3]]}, "'dim'"),
+        ("--phi", {"im": [0, 0, 0, 0]}, "'re'"),
+        ("--phi", {"re": [1, 2, 3, 4], "im": [0, 0]}, "'im' has shape (2,)"),
+    ], ids=["matrix-without-dim", "phi-without-re", "phi-im-shape"])
+    def test_names_file_and_field(self, capsys, tmp_path, flag, content, field):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        argv = {"--matrix": ("--matrix", str(path), "--phi", "uniform"),
+                "--phi": ("--matrix", "random-spd:4:1", "--phi", str(path))}[flag]
+        code, out, err = run_cli(capsys, "qgld", *argv)
+        assert code == 2
+        assert out == ""
+        assert str(path) in err and field in err
 
 
 class TestNonFiniteInput:
@@ -269,7 +299,7 @@ class TestNonFiniteInput:
                                          ("gradient", "--delta", "all-ones")])
     def test_nan_matrix_exits_2(self, capsys, tmp_path, command):
         path = tmp_path / "nan.json"
-        save_matrix(str(path), np.array([[1.0, np.nan], [np.nan, 2.0]]))
+        write_matrix(path, np.array([[1.0, np.nan], [np.nan, 2.0]]))
         code, out, err = run_cli(capsys, command[0], "--matrix", str(path), *command[1:])
         assert code == 2
         assert out == ""

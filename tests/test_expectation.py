@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import qgld.expectation
 import qgld.linalg
+import qgld.statevector as sv
 from qgld import (
     AliasedReadout,
     DenseSource,
@@ -58,15 +59,14 @@ class TestLogdetGradientEntry:
             assert abs(got - want) <= 1e-4
 
     def test_is_the_element_direction_derivative(self, rng):
-        for n, symmetric in ((2, False), (4, True), (8, False)):
+        for n in (2, 4, 8):
             x = random_hermitian(rng, n, indefinite=True)
             for i, j in ((0, 0), (0, n - 1), (n - 1, 1)):
                 direction = build_delta("element", n, i=i, j=j)
                 want = np.zeros((n, n))
                 want[i, j] = want[j, i] = 1.0
                 np.testing.assert_array_equal(direction.matrix, want)
-                assert logdet_gradient_entry(x, i, j, k=n, symmetric=symmetric) == \
-                    logdet_directional_derivatives(x, [direction], n, symmetric=symmetric)[0]
+                assert logdet_gradient_entry(x, i, j, k=n) == logdet_directional_derivatives(x, [direction], n)[0]
 
 
 class TestLogdetDirectionalDerivative:
@@ -327,6 +327,29 @@ class TestSigmaQgld:
             assert np.max(np.abs(member - want)) <= 1e-12
 
 
+    def test_family_has_identity_slot_and_one_check(self, rng, monkeypatch):
+        # the s = 0 member was formed as V V^dag, copied and checked, one check
+        # per member: 2 per sigma call and 4 per sampled call
+        dec = eig_hermitian(random_spd_pow2(rng, 8))
+        family = qgld.expectation._scaled_phase_family(dec, rng.standard_normal(8), 1e4)
+        assert len(family) == 2
+        assert family.identity_slots == {0}
+        np.testing.assert_array_equal(family[0], np.eye(8))
+        checks = []
+        real_defect = sv.unitarity_defect
+
+        def counting_defect(u):
+            checks.append(1)
+            return real_defect(u)
+
+        monkeypatch.setattr(sv, "unitarity_defect", counting_defect)
+        x, phi = random_spd_pow2(rng, 8), random_state(rng, 8)
+        sigma_qgld_expectation(x, phi)
+        assert len(checks) == 1
+        sampled_qgld(x, phi, 12, rng_seed=3)
+        assert len(checks) == 3
+
+
 class TestSampledQgld:
     def test_identity_single_sample_exact(self, rng):
         phi = random_state(rng, 4)
@@ -365,7 +388,8 @@ def test_one_eigendecomposition_per_superposition_call(rng, monkeypatch, pipelin
 
 
 @pytest.mark.parametrize("call", [
-    lambda x: qgld_expectation(InverseExpectationRequest(x=x, phi=np.ones(4) / 2, k=4), symmetric=True),
+    # the qgld expectation of phi in both windows, through its core
+    lambda x: logdet_directional_derivatives(x, [build_delta("outer", 4, phi=np.ones(4) / 2)], 4, symmetric=True),
     lambda x: logdet_gradient_entry(x, 0, 3, k=4),
 ], ids=["qgld_expectation", "logdet_gradient_entry"])
 def test_one_eigendecomposition_per_dense_per_eigenvector_call(rng, monkeypatch, call):

@@ -1,20 +1,14 @@
 import numpy as np
 
-from qgld.io import (
-    format_number,
-    load_matrix,
-    matrix_from_dict,
-    matrix_to_dict,
-    render_csv,
-    save_matrix,
-)
+from qgld.io import format_number, load_matrix, matrix_from_dict, render_csv
+from conftest import matrix_dict, write_matrix
 
 
 class TestMatrixFormat:
     def test_round_trip(self, rng, tmp_path):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         path = tmp_path / "m.json"
-        save_matrix(str(path), a)
+        write_matrix(path, a)
         np.testing.assert_allclose(load_matrix(str(path)), a, atol=1e-15)
 
     def test_imaginary_part_optional(self):
@@ -31,7 +25,7 @@ class TestMatrixFormat:
 
     def test_dict_round_trip(self, rng):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        np.testing.assert_allclose(matrix_from_dict(matrix_to_dict(a)), a, atol=1e-15)
+        np.testing.assert_allclose(matrix_from_dict(matrix_dict(a)), a, atol=1e-15)
 
 
 class TestCsv:

@@ -17,8 +17,6 @@ from qgld import (
     NonHermitianInput,
     RankDeficientBlock,
     SingularMatrix,
-    degenerate_directional_derivatives,
-    directional_eigen_derivative,
     eig_hermitian,
     inverse,
     logdet_lu,
@@ -30,7 +28,16 @@ from qgld import (
 )
 from qgld.linalg import EPS, PIVOT_RTOL, _fix_phases, _lu_pivots, as_complex_matrix
 from qgld.qgpe import build_delta
-from conftest import HADAMARD, SIGMA_X, SIGMA_Z, gram_schmidt, random_hermitian, series_phase_exp
+from conftest import (
+    HADAMARD,
+    SIGMA_X,
+    SIGMA_Z,
+    degenerate_directional_derivatives,
+    directional_eigen_derivative,
+    gram_schmidt,
+    random_hermitian,
+    series_phase_exp,
+)
 
 
 class TestEigHermitian:

@@ -13,8 +13,6 @@ from qgld import (
     UnnormalizedPhi,
     apply_controlled_family,
     build_delta,
-    deviation_distribution,
-    directional_eigen_derivative,
     eig_hermitian,
     eigenbasis_families,
     eigenvalue_gradient_probes,
@@ -29,7 +27,15 @@ from qgld import (
 import qgld.qgpe
 import qgld.statevector as sv
 from qgld.qgpe import probe_distributions, readout_gradients
-from conftest import HADAMARD, SIGMA_X, SIGMA_Z, random_hermitian, random_state
+from conftest import (
+    HADAMARD,
+    SIGMA_X,
+    SIGMA_Z,
+    deviation_distribution,
+    directional_eigen_derivative,
+    random_hermitian,
+    random_state,
+)
 
 
 class TestBuildDelta:

@@ -10,16 +10,14 @@ from qgld import (
     UnnormalizedTarget,
     apply_controlled_family,
     conditional_deviation_distribution,
-    deviation_distribution,
     hadamard_deviation_register,
     init_basis,
     inverse_qft_deviation,
     prepare_system_state,
-    sample_deviation,
     unitary_phase_exp,
 )
 from qgld.statevector import ControlledFamily, StateVector
-from conftest import SIGMA_X, forward_qft_deviation, preparation_unitary, random_state
+from conftest import SIGMA_X, deviation_distribution, forward_qft_deviation, preparation_unitary, random_state
 
 
 class TestLayoutAndInit:
@@ -281,24 +279,6 @@ class TestDistributionAndSampling:
         state.amplitudes = np.array([1, 0, 0, 1]) / np.sqrt(2)
         dist = conditional_deviation_distribution(state, np.array([[1.0], [0.0]]))[:, 0]
         np.testing.assert_allclose(dist, [1.0, 0.0], atol=1e-12)
-
-    def test_sampling_indicator(self):
-        state = init_basis(RegisterLayout(2, 1), 6)
-        counts = sample_deviation(state, rng_seed=5, shots=1000)[:, 0]
-        assert counts[3] == 1000
-
-    def test_sampling_uniform_binomial_bound(self):
-        state = init_basis(RegisterLayout(1, 1), 0)
-        hadamard_deviation_register(state)
-        counts = sample_deviation(state, rng_seed=11, shots=10**6)[:, 0]
-        assert abs(counts[0] / 10**6 - 0.5) <= 0.002
-
-    def test_sampling_deterministic(self):
-        state = init_basis(RegisterLayout(2, 1), 0)
-        hadamard_deviation_register(state)
-        first = sample_deviation(state, rng_seed=42, shots=5000)[:, 0]
-        second = sample_deviation(state, rng_seed=42, shots=5000)[:, 0]
-        np.testing.assert_array_equal(first, second)
 
 
 class TestNormPreservation:

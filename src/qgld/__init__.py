@@ -71,7 +71,6 @@ from .expectation import (
     classical_reference_expectation,
     eigenvalue_gradient_probe,
     eigenvalue_gradient_probes,
-    equal_superposition,
     logdet_directional_derivatives,
     logdet_gradient_entry,
     qgld_expectation,

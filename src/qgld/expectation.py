@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import statevector as sv
-from .errors import AliasedReadout, NearZeroEigenvalue
+from .errors import AliasedReadout, NearZeroEigenvalue, UnnormalizedPhi
 from .linalg import as_complex_matrix, eig_hermitian, inverse, relevance_order, require_hermitian
 from .qgpe import (
     GradientEncoding,
@@ -66,8 +66,8 @@ class RqblSource:
     steps: int | None = None
 
     def resolve(self, x: np.ndarray):
-        x = require_hermitian(x)
-        n = x.shape[0]
+        x = np.asarray(x, dtype=complex)  # validated by build_factorization, before any step
+        n = x.shape[0] if x.ndim else 0
         steps = self.steps if self.steps is not None else n // self.b
         sol = run_rqbl(x, self.b, steps, self.seed)
         return sol.values, sol.vectors, sol.residuals
@@ -387,13 +387,6 @@ def classical_reference_expectation(x, phi) -> float:
 # ---------------------------------------------------------------------------
 # superposition pipeline
 
-def equal_superposition(vectors: np.ndarray) -> np.ndarray:
-    """Equal-weight combination of the B eigenvector columns.  The columns must
-    already be phase-fixed (first component of magnitude above 1e-8 real
-    positive), as :func:`eig_hermitian` returns them; no phase is changed here."""
-    return vectors.sum(axis=1) / np.sqrt(vectors.shape[1])
-
-
 def _signed_phases(family: sv.ControlledFamily, columns: np.ndarray) -> np.ndarray:
     """Signed phase of each column's conditional deviation-register amplitude.
 
@@ -413,22 +406,26 @@ def _signed_phases(family: sv.ControlledFamily, columns: np.ndarray) -> np.ndarr
     return np.arctan2(quadratures[b:], quadratures[:b])
 
 
-def _scaled_phase_family(dec, weights: np.ndarray, w_run: float) -> sv.ControlledFamily:
-    """Family Sum_p |p><p| exp(i t s(eps) weight_p), built in the eigenbasis
-    ``dec`` of X.  It equals exp(i t (X + s V diag(weights) V^dag)) exp(-i t X),
+def _scaled_phase_family(weights: np.ndarray, w_run: float) -> sv.ControlledFamily:
+    """Family Sum_p |p><p| exp(i t s(eps) weight_p) in the eigenbasis of X,
+    a diagonal family: each member is its N phases.  Conjugated by the
+    eigenvectors V it equals exp(i t (X + s V diag(weights) V^dag)) exp(-i t X),
     whose bare eigenphases exp(i t E_p) cancel exactly, so they are never formed.
     The s = 0 member is exactly I, an identity slot; the others form one stack."""
     enc = GradientEncoding(L=1e-6, W=w_run, m=1)
     phases = np.exp(1j * enc.time_step() * enc.offsets()[1:, None] * weights)
-    return sv.ControlledFamily._adopt([(dec.vectors * phases[:, None, :]) @ dec.vectors.conj().T], [0])
+    return sv.ControlledFamily._adopt([phases], [0], diagonal=True)
 
 
 def _superposition_weights(x, phi):
     """One eigendecomposition of X with the per-eigenstate derivative weights
     <p|outer(phi)|p>, raw and divided by E_p, both zero on eigenvalues under
-    the pseudo-inverse threshold."""
+    the pseudo-inverse threshold.  Raises UnnormalizedPhi unless ||phi|| = 1
+    within 1e-10, the bound of the outer-product direction."""
     dec = eig_hermitian(x)
     phi = require_weight_vector(phi, dec.dim)
+    if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
+        raise UnnormalizedPhi(f"phi norm {np.linalg.norm(phi):.12f} != 1")
     overlaps = np.abs(dec.vectors.conj().T @ phi) ** 2
     threshold = PSEUDO_INVERSE_RTOL * max(float(np.linalg.norm(x)), 1e-300)
     usable = np.abs(dec.values) > threshold
@@ -444,21 +441,24 @@ def sigma_qgld_expectation(x, phi, enc: GradientEncoding = GradientEncoding()) -
     """Superposition pipeline: a single probe on the equal superposition of all
     eigenvectors, with the perturbation rescaled per eigenstate by 1/E_p.
 
-    The family is built directly in the eigenbasis of X: each member is
-    diagonal there, and eigenstate p picks up only the phase eps * weight_p / W
-    that the perturbed evolution composed with the inverse evolution
-    exp(-i t X) would leave.  The probe scale W is raised far above max |weight|
-    (factor SUPERPOSITION_ZOOM), pushing every phase into the regime where the
-    coherent average of the per-eigenstate phases equals their mean; N * W *
-    phase then returns sum_p deltaE_p / E_p directly.
+    The circuit runs in the eigenbasis of X, where the equal superposition
+    is the uniform column and each family member is diagonal: eigenstate p
+    picks up only the phase eps * weight_p / W that the perturbed evolution
+    composed with the inverse evolution exp(-i t X) would leave.  The
+    conditioned readout <c|U|c> does not depend on the basis.  The probe
+    scale W is raised far above max |weight| (factor SUPERPOSITION_ZOOM),
+    pushing every phase into the regime where the coherent average of the
+    per-eigenstate phases equals their mean; N * W * phase then returns
+    sum_p deltaE_p / E_p directly.
     """
     dec, _, weights = _superposition_weights(x, phi)
     if float(np.max(np.abs(weights))) == 0.0:
         return 0.0
     w_run = max(enc.W, SUPERPOSITION_ZOOM * float(np.max(np.abs(weights))))
-    family = _scaled_phase_family(dec, weights, w_run)
-    psi = equal_superposition(dec.vectors)
-    phase = float(_signed_phases(family, psi[:, None])[0])
+    family = _scaled_phase_family(weights, w_run)
+    # V^dag psi for psi = sum_p |p> / sqrt(N): the uniform column of the eigenbasis
+    uniform = np.full((dec.dim, 1), 1.0 / np.sqrt(dec.dim), dtype=complex)
+    phase = float(_signed_phases(family, uniform)[0])
     return float(dec.dim * w_run * phase)
 
 
@@ -467,7 +467,8 @@ def sampled_qgld(x, phi, n_samples: int, rng_seed: int,
     """Superposition pipeline averaged over random orthonormal starting states.
 
     Samples are the columns of random orthonormal (QR) batches, each batch
-    run as the columns of one batched circuit per family.  Each sample runs
+    rotated once into the eigenbasis of X, where the families are diagonal,
+    and run as the columns of one batched circuit per family.  Each sample runs
     two probes on a random state |r>: one with the 1/E_p-rescaled weights
     and one with the raw weights.  Their ratio is a self-normalized estimate
     of <Y> (the raw weights integrate to tr of the outer direction, which is
@@ -481,15 +482,15 @@ def sampled_qgld(x, phi, n_samples: int, rng_seed: int,
     n = dec.dim
     w_num = max(enc.W, SUPERPOSITION_ZOOM * float(np.max(np.abs(scaled))))
     w_den = max(enc.W, SUPERPOSITION_ZOOM * float(np.max(np.abs(raw))))
-    family_num = _scaled_phase_family(dec, scaled, w_num)
-    family_den = _scaled_phase_family(dec, raw, w_den)
+    family_num = _scaled_phase_family(scaled, w_num)
+    family_den = _scaled_phase_family(raw, w_den)
 
     rng = np.random.default_rng(rng_seed)
     estimates = []
     for start in range(0, n_samples, n):
         gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         q, _ = np.linalg.qr(gauss)
-        batch = q[:, :min(n, n_samples - start)]
+        batch = dec.vectors.conj().T @ q[:, :min(n, n_samples - start)]  # in the eigenbasis
         numer = n * w_num * _signed_phases(family_num, batch)
         denom = n * w_den * _signed_phases(family_den, batch)
         for num, den in zip(numer.tolist(), denom.tolist()):

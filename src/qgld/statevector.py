@@ -5,7 +5,8 @@ circuits side by side: the amplitudes form one (M, N, B) tensor, deviation
 index first, one column per circuit, and every gate acts on all columns at
 once.  Deviation qubits occupy the high-order bits, so within a column
 amplitude eps*N + s addresses deviation basis state eps and system basis
-state s, and each controlled family member is one N x N @ N x B product.
+state s, and each controlled family member is one N x N @ N x B product, or
+for a diagonal family N x B products of entries.
 Inputs carry one column per circuit ((N, B) targets, (M, B) phases) and
 every readout returns (M, B); a single circuit is the case B = 1.
 
@@ -135,8 +136,12 @@ def hadamard_deviation_register(state: StateVector) -> StateVector:
     return state
 
 
-def unitarity_defect(u: np.ndarray):
-    """||U^dag U - I||_F of one N x N member, or of each member of a (K, N, N) stack."""
+def unitarity_defect(u, diagonal: bool = False):
+    """||U^dag U - I||_F of one N x N member, or of each member of a (K, N, N)
+    stack; with ``diagonal``, of each member diag(d) of a (K, N) stack of
+    diagonals, sqrt(sum_i (|d_i|^2 - 1)^2), the same quantity."""
+    if diagonal:
+        return np.sqrt(np.sum((u.real ** 2 + u.imag ** 2 - 1.0) ** 2, axis=-1))
     gram = np.swapaxes(u, -1, -2).conj() @ u
     np.einsum("...ii->...i", gram)[...] -= 1.0
     parts = gram.reshape(*gram.shape[:-2], -1).view(float)  # real and imaginary parts, no copy
@@ -152,10 +157,13 @@ class ControlledFamily(tuple):
     passed in are copied first; building one from a ControlledFamily returns
     that family unchanged.  A family formed by a builder (:meth:`_adopt`) may
     mark ``identity_slots``: those members are the exact identity, neither
-    checked nor applied.
+    checked nor applied.  It may also be ``diagonal``: each member is then
+    the N entries of its diagonal, in the basis the circuit's columns are
+    prepared in.
     """
 
     identity_slots = frozenset()
+    diagonal = False
 
     def __new__(cls, members):
         if isinstance(members, ControlledFamily):
@@ -170,18 +178,18 @@ class ControlledFamily(tuple):
         return cls._adopt([u[None] for u in members])
 
     @classmethod
-    def _adopt(cls, stacks, identity_slots=()):
+    def _adopt(cls, stacks, identity_slots=(), diagonal=False):
         """The family a builder has just formed, taken over without a copy:
-        ``stacks`` of members (K, N, N) in slot order with the
-        ``identity_slots`` left out, each stack checked with one batched
-        U^dag U product."""
+        ``stacks`` of members (K, N, N), or with ``diagonal`` of their
+        diagonals (K, N), in slot order with the ``identity_slots`` left out,
+        each stack checked with one batched call of :func:`unitarity_defect`."""
         identity_slots = frozenset(identity_slots)
         size = len(identity_slots) + sum(len(stack) for stack in stacks)
         slots = [eps for eps in range(size) if eps not in identity_slots]
         n_dim = stacks[0].shape[-1]
         members = {}
         for stack in stacks:
-            defects = unitarity_defect(stack)
+            defects = unitarity_defect(stack, diagonal=True) if diagonal else unitarity_defect(stack)
             bad = np.flatnonzero(defects > NORM_ATOL * n_dim)
             if bad.size:
                 raise NonUnitaryMember(f"member {slots[len(members) + bad[0]]} unitarity defect "
@@ -189,17 +197,19 @@ class ControlledFamily(tuple):
             stack.flags.writeable = False
             members.update(zip(slots[len(members):], stack))
         if identity_slots:
-            identity = np.eye(n_dim, dtype=complex)
+            identity = np.ones(n_dim, dtype=complex) if diagonal else np.eye(n_dim, dtype=complex)
             identity.flags.writeable = False
             members.update(dict.fromkeys(identity_slots, identity))
         family = super().__new__(cls, (members[eps] for eps in range(size)))
         family.identity_slots = identity_slots
+        family.diagonal = diagonal
         return family
 
 
 def apply_controlled_family(state: StateVector, family) -> StateVector:
     """For each deviation basis index eps, multiply every column's system
-    block by family[eps]; rows of the family's identity slots stay as they are.
+    block by family[eps] (row by row by its entries, for a diagonal family);
+    rows of the family's identity slots stay as they are.
 
     A ControlledFamily is applied as is; a raw sequence of members is checked
     first by wrapping it in one.
@@ -209,11 +219,16 @@ def apply_controlled_family(state: StateVector, family) -> StateVector:
     n_dim = state.layout.system_dim
     if len(family) != m_dim:
         raise FamilySizeMismatch(f"family has {len(family)} members, expected {m_dim}")
-    if family[0].shape != (n_dim, n_dim):
-        raise FamilySizeMismatch(f"members have shape {family[0].shape}, expected ({n_dim}, {n_dim})")
+    shape = (n_dim,) if family.diagonal else (n_dim, n_dim)
+    if family[0].shape != shape:
+        raise FamilySizeMismatch(f"members have shape {family[0].shape}, expected {shape}")
     tensor = state.as_tensor()
     for eps, u in enumerate(family):
-        if eps not in family.identity_slots:
+        if eps in family.identity_slots:
+            continue
+        if family.diagonal:
+            tensor[eps] *= u[:, None]
+        else:
             tensor[eps] = u @ tensor[eps]
     return state
 

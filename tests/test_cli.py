@@ -295,8 +295,9 @@ class TestMalformedJson:
 
 
 class TestNonFiniteInput:
+    # lanczos exited 2 with numpy's "SVD did not converge"
     @pytest.mark.parametrize("command", [("qgld", "--phi", "uniform"),
-                                         ("gradient", "--delta", "all-ones")])
+                                         ("gradient", "--delta", "all-ones"), ("lanczos",)])
     def test_nan_matrix_exits_2(self, capsys, tmp_path, command):
         path = tmp_path / "nan.json"
         write_matrix(path, np.array([[1.0, np.nan], [np.nan, 2.0]]))
@@ -340,6 +341,15 @@ class TestLanczosCommand:
         code, out, _ = run_cli(capsys, "lanczos", "--matrix", "random-spd:8:5", "--b", b)
         assert code == 0
         assert json.loads(out)["breakdown"] is False
+
+    def test_non_hermitian_matrix_exits_2(self, capsys, tmp_path):
+        # exited 0 printing Ritz values with residuals up to 0.93
+        path = tmp_path / "m.json"
+        write_matrix(path, np.array([[1.0, 1.0], [0.0, 2.0]]))
+        code, out, err = run_cli(capsys, "lanczos", "--matrix", str(path))
+        assert code == 2
+        assert out == ""
+        assert "hermiticity defect 1.000e+00" in err
 
     @pytest.mark.parametrize("seed", range(10))
     def test_tied_magnitudes_print_ascending(self, capsys, seed):

@@ -20,9 +20,9 @@ from qgld import (
     classical_reference_expectation,
     eig_hermitian,
     eigenvalue_gradient_probes,
-    equal_superposition,
     logdet_directional_derivatives,
     logdet_gradient_entry,
+    probe_distributions,
     qgld_expectation,
     sampled_qgld,
     sigma_qgld_expectation,
@@ -321,26 +321,26 @@ class TestSigmaQgld:
         enc = GradientEncoding(L=1e-6, W=w_run, m=1)
         t = enc.time_step()
         delta = (dec.vectors * weights) @ dec.vectors.conj().T
-        family = qgld.expectation._scaled_phase_family(dec, weights, w_run)
+        family = qgld.expectation._scaled_phase_family(weights, w_run)
+        assert family.diagonal
         for s, member in zip(enc.offsets(), family):
             want = unitary_phase_exp(x + s * delta, t) @ unitary_phase_exp(x, -t)
-            assert np.max(np.abs(member - want)) <= 1e-12
+            assert np.max(np.abs((dec.vectors * member) @ dec.vectors.conj().T - want)) <= 1e-12
 
 
     def test_family_has_identity_slot_and_one_check(self, rng, monkeypatch):
-        # the s = 0 member was formed as V V^dag, copied and checked, one check
-        # per member: 2 per sigma call and 4 per sampled call
-        dec = eig_hermitian(random_spd_pow2(rng, 8))
-        family = qgld.expectation._scaled_phase_family(dec, rng.standard_normal(8), 1e4)
+        # a diagonal family: the s = 0 member is the identity diagonal, never
+        # checked, and the other member's N phases are checked once
+        family = qgld.expectation._scaled_phase_family(rng.standard_normal(8), 1e4)
         assert len(family) == 2
         assert family.identity_slots == {0}
-        np.testing.assert_array_equal(family[0], np.eye(8))
+        np.testing.assert_array_equal(family[0], np.ones(8))
         checks = []
         real_defect = sv.unitarity_defect
 
-        def counting_defect(u):
+        def counting_defect(u, **kwargs):
             checks.append(1)
-            return real_defect(u)
+            return real_defect(u, **kwargs)
 
         monkeypatch.setattr(sv, "unitarity_defect", counting_defect)
         x, phi = random_spd_pow2(rng, 8), random_state(rng, 8)
@@ -364,11 +364,51 @@ class TestSampledQgld:
         second = sampled_qgld(x, phi, 16, rng_seed=9)
         assert first == second
 
+    def test_equals_dense_basis_pipeline_on_same_draws(self, rng):
+        # the circuits run on V^dag q; the dense members V diag(d) V^dag on q read the same phases
+        x, phi = random_spd_pow2(rng, 8), random_state(rng, 8)
+        estimate, _ = sampled_qgld(x, phi, 8, rng_seed=4)
+        dec, raw, scaled = qgld.expectation._superposition_weights(x, phi)
+        draws = np.random.default_rng(4)
+        q = np.linalg.qr(draws.standard_normal((8, 8)) + 1j * draws.standard_normal((8, 8)))[0]
+        readings = []
+        for weights in (scaled, raw):
+            w_run = max(1.0, qgld.expectation.SUPERPOSITION_ZOOM * float(np.max(np.abs(weights))))
+            family = qgld.expectation._scaled_phase_family(weights, w_run)
+            dense = sv.ControlledFamily([(dec.vectors * d) @ dec.vectors.conj().T for d in family])
+            readings.append(8 * w_run * qgld.expectation._signed_phases(dense, q))
+        assert abs(estimate - np.mean(readings[0] / readings[1])) <= 1e-9 * abs(estimate)
+
     def test_diag_statistics(self):
         x = np.diag([2.0, 4.0]).astype(complex)
         phi = np.array([1, 1]) / np.sqrt(2)
         estimate, spread = sampled_qgld(x, phi, 256, rng_seed=12)
         assert abs(estimate - 0.375) <= 3 * max(spread, 1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_qubits=st.integers(1, 6), reach=st.floats(0.1, 3.0), pipeline=st.sampled_from(["sigma", "sampled"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_eigenbasis_circuit_equals_dense_circuit(n_qubits, reach, pipeline, seed):
+    # the superposition circuits run on diagonal members and columns rotated by
+    # V^dag; the dense circuit runs V diag(member) V^dag on the unrotated columns
+    rng = np.random.default_rng(seed)
+    n = 1 << n_qubits
+    vectors = eig_hermitian(random_hermitian(rng, n, indefinite=True)).vectors
+    weights = rng.standard_normal(n)
+    family = qgld.expectation._scaled_phase_family(weights, float(np.max(np.abs(weights))) / reach)
+    dense = sv.ControlledFamily([(vectors * member) @ vectors.conj().T for member in family])
+    if pipeline == "sigma":
+        columns = np.full((n, 1), 1.0 / np.sqrt(n), dtype=complex)
+        unrotated = vectors @ columns  # the equal superposition of the eigenvectors
+    else:
+        gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        unrotated = np.linalg.qr(gauss)[0][:, :min(n, 5)]
+        columns = vectors.conj().T @ unrotated
+    quarter_wave = np.repeat([[1.0], [-1j]], columns.shape[1], axis=1)
+    for phases in (None, quarter_wave):
+        np.testing.assert_allclose(probe_distributions(family, columns, 1, phases),
+                                   probe_distributions(dense, unrotated, 1, phases), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("pipeline", [sigma_qgld_expectation, lambda x, phi: sampled_qgld(x, phi, 6, 0)],
@@ -463,22 +503,6 @@ class TestReadoutRange:
             qgld_expectation(request)
 
 
-class TestEqualSuperposition:
-    def test_norm_and_determinism(self, rng):
-        x = random_spd_pow2(rng, 8)
-        _, vecs = np.linalg.eigh(x)
-        psi = equal_superposition(vecs)
-        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
-        np.testing.assert_array_equal(psi, equal_superposition(vecs))
-
-    def test_uniform_overlap(self, rng):
-        x = random_spd_pow2(rng, 4)
-        _, vecs = np.linalg.eigh(x)
-        psi = equal_superposition(vecs)
-        overlaps = np.abs(vecs.conj().T @ psi) ** 2
-        np.testing.assert_allclose(overlaps, np.full(4, 0.25), atol=1e-12)
-
-
 class TestRequestValidation:
     def test_k_bounds(self, rng):
         x = random_spd_pow2(rng, 4)
@@ -507,6 +531,13 @@ class TestRequestValidation:
     def test_zero_phi_rejected(self, rng, pipeline):
         with pytest.raises(UnnormalizedPhi, match="phi"):
             self.PIPELINES[pipeline](random_spd_pow2(rng, 4), np.zeros(4))
+
+    @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+    def test_unnormalized_phi_rejected(self, pipeline):
+        # at phi = 2 e_0, sigma returned phi^dag X^-1 phi = 4.0 and sampled the normalized 1.0
+        x = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        with pytest.raises((ValueError, UnnormalizedPhi), match="phi norm 2.000000000000 != 1"):
+            self.PIPELINES[pipeline](x, np.array([2.0, 0.0, 0.0, 0.0]))
 
 
 class TestAdaptDegenerateEigenvectors:

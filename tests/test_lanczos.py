@@ -12,7 +12,7 @@ from qgld import (
     run_rqbl,
 )
 from qgld.cli import random_spd
-from qgld.lanczos import BREAKDOWN_RTOL
+from qgld.lanczos import BREAKDOWN_RTOL, _project_out
 from conftest import SIGMA_X, SIGMA_Z, random_hermitian, random_symmetric_decaying
 
 
@@ -113,6 +113,21 @@ class TestStep:
             for earlier in range(later):
                 overlap = np.max(np.abs(blocks[later].conj().T @ blocks[earlier]))
                 assert overlap <= 1e-10
+
+
+class TestProjectOut:
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_second_pass_when_first_cancels_most(self, rng, b):
+        # a block almost inside span(basis): one classical Gram-Schmidt pass
+        # leaves components ~eps * ||c|| against a remainder ~1e-9 * ||c||, so
+        # the DGKS test has to run the second pass
+        n = 64
+        basis = np.linalg.qr(rng.standard_normal((n, 20)) + 1j * rng.standard_normal((n, 20)))[0]
+        c = rng.standard_normal((20, b)) + 1j * rng.standard_normal((20, b))
+        noise = rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b))
+        out = _project_out(basis @ c + 1e-9 * noise, basis)
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(basis.conj().T @ out) <= 10 * eps * np.linalg.norm(out)
 
 
 class TestBreakdown:

@@ -1,5 +1,5 @@
-"""Quantum gradient of the logarithm-determinant on a dense statevector
-simulator, with independent classical oracles for every quantum readout."""
+"""Quantum gradient of the logarithm-determinant from simulated probe
+circuits, with independent classical oracles for every quantum readout."""
 
 from .errors import (
     AliasedReadout,
@@ -30,18 +30,7 @@ from .linalg import (
     relevance_order,
     unitary_phase_exp,
 )
-from .statevector import (
-    ControlledFamily,
-    RegisterLayout,
-    StateVector,
-    apply_controlled_family,
-    conditional_deviation_distribution,
-    hadamard_deviation_register,
-    init_basis,
-    inverse_qft_deviation,
-    phase_deviation_register,
-    prepare_system_state,
-)
+from .statevector import ControlledFamily
 from .qgpe import (
     GradientEncoding,
     PerturbationDirection,

@@ -68,6 +68,8 @@ class RqblSource:
     def resolve(self, x: np.ndarray):
         x = np.asarray(x, dtype=complex)  # validated by build_factorization, before any step
         n = x.shape[0] if x.ndim else 0
+        if self.b < 1:
+            raise ValueError(f"block size {self.b} outside [1, {n}]")
         steps = self.steps if self.steps is not None else n // self.b
         sol = run_rqbl(x, self.b, steps, self.seed)
         return sol.values, sol.vectors, sol.residuals

@@ -14,8 +14,10 @@ convention, with 2*pi inside the exponent, t = 2*pi*M/(W'*L), is this one at
 W = W'/(2*pi): the time step, the bin decode and the m = 1 decode all agree.
 
 :func:`eigenbasis_families` builds the same family in the eigenbasis of X,
-each member right-multiplied by the common exp(-i t Lambda), for directions
-that carry low-rank factors; :func:`evolution_family` builds it densely.
+each member right-multiplied by the common exp(-i t Lambda) and kept as its
+factors, for directions that carry low-rank factors; :func:`evolution_family`
+builds it densely.  :func:`probe_distributions` reads any of them from the M
+amplitudes <c|U(eps)|c> of each prepared column c.
 """
 from __future__ import annotations
 
@@ -26,11 +28,14 @@ import numpy as np
 
 from . import statevector as sv
 from .errors import (
+    FamilySizeMismatch,
     FlatDistribution,
     IndexOutOfRange,
     NonFiniteInput,
+    NotInGroundRegister,
     ProbabilityOutOfRange,
     UnnormalizedPhi,
+    UnnormalizedTarget,
 )
 from .linalg import low_rank_update_eigh, require_hermitian, unitary_phase_exp
 
@@ -232,10 +237,12 @@ def eigenbasis_families(values, signs, probes):
 
     Member eps is exp(i t (Lambda + s (C diag(signs) C^dag + c I))) exp(-i t
     Lambda).  The right factor is the same for every member, so it changes
-    no conditional readout, and it makes the s = 0 member the identity, which
-    the family marks as an identity slot.  The other members come from
-    :func:`low_rank_update_eigh`, batched over consecutive probes up to
-    EIGENBASIS_BATCH entries of N x N work arrays (see :func:`_solved_members`).
+    no readout conditioned on an eigenvector, and it makes the s = 0 member
+    the identity, which the family marks as an identity slot.  The other
+    members come from :func:`low_rank_update_eigh`, batched over consecutive
+    probes up to EIGENBASIS_BATCH entries of N x N work arrays, and stay
+    factored (see :func:`_solved_factors`); every family of a batch is
+    checked before the first one is yielded.
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
@@ -247,34 +254,36 @@ def eigenbasis_families(values, signs, probes):
             size += len(jobs[stop])
             stop += 1
         batch = [(j, eps, s) for j in range(start, stop) for eps, s in jobs[j]]
-        members = _solved_members(values, signs, probes, batch)
-        done = 0
+        vectors, left, right = _solved_factors(values, signs, probes, batch)
+        families, done = [], 0
         for j in range(start, stop):
             solved = {eps for eps, _ in jobs[j]}
             identity = [eps for eps in range(probes[j][1].deviation_dim) if eps not in solved]
-            yield sv.ControlledFamily._adopt([members[done:done + len(solved)]], identity)
+            part = slice(done, done + len(solved))
+            families.append(sv.FactoredFamily(vectors[part], left[part], right[part], identity))
             done += len(solved)
+        yield from families
         start = stop
 
 
-def _solved_members(values, signs, probes, batch) -> np.ndarray:
-    """Members (P, N, N) for the (probe, eps, s != 0) of ``batch``, in order,
-    from one low-rank update solve.
+def _solved_factors(values, signs, probes, batch):
+    """Factors of the members for the (probe, eps, s != 0) of ``batch``, in
+    order, from one low-rank update solve: eigenvectors Q (P, N, N) and the
+    phases left, right (P, N) of member Q diag(left) Q^dag diag(right).
 
     With eigenvalue k held as values[anchor_k] + offset_k and E = exp(i t
-    Lambda), member eps is Q diag(E[anchor] exp(i t (offset + s c))) Q^dag
-    diag(conj(E)): 2N exponentials per member.  On each anchor's own
-    diagonal entry E_b conj(E_b) is real to one rounding, so the phase the
-    readout decodes stays t (offset + s c) at full relative precision.
+    Lambda), left = E[anchor] exp(i t (offset + s c)) and right = conj(E):
+    2N exponentials per member.  In the term of each anchor's own amplitude
+    E_b conj(E_b) is real to one rounding, so the phase the readout decodes
+    stays t (offset + s c) at full relative precision.
     """
     vectors, anchor, offset = low_rank_update_eigh(
         values, np.stack([probes[j][0] for j, _, _ in batch]), signs, [s for _, _, s in batch])
     times = np.array([probes[j][1].time_step() for j, _, _ in batch])[:, None]
     shifts = np.array([s * probes[j][2] for j, _, s in batch])[:, None]
     bare = np.exp(1j * times * values)
-    right = vectors.transpose(0, 2, 1) * bare[:, None, :]  # conjugated below: Q^dag diag(conj(E))
-    vectors *= (np.take_along_axis(bare, anchor, axis=1) * np.exp(1j * times * (offset + shifts)))[:, None, :]
-    return vectors @ np.conjugate(right, out=right)
+    left = np.take_along_axis(bare, anchor, axis=1) * np.exp(1j * times * (offset + shifts))
+    return vectors, left, bare.conj()
 
 
 def _amplitude_readout(p0: np.ndarray, p1: np.ndarray, w: float) -> np.ndarray:
@@ -321,28 +330,48 @@ def probe_distributions(family, columns: np.ndarray, m: int,
     """Deviation distributions (M, B) of the probe circuit, run on every
     column of ``columns`` (N, B) as an independent circuit.
 
-    Sequence: basis init, preparation of each column, Hadamard fan-out of the
-    deviations, the controlled ``family`` (checked once here if it is a raw
-    member list), optional per-column ``deviation_phases`` (M, B), inverse
-    QFT, and the readout conditioned on the system register returning to the
-    prepared column, which suppresses the contamination from the small
-    eigenvector tilt at finite L.  Columns run in chunks of at most
-    ``batch_capacity(m, n)``, so every amplitude tensor stays within the
-    2^MAX_QUBITS guard.
+    The circuit prepares each column c, fans the deviations out with
+    Hadamards, applies the controlled ``family`` (checked once here if it is
+    a raw member list), optional per-column ``deviation_phases`` phi (M, B)
+    and the inverse QFT, and reads the deviation register conditioned on the
+    system register returning to c, which suppresses the contamination from
+    the small eigenvector tilt at finite L.  The projection onto c commutes
+    with every deviation-register gate, so bin j reads
+    |sum_eps exp(-2 pi i j eps / M) phi_eps a_eps|^2 / M^2, normalized, from
+    the family's amplitudes a_eps = <c|U(eps)|c>; no register is formed.
+    Raises ValueError unless N is a power of two >= 2 (n system qubits) and
+    the phases have unit modulus, FamilySizeMismatch unless the family has
+    2^m members of dimension N, UnnormalizedTarget for a column off unit
+    norm and NotInGroundRegister for a column with no conditioned weight.
     """
-    family = sv.ControlledFamily(family)
+    if not isinstance(family, sv.FactoredFamily):
+        family = sv.ControlledFamily(family)
     columns = np.asarray(columns, dtype=complex)
-    n = sv.system_qubits_for_dim(columns.shape[0])
-    chunk = sv.batch_capacity(m, n)
-    distributions = []
-    for start in range(0, columns.shape[1], chunk):
-        block = columns[:, start:start + chunk]
-        state = sv.init_basis(sv.RegisterLayout(m=m, n=n, batch=block.shape[1]), 0)
-        sv.prepare_system_state(state, block)
-        sv.hadamard_deviation_register(state)
-        sv.apply_controlled_family(state, family)
-        if deviation_phases is not None:
-            sv.phase_deviation_register(state, deviation_phases[:, start:start + chunk])
-        sv.inverse_qft_deviation(state)
-        distributions.append(sv.conditional_deviation_distribution(state, block))
-    return np.concatenate(distributions, axis=1)
+    n_dim, m_dim = columns.shape[0], 1 << m
+    if n_dim < 2 or n_dim & (n_dim - 1):
+        raise ValueError(f"dimension {n_dim} is not a power of two >= 2")
+    if (len(family), family.dim) != (m_dim, n_dim):
+        raise FamilySizeMismatch(f"family of {len(family)} members of dimension {family.dim}, "
+                                 f"expected {m_dim} of dimension {n_dim}")
+    norms = np.linalg.norm(columns, axis=0)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > sv.NORM_ATOL)
+    if bad.size:
+        raise UnnormalizedTarget(f"target column {bad[0]} norm {norms[bad[0]]:.12f} != 1")
+    amplitudes = family.amplitudes(columns)
+    if deviation_phases is not None:
+        phases = np.asarray(deviation_phases, dtype=complex).reshape(amplitudes.shape)
+        if np.max(np.abs(np.abs(phases) - 1.0)) > sv.NORM_ATOL:
+            raise ValueError("deviation phases must have unit modulus")
+        amplitudes *= phases
+    # the M = 2 inverse QFT is the Hadamard, which spares loading numpy.fft (0.4 MB resident);
+    # 1/M = 1/sqrt(M) from the fan-out times 1/sqrt(M) from the inverse QFT, exact for M = 2^m
+    if m_dim == 2:
+        spectrum = np.stack([amplitudes[0] + amplitudes[1], amplitudes[0] - amplitudes[1]])
+    else:
+        spectrum = np.fft.fft(amplitudes, axis=0)
+    probs = np.abs(spectrum / m_dim) ** 2
+    weight = np.sum(probs, axis=0)
+    empty = np.flatnonzero(weight < 1e-30)
+    if empty.size:
+        raise NotInGroundRegister(f"conditioning state of column {empty[0]} has no overlap with the register")
+    return probs / weight

@@ -1,139 +1,23 @@
-"""Dense statevector simulator for the two-register gradient probe circuits.
+"""Controlled families of the probe circuit, checked once when built, and
+their conditioned amplitudes.
 
-The state holds m deviation qubits and n system qubits for B independent
-circuits side by side: the amplitudes form one (M, N, B) tensor, deviation
-index first, one column per circuit, and every gate acts on all columns at
-once.  Deviation qubits occupy the high-order bits, so within a column
-amplitude eps*N + s addresses deviation basis state eps and system basis
-state s, and each controlled family member is one N x N @ N x B product, or
-for a diagonal family N x B products of entries.
-Inputs carry one column per circuit ((N, B) targets, (M, B) phases) and
-every readout returns (M, B); a single circuit is the case B = 1.
-
-Operations mutate the passed state in place and also return it, so they can
-be chained; a state belongs to a single (batched) circuit execution.
+A probe circuit prepares a column c in the system register, fans the m
+deviation qubits out with Hadamards, applies member U(eps) of a controlled
+family for deviation basis state eps, and reads the deviation register
+conditioned on the system register returning to c.  That projection onto c
+commutes with every deviation-register gate, so all the readout needs of a
+family is the M amplitudes a_eps = <c|U(eps)|c> of each column, which
+:meth:`ControlledFamily.amplitudes` and :meth:`FactoredFamily.amplitudes`
+return as an (M, B) array for the B columns of an (N, B) block.  The
+gate-level two-register circuit they contract is the tests' reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import (
-    FamilySizeMismatch,
-    IndexOutOfRange,
-    NonUnitaryMember,
-    NotInGroundRegister,
-    UnnormalizedTarget,
-)
+from .errors import FamilySizeMismatch, NonUnitaryMember
 
 NORM_ATOL = 1e-10
-MAX_QUBITS = 26
-
-
-def batch_capacity(m: int, n: int) -> int:
-    """Most circuit columns whose M*N*B amplitudes fit the 2^MAX_QUBITS guard."""
-    return 1 << (MAX_QUBITS - m - n)
-
-
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Qubit counts: m deviation qubits (M = 2^m), n system qubits (N = 2^n),
-    and ``batch`` independent circuits held as columns."""
-
-    m: int
-    n: int
-    batch: int = 1
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("need at least one qubit in each register")
-        if self.m + self.n > MAX_QUBITS:
-            raise ValueError(f"m + n = {self.m + self.n} exceeds the {MAX_QUBITS}-qubit guard")
-        if not 1 <= self.batch <= batch_capacity(self.m, self.n):
-            raise ValueError(
-                f"batch {self.batch} outside [1, {batch_capacity(self.m, self.n)}] "
-                f"for the {MAX_QUBITS}-qubit amplitude guard"
-            )
-
-    @property
-    def deviation_dim(self) -> int:
-        return 1 << self.m
-
-    @property
-    def system_dim(self) -> int:
-        return 1 << self.n
-
-
-@dataclass
-class StateVector:
-    layout: RegisterLayout
-    amplitudes: np.ndarray = field(repr=False)
-
-    def as_tensor(self) -> np.ndarray:
-        """View of the amplitudes as a (M, N, B) tensor, one column per circuit."""
-        layout = self.layout
-        return self.amplitudes.reshape(layout.deviation_dim, layout.system_dim, layout.batch)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def system_qubits_for_dim(dim: int) -> int:
-    """Number of qubits for a dimension that must be a power of two."""
-    n = int(dim).bit_length() - 1
-    if dim < 2 or (1 << n) != dim:
-        raise ValueError(f"dimension {dim} is not a power of two >= 2")
-    return n
-
-
-def init_basis(layout: RegisterLayout, index: int) -> StateVector:
-    """State with amplitude 1 at the given joint basis index, in every column."""
-    total = layout.deviation_dim * layout.system_dim
-    if not 0 <= index < total:
-        raise IndexOutOfRange(f"index {index} outside [0, {total})")
-    state = StateVector(layout, np.zeros(total * layout.batch, dtype=complex))
-    state.as_tensor()[divmod(index, layout.system_dim)] = 1.0
-    return state
-
-
-def prepare_system_state(state: StateVector, columns: np.ndarray) -> StateVector:
-    """Load each column's target into its system register; requires the
-    system register in |0...0>.
-
-    ``columns`` has shape (N, B), one target per circuit column.
-    """
-    layout = state.layout
-    columns = np.asarray(columns, dtype=complex)
-    if columns.shape != (layout.system_dim, layout.batch):
-        raise ValueError(
-            f"target has shape {columns.shape}, expected {(layout.system_dim, layout.batch)}"
-        )
-    norms = np.linalg.norm(columns, axis=0)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_ATOL)
-    if bad.size:
-        raise UnnormalizedTarget(f"target column {bad[0]} norm {norms[bad[0]]:.12f} != 1")
-    tensor = state.as_tensor()
-    if np.linalg.norm(tensor[:, 1:, :]) > NORM_ATOL:
-        raise NotInGroundRegister("system register carries weight outside |0...0>")
-    # Gamma e_0 = v: each deviation row's ground amplitude spreads over its column
-    np.multiply(tensor[:, :1, :], columns, out=tensor)
-    return state
-
-
-def hadamard_deviation_register(state: StateVector) -> StateVector:
-    """H on every deviation qubit, system register untouched."""
-    m = state.layout.m
-    x = state.amplitudes.reshape((2,) * m + (-1,))
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for axis in range(m):
-        a = x[(slice(None),) * axis + (0,)]
-        b = x[(slice(None),) * axis + (1,)]
-        hi = (a + b) * inv_sqrt2
-        b[...] = (a - b) * inv_sqrt2
-        a[...] = hi
-    state.amplitudes = x.reshape(-1)
-    return state
 
 
 def unitarity_defect(u, diagonal: bool = False):
@@ -153,7 +37,7 @@ class ControlledFamily(tuple):
     family is built, for shape and unitarity within NORM_ATOL * N.
 
     An immutable tuple of read-only members, so the check holds for the
-    family's lifetime and circuits applying it need not repeat it.  Members
+    family's lifetime and circuits reading it need not repeat it.  Members
     passed in are copied first; building one from a ControlledFamily returns
     that family unchanged.  A family formed by a builder (:meth:`_adopt`) may
     mark ``identity_slots``: those members are the exact identity, neither
@@ -205,76 +89,70 @@ class ControlledFamily(tuple):
         family.diagonal = diagonal
         return family
 
+    @property
+    def dim(self) -> int:
+        return self[0].shape[-1]
 
-def apply_controlled_family(state: StateVector, family) -> StateVector:
-    """For each deviation basis index eps, multiply every column's system
-    block by family[eps] (row by row by its entries, for a diagonal family);
-    rows of the family's identity slots stay as they are.
+    def amplitudes(self, columns: np.ndarray) -> np.ndarray:
+        """a_eps = <c|U(eps)|c> for every column c of ``columns`` (N, B), shape
+        (M, B): 1 on an identity slot, sum_i |c_i|^2 d_i for a diagonal
+        member, c^dag (U c) for a dense one."""
+        out = np.ones((len(self), columns.shape[1]), dtype=complex)
+        weights = columns.real ** 2 + columns.imag ** 2 if self.diagonal else None
+        bras = None if self.diagonal else columns.conj()
+        for eps, u in enumerate(self):
+            if eps in self.identity_slots:
+                continue
+            out[eps] = u @ weights if self.diagonal else np.einsum("nb,nb->b", bras, u @ columns)
+        return out
 
-    A ControlledFamily is applied as is; a raw sequence of members is checked
-    first by wrapping it in one.
+
+class FactoredFamily:
+    """A controlled family built in an eigenbasis, each member kept as its
+    factors Q diag(left) Q^dag diag(right): ``vectors`` Q (K, N, N) and the
+    unit-modulus phases ``left`` and ``right`` (K, N), one per slot of the M
+    that is not in ``identity_slots``, in slot order.
+
+    No member is formed, so the check falls on what is: with delta =
+    ||Q^dag Q - I||_F, ||U^dag U - I||_F <= (1 + ||Q||_2^2) delta <=
+    (2 + delta) delta, and each Q must hold (2 + delta) delta <= NORM_ATOL * N,
+    which implies the member bound of :class:`ControlledFamily`.  The stack
+    is checked with one batched call of :func:`unitarity_defect`, when the
+    family is built, and the factors are then kept read-only, without a copy.
     """
-    family = ControlledFamily(family)
-    m_dim = state.layout.deviation_dim
-    n_dim = state.layout.system_dim
-    if len(family) != m_dim:
-        raise FamilySizeMismatch(f"family has {len(family)} members, expected {m_dim}")
-    shape = (n_dim,) if family.diagonal else (n_dim, n_dim)
-    if family[0].shape != shape:
-        raise FamilySizeMismatch(f"members have shape {family[0].shape}, expected {shape}")
-    tensor = state.as_tensor()
-    for eps, u in enumerate(family):
-        if eps in family.identity_slots:
-            continue
-        if family.diagonal:
-            tensor[eps] *= u[:, None]
-        else:
-            tensor[eps] = u @ tensor[eps]
-    return state
 
+    def __init__(self, vectors, left, right, identity_slots):
+        self.identity_slots = frozenset(identity_slots)
+        self.slots = [eps for eps in range(len(vectors) + len(self.identity_slots))
+                      if eps not in self.identity_slots]
+        gram = unitarity_defect(vectors)
+        bounds = (2.0 + gram) * gram
+        bad = np.flatnonzero(bounds > NORM_ATOL * vectors.shape[-1])
+        if bad.size:
+            raise NonUnitaryMember(f"member {self.slots[bad[0]]} unitarity defect up to {bounds[bad[0]]:.3e} "
+                                   f"(eigenvector Gram defect {gram[bad[0]]:.3e})")
+        for factor in (vectors, left, right):
+            factor.flags.writeable = False
+        self.vectors, self.left, self.right = vectors, left, right
 
-def phase_deviation_register(state: StateVector, phases: np.ndarray) -> StateVector:
-    """Diagonal gate on the deviation register: amplitude row eps picks up
-    phases[eps], with shape (M, B) (one diagonal per column).  With
-    diag(1, -i) on one deviation qubit, the inverse QFT reads that qubit in
-    the Y basis instead of the X basis."""
-    layout = state.layout
-    phases = np.asarray(phases, dtype=complex).reshape(layout.deviation_dim, 1, layout.batch)
-    if np.max(np.abs(np.abs(phases) - 1.0)) > NORM_ATOL:
-        raise ValueError("deviation phases must have unit modulus")
-    state.as_tensor()[:] *= phases
-    return state
+    def __len__(self) -> int:
+        return len(self.slots) + len(self.identity_slots)
 
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[-1]
 
-def inverse_qft_deviation(state: StateVector) -> StateVector:
-    """M-point inverse Fourier kernel exp(-2*pi*i*j*k/M)/sqrt(M) on the
-    deviation register.  At M = 2 that is the Hadamard; larger registers go
-    through np.fft."""
-    m_dim = state.layout.deviation_dim
-    if m_dim == 2:
-        return hadamard_deviation_register(state)
-    out = np.fft.fft(state.amplitudes.reshape(m_dim, -1), axis=0)
-    out /= np.sqrt(m_dim)
-    state.amplitudes = out.reshape(-1)
-    return state
-
-
-def conditional_deviation_distribution(state: StateVector, system_state: np.ndarray) -> np.ndarray:
-    """Deviation distribution conditioned on the system register being in system_state.
-
-    Equivalent to undoing the preparation of system_state and post-selecting
-    the system register on |0...0>, renormalized.  ``system_state`` (N, B)
-    carries one conditioning state per column, like the preparation target.
-    Returns shape (M, B).
-    """
-    columns = np.asarray(system_state, dtype=complex)
-    amps = np.einsum("msb,sb->mb", state.as_tensor(), columns.conj())
-    probs = np.abs(amps) ** 2
-    weight = np.sum(probs, axis=0)
-    empty = np.flatnonzero(weight < 1e-30)
-    if empty.size:
-        raise NotInGroundRegister(
-            f"conditioning state of column {empty[0]} has no overlap with the register"
-        )
-    return probs / weight
-
+    def amplitudes(self, columns: np.ndarray) -> np.ndarray:
+        """a_eps = <e_p|U(eps)|e_p> = right_p sum_q |Q_pq|^2 left_q for every
+        unit column e_p of ``columns`` (N, B), shape (M, B): O(N) per member
+        and column.  Any other column raises ValueError: the common right
+        factor of an eigenbasis family leaves the readout unchanged only on
+        eigenvectors."""
+        rows = np.argmax(np.abs(columns), axis=0)
+        if not np.array_equal(columns, np.eye(self.dim)[:, rows]):
+            raise ValueError("an eigenbasis family reads unit columns e_p only")
+        picked = self.vectors[:, rows, :]
+        weights = picked.real ** 2 + picked.imag ** 2
+        out = np.ones((len(self), columns.shape[1]), dtype=complex)
+        out[self.slots] = np.einsum("kbq,kq->kb", weights, self.left) * self.right[:, rows]
+        return out

@@ -1,9 +1,12 @@
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
+from qgld.errors import FamilySizeMismatch, IndexOutOfRange, NotInGroundRegister, UnnormalizedTarget
 from qgld.linalg import DEGENERACY_RTOL, eig_hermitian, hellmann_feynman_derivative, require_hermitian
+from qgld.statevector import NORM_ATOL, ControlledFamily, FactoredFamily
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -83,6 +86,177 @@ def preparation_unitary(v: np.ndarray) -> np.ndarray:
     return phase * refl
 
 
+# ---------------------------------------------------------------------------
+# The reference circuit: a dense statevector simulator of the two-register
+# probe circuit, gate by gate, that the program's contracted readout
+# (qgld.qgpe.probe_distributions) is compared against.
+#
+# The state holds m deviation qubits and n system qubits for B independent
+# circuits side by side: the amplitudes form one (M, N, B) tensor, deviation
+# index first, one column per circuit, and every gate acts on all columns at
+# once.  Deviation qubits occupy the high-order bits, so within a column
+# amplitude eps*N + s addresses deviation basis state eps and system basis
+# state s.  Operations mutate the passed state in place and also return it.
+
+MAX_QUBITS = 26
+
+
+def batch_capacity(m: int, n: int) -> int:
+    """Most circuit columns whose M*N*B amplitudes fit the 2^MAX_QUBITS guard."""
+    return 1 << (MAX_QUBITS - m - n)
+
+
+@dataclass(frozen=True)
+class RegisterLayout:
+    """Qubit counts: m deviation qubits (M = 2^m), n system qubits (N = 2^n),
+    and ``batch`` independent circuits held as columns."""
+
+    m: int
+    n: int
+    batch: int = 1
+
+    def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise ValueError("need at least one qubit in each register")
+        if self.m + self.n > MAX_QUBITS:
+            raise ValueError(f"m + n = {self.m + self.n} exceeds the {MAX_QUBITS}-qubit guard")
+        if not 1 <= self.batch <= batch_capacity(self.m, self.n):
+            raise ValueError(
+                f"batch {self.batch} outside [1, {batch_capacity(self.m, self.n)}] "
+                f"for the {MAX_QUBITS}-qubit amplitude guard"
+            )
+
+    @property
+    def deviation_dim(self) -> int:
+        return 1 << self.m
+
+    @property
+    def system_dim(self) -> int:
+        return 1 << self.n
+
+
+@dataclass
+class StateVector:
+    layout: RegisterLayout
+    amplitudes: np.ndarray = field(repr=False)
+
+    def as_tensor(self) -> np.ndarray:
+        """View of the amplitudes as a (M, N, B) tensor, one column per circuit."""
+        layout = self.layout
+        return self.amplitudes.reshape(layout.deviation_dim, layout.system_dim, layout.batch)
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
+
+def init_basis(layout: RegisterLayout, index: int) -> StateVector:
+    """State with amplitude 1 at the given joint basis index, in every column."""
+    total = layout.deviation_dim * layout.system_dim
+    if not 0 <= index < total:
+        raise IndexOutOfRange(f"index {index} outside [0, {total})")
+    state = StateVector(layout, np.zeros(total * layout.batch, dtype=complex))
+    state.as_tensor()[divmod(index, layout.system_dim)] = 1.0
+    return state
+
+
+def prepare_system_state(state: StateVector, columns: np.ndarray) -> StateVector:
+    """Load each column's target (N, B) into its system register; requires
+    the system register in |0...0>."""
+    layout = state.layout
+    columns = np.asarray(columns, dtype=complex)
+    if columns.shape != (layout.system_dim, layout.batch):
+        raise ValueError(
+            f"target has shape {columns.shape}, expected {(layout.system_dim, layout.batch)}"
+        )
+    norms = np.linalg.norm(columns, axis=0)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_ATOL)
+    if bad.size:
+        raise UnnormalizedTarget(f"target column {bad[0]} norm {norms[bad[0]]:.12f} != 1")
+    tensor = state.as_tensor()
+    if np.linalg.norm(tensor[:, 1:, :]) > NORM_ATOL:
+        raise NotInGroundRegister("system register carries weight outside |0...0>")
+    # Gamma e_0 = v: each deviation row's ground amplitude spreads over its column
+    np.multiply(tensor[:, :1, :], columns, out=tensor)
+    return state
+
+
+def hadamard_deviation_register(state: StateVector) -> StateVector:
+    """H on every deviation qubit, system register untouched."""
+    m = state.layout.m
+    x = state.amplitudes.reshape((2,) * m + (-1,))
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for axis in range(m):
+        a = x[(slice(None),) * axis + (0,)]
+        b = x[(slice(None),) * axis + (1,)]
+        hi = (a + b) * inv_sqrt2
+        b[...] = (a - b) * inv_sqrt2
+        a[...] = hi
+    state.amplitudes = x.reshape(-1)
+    return state
+
+
+def apply_controlled_family(state: StateVector, family) -> StateVector:
+    """For each deviation basis index eps, multiply every column's system
+    block by family[eps] (row by row by its entries, for a diagonal family);
+    rows of the family's identity slots stay as they are.  A raw sequence of
+    members is checked first by wrapping it in a ControlledFamily."""
+    family = ControlledFamily(family)
+    m_dim = state.layout.deviation_dim
+    n_dim = state.layout.system_dim
+    if len(family) != m_dim:
+        raise FamilySizeMismatch(f"family has {len(family)} members, expected {m_dim}")
+    shape = (n_dim,) if family.diagonal else (n_dim, n_dim)
+    if family[0].shape != shape:
+        raise FamilySizeMismatch(f"members have shape {family[0].shape}, expected {shape}")
+    tensor = state.as_tensor()
+    for eps, u in enumerate(family):
+        if eps in family.identity_slots:
+            continue
+        if family.diagonal:
+            tensor[eps] *= u[:, None]
+        else:
+            tensor[eps] = u @ tensor[eps]
+    return state
+
+
+def phase_deviation_register(state: StateVector, phases: np.ndarray) -> StateVector:
+    """Diagonal gate on the deviation register: amplitude row eps picks up
+    phases[eps], with shape (M, B) (one diagonal per column)."""
+    layout = state.layout
+    phases = np.asarray(phases, dtype=complex).reshape(layout.deviation_dim, 1, layout.batch)
+    if np.max(np.abs(np.abs(phases) - 1.0)) > NORM_ATOL:
+        raise ValueError("deviation phases must have unit modulus")
+    state.as_tensor()[:] *= phases
+    return state
+
+
+def inverse_qft_deviation(state: StateVector) -> StateVector:
+    """M-point inverse Fourier kernel exp(-2*pi*i*j*k/M)/sqrt(M) on the
+    deviation register: the Hadamard at M = 2, np.fft above."""
+    m_dim = state.layout.deviation_dim
+    if m_dim == 2:
+        return hadamard_deviation_register(state)
+    out = np.fft.fft(state.amplitudes.reshape(m_dim, -1), axis=0)
+    out /= np.sqrt(m_dim)
+    state.amplitudes = out.reshape(-1)
+    return state
+
+
+def conditional_deviation_distribution(state: StateVector, system_state: np.ndarray) -> np.ndarray:
+    """Deviation distribution (M, B) conditioned on the system register being
+    in the column of ``system_state`` (N, B), renormalized."""
+    columns = np.asarray(system_state, dtype=complex)
+    amps = np.einsum("msb,sb->mb", state.as_tensor(), columns.conj())
+    probs = np.abs(amps) ** 2
+    weight = np.sum(probs, axis=0)
+    empty = np.flatnonzero(weight < 1e-30)
+    if empty.size:
+        raise NotInGroundRegister(
+            f"conditioning state of column {empty[0]} has no overlap with the register"
+        )
+    return probs / weight
+
+
 def forward_qft_deviation(state):
     """Forward QFT on the deviation register; exists only for round-trip tests."""
     m_dim = state.layout.deviation_dim
@@ -95,6 +269,40 @@ def deviation_distribution(state):
     """Marginal probabilities of the deviation register, shape (M, B): the
     reference readout for gate tests, which need no conditioning state."""
     return np.sum(np.abs(state.as_tensor()) ** 2, axis=1)
+
+
+def family_members(family) -> list:
+    """The N x N members of a FactoredFamily, Q diag(left) Q^dag diag(right)
+    on its solved slots and the identity on the others, formed as products."""
+    members = [np.eye(family.dim, dtype=complex)] * len(family)
+    for slot, q, left, right in zip(family.slots, family.vectors, family.left, family.right):
+        members[slot] = (q * left) @ (q.conj().T * right)
+    return members
+
+
+def reference_distributions(family, columns, m: int, deviation_phases=None) -> np.ndarray:
+    """The probe circuit of ``qgld.qgpe.probe_distributions`` gate by gate:
+    basis init, preparation of each column, Hadamard fan-out, the controlled
+    family (a FactoredFamily's members formed by :func:`family_members`),
+    the optional deviation phases, inverse QFT and the readout conditioned
+    on the prepared column, in chunks of at most ``batch_capacity`` columns."""
+    if isinstance(family, FactoredFamily):
+        family = family_members(family)
+    columns = np.asarray(columns, dtype=complex)
+    n = columns.shape[0].bit_length() - 1
+    chunk = batch_capacity(m, n)
+    distributions = []
+    for start in range(0, columns.shape[1], chunk):
+        block = columns[:, start:start + chunk]
+        state = init_basis(RegisterLayout(m=m, n=n, batch=block.shape[1]), 0)
+        prepare_system_state(state, block)
+        hadamard_deviation_register(state)
+        apply_controlled_family(state, family)
+        if deviation_phases is not None:
+            phase_deviation_register(state, np.asarray(deviation_phases)[:, start:start + chunk])
+        inverse_qft_deviation(state)
+        distributions.append(conditional_deviation_distribution(state, block))
+    return np.concatenate(distributions, axis=1)
 
 
 CENTRAL_DIFFERENCE_STEP = 1e-5

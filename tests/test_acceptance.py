@@ -8,17 +8,12 @@ import pytest
 from qgld import (
     GradientEncoding,
     InverseExpectationRequest,
-    RegisterLayout,
-    apply_controlled_family,
     build_delta,
     build_factorization,
     classical_reference_expectation,
     eig_hermitian,
     eigenvalue_gradient_probes,
-    hadamard_deviation_register,
-    init_basis,
     inverse,
-    inverse_qft_deviation,
     kernel_fit,
     kernel_predict,
     logdet_gradient_entry,
@@ -32,9 +27,14 @@ from conftest import (
     HADAMARD,
     SIGMA_X,
     SIGMA_Z,
+    RegisterLayout,
+    apply_controlled_family,
     deviation_distribution,
     directional_eigen_derivative,
     forward_qft_deviation,
+    hadamard_deviation_register,
+    init_basis,
+    inverse_qft_deviation,
     random_hermitian,
     random_state,
     random_symmetric_decaying,

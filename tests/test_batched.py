@@ -1,30 +1,43 @@
-"""The batched probe engine against per-column single-state circuits, and the
-validate-once contract of ControlledFamily."""
+"""The contracted probe readout against the gate-level reference circuit and
+per-column single-state circuits, and the validate-once contract of the
+controlled families."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 import qgld.expectation
 import qgld.qgpe
 import qgld.statevector as sv
 from qgld import (
     ControlledFamily,
+    FamilySizeMismatch,
     GradientEncoding,
     NonUnitaryMember,
+    NotInGroundRegister,
     PerturbationDirection,
-    RegisterLayout,
-    apply_controlled_family,
+    UnnormalizedTarget,
     build_delta,
     eig_hermitian,
+    eigenbasis_families,
     eigenvalue_gradient_probe,
     eigenvalue_gradient_probes,
     evolution_family,
-    init_basis,
     logdet_directional_derivatives,
     probe_distributions,
 )
-from conftest import SIGMA_X, preparation_unitary, random_hermitian, random_state
+from conftest import (
+    SIGMA_X,
+    RegisterLayout,
+    apply_controlled_family,
+    family_members,
+    init_basis,
+    preparation_unitary,
+    random_hermitian,
+    random_state,
+    reference_distributions,
+)
 
 
 def single_circuit_distribution(family, v):
@@ -85,22 +98,147 @@ class TestBatchedAgainstSingleCircuit:
             assert abs(batched[p] - single) <= 1e-12
 
     def test_chunked_columns_match_one_chunk(self, rng, monkeypatch):
+        # the reference circuit run in chunks reads what the contracted readout reads in one pass
         x = random_hermitian(rng, 8)
         enc = GradientEncoding(L=1e-5, m=2)
         vectors = eig_hermitian(x).vectors
         family = evolution_family(x, build_delta("all_ones", 8), enc)
         whole = probe_distributions(family, vectors, enc.m)
         # a 6-qubit guard leaves room for 2 columns of M*N = 32 amplitudes
-        monkeypatch.setattr(sv, "MAX_QUBITS", 6)
-        assert sv.batch_capacity(2, 3) == 2
-        chunked = probe_distributions(family, vectors, enc.m)
+        monkeypatch.setattr(conftest, "MAX_QUBITS", 6)
+        assert conftest.batch_capacity(2, 3) == 2
+        chunked = reference_distributions(family, vectors, enc.m)
         np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
 
     def test_layout_rejects_batch_beyond_guard(self):
         with pytest.raises(ValueError):
-            RegisterLayout(1, 1, batch=sv.batch_capacity(1, 1) + 1)
+            RegisterLayout(1, 1, batch=conftest.batch_capacity(1, 1) + 1)
         with pytest.raises(ValueError):
             RegisterLayout(1, 1, batch=0)
+
+
+def _family(kind, x, enc, rng):
+    """A controlled family of ``kind`` for ``enc`` and the columns it is read
+    on: eigenbasis (unit columns), dense or diagonal (random states)."""
+    n = len(x)
+    if kind == "eigenbasis":
+        dec = eig_hermitian(x)
+        if rng.integers(2):
+            delta, c = build_delta("outer", n, phi=random_state(rng, n)), 0.0
+        else:
+            i, j = (int(v) for v in rng.integers(0, n, size=2))
+            delta, c = build_delta("element", n, i=i, j=j), 1.0
+        [family] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc, c)])
+        return family, np.eye(n, dtype=complex)[:, rng.permutation(n)[:5]]
+    columns = np.stack([random_state(rng, n) for _ in range(3)], axis=1)
+    if kind == "dense":
+        i, j = (int(v) for v in rng.integers(0, n, size=2))
+        return evolution_family(x, build_delta("element", n, i=i, j=j), enc), columns
+    # the superposition families' diag exp(i t s(eps) w), its s = 0 member an identity slot
+    offsets = list(enc.offsets())
+    zero = offsets.index(0.0)
+    del offsets[zero]
+    phases = np.exp(1j * enc.time_step() * np.array(offsets)[:, None] * rng.standard_normal(n) / 4)
+    return ControlledFamily._adopt([phases], [zero], diagonal=True), columns
+
+
+class TestContractedAgainstReferenceCircuit:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_qubits=st.integers(1, 6),
+        m=st.sampled_from([1, 2, 3]),
+        shift=st.sampled_from(["unshifted", "centered"]),
+        kind=st.sampled_from(["eigenbasis", "dense", "diagonal"]),
+        quarter_wave=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_distributions_equal_reference(self, n_qubits, m, shift, kind, quarter_wave, seed):
+        # with quarter_wave, diag(1, -i) on the lowest deviation qubit, as the
+        # superposition pipelines' Y-basis reading applies at m = 1
+        rng = np.random.default_rng(seed)
+        x = random_hermitian(rng, 1 << n_qubits, indefinite=True)
+        enc = GradientEncoding(L=1e-5, W=4.0, m=m, shift=shift)
+        family, columns = _family(kind, x, enc, rng)
+        phases = None
+        if quarter_wave:
+            phases = np.repeat(np.where(np.arange(enc.deviation_dim) % 2, -1j, 1.0)[:, None], columns.shape[1], axis=1)
+        got = probe_distributions(family, columns, m, phases)
+        want = reference_distributions(family, columns, m, phases)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+class TestContractedChecks:
+    def test_unnormalized_column(self):
+        with pytest.raises(UnnormalizedTarget, match="target column 1"):
+            probe_distributions([np.eye(2), SIGMA_X], np.array([[1.0, 1.0], [0.0, 1.0]]), 1)
+
+    def test_phases_off_unit_modulus(self):
+        with pytest.raises(ValueError, match="unit modulus"):
+            probe_distributions([np.eye(2), SIGMA_X], np.eye(2), 1, np.array([[1.0, 1.0], [0.5, 1.0]]))
+
+    def test_column_without_conditioned_weight(self):
+        # <e_0|sigma_x|e_0> = 0 on every member
+        with pytest.raises(NotInGroundRegister, match="column 0"):
+            probe_distributions([SIGMA_X, SIGMA_X], np.eye(2)[:, [0]], 1)
+
+    def test_family_size_and_dimension(self):
+        with pytest.raises(FamilySizeMismatch, match="3 members"):
+            probe_distributions([np.eye(2)] * 3, np.eye(2), 2)
+        with pytest.raises(FamilySizeMismatch, match="dimension 2, expected 2 of dimension 4"):
+            probe_distributions([np.eye(2)] * 2, np.eye(4), 1)
+
+    def test_eigenbasis_family_reads_unit_columns_only(self, rng):
+        family, _ = _family("eigenbasis", random_hermitian(rng, 4), GradientEncoding(L=1e-5), rng)
+        probe_distributions(family, np.eye(4), 1)
+        with pytest.raises(ValueError, match="unit columns"):
+            probe_distributions(family, random_state(rng, 4)[:, None], 1)
+
+
+class TestFactoredFamilyCheck:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 32), scale=st.floats(1e-9, 1e-1), seed=st.integers(0, 2**32 - 1))
+    def test_gram_defect_bounds_member_defect(self, n, scale, seed):
+        # U = Q D Q^dag R with D, R diagonal unitaries: ||U^dag U - I||_F <= (2 + delta) delta,
+        # delta = ||Q^dag Q - I||_F, up to the rounding of forming and checking U
+        rng = np.random.default_rng(seed)
+        gauss = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        q = np.linalg.qr(gauss[0])[0] + scale * gauss[1]
+        left, right = np.exp(2j * np.pi * rng.uniform(size=(2, n)))
+        member = (q * left) @ (q.conj().T * right)
+        delta = sv.unitarity_defect(q)
+        assert sv.unitarity_defect(member) <= (2.0 + delta) * delta + 8 * n * np.finfo(float).eps
+
+    @pytest.mark.parametrize("stretch,passes", [(6e-11, True), (8e-11, False)])
+    def test_bound_crossing(self, stretch, passes):
+        # Q = (1 + e) I at N = 8: delta = (2e + e^2) sqrt(8), and (2 + delta) delta crosses
+        # NORM_ATOL * 8 = 8e-10 between e = 6e-11 (6.8e-10) and e = 8e-11 (9.1e-10)
+        vectors = (1.0 + stretch) * np.eye(8, dtype=complex)[None]
+        phases = np.ones((1, 8), dtype=complex)
+        if passes:
+            family = sv.FactoredFamily(vectors, phases, phases, [0])
+            assert np.shares_memory(family.vectors, vectors)
+            with pytest.raises(ValueError):
+                family.vectors[0, 0, 0] = 2.0
+        else:
+            with pytest.raises(NonUnitaryMember, match="member 1 "):
+                sv.FactoredFamily(vectors, phases, phases, [0])
+
+    def test_defect_across_the_bound_names_the_slot_before_any_readout(self, rng, monkeypatch):
+        # m = 2 unshifted: slot 0 is the identity, slots 1, 2, 3 are solved; Q of slot 2 grows by
+        # 1e-9, a Gram defect of 2e-9 sqrt(8), whose bound crosses NORM_ATOL * 8 = 8e-10
+        real_solve, readouts = qgld.qgpe.low_rank_update_eigh, []
+
+        def stretched(*args):
+            vectors, anchor, offset = real_solve(*args)
+            vectors[1] *= 1.0 + 1e-9
+            return vectors, anchor, offset
+
+        monkeypatch.setattr(qgld.qgpe, "low_rank_update_eigh", stretched)
+        monkeypatch.setattr(qgld.expectation, "probe_distributions", lambda *args: readouts.append(1))
+        with pytest.raises(NonUnitaryMember, match="member 2 unitarity defect up to 1.1"):
+            logdet_directional_derivatives(random_hermitian(rng, 8), [build_delta("element", 8, i=1, j=5)], 8,
+                                           GradientEncoding(m=2))
+        assert readouts == []
 
 
 class TestValidateOnce:
@@ -132,7 +270,7 @@ class TestValidateOnce:
         assert len(checks) == members // 2
         for family in built:
             [slot] = family.identity_slots
-            np.testing.assert_array_equal(family[slot], np.eye(16))
+            np.testing.assert_array_equal(family_members(family)[slot], np.eye(16))
         assert dense == []
 
     def test_non_unitary_member_rejected_at_build(self):

@@ -160,6 +160,12 @@ class TestGradient:
 
 
 class TestQgldCommand:
+    def test_dimension_not_a_power_of_two_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "qgld", "--matrix", "random-spd:12:1", "--phi", "uniform")
+        assert code == 2
+        assert out == ""
+        assert "dimension 12 is not a power of two" in err
+
     def test_sigma_z_uniform(self, capsys):
         code, out, _ = run_cli(capsys, "qgld", "--matrix", "sigma-z", "--phi", "uniform")
         assert code == 0

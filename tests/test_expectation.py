@@ -142,6 +142,22 @@ class TestRankRange:
         with pytest.raises(ValueError, match=r"outside \[1, 4\]"):
             qgld_expectation(request)
 
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_block_size_below_one_is_named(self, b):
+        # b = 0 raised a bare ZeroDivisionError from the default step count N // b
+        x = random_spd(8, 3)
+        with pytest.raises(ValueError, match=rf"block size {b} outside \[1, 8\]"):
+            RqblSource(b=b, seed=0).resolve(x)
+        request = InverseExpectationRequest(x=x, phi=np.ones(8) / np.sqrt(8), k=8, eigensource=RqblSource(b=b, seed=0))
+        with pytest.raises(ValueError, match=rf"block size {b} "):
+            qgld_expectation(request)
+
+    def test_dimension_must_be_a_power_of_two(self):
+        # the system register holds n qubits, N = 2^n
+        request = InverseExpectationRequest(x=random_spd(12, 1), phi=np.ones(12) / np.sqrt(12), k=12)
+        with pytest.raises(ValueError, match="dimension 12 is not a power of two"):
+            qgld_expectation(request)
+
 
 class TestQgldExpectation:
     def test_sigma_z_uniform_phi(self):

@@ -1,3 +1,5 @@
+"""The gate-level reference circuit of tests/conftest.py, gate by gate, and
+the ControlledFamily it applies."""
 import numpy as np
 import pytest
 
@@ -6,18 +8,25 @@ from qgld import (
     IndexOutOfRange,
     NonUnitaryMember,
     NotInGroundRegister,
-    RegisterLayout,
     UnnormalizedTarget,
+    unitary_phase_exp,
+)
+from qgld.statevector import ControlledFamily
+from conftest import (
+    SIGMA_X,
+    RegisterLayout,
+    StateVector,
     apply_controlled_family,
     conditional_deviation_distribution,
+    deviation_distribution,
+    forward_qft_deviation,
     hadamard_deviation_register,
     init_basis,
     inverse_qft_deviation,
+    preparation_unitary,
     prepare_system_state,
-    unitary_phase_exp,
+    random_state,
 )
-from qgld.statevector import ControlledFamily, StateVector
-from conftest import SIGMA_X, deviation_distribution, forward_qft_deviation, preparation_unitary, random_state
 
 
 class TestLayoutAndInit:

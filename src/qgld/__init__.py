@@ -28,7 +28,6 @@ from .linalg import (
     low_rank_update_eigh,
     orthonormalize_svd,
     relevance_order,
-    unitary_phase_exp,
 )
 from .statevector import ControlledFamily
 from .qgpe import (

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import statevector as sv
-from .errors import AliasedReadout, NearZeroEigenvalue, UnnormalizedPhi
+from .errors import AliasedReadout, NearZeroEigenvalue
 from .linalg import as_complex_matrix, eig_hermitian, inverse, relevance_order, require_hermitian
 from .qgpe import (
     GradientEncoding,
@@ -35,7 +35,7 @@ from .qgpe import (
     evolution_family,
     probe_distributions,
     readout_gradients,
-    require_weight_vector,
+    require_unit_weight_vector,
 )
 from .lanczos import run_rqbl
 
@@ -90,9 +90,7 @@ class InverseExpectationRequest:
         x = require_hermitian(self.x)
         if not 1 <= self.k <= x.shape[0]:
             raise ValueError(f"k = {self.k} outside [1, {x.shape[0]}]")
-        phi = require_weight_vector(self.phi, x.shape[0])
-        if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
-            raise ValueError(f"phi norm {np.linalg.norm(phi):.12f} != 1")
+        require_unit_weight_vector(self.phi, x.shape[0])
 
 
 @dataclass(frozen=True)
@@ -410,13 +408,13 @@ def _signed_phases(family: sv.ControlledFamily, columns: np.ndarray) -> np.ndarr
 
 def _scaled_phase_family(weights: np.ndarray, w_run: float) -> sv.ControlledFamily:
     """Family Sum_p |p><p| exp(i t s(eps) weight_p) in the eigenbasis of X,
-    a diagonal family: each member is its N phases.  Conjugated by the
+    two diagonal slots: each member is its N phases.  Conjugated by the
     eigenvectors V it equals exp(i t (X + s V diag(weights) V^dag)) exp(-i t X),
     whose bare eigenphases exp(i t E_p) cancel exactly, so they are never formed.
-    The s = 0 member is exactly I, an identity slot; the others form one stack."""
+    The s = 0 member is ones(N), the identity."""
     enc = GradientEncoding(L=1e-6, W=w_run, m=1)
-    phases = np.exp(1j * enc.time_step() * enc.offsets()[1:, None] * weights)
-    return sv.ControlledFamily._adopt([phases], [0], diagonal=True)
+    phases = np.exp(1j * enc.time_step() * enc.offsets()[1] * weights)
+    return sv.ControlledFamily(np.stack([np.ones(len(weights), dtype=complex), phases]))
 
 
 def _superposition_weights(x, phi):
@@ -425,9 +423,7 @@ def _superposition_weights(x, phi):
     the pseudo-inverse threshold.  Raises UnnormalizedPhi unless ||phi|| = 1
     within 1e-10, the bound of the outer-product direction."""
     dec = eig_hermitian(x)
-    phi = require_weight_vector(phi, dec.dim)
-    if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
-        raise UnnormalizedPhi(f"phi norm {np.linalg.norm(phi):.12f} != 1")
+    phi = require_unit_weight_vector(phi, dec.dim)
     overlaps = np.abs(dec.vectors.conj().T @ phi) ** 2
     threshold = PSEUDO_INVERSE_RTOL * max(float(np.linalg.norm(x)), 1e-300)
     usable = np.abs(dec.values) > threshold

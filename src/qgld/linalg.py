@@ -109,22 +109,6 @@ def relevance_order(values) -> np.ndarray:
     return order[np.lexsort((values[order], cluster))]
 
 
-def unitary_phase_exp(a, t: float) -> np.ndarray:
-    """exp(i*t*A) for hermitian A, through the eigendecomposition; or for
-    each matrix of a (K, N, N) stack, through one stacked eigh, its vectors
-    phase-fixed as eig_hermitian's.  A stack is not checked for hermiticity:
-    its caller forms it from matrices already checked."""
-    if np.ndim(a) == 3:
-        values, vectors = np.linalg.eigh(a)
-        _fix_phases(vectors)
-    else:
-        dec = eig_hermitian(a)
-        values, vectors = dec.values, dec.vectors
-    right = np.swapaxes(vectors.conj(), -1, -2)
-    vectors *= np.exp(1j * t * values)[..., None, :]
-    return vectors @ right
-
-
 def low_rank_update_eigh(values, factors, signs, strengths):
     """Eigensystems of diag(values) + s_p * F_p diag(signs) F_p^dag for P
     problems: ``values`` (N,) real, ``factors`` (P, N, r), ``signs`` (r,) of

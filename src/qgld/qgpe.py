@@ -13,11 +13,12 @@ inverse QFT peaks at bin j = M*grad/(2*pi*W).  The paper's main-text
 convention, with 2*pi inside the exponent, t = 2*pi*M/(W'*L), is this one at
 W = W'/(2*pi): the time step, the bin decode and the m = 1 decode all agree.
 
-:func:`eigenbasis_families` builds the same family in the eigenbasis of X,
-each member right-multiplied by the common exp(-i t Lambda) and kept as its
-factors, for directions that carry low-rank factors; :func:`evolution_family`
-builds it densely.  :func:`probe_distributions` reads any of them from the M
-amplitudes <c|U(eps)|c> of each prepared column c.
+:func:`evolution_family` builds the family from the eigendecompositions of
+X + s(eps) Delta, and :func:`eigenbasis_families` builds it in the
+eigenbasis of X, for directions that carry low-rank factors; both keep each
+member as its factors Q diag(exp(i t lambda)) Q^dag.
+:func:`probe_distributions` reads any of them from the M amplitudes
+<c|U(eps)|c> of each prepared column c.
 """
 from __future__ import annotations
 
@@ -37,11 +38,12 @@ from .errors import (
     UnnormalizedPhi,
     UnnormalizedTarget,
 )
-from .linalg import low_rank_update_eigh, require_hermitian, unitary_phase_exp
+from .linalg import low_rank_update_eigh, require_hermitian
 
 DELTA_KINDS = ("element", "all_ones", "outer", "custom")
 SHIFTS = ("unshifted", "centered")
 EIGENBASIS_BATCH = 1 << 14
+FAMILY_ENTRIES = 1 << 23  # M * N^2 per family; see _require_family_size
 # One eigenvector's readout is a Fejer kernel: its peak bin holds at least
 # 1 / (M^2 sin^2(pi / 2M)) > 4 / pi^2 ~ 0.405 (slope midway between two bins),
 # which at M = 4 is below 2/M, so the flat bar stays under it.
@@ -128,9 +130,7 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
     elif kind == "outer":
         if phi is None:
             raise ValueError("outer direction needs the weight vector phi")
-        phi = require_weight_vector(phi, n)
-        if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
-            raise UnnormalizedPhi(f"phi norm {np.linalg.norm(phi):.12f} != 1")
+        phi = require_unit_weight_vector(phi, n)
         mat = np.outer(phi, phi.conj())
         norm = float(np.vdot(phi, phi).real)
         factors = phi[:, None]
@@ -159,6 +159,15 @@ def require_weight_vector(phi, n: int) -> np.ndarray:
         )
     if not np.any(phi):
         raise UnnormalizedPhi("weight vector phi is zero")
+    return phi
+
+
+def require_unit_weight_vector(phi, n: int) -> np.ndarray:
+    """phi as :func:`require_weight_vector` gives it, with ||phi|| = 1 within
+    1e-10; raises UnnormalizedPhi otherwise."""
+    phi = require_weight_vector(phi, n)
+    if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
+        raise UnnormalizedPhi(f"phi norm {np.linalg.norm(phi):.12f} != 1")
     return phi
 
 
@@ -214,20 +223,37 @@ def suggest_gradient_bound(delta: PerturbationDirection) -> float:
     return 2.0 * delta.spectral_norm()
 
 
+def _require_family_size(enc: GradientEncoding, n: int) -> None:
+    """Raise ValueError, before any eigendecomposition or secular solve, when
+    a family of ``enc`` on dimension ``n`` would hold more than FAMILY_ENTRIES
+    = M * N^2 eigenvector entries.  At the limit, 2^23, the eigenvectors
+    take 128 MB, 16 bytes per complex entry.  A dense family adds little
+    beside them, since its eighs and its check work a chunk at a time (about
+    20 bytes per entry in all); an eigenbasis family's secular solve holds
+    about five float work arrays of M * N^2 entries at once (45 to 60 bytes
+    per entry in all, about 0.5 GB at the limit)."""
+    entries = enc.deviation_dim * n * n
+    if entries > FAMILY_ENTRIES:
+        raise ValueError(f"a family at m = {enc.m}, N = {n} holds M * N^2 = {entries} eigenvector entries, "
+                         f"beyond the budget of {FAMILY_ENTRIES}; lower m")
+
+
 def evolution_family(x, delta: PerturbationDirection, enc: GradientEncoding) -> sv.ControlledFamily:
-    """The M controlled members exp(i * t * (X + s(eps) * Delta)), from
-    stacked eigendecompositions of at most EIGENBASIS_BATCH // N^2 members
-    each, every stack checked once."""
+    """The M controlled members exp(i * t * (X + s(eps) * Delta)), kept as
+    the eigenvectors and the phases exp(i t lambda) of their stacked
+    eigendecompositions, at most EIGENBASIS_BATCH // N^2 members a stack."""
     x = require_hermitian(x)
     if delta.matrix.shape != x.shape:
         raise ValueError(f"direction shape {delta.matrix.shape} != matrix shape {x.shape}")
-    t = enc.time_step()
+    _require_family_size(enc, len(x))
     offsets = enc.offsets()
+    values = np.empty((len(offsets), len(x)))
+    vectors = np.empty((len(offsets), *x.shape), dtype=complex)
     chunk = max(1, EIGENBASIS_BATCH // x.size)
-    return sv.ControlledFamily._adopt([
-        unitary_phase_exp(x + offsets[start:start + chunk, None, None] * delta.matrix, t)
-        for start in range(0, len(offsets), chunk)
-    ])
+    for start in range(0, len(offsets), chunk):
+        part = slice(start, start + chunk)
+        values[part], vectors[part] = np.linalg.eigh(x + offsets[part, None, None] * delta.matrix)
+    return sv.ControlledFamily(np.exp(1j * enc.time_step() * values), vectors)
 
 
 def eigenbasis_families(values, signs, probes):
@@ -235,18 +261,20 @@ def eigenbasis_families(values, signs, probes):
     per (coupling C, encoding, identity shift c) of ``probes``, where C =
     V^dag F for a direction Delta = F diag(signs) F^dag; yielded in order.
 
-    Member eps is exp(i t (Lambda + s (C diag(signs) C^dag + c I))) exp(-i t
-    Lambda).  The right factor is the same for every member, so it changes
-    no readout conditioned on an eigenvector, and it makes the s = 0 member
-    the identity, which the family marks as an identity slot.  The other
-    members come from :func:`low_rank_update_eigh`, batched over consecutive
-    probes up to EIGENBASIS_BATCH entries of N x N work arrays, and stay
-    factored (see :func:`_solved_factors`); every family of a batch is
-    checked before the first one is yielded.
+    Member eps is exp(i t (Lambda + s (C diag(signs) C^dag + c I))).  Its
+    s = 0 member is the diagonal slot exp(i t Lambda); the others come from
+    :func:`low_rank_update_eigh`, batched over consecutive probes up to
+    EIGENBASIS_BATCH entries of N x N work arrays, and stay factored (see
+    :func:`_solved_factors`).  Every probe's family size is checked before
+    the first solve, and every family of a batch before the first one is
+    yielded.
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
+    for _, enc, _ in probes:
+        _require_family_size(enc, n)
     jobs = [[(eps, s) for eps, s in enumerate(enc.offsets()) if s] for _, enc, _ in probes]
+    bare = [np.exp(1j * enc.time_step() * values) for _, enc, _ in probes]
     start = 0
     while start < len(probes):
         stop, size = start + 1, len(jobs[start])
@@ -254,36 +282,37 @@ def eigenbasis_families(values, signs, probes):
             size += len(jobs[stop])
             stop += 1
         batch = [(j, eps, s) for j in range(start, stop) for eps, s in jobs[j]]
-        vectors, left, right = _solved_factors(values, signs, probes, batch)
+        vectors, solved = _solved_factors(values, signs, probes, bare, batch)
         families, done = [], 0
         for j in range(start, stop):
-            solved = {eps for eps, _ in jobs[j]}
-            identity = [eps for eps in range(probes[j][1].deviation_dim) if eps not in solved]
-            part = slice(done, done + len(solved))
-            families.append(sv.FactoredFamily(vectors[part], left[part], right[part], identity))
-            done += len(solved)
+            slots = [eps for eps, _ in jobs[j]]
+            part = slice(done, done + len(slots))
+            phases = np.repeat(bare[j][None], probes[j][1].deviation_dim, axis=0)
+            phases[slots] = solved[part]
+            families.append(sv.ControlledFamily(phases, vectors[part], slots))
+            done += len(slots)
         yield from families
         start = stop
 
 
-def _solved_factors(values, signs, probes, batch):
-    """Factors of the members for the (probe, eps, s != 0) of ``batch``, in
+def _solved_factors(values, signs, probes, bare, batch):
+    """Factors of the members for the (probe j, eps, s != 0) of ``batch``, in
     order, from one low-rank update solve: eigenvectors Q (P, N, N) and the
-    phases left, right (P, N) of member Q diag(left) Q^dag diag(right).
+    phases d (P, N) of member Q diag(d) Q^dag.
 
-    With eigenvalue k held as values[anchor_k] + offset_k and E = exp(i t
-    Lambda), left = E[anchor] exp(i t (offset + s c)) and right = conj(E):
-    2N exponentials per member.  In the term of each anchor's own amplitude
-    E_b conj(E_b) is real to one rounding, so the phase the readout decodes
-    stays t (offset + s c) at full relative precision.
+    With eigenvalue k held as values[anchor_k] + offset_k and ``bare[j]`` =
+    E = exp(i t Lambda), d = E[anchor] exp(i t (offset + s c)): N
+    exponentials per member.  Every member of a probe shares the one E, and
+    a phase common to a column's M amplitudes leaves its readout unchanged,
+    so in the term of each anchor's own amplitude E_b drops out and the
+    decoded phase stays t (offset + s c) at full relative precision.
     """
     vectors, anchor, offset = low_rank_update_eigh(
         values, np.stack([probes[j][0] for j, _, _ in batch]), signs, [s for _, _, s in batch])
     times = np.array([probes[j][1].time_step() for j, _, _ in batch])[:, None]
     shifts = np.array([s * probes[j][2] for j, _, s in batch])[:, None]
-    bare = np.exp(1j * times * values)
-    left = np.take_along_axis(bare, anchor, axis=1) * np.exp(1j * times * (offset + shifts))
-    return vectors, left, bare.conj()
+    phases = np.take_along_axis(np.stack([bare[j] for j, _, _ in batch]), anchor, axis=1)
+    return vectors, phases * np.exp(1j * times * (offset + shifts))
 
 
 def _amplitude_readout(p0: np.ndarray, p1: np.ndarray, w: float) -> np.ndarray:
@@ -331,8 +360,7 @@ def probe_distributions(family, columns: np.ndarray, m: int,
     column of ``columns`` (N, B) as an independent circuit.
 
     The circuit prepares each column c, fans the deviations out with
-    Hadamards, applies the controlled ``family`` (checked once here if it is
-    a raw member list), optional per-column ``deviation_phases`` phi (M, B)
+    Hadamards, applies the controlled ``family``, optional per-column ``deviation_phases`` phi (M, B)
     and the inverse QFT, and reads the deviation register conditioned on the
     system register returning to c, which suppresses the contamination from
     the small eigenvector tilt at finite L.  The projection onto c commutes
@@ -344,8 +372,6 @@ def probe_distributions(family, columns: np.ndarray, m: int,
     2^m members of dimension N, UnnormalizedTarget for a column off unit
     norm and NotInGroundRegister for a column with no conditioned weight.
     """
-    if not isinstance(family, sv.FactoredFamily):
-        family = sv.ControlledFamily(family)
     columns = np.asarray(columns, dtype=complex)
     n_dim, m_dim = columns.shape[0], 1 << m
     if n_dim < 2 or n_dim & (n_dim - 1):

@@ -4,9 +4,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from qgld.errors import FamilySizeMismatch, IndexOutOfRange, NotInGroundRegister, UnnormalizedTarget
+from qgld.errors import (
+    FamilySizeMismatch,
+    IndexOutOfRange,
+    NonUnitaryMember,
+    NotInGroundRegister,
+    UnnormalizedTarget,
+)
 from qgld.linalg import DEGENERACY_RTOL, eig_hermitian, hellmann_feynman_derivative, require_hermitian
-from qgld.statevector import NORM_ATOL, ControlledFamily, FactoredFamily
+from qgld.statevector import NORM_ATOL, ControlledFamily, unitarity_defect
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -40,6 +46,14 @@ def random_symmetric_decaying(rng, n, top=10.0, ratio=0.7):
     values = top * ratio ** np.arange(n) * rng.choice([1.0, -1.0], size=n)
     x = (q * values) @ q.T
     return (x + x.T) / 2
+
+
+def unitary_phase_exp(a, t: float) -> np.ndarray:
+    """The product oracle for exp(i*t*A), hermitian A, or for each matrix of
+    a (K, N, N) stack: V diag(exp(i t lambda)) V^dag from numpy's eigh,
+    formed as a matrix."""
+    values, vectors = np.linalg.eigh(a)
+    return (vectors * np.exp(1j * t * values)[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2)
 
 
 def series_phase_exp(a, t, terms=60):
@@ -195,27 +209,46 @@ def hadamard_deviation_register(state: StateVector) -> StateVector:
     return state
 
 
+def family_members(family) -> list:
+    """The N x N members of a ControlledFamily, Q diag(d) Q^dag on its slots
+    with eigenvectors and diag(d) on its diagonal slots, formed as products."""
+    members = [np.diag(d) for d in family.phases]
+    for slot, q in zip(family.slots, family.vectors):
+        members[slot] = (q * family.phases[slot]) @ q.conj().T
+    return members
+
+
+def checked_members(members) -> list:
+    """A raw sequence of N x N members, copied, each checked for its shape
+    and for ||U^dag U - I||_F <= NORM_ATOL * N; raises FamilySizeMismatch or
+    NonUnitaryMember naming the first member that fails."""
+    members = [np.array(u, dtype=complex) for u in members]
+    if not members:
+        raise FamilySizeMismatch("family has no members")
+    n_dim = len(members[0])
+    for eps, u in enumerate(members):
+        if u.shape != (n_dim, n_dim):
+            raise FamilySizeMismatch(f"member {eps} has shape {u.shape}")
+        if unitarity_defect(u) > NORM_ATOL * n_dim:
+            raise NonUnitaryMember(f"member {eps} unitarity defect {unitarity_defect(u):.3e}")
+    return members
+
+
 def apply_controlled_family(state: StateVector, family) -> StateVector:
     """For each deviation basis index eps, multiply every column's system
-    block by family[eps] (row by row by its entries, for a diagonal family);
-    rows of the family's identity slots stay as they are.  A raw sequence of
-    members is checked first by wrapping it in a ControlledFamily."""
-    family = ControlledFamily(family)
+    block by member eps: of a ControlledFamily, formed by
+    :func:`family_members`, or of a raw sequence, checked first by
+    :func:`checked_members`."""
+    members = family_members(family) if isinstance(family, ControlledFamily) else checked_members(family)
     m_dim = state.layout.deviation_dim
     n_dim = state.layout.system_dim
-    if len(family) != m_dim:
-        raise FamilySizeMismatch(f"family has {len(family)} members, expected {m_dim}")
-    shape = (n_dim,) if family.diagonal else (n_dim, n_dim)
-    if family[0].shape != shape:
-        raise FamilySizeMismatch(f"members have shape {family[0].shape}, expected {shape}")
+    if len(members) != m_dim:
+        raise FamilySizeMismatch(f"family has {len(members)} members, expected {m_dim}")
+    if members[0].shape != (n_dim, n_dim):
+        raise FamilySizeMismatch(f"members have shape {members[0].shape}, expected {(n_dim, n_dim)}")
     tensor = state.as_tensor()
-    for eps, u in enumerate(family):
-        if eps in family.identity_slots:
-            continue
-        if family.diagonal:
-            tensor[eps] *= u[:, None]
-        else:
-            tensor[eps] = u @ tensor[eps]
+    for eps, u in enumerate(members):
+        tensor[eps] = u @ tensor[eps]
     return state
 
 
@@ -271,22 +304,14 @@ def deviation_distribution(state):
     return np.sum(np.abs(state.as_tensor()) ** 2, axis=1)
 
 
-def family_members(family) -> list:
-    """The N x N members of a FactoredFamily, Q diag(left) Q^dag diag(right)
-    on its solved slots and the identity on the others, formed as products."""
-    members = [np.eye(family.dim, dtype=complex)] * len(family)
-    for slot, q, left, right in zip(family.slots, family.vectors, family.left, family.right):
-        members[slot] = (q * left) @ (q.conj().T * right)
-    return members
-
-
 def reference_distributions(family, columns, m: int, deviation_phases=None) -> np.ndarray:
     """The probe circuit of ``qgld.qgpe.probe_distributions`` gate by gate:
     basis init, preparation of each column, Hadamard fan-out, the controlled
-    family (a FactoredFamily's members formed by :func:`family_members`),
-    the optional deviation phases, inverse QFT and the readout conditioned
-    on the prepared column, in chunks of at most ``batch_capacity`` columns."""
-    if isinstance(family, FactoredFamily):
+    family (a ControlledFamily's members formed by :func:`family_members`,
+    or a raw sequence of members), the optional deviation phases, inverse
+    QFT and the readout conditioned on the prepared column, in chunks of at
+    most ``batch_capacity`` columns."""
+    if isinstance(family, ControlledFamily):
         family = family_members(family)
     columns = np.asarray(columns, dtype=complex)
     n = columns.shape[0].bit_length() - 1

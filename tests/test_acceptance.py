@@ -221,11 +221,12 @@ def test_criterion_8_property_suites():
         delta = build_delta("all_ones", 4)
         enc = GradientEncoding(L=1e-5, m=2)
         dec = eig_hermitian(x)
-        from qgld import evolution_family, probe_distributions
+        from qgld import ControlledFamily, evolution_family, probe_distributions
 
         family = evolution_family(x, delta, enc)
         base = probe_distributions(family, dec.vectors[:, [0]], enc.m)
-        rotated = probe_distributions([np.exp(1.234j) * u for u in family], dec.vectors[:, [0]], enc.m)
+        rotated = probe_distributions(ControlledFamily(np.exp(1.234j) * family.phases, family.vectors),
+                                      dec.vectors[:, [0]], enc.m)
         assert np.max(np.abs(base - rotated)) <= 1e-12
 
         distributions = []

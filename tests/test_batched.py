@@ -28,9 +28,11 @@ from qgld import (
     probe_distributions,
 )
 from conftest import (
+    HADAMARD,
     SIGMA_X,
     RegisterLayout,
     apply_controlled_family,
+    checked_members,
     family_members,
     init_basis,
     preparation_unitary,
@@ -48,7 +50,7 @@ def single_circuit_distribution(family, v):
     system = preparation_unitary(v)[:, 0]
     state = np.kron(np.full(m_dim, 1 / np.sqrt(m_dim)), system)
     controlled = np.zeros((m_dim * n_dim, m_dim * n_dim), dtype=complex)
-    for eps, u in enumerate(family):
+    for eps, u in enumerate(family_members(family)):
         controlled[eps * n_dim:(eps + 1) * n_dim, eps * n_dim:(eps + 1) * n_dim] = u
     k = np.arange(m_dim)
     dft = np.exp(-2j * np.pi * np.outer(k, k) / m_dim) / np.sqrt(m_dim)
@@ -117,114 +119,149 @@ class TestBatchedAgainstSingleCircuit:
             RegisterLayout(1, 1, batch=0)
 
 
-def _family(kind, x, enc, rng):
-    """A controlled family of ``kind`` for ``enc`` and the columns it is read
-    on: eigenbasis (unit columns), dense or diagonal (random states)."""
+def _family(builder, x, enc, c, rng):
+    """A controlled family from ``builder``: the dense evolution family of an
+    element direction, an eigenbasis family of a rank-one (outer or all-ones)
+    or rank-two (element or signed pair) direction with identity shift c
+    (1 when ``c``), or the superposition pipelines' scaled-phase family."""
     n = len(x)
-    if kind == "eigenbasis":
-        dec = eig_hermitian(x)
-        if rng.integers(2):
-            delta, c = build_delta("outer", n, phi=random_state(rng, n)), 0.0
-        else:
-            i, j = (int(v) for v in rng.integers(0, n, size=2))
-            delta, c = build_delta("element", n, i=i, j=j), 1.0
-        [family] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc, c)])
-        return family, np.eye(n, dtype=complex)[:, rng.permutation(n)[:5]]
-    columns = np.stack([random_state(rng, n) for _ in range(3)], axis=1)
-    if kind == "dense":
+    if builder == "scaled-phase":
+        return qgld.expectation._scaled_phase_family(rng.standard_normal(n) / 4, enc.W)
+    if builder == "dense":
         i, j = (int(v) for v in rng.integers(0, n, size=2))
-        return evolution_family(x, build_delta("element", n, i=i, j=j), enc), columns
-    # the superposition families' diag exp(i t s(eps) w), its s = 0 member an identity slot
-    offsets = list(enc.offsets())
-    zero = offsets.index(0.0)
-    del offsets[zero]
-    phases = np.exp(1j * enc.time_step() * np.array(offsets)[:, None] * rng.standard_normal(n) / 4)
-    return ControlledFamily._adopt([phases], [zero], diagonal=True), columns
+        return evolution_family(x, build_delta("element", n, i=i, j=j), enc)
+    if builder == "eigenbasis-1":
+        delta = build_delta("outer", n, phi=random_state(rng, n)) if rng.integers(2) else build_delta("all_ones", n)
+    elif rng.integers(2):
+        i, j = rng.choice(n, size=2, replace=False)
+        delta = build_delta("element", n, i=int(i), j=int(j))
+    else:
+        e, f = np.eye(n)[int(rng.integers(0, n))], random_state(rng, n)
+        delta = PerturbationDirection.from_factors(np.stack([e + f, e - f], axis=1) / 2, (1.0, -1.0))
+    dec = eig_hermitian(x)
+    [family] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc, float(c))])
+    return family
 
 
 class TestContractedAgainstReferenceCircuit:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         n_qubits=st.integers(1, 6),
         m=st.sampled_from([1, 2, 3]),
         shift=st.sampled_from(["unshifted", "centered"]),
-        kind=st.sampled_from(["eigenbasis", "dense", "diagonal"]),
+        builder=st.sampled_from(["dense", "eigenbasis-1", "eigenbasis-2", "scaled-phase"]),
+        identity_shift=st.booleans(),
+        unit_columns=st.booleans(),
         quarter_wave=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_distributions_equal_reference(self, n_qubits, m, shift, kind, quarter_wave, seed):
-        # with quarter_wave, diag(1, -i) on the lowest deviation qubit, as the
-        # superposition pipelines' Y-basis reading applies at m = 1
+    def test_distributions_equal_reference(self, n_qubits, m, shift, builder, identity_shift, unit_columns,
+                                           quarter_wave, seed):
+        # every builder's family read by the contracted readout, on unit or random columns, equals
+        # the gate-level circuit on its formed members; the scaled-phase family has one deviation
+        # qubit.  With quarter_wave, the columns run twice, the second time with diag(1, -i) on the
+        # lowest deviation qubit, as the superposition pipelines' signed-phase reading does at m = 1
         rng = np.random.default_rng(seed)
-        x = random_hermitian(rng, 1 << n_qubits, indefinite=True)
+        n = 1 << n_qubits
+        if builder == "scaled-phase":
+            m = 1
+        x = random_hermitian(rng, n, indefinite=True)
         enc = GradientEncoding(L=1e-5, W=4.0, m=m, shift=shift)
-        family, columns = _family(kind, x, enc, rng)
+        family = _family(builder, x, enc, identity_shift, rng)
+        if unit_columns:
+            columns = np.eye(n, dtype=complex)[:, rng.permutation(n)[:5]]
+        else:
+            columns = np.stack([random_state(rng, n) for _ in range(3)], axis=1)
         phases = None
         if quarter_wave:
-            phases = np.repeat(np.where(np.arange(enc.deviation_dim) % 2, -1j, 1.0)[:, None], columns.shape[1], axis=1)
+            b = columns.shape[1]
+            columns = np.concatenate([columns, columns], axis=1)
+            phases = np.ones((enc.deviation_dim, 2 * b), dtype=complex)
+            phases[1::2, b:] = -1j
         got = probe_distributions(family, columns, m, phases)
         want = reference_distributions(family, columns, m, phases)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
+# sigma_x = H diag(1, -1) H, kept as its factors
+SIGMA_X_FACTORS = (np.array([1.0, -1.0], dtype=complex), HADAMARD)
+
+
+def _sigma_x_family(slots):
+    """The family of ``slots`` members, the identity (a diagonal slot) where
+    the flag is False and sigma_x where it is True."""
+    phases = np.array([SIGMA_X_FACTORS[0] if flag else np.ones(2) for flag in slots], dtype=complex)
+    picked = [eps for eps, flag in enumerate(slots) if flag]
+    return ControlledFamily(phases, np.stack([SIGMA_X_FACTORS[1]] * len(picked)), picked)
+
+
 class TestContractedChecks:
     def test_unnormalized_column(self):
         with pytest.raises(UnnormalizedTarget, match="target column 1"):
-            probe_distributions([np.eye(2), SIGMA_X], np.array([[1.0, 1.0], [0.0, 1.0]]), 1)
+            probe_distributions(_sigma_x_family([False, True]), np.array([[1.0, 1.0], [0.0, 1.0]]), 1)
 
     def test_phases_off_unit_modulus(self):
         with pytest.raises(ValueError, match="unit modulus"):
-            probe_distributions([np.eye(2), SIGMA_X], np.eye(2), 1, np.array([[1.0, 1.0], [0.5, 1.0]]))
+            probe_distributions(_sigma_x_family([False, True]), np.eye(2), 1, np.array([[1.0, 1.0], [0.5, 1.0]]))
 
     def test_column_without_conditioned_weight(self):
         # <e_0|sigma_x|e_0> = 0 on every member
         with pytest.raises(NotInGroundRegister, match="column 0"):
-            probe_distributions([SIGMA_X, SIGMA_X], np.eye(2)[:, [0]], 1)
+            probe_distributions(_sigma_x_family([True, True]), np.eye(2)[:, [0]], 1)
 
     def test_family_size_and_dimension(self):
         with pytest.raises(FamilySizeMismatch, match="3 members"):
-            probe_distributions([np.eye(2)] * 3, np.eye(2), 2)
+            probe_distributions(ControlledFamily(np.ones((3, 2), dtype=complex)), np.eye(2), 2)
         with pytest.raises(FamilySizeMismatch, match="dimension 2, expected 2 of dimension 4"):
-            probe_distributions([np.eye(2)] * 2, np.eye(4), 1)
-
-    def test_eigenbasis_family_reads_unit_columns_only(self, rng):
-        family, _ = _family("eigenbasis", random_hermitian(rng, 4), GradientEncoding(L=1e-5), rng)
-        probe_distributions(family, np.eye(4), 1)
-        with pytest.raises(ValueError, match="unit columns"):
-            probe_distributions(family, random_state(rng, 4)[:, None], 1)
+            probe_distributions(ControlledFamily(np.ones((2, 2), dtype=complex)), np.eye(4), 1)
 
 
 class TestFactoredFamilyCheck:
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 32), scale=st.floats(1e-9, 1e-1), seed=st.integers(0, 2**32 - 1))
-    def test_gram_defect_bounds_member_defect(self, n, scale, seed):
-        # U = Q D Q^dag R with D, R diagonal unitaries: ||U^dag U - I||_F <= (2 + delta) delta,
-        # delta = ||Q^dag Q - I||_F, up to the rounding of forming and checking U
+    @given(n=st.integers(1, 32), scale=st.floats(1e-9, 1e-1), wobble=st.sampled_from([0.0, 1e-9, 1e-5, 1e-1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gram_defect_bounds_member_defect(self, n, scale, wobble, seed):
+        # U = Q D Q^dag with D diagonal: ||U^dag U - I||_F <= (2 + delta) delta + (1 + delta)^2 eta,
+        # delta = ||Q^dag Q - I||_F and eta = ||D^dag D - I||_F, up to the rounding of forming and
+        # checking U
         rng = np.random.default_rng(seed)
         gauss = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
         q = np.linalg.qr(gauss[0])[0] + scale * gauss[1]
-        left, right = np.exp(2j * np.pi * rng.uniform(size=(2, n)))
-        member = (q * left) @ (q.conj().T * right)
+        d = np.exp(2j * np.pi * rng.uniform(size=n)) * (1.0 + wobble * rng.standard_normal(n))
+        member = (q * d) @ q.conj().T
         delta = sv.unitarity_defect(q)
-        assert sv.unitarity_defect(member) <= (2.0 + delta) * delta + 8 * n * np.finfo(float).eps
+        eta = sv.unitarity_defect(d, diagonal=True)
+        bound = (2.0 + delta) * delta + (1.0 + delta) ** 2 * eta
+        assert sv.unitarity_defect(member) <= bound + 8 * n * np.finfo(float).eps
 
     @pytest.mark.parametrize("stretch,passes", [(6e-11, True), (8e-11, False)])
     def test_bound_crossing(self, stretch, passes):
-        # Q = (1 + e) I at N = 8: delta = (2e + e^2) sqrt(8), and (2 + delta) delta crosses
-        # NORM_ATOL * 8 = 8e-10 between e = 6e-11 (6.8e-10) and e = 8e-11 (9.1e-10)
+        # through delta alone: Q = (1 + e) I at N = 8, delta = (2e + e^2) sqrt(8), and
+        # (2 + delta) delta crosses NORM_ATOL * 8 = 8e-10 between e = 6e-11 (6.8e-10) and
+        # e = 8e-11 (9.1e-10)
         vectors = (1.0 + stretch) * np.eye(8, dtype=complex)[None]
-        phases = np.ones((1, 8), dtype=complex)
+        phases = np.ones((2, 8), dtype=complex)
         if passes:
-            family = sv.FactoredFamily(vectors, phases, phases, [0])
-            assert np.shares_memory(family.vectors, vectors)
-            with pytest.raises(ValueError):
-                family.vectors[0, 0, 0] = 2.0
+            ControlledFamily(phases, vectors, [1])
         else:
             with pytest.raises(NonUnitaryMember, match="member 1 "):
-                sv.FactoredFamily(vectors, phases, phases, [0])
+                ControlledFamily(phases, vectors, [1])
+
+    @pytest.mark.parametrize("stretch,passes", [(1.2e-10, True), (1.6e-10, False)])
+    def test_bound_crossing_through_phases(self, stretch, passes):
+        # through eta alone: d = 1 + e on the diagonal slot 1 at N = 8, eta = (2e + e^2) sqrt(8),
+        # which crosses NORM_ATOL * 8 = 8e-10 between e = 1.2e-10 (6.8e-10) and e = 1.6e-10 (9.1e-10)
+        phases = np.ones((2, 8), dtype=complex)
+        phases[1] += stretch
+        vectors = np.eye(8, dtype=complex)[None]
+        if passes:
+            ControlledFamily(phases, vectors, [0])
+        else:
+            with pytest.raises(NonUnitaryMember, match="member 1 "):
+                ControlledFamily(phases, vectors, [0])
 
     def test_defect_across_the_bound_names_the_slot_before_any_readout(self, rng, monkeypatch):
-        # m = 2 unshifted: slot 0 is the identity, slots 1, 2, 3 are solved; Q of slot 2 grows by
+        # m = 2 unshifted: slot 0 is diagonal, slots 1, 2, 3 are solved; Q of slot 2 grows by
         # 1e-9, a Gram defect of 2e-9 sqrt(8), whose bound crosses NORM_ATOL * 8 = 8e-10
         real_solve, readouts = qgld.qgpe.low_rank_update_eigh, []
 
@@ -240,19 +277,35 @@ class TestFactoredFamilyCheck:
                                            GradientEncoding(m=2))
         assert readouts == []
 
+    def test_phase_defect_across_the_bound_names_the_slot_before_any_readout(self, rng, monkeypatch):
+        # as above, with the phases of slot 2 grown by 1e-9 instead: eta = 2e-9 sqrt(8)
+        real_factors, readouts = qgld.qgpe._solved_factors, []
+
+        def stretched(*args):
+            vectors, phases = real_factors(*args)
+            phases[1] *= 1.0 + 1e-9
+            return vectors, phases
+
+        monkeypatch.setattr(qgld.qgpe, "_solved_factors", stretched)
+        monkeypatch.setattr(qgld.expectation, "probe_distributions", lambda *args: readouts.append(1))
+        with pytest.raises(NonUnitaryMember, match="member 2 unitarity defect up to 5.6"):
+            logdet_directional_derivatives(random_hermitian(rng, 8), [build_delta("element", 8, i=1, j=5)], 8,
+                                           GradientEncoding(m=2))
+        assert readouts == []
+
 
 class TestValidateOnce:
     # a dense per-eigenvector call builds its families in the eigenbasis: per
-    # window the s = 0 member, an identity slot that is neither checked nor
-    # applied, and one secular member, checked once
+    # window the s = 0 member, a diagonal slot, and one secular member; each
+    # family checks its eigenvector stack and its phases once
     @pytest.mark.parametrize("symmetric,members", [(False, 2), (True, 4)])
     def test_unitarity_checked_once_per_member(self, rng, monkeypatch, symmetric, members):
         checks, built, dense = [], [], []
         real_defect, real_families = sv.unitarity_defect, qgld.expectation.eigenbasis_families
 
-        def counting_defect(u):
-            checks.append(1)
-            return real_defect(u)
+        def counting_defect(u, diagonal=False):
+            checks.append((len(u), diagonal))
+            return real_defect(u, diagonal)
 
         def counting_families(*args):
             families = list(real_families(*args))
@@ -267,34 +320,29 @@ class TestValidateOnce:
         outer = build_delta("outer", 16, phi=random_state(rng, 16))
         logdet_directional_derivatives(x, [outer], 16, symmetric=symmetric)
         assert sum(len(family) for family in built) == members
-        assert len(checks) == members // 2
+        assert checks == [(1, False), (2, True)] * (members // 2)
+        bare = np.exp(1j * GradientEncoding().time_step() * eig_hermitian(x).values)
         for family in built:
-            [slot] = family.identity_slots
-            np.testing.assert_array_equal(family_members(family)[slot], np.eye(16))
+            [slot] = family.diagonal_slots
+            np.testing.assert_array_equal(family.phases[slot], bare)
         assert dense == []
 
     def test_non_unitary_member_rejected_at_build(self):
         with pytest.raises(NonUnitaryMember):
-            ControlledFamily((np.eye(2), 2.0 * np.eye(2)))
+            ControlledFamily(np.array([[1.0, 1.0], [2.0, 2.0]], dtype=complex))
 
     def test_raw_list_checked_by_apply(self):
         state = init_basis(RegisterLayout(1, 1), 0)
         with pytest.raises(NonUnitaryMember):
             apply_controlled_family(state, [np.eye(2), 2.0 * np.eye(2)])
 
-    def test_raw_list_checked_by_probe_distributions(self):
-        v = eig_hermitian(SIGMA_X).vectors[:, [1]]
-        with pytest.raises(NonUnitaryMember):
-            probe_distributions([np.eye(2), 2.0 * np.eye(2)], v, 1)
-
     def test_members_are_read_only_copies(self):
+        # the reference circuit copies a raw member list; a family's factors are read-only
         member = np.eye(2, dtype=complex)
-        family = ControlledFamily((np.eye(2), member))
+        members = checked_members((np.eye(2), member))
         member[0, 0] = 2.0
-        np.testing.assert_array_equal(family[1], np.eye(2))
-        with pytest.raises(ValueError):
-            family[1][0, 0] = 2.0
-        evolved = evolution_family(SIGMA_X, build_delta("custom", 2, matrix=SIGMA_X),
-                                   GradientEncoding())
-        with pytest.raises(ValueError):
-            evolved[0][:] = 0.0
+        np.testing.assert_array_equal(members[1], np.eye(2))
+        evolved = evolution_family(SIGMA_X, build_delta("custom", 2, matrix=SIGMA_X), GradientEncoding())
+        for factor in (evolved.phases, evolved.vectors):
+            with pytest.raises(ValueError):
+                factor[0] = 0.0

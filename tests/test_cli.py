@@ -6,6 +6,7 @@ import pytest
 import qgld.cli
 import qgld.expectation
 import qgld.linalg
+import qgld.qgpe
 from qgld import GradientEncoding, InverseExpectationRequest, qgld_expectation, qgld_expectation_sweep
 from qgld.cli import build_parser, main, random_spd
 from qgld.io import render_csv
@@ -157,6 +158,27 @@ class TestGradient:
         assert code == 3
         assert out == ""
         assert "gap at index" in err
+
+
+class TestFamilySize:
+    # m = 12 at N = 512 would hold 2^30 eigenvector entries (17 GB); each command exits 2
+    # before its family's stacked eigh or secular solve is reached
+    @pytest.mark.parametrize("argv", [("gradient", "--delta", "element:0,1"), ("qgld",)])
+    def test_family_beyond_the_budget_exits_2(self, capsys, monkeypatch, argv):
+        real_eigh = np.linalg.eigh
+
+        def eigh_of_one_matrix(a):
+            assert np.ndim(a) == 2, "a family's stacked eigh was reached"
+            return real_eigh(a)
+
+        def unreachable(*args):
+            raise AssertionError("a family's secular solve was reached")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_of_one_matrix)
+        monkeypatch.setattr(qgld.qgpe, "low_rank_update_eigh", unreachable)
+        code, out, err = run_cli(capsys, *argv, "--matrix", "random-spd:512:1", "--m", "12")
+        assert (code, out) == (2, "")
+        assert "a family at m = 12, N = 512" in err and "budget of 8388608" in err
 
 
 class TestQgldCommand:

@@ -26,10 +26,9 @@ from qgld import (
     qgld_expectation,
     sampled_qgld,
     sigma_qgld_expectation,
-    unitary_phase_exp,
 )
 from qgld.cli import random_spd
-from conftest import SIGMA_X, SIGMA_Z, random_hermitian, random_state
+from conftest import SIGMA_X, SIGMA_Z, random_hermitian, random_state, reference_distributions, unitary_phase_exp
 
 
 def random_spd_pow2(rng, n):
@@ -338,19 +337,19 @@ class TestSigmaQgld:
         t = enc.time_step()
         delta = (dec.vectors * weights) @ dec.vectors.conj().T
         family = qgld.expectation._scaled_phase_family(weights, w_run)
-        assert family.diagonal
-        for s, member in zip(enc.offsets(), family):
+        assert family.slots.size == 0  # every slot diagonal
+        for s, member in zip(enc.offsets(), family.phases):
             want = unitary_phase_exp(x + s * delta, t) @ unitary_phase_exp(x, -t)
             assert np.max(np.abs((dec.vectors * member) @ dec.vectors.conj().T - want)) <= 1e-12
 
 
     def test_family_has_identity_slot_and_one_check(self, rng, monkeypatch):
-        # a diagonal family: the s = 0 member is the identity diagonal, never
-        # checked, and the other member's N phases are checked once
+        # two diagonal slots: the s = 0 member is the identity diagonal
+        # ones(8), and both slots' phases are checked with one call
         family = qgld.expectation._scaled_phase_family(rng.standard_normal(8), 1e4)
         assert len(family) == 2
-        assert family.identity_slots == {0}
-        np.testing.assert_array_equal(family[0], np.ones(8))
+        assert family.slots.size == 0
+        np.testing.assert_array_equal(family.phases[0], np.ones(8))
         checks = []
         real_defect = sv.unitarity_defect
 
@@ -391,7 +390,7 @@ class TestSampledQgld:
         for weights in (scaled, raw):
             w_run = max(1.0, qgld.expectation.SUPERPOSITION_ZOOM * float(np.max(np.abs(weights))))
             family = qgld.expectation._scaled_phase_family(weights, w_run)
-            dense = sv.ControlledFamily([(dec.vectors * d) @ dec.vectors.conj().T for d in family])
+            dense = sv.ControlledFamily(family.phases, np.stack([dec.vectors] * len(family)))
             readings.append(8 * w_run * qgld.expectation._signed_phases(dense, q))
         assert abs(estimate - np.mean(readings[0] / readings[1])) <= 1e-9 * abs(estimate)
 
@@ -407,13 +406,13 @@ class TestSampledQgld:
        seed=st.integers(0, 2**32 - 1))
 def test_eigenbasis_circuit_equals_dense_circuit(n_qubits, reach, pipeline, seed):
     # the superposition circuits run on diagonal members and columns rotated by
-    # V^dag; the dense circuit runs V diag(member) V^dag on the unrotated columns
+    # V^dag; the reference circuit runs V diag(member) V^dag on the unrotated columns
     rng = np.random.default_rng(seed)
     n = 1 << n_qubits
     vectors = eig_hermitian(random_hermitian(rng, n, indefinite=True)).vectors
     weights = rng.standard_normal(n)
     family = qgld.expectation._scaled_phase_family(weights, float(np.max(np.abs(weights))) / reach)
-    dense = sv.ControlledFamily([(vectors * member) @ vectors.conj().T for member in family])
+    dense = [(vectors * member) @ vectors.conj().T for member in family.phases]
     if pipeline == "sigma":
         columns = np.full((n, 1), 1.0 / np.sqrt(n), dtype=complex)
         unrotated = vectors @ columns  # the equal superposition of the eigenvectors
@@ -424,7 +423,7 @@ def test_eigenbasis_circuit_equals_dense_circuit(n_qubits, reach, pipeline, seed
     quarter_wave = np.repeat([[1.0], [-1j]], columns.shape[1], axis=1)
     for phases in (None, quarter_wave):
         np.testing.assert_allclose(probe_distributions(family, columns, 1, phases),
-                                   probe_distributions(dense, unrotated, 1, phases), rtol=0, atol=1e-12)
+                                   reference_distributions(dense, unrotated, 1, phases), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("pipeline", [sigma_qgld_expectation, lambda x, phi: sampled_qgld(x, phi, 6, 0)],
@@ -527,7 +526,7 @@ class TestRequestValidation:
 
     def test_phi_normalization(self, rng):
         x = random_spd_pow2(rng, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(UnnormalizedPhi):
             InverseExpectationRequest(x=x, phi=np.ones(4), k=2)
 
     PIPELINES = {
@@ -552,7 +551,7 @@ class TestRequestValidation:
     def test_unnormalized_phi_rejected(self, pipeline):
         # at phi = 2 e_0, sigma returned phi^dag X^-1 phi = 4.0 and sampled the normalized 1.0
         x = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-        with pytest.raises((ValueError, UnnormalizedPhi), match="phi norm 2.000000000000 != 1"):
+        with pytest.raises(UnnormalizedPhi, match="phi norm 2.000000000000 != 1"):
             self.PIPELINES[pipeline](x, np.array([2.0, 0.0, 0.0, 0.0]))
 
 

@@ -24,7 +24,6 @@ from qgld import (
     orthonormalize_svd,
     qgld_expectation,
     relevance_order,
-    unitary_phase_exp,
 )
 from qgld.linalg import EPS, PIVOT_RTOL, _fix_phases, _lu_pivots, as_complex_matrix
 from qgld.qgpe import build_delta
@@ -37,6 +36,7 @@ from conftest import (
     gram_schmidt,
     random_hermitian,
     series_phase_exp,
+    unitary_phase_exp,
 )
 
 

@@ -17,7 +17,6 @@ from qgld import (
     evolution_family,
     low_rank_update_eigh,
     suggest_gradient_bound,
-    unitary_phase_exp,
 )
 import qgld.qgpe
 import qgld.statevector as sv
@@ -36,6 +35,7 @@ from conftest import (
     inverse_qft_deviation,
     random_hermitian,
     random_state,
+    unitary_phase_exp,
 )
 
 
@@ -146,19 +146,49 @@ class TestEncoding:
         assert suggest_gradient_bound(delta) == pytest.approx(2.0)
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a family beyond the size budget reached its eigendecomposition")
+
+
+class TestFamilySize:
+    # m = 12 at N = 512: M * N^2 = 2^30 eigenvector entries, 17 GB of complex
+    # eigenvectors; each builder refuses before any eigh or secular solve
+    MESSAGE = r"m = 12, N = 512 holds M \* N\^2 = 1073741824 eigenvector entries, beyond the budget of 8388608"
+
+    def test_dense_family_refused_before_any_eigh(self, monkeypatch):
+        x = np.diag(np.arange(1.0, 513.0)).astype(complex)
+        monkeypatch.setattr(np.linalg, "eigh", _unreachable)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            evolution_family(x, build_delta("element", 512, i=0, j=1), GradientEncoding(m=12))
+
+    def test_eigenbasis_families_refused_before_any_solve(self, monkeypatch):
+        # the first probe fits; the second one's size is refused before the first probe is solved
+        monkeypatch.setattr(qgld.qgpe, "low_rank_update_eigh", _unreachable)
+        coupling = np.full((512, 1), 1.0 / np.sqrt(512), dtype=complex)
+        families = eigenbasis_families(np.arange(1.0, 513.0), (1.0,), [(coupling, GradientEncoding(m=1), 0.0),
+                                                                      (coupling, GradientEncoding(m=12), 0.0)])
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            next(families)
+
+    def test_budget_edge(self):
+        qgld.qgpe._require_family_size(GradientEncoding(m=11), 64)  # 2^11 * 64^2 = 2^23 entries
+        with pytest.raises(ValueError, match="m = 12, N = 64"):
+            qgld.qgpe._require_family_size(GradientEncoding(m=12), 64)
+
+
 class TestEvolutionFamily:
     def test_first_member_unshifted(self, rng):
         x = random_hermitian(rng, 4)
         enc = GradientEncoding(L=1e-5, m=2)
         family = evolution_family(x, build_delta("all_ones", 4), enc)
-        np.testing.assert_allclose(family[0], unitary_phase_exp(x, enc.time_step()), atol=1e-10)
+        np.testing.assert_allclose(family_members(family)[0], unitary_phase_exp(x, enc.time_step()), atol=1e-10)
 
     def test_zero_direction_members_identical(self, rng):
         x = random_hermitian(rng, 2)
         delta = build_delta("custom", 2, matrix=np.zeros((2, 2)))
-        family = evolution_family(x, delta, GradientEncoding(m=2))
-        for member in family[1:]:
-            np.testing.assert_allclose(member, family[0], atol=1e-12)
+        members = family_members(evolution_family(x, delta, GradientEncoding(m=2)))
+        for member in members[1:]:
+            np.testing.assert_allclose(member, members[0], atol=1e-12)
 
     def test_sigma_x_closed_form_member(self):
         # second member is exp(i theta sigma_x) with theta = (2/L)(1 + L/2);
@@ -167,12 +197,12 @@ class TestEvolutionFamily:
         family = evolution_family(SIGMA_X, build_delta("custom", 2, matrix=SIGMA_X), enc)
         theta = (2 / enc.L) * (1 + enc.L / 2)
         want = np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * SIGMA_X
-        np.testing.assert_allclose(family[1], want, atol=1e-9)
+        np.testing.assert_allclose(family_members(family)[1], want, atol=1e-9)
 
     def test_members_unitary(self, rng):
         x = random_hermitian(rng, 4, indefinite=True)
         family = evolution_family(x, build_delta("element", 4, i=0, j=2), GradientEncoding(m=2))
-        for member in family:
+        for member in family_members(family):
             assert np.linalg.norm(member.conj().T @ member - np.eye(4)) <= 1e-10 * 4
 
 
@@ -417,7 +447,7 @@ class TestPhaseProperties:
         dec = eig_hermitian(x)
         family = evolution_family(x, delta, enc)
         base = probe_distributions(family, dec.vectors[:, [1]], enc.m)
-        shifted = [np.exp(0.737j) * member for member in family]
+        shifted = sv.ControlledFamily(np.exp(0.737j) * family.phases, family.vectors)
         rotated = probe_distributions(shifted, dec.vectors[:, [1]], enc.m)
         assert np.max(np.abs(base - rotated)) <= 1e-12
 
@@ -447,8 +477,7 @@ class TestEigenbasisFamily:
     # the absolute eigh rounding eps * ||X|| times t = M / (W L) in every
     # phase, the floor M * eps * ||X|| / (W L) per entry; summed over the N
     # eigenpairs of one entry that is at most N times the floor, and the bound
-    # allows 16 N.  The eigenbasis members are right-multiplied by
-    # exp(-i t Lambda), which is undone before comparing.
+    # allows 16 N.  The s = 0 member is the diagonal slot exp(i t Lambda).
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.sampled_from([2, 4, 8, 16, 32]),
@@ -473,19 +502,20 @@ class TestEigenbasisFamily:
         enc = GradientEncoding(L=1e-5, W=4.0, m=m, shift=shift)
         dec = eig_hermitian(x)
         [family] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc, c)])
-        dense = evolution_family(x, PerturbationDirection("custom", delta.matrix + c * np.eye(n)), enc)
         t = enc.time_step()
         bound = 16 * n * t * np.finfo(float).eps * np.linalg.norm(x, ord=2)
-        members = family_members(family)
-        np.testing.assert_array_equal(members[list(enc.offsets()).index(0.0)], np.eye(n))
-        for member, u in zip(members, dense):
-            want = dec.vectors.conj().T @ u @ dec.vectors
-            assert np.max(np.abs(member * np.exp(1j * t * dec.values) - want)) <= bound
+        zero = list(enc.offsets()).index(0.0)
+        assert zero not in family.slots
+        np.testing.assert_array_equal(family.phases[zero], np.exp(1j * t * dec.values))
+        for member, s in zip(family_members(family), enc.offsets()):
+            want = dec.vectors.conj().T @ unitary_phase_exp(x + s * (delta.matrix + c * np.eye(n)), t) @ dec.vectors
+            assert np.max(np.abs(member - want)) <= bound
 
     def test_phase_keeps_relative_precision_at_large_t(self, rng):
         # poles near 1e3, strength s = 1e-9 and t = 1e7: each amplitude
-        # <e_p|W|e_p> carries the phase t (offset_p + s c) of the eigenvalue
-        # held against pole p, although t * lambda ~ 1e10 rad
+        # <e_p|U(1)|e_p>, relative to the s = 0 member's exp(i t lambda_p),
+        # carries the phase t (offset_p + s c) of the eigenvalue held against
+        # pole p, although t * lambda ~ 1e10 rad
         n = 16
         values = 1e3 + 0.37 * np.arange(n) + rng.uniform(0.0, 0.1, n)
         coupling = random_state(rng, n)[:, None]
@@ -497,7 +527,8 @@ class TestEigenbasisFamily:
         assert sorted(anchor[0]) == list(range(n))
         want = np.empty(n)
         want[anchor[0]] = enc.time_step() * (offset[0] + s * c)
-        got = np.angle(family.amplitudes(np.eye(n, dtype=complex))[1])
+        amplitudes = family.amplitudes(np.eye(n, dtype=complex))
+        got = np.angle(amplitudes[1] * amplitudes[0].conj())
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
@@ -509,12 +540,16 @@ class TestDenseFamily:
         x = random_hermitian(rng, n, indefinite=True)
         delta = build_delta("outer", n, phi=random_state(rng, n))
         enc = GradientEncoding(L=1e-5, W=4.0, m=m, shift="centered")
-        checks = []
-        real_defect = sv.unitarity_defect
+        stacks, checks = [], []
+        real_eigh, real_defect = np.linalg.eigh, sv.unitarity_defect
         monkeypatch.setattr(qgld.qgpe, "EIGENBASIS_BATCH", 3 * n * n)
-        monkeypatch.setattr(sv, "unitarity_defect", lambda u: checks.append(len(u)) or real_defect(u))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: stacks.append(len(a)) or real_eigh(a))
+        monkeypatch.setattr(sv, "unitarity_defect",
+                            lambda u, diagonal=False: checks.append((len(u), diagonal)) or real_defect(u, diagonal))
         family = evolution_family(x, delta, enc)
-        assert checks == ([2] if m == 1 else [3, 3, 2])
-        for member, s in zip(family, enc.offsets()):
+        assert stacks == ([2] if m == 1 else [3, 3, 2])
+        # one check of the whole eigenvector stack and one of the phases
+        assert checks == [(len(family), False), (len(family), True)]
+        for member, s in zip(family_members(family), enc.offsets()):
             want = unitary_phase_exp(x + s * delta.matrix, enc.time_step())
             np.testing.assert_allclose(member, want, rtol=0, atol=1e-14)

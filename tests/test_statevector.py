@@ -9,7 +9,6 @@ from qgld import (
     NonUnitaryMember,
     NotInGroundRegister,
     UnnormalizedTarget,
-    unitary_phase_exp,
 )
 from qgld.statevector import ControlledFamily
 from conftest import (
@@ -17,6 +16,7 @@ from conftest import (
     RegisterLayout,
     StateVector,
     apply_controlled_family,
+    checked_members,
     conditional_deviation_distribution,
     deviation_distribution,
     forward_qft_deviation,
@@ -26,6 +26,7 @@ from conftest import (
     preparation_unitary,
     prepare_system_state,
     random_state,
+    unitary_phase_exp,
 )
 
 
@@ -178,35 +179,41 @@ class TestControlledFamily:
             apply_controlled_family(state, [np.eye(2), 2.0 * np.eye(2)])
 
     def test_identity_slot_rows_left_bit_identical(self, rng):
+        # slot 1 is the diagonal slot ones(8), the identity member; slots 0, 2, 3 carry eigenvectors
         layout = RegisterLayout(2, 3, batch=5)
-        members = np.stack([unitary_phase_exp(np.diag(rng.standard_normal(8)).astype(complex) + 0.3, t)
-                            for t in (0.7, 1.1, 2.3)])
-        family = ControlledFamily._adopt([members[:2], members[2:]], identity_slots=[1])
-        assert family.identity_slots == {1}
-        np.testing.assert_array_equal(family[1], np.eye(8))
+        vectors = np.stack([np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
+                            for _ in range(3)])
+        phases = np.exp(1j * rng.standard_normal((4, 8)))
+        phases[1] = 1.0
+        family = ControlledFamily(phases, vectors, [0, 2, 3])
         state = StateVector(layout, rng.standard_normal(4 * 8 * 5) + 1j * rng.standard_normal(4 * 8 * 5))
         before = state.as_tensor().copy()
         apply_controlled_family(state, family)
         after = state.as_tensor()
         np.testing.assert_array_equal(after[1], before[1])
-        for eps, u in ((0, members[0]), (2, members[1]), (3, members[2])):
-            np.testing.assert_array_equal(after[eps], u @ before[eps])
+        for eps, q in zip((0, 2, 3), vectors):
+            np.testing.assert_array_equal(after[eps], ((q * phases[eps]) @ q.conj().T) @ before[eps])
 
     def test_adopted_members_read_only_without_copy(self, rng):
-        stack = np.stack([unitary_phase_exp(np.diag(rng.standard_normal(4)).astype(complex), 1.0)])
-        family = ControlledFamily._adopt([stack], identity_slots=[0])
-        assert np.shares_memory(family[1], stack)
-        for member in family:
+        vectors = np.linalg.qr(rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4)))[0]
+        phases = np.exp(1j * rng.standard_normal((2, 4)))
+        family = ControlledFamily(phases, vectors, [1])
+        assert np.shares_memory(family.vectors, vectors) and np.shares_memory(family.phases, phases)
+        for factor in (family.vectors, family.phases):
             with pytest.raises(ValueError):
-                member[0, 0] = 2.0
+                factor[0, 0] = 2.0
 
     def test_stacked_check_names_the_member(self):
         good = np.eye(2, dtype=complex)
-        # slot 0 is the identity, so the stacks hold slots 1, 2 and 3, 4
+        # slot 0 is diagonal, so the stack holds slots 1 to 4
         with pytest.raises(NonUnitaryMember, match="member 4 "):
-            ControlledFamily._adopt([np.stack([good, good]), np.stack([good, 2.0 * good])], identity_slots=[0])
+            ControlledFamily(np.ones((5, 2), dtype=complex), np.stack([good, good, good, 2.0 * good]), [1, 2, 3, 4])
+        phases = np.ones((4, 2), dtype=complex)
+        phases[2] = 2.0
         with pytest.raises(NonUnitaryMember, match="member 2 "):
-            ControlledFamily([good, good, 2.0 * good, good])
+            ControlledFamily(phases)
+        with pytest.raises(NonUnitaryMember, match="member 2 "):
+            checked_members([good, good, 2.0 * good, good])
 
 
 class TestInverseQft:

@@ -218,9 +218,7 @@ def cmd_qgld(args) -> str:
 
 def cmd_lanczos(args) -> str:
     x = resolve_matrix(args.matrix)
-    b = args.b or 1
-    k = args.k or x.shape[0] // b
-    fact = build_factorization(x, b, k, args.seed)
+    fact = build_factorization(x, args.b or 1, args.k or None, args.seed)
     sol = assemble_and_solve(x, fact)
     payload = {
         "ritz_values": sol.values.tolist(),
@@ -267,6 +265,13 @@ def cmd_kernel_demo(args) -> str:
 # ---------------------------------------------------------------------------
 # parser / entry point
 
+def seed_value(text: str) -> int:
+    """A --seed value: numpy's generators take only non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r}: expected a non-negative integer")
+    return int(text)
+
+
 # Every flag a subcommand may take, as argparse keywords.
 FLAGS = {
     "--matrix": dict(default="sigma-x", help="matrix JSON path or preset (sigma-x, sigma-z, hadamard, "
@@ -279,7 +284,7 @@ FLAGS = {
     "--k": dict(type=int, default=0),
     "--b": dict(type=int, default=0),
     "--lanczos-steps": dict(type=int, default=None, help="Lanczos steps of the --b source (default N // b)"),
-    "--seed": dict(type=int, default=0, help="random seed"),
+    "--seed": dict(type=seed_value, default=0, help="random seed (non-negative)"),
     "--shots": dict(type=int, default=64, help="sampled starting states"),
     "--mode": dict(choices=("per-eigenvector", "sigma", "sampled"), default="per-eigenvector"),
     "--sweep-L": dict(default=None, help="comma-separated L values; emits error-vs-L CSV"),

@@ -26,7 +26,14 @@ import numpy as np
 
 from . import statevector as sv
 from .errors import AliasedReadout, NearZeroEigenvalue
-from .linalg import as_complex_matrix, eig_hermitian, inverse, relevance_order, require_hermitian
+from .linalg import (
+    as_complex_matrix,
+    eig_hermitian,
+    eigen_residuals,
+    inverse,
+    relevance_order,
+    require_hermitian,
+)
 from .qgpe import (
     GradientEncoding,
     PerturbationDirection,
@@ -53,8 +60,7 @@ class DenseSource:
 
     def resolve(self, x: np.ndarray):
         dec = eig_hermitian(x)  # which validates x
-        residuals = np.linalg.norm(x @ dec.vectors - dec.vectors * dec.values, axis=0)
-        return dec.values, dec.vectors, residuals
+        return dec.values, dec.vectors, eigen_residuals(x, dec.values, dec.vectors)
 
 
 @dataclass(frozen=True)
@@ -66,12 +72,8 @@ class RqblSource:
     steps: int | None = None
 
     def resolve(self, x: np.ndarray):
-        x = np.asarray(x, dtype=complex)  # validated by build_factorization, before any step
-        n = x.shape[0] if x.ndim else 0
-        if self.b < 1:
-            raise ValueError(f"block size {self.b} outside [1, {n}]")
-        steps = self.steps if self.steps is not None else n // self.b
-        sol = run_rqbl(x, self.b, steps, self.seed)
+        # x, b and the steps (None: N // b) are validated by build_factorization, before any step
+        sol = run_rqbl(x, self.b, self.steps, self.seed)
         return sol.values, sol.vectors, sol.residuals
 
 
@@ -212,7 +214,7 @@ def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray, re
             restricted = basis.conj().T @ delta_matrix @ basis
             _, rot = np.linalg.eigh((restricted + restricted.conj().T) / 2)
             vectors[:, idx] = basis @ rot
-            residuals[idx] = np.linalg.norm(x @ vectors[:, idx] - vectors[:, idx] * values[idx], axis=0)
+            residuals[idx] = eigen_residuals(x, values[idx], vectors[:, idx])
         start = stop
     return vectors, residuals
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import eig_hermitian, orthonormalize_svd, relevance_order, require_hermitian
+from .linalg import eig_hermitian, eigen_residuals, orthonormalize_svd, relevance_order, require_hermitian
 
 BREAKDOWN_RTOL = 1e-10
 DGKS_ETA = 1 / np.sqrt(2)  # Daniel, Gragg, Kaufman & Stewart (1976)
@@ -26,13 +26,14 @@ DGKS_ETA = 1 / np.sqrt(2)  # Daniel, Gragg, Kaufman & Stewart (1976)
 
 @dataclass
 class LanczosFactorization:
-    """Accumulated blocks: A_p (hermitian b x b), B_p (b x b), basis blocks Psi_p.
+    """Accumulated blocks: A_p (hermitian b x b), B_p (b x b), and the basis
+    blocks Psi_p as consecutive b-column slices of one column-major array.
     ``breakdown``: an invariant subspace stopped the recursion before k steps."""
 
     block_size: int
+    columns: np.ndarray  # N x (k*b); the first steps*b columns hold the basis
     a_blocks: list = field(default_factory=list)
     b_blocks: list = field(default_factory=list)
-    basis_blocks: list = field(default_factory=list)
     breakdown: bool = False
 
     @property
@@ -40,8 +41,8 @@ class LanczosFactorization:
         return len(self.a_blocks)
 
     def basis(self) -> np.ndarray:
-        """All basis blocks concatenated into an N x (steps*b) matrix."""
-        return np.hstack(self.basis_blocks)
+        """The N x (steps*b) basis, a view of ``columns`` (no copy)."""
+        return self.columns[:, :self.steps * self.block_size]
 
     def orthonormality_defect(self) -> float:
         q = self.basis()
@@ -126,44 +127,52 @@ def assemble_block_tridiagonal(fact: LanczosFactorization) -> np.ndarray:
 
 
 def assemble_and_solve(x: np.ndarray, fact: LanczosFactorization) -> RitzSolution:
-    """Diagonalize S and lift its eigenvectors through the basis blocks, as
-    Ritz pairs in ``relevance_order``: |value| descending (most relevant
-    first), and magnitudes equal within DEGENERACY_RTOL in ascending-value order."""
+    """Diagonalize S and lift its eigenvectors through the basis, as Ritz
+    pairs in ``relevance_order``: |value| descending (most relevant first),
+    and magnitudes equal within DEGENERACY_RTOL in ascending-value order.
+
+    S and its decomposition are dropped before the one lift, which goes
+    straight into the final order, and the residuals come in column blocks:
+    besides the basis, about three N x (steps*b) complex arrays are alive at
+    the peak, the eigensolve's own LAPACK workspace aside."""
     if fact.steps < 1:
         raise ValueError("factorization holds no blocks")
-    s = assemble_block_tridiagonal(fact)
-    dec = eig_hermitian(s)
-    q = fact.basis()
-    vectors = q @ dec.vectors
-    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    residuals = np.linalg.norm(x @ vectors - vectors * dec.values, axis=0)
+    dec = eig_hermitian(assemble_block_tridiagonal(fact))
     order = relevance_order(dec.values)
-    return RitzSolution(values=dec.values[order], vectors=vectors[:, order], residuals=residuals[order])
+    values, ritz = dec.values[order], dec.vectors[:, order]
+    del dec
+    vectors = fact.basis() @ ritz
+    del ritz
+    vectors /= np.linalg.norm(vectors, axis=0)
+    return RitzSolution(values=values, vectors=vectors, residuals=eigen_residuals(x, values, vectors))
 
 
-def run_rqbl(x: np.ndarray, b: int, k: int, rng_seed: int) -> RitzSolution:
+def run_rqbl(x: np.ndarray, b: int, k: int | None, rng_seed: int) -> RitzSolution:
     """Random init plus k recursion steps (early stop on breakdown), then the
     Ritz pairs of S."""
     x = np.asarray(x, dtype=complex)
     return assemble_and_solve(x, build_factorization(x, b, k, rng_seed))
 
 
-def build_factorization(x: np.ndarray, b: int, k: int, rng_seed: int) -> LanczosFactorization:
+def build_factorization(x: np.ndarray, b: int, k: int | None, rng_seed: int) -> LanczosFactorization:
     """The raw factorization behind run_rqbl, kept for inspection and dumps.
-    Validates X (square, finite, hermitian) before any step."""
+    Validates X (square, finite, hermitian), then the block size b in
+    [1, N], then k*b in [1, N], before any step; k = None takes N // b steps."""
     x = require_hermitian(x)
     n = x.shape[0]
+    start = rqbl_init(n, b, rng_seed)
+    if k is None:
+        k = n // b
     if not 1 <= k * b <= n:
         raise ValueError(f"k*b = {k * b} outside [1, {n}]")
     # one column-major basis; the blocks and every step's history are views of it
     basis = np.empty((n, k * b), dtype=complex, order="F")
-    basis[:, :b] = rqbl_init(n, b, rng_seed)
-    fact = LanczosFactorization(block_size=b)
+    basis[:, :b] = start
+    fact = LanczosFactorization(block_size=b, columns=basis)
     floor = BREAKDOWN_RTOL * max(float(np.linalg.norm(x)), 1e-300)
     psi_prev, b_p = None, None
     for p in range(k):
         psi = basis[:, p * b:(p + 1) * b]
-        fact.basis_blocks.append(psi)
         step = rqbl_step(x, psi, psi_prev, b_p, history=basis[:, :(p + 1) * b],
                          breakdown_floor=floor)
         fact.a_blocks.append(step.a_block)
@@ -187,5 +196,5 @@ def dump_factorization(fact: LanczosFactorization) -> dict:
         "breakdown": fact.breakdown,
         "a_blocks": [arr(a) for a in fact.a_blocks],
         "b_blocks": [arr(b) for b in fact.b_blocks],
-        "basis_blocks": [arr(p) for p in fact.basis_blocks],
+        "basis_blocks": [arr(p) for p in np.hsplit(fact.basis(), fact.steps)],
     }

@@ -28,6 +28,7 @@ EPS = float(np.finfo(float).eps)
 SECULAR_DEFLATION = 8 * EPS
 SECULAR_MAX_STEPS = 64
 LU_PANEL = 32
+RESIDUAL_COLUMNS = 64
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -81,6 +82,17 @@ def eig_hermitian(a) -> EigenDecomposition:
     values, vectors = np.linalg.eigh(a)
     vectors = _fix_phases(vectors)
     return EigenDecomposition(values=values, vectors=vectors)
+
+
+def eigen_residuals(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """||A v_j - E_j v_j|| for each column v_j of ``vectors``, formed
+    RESIDUAL_COLUMNS columns at a time so no full-size temporary is made."""
+    residuals = np.empty(vectors.shape[1])
+    for start in range(0, vectors.shape[1], RESIDUAL_COLUMNS):
+        block = slice(start, start + RESIDUAL_COLUMNS)
+        v = vectors[:, block]
+        residuals[block] = np.linalg.norm(a @ v - v * values[block], axis=0)
+    return residuals
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:

@@ -164,7 +164,7 @@ def test_criterion_6_block_lanczos():
         target = dense[np.argmax(np.abs(dense))]
         fact = build_factorization(x, b=2, k=12, rng_seed=7)
         for steps in range(1, fact.steps + 1):
-            basis = np.hstack(fact.basis_blocks[:steps])
+            basis = fact.basis()[:, :steps * 2]
             gram = basis.conj().T @ basis
             assert np.linalg.norm(gram - np.eye(basis.shape[1])) <= 1e-8
         sol = run_rqbl(x, b=2, k=12, rng_seed=7)

@@ -388,6 +388,25 @@ class TestLanczosCommand:
         assert values == sorted(values)
 
 
+class TestBlockSizeAndSeed:
+    @pytest.mark.parametrize("argv", [("lanczos",), ("qgld", "--phi", "uniform")])
+    def test_block_size_beyond_dimension_is_named(self, capsys, argv):
+        # both read "k*b = 0 outside [1, 8]"
+        code, out, err = run_cli(capsys, argv[0], "--matrix", "random-spd:8:1", *argv[1:], "--b", "16")
+        assert code == 2
+        assert out == ""
+        assert "block size 16 outside [1, 8]" in err
+
+    @pytest.mark.parametrize("argv", [("lanczos",), ("qgld", "--phi", "uniform", "--b", "2"),
+                                      ("qgld", "--phi", "uniform", "--mode", "sampled")])
+    def test_negative_seed_names_the_flag(self, capsys, argv):
+        # each read numpy's "expected non-negative integer", naming no flag
+        code, out, err = run_cli(capsys, argv[0], "--matrix", "random-spd:8:1", *argv[1:], "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "argument --seed: '-1': expected a non-negative integer" in err
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
         configs = [

@@ -151,6 +151,12 @@ class TestRankRange:
         with pytest.raises(ValueError, match=rf"block size {b} "):
             qgld_expectation(request)
 
+    @pytest.mark.parametrize("b", [5, 16])
+    def test_block_size_above_dimension_is_named(self, b):
+        # read "k*b = 0 outside [1, 4]" from the default step count N // b
+        with pytest.raises(ValueError, match=rf"block size {b} outside \[1, 4\]"):
+            RqblSource(b=b, seed=1).resolve(np.diag([1.0, 2.0, 3.0, 4.0]))
+
     def test_dimension_must_be_a_power_of_two(self):
         # the system register holds n qubits, N = 2^n
         request = InverseExpectationRequest(x=random_spd(12, 1), phi=np.ones(12) / np.sqrt(12), k=12)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,7 +92,7 @@ class TestStep:
         x = rng.standard_normal((10, 10))
         x = (x + x.T) / 2
         fact = build_factorization(x, b=2, k=4, rng_seed=6)
-        for a_block, psi in zip(fact.a_blocks, fact.basis_blocks):
+        for a_block, psi in zip(fact.a_blocks, np.hsplit(fact.basis(), fact.steps)):
             recomputed = psi.conj().T @ x @ psi
             assert np.max(np.abs(a_block - recomputed)) <= 1e-10
 
@@ -108,7 +110,7 @@ class TestStep:
         x = rng.standard_normal((12, 12))
         x = (x + x.T) / 2
         fact = build_factorization(x, b=2, k=5, rng_seed=1)
-        blocks = fact.basis_blocks
+        blocks = np.hsplit(fact.basis(), fact.steps)
         for later in range(1, len(blocks)):
             for earlier in range(later):
                 overlap = np.max(np.abs(blocks[later].conj().T @ blocks[earlier]))
@@ -144,6 +146,43 @@ class TestBreakdown:
         assert fact.steps == 2 < 4
         sol = assemble_and_solve(x, fact)
         np.testing.assert_allclose(np.sort(sol.values), [2.0, 5.0], atol=1e-10)
+
+
+class TestBuildFactorization:
+    def test_default_steps_fill_the_dimension(self):
+        fact = build_factorization(random_spd(8, 5), b=3, k=None, rng_seed=0)
+        assert fact.steps == 2
+        assert fact.basis().shape == (8, 6)
+
+    @pytest.mark.parametrize("k", [None, 1])
+    def test_block_size_beyond_dimension_is_named(self, k):
+        # read "k*b = 0 outside [1, 8]" (k = N // b) or "k*b = 16 outside [1, 8]"
+        with pytest.raises(ValueError, match=r"block size 16 outside \[1, 8\]"):
+            build_factorization(random_spd(8, 5), b=16, k=k, rng_seed=0)
+
+    def test_basis_is_the_factorization_array(self):
+        fact = build_factorization(random_spd(16, 5), b=2, k=4, rng_seed=0)
+        basis = fact.basis()
+        assert np.shares_memory(basis, fact.columns)
+        assert basis.flags.f_contiguous
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_ritz_solve_holds_under_four_full_arrays(self, n, b):
+        # an hstack copy of the basis, S alive through the lift, an unpermuted
+        # lift with two reordered copies and three full-size residual
+        # temporaries peaked at 6.1-6.5 N x N complex arrays
+        x = random_spd(n, 3)
+        fact = build_factorization(x, b, None, rng_seed=5)
+        tracemalloc.start()
+        try:
+            assemble_and_solve(x, fact)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * n * np.dtype(complex).itemsize
 
 
 class TestAssembleAndSolve:

@@ -25,7 +25,15 @@ from qgld import (
     qgld_expectation,
     relevance_order,
 )
-from qgld.linalg import EPS, PIVOT_RTOL, _fix_phases, _lu_pivots, as_complex_matrix
+from qgld.linalg import (
+    EPS,
+    PIVOT_RTOL,
+    RESIDUAL_COLUMNS,
+    _fix_phases,
+    _lu_pivots,
+    as_complex_matrix,
+    eigen_residuals,
+)
 from qgld.qgpe import build_delta
 from conftest import (
     HADAMARD,
@@ -72,6 +80,16 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianInput):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_residuals_in_column_blocks_match_one_product(self, rng):
+        # trial pairs, not eigenpairs, so every residual is O(1) and a block
+        # boundary that dropped or shifted a column would show
+        n = 2 * RESIDUAL_COLUMNS + 3
+        a = random_hermitian(rng, n, indefinite=True)
+        vectors = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        values = rng.standard_normal(n)
+        np.testing.assert_allclose(eigen_residuals(a, values, vectors),
+                                   np.linalg.norm(a @ vectors - vectors * values, axis=0), rtol=1e-12)
 
     def test_phase_fix_matches_column_loop(self, rng):
         # complex pivots may round differently in the last bit between the

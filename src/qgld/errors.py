@@ -30,7 +30,9 @@ class IndexOutOfRange(QgldError, IndexError):
 
 
 class NotInGroundRegister(QgldError):
-    """System register is not in the all-zeros state."""
+    """A probe column has no conditioned weight (the system register never
+    returns to the prepared column), or the gate-level reference circuit's
+    system register is prepared from a state other than all zeros."""
 
 
 class UnnormalizedTarget(QgldError):
@@ -42,7 +44,9 @@ class UnnormalizedPhi(QgldError):
 
 
 class FamilySizeMismatch(QgldError):
-    """Controlled family length does not match the deviation register size."""
+    """Controlled family factors of inconsistent shapes, or a family whose
+    length is not a power of two >= 2 or whose members' dimension is not
+    the columns'."""
 
 
 class NonUnitaryMember(QgldError):

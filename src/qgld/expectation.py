@@ -14,9 +14,10 @@ eigenbasis of X, their families from the secular equation.
 
 Sign handling: the single-deviation-qubit readout yields |gradient| only, so
 probes that can go negative (general directions, such as single entries on
-indefinite matrices) are run with an identity-shifted direction Delta + c*I.
-The shift adds exactly c to every eigenvalue slope, keeps every probe phase
-positive, and is subtracted after readout.
+indefinite matrices) are run with an identity shift c, the deviation-register
+phase exp(i t s(eps) c) that c*I would add to member eps.  It adds exactly c
+to every slope, keeps every probe phase positive, and is subtracted after
+readout.
 """
 from __future__ import annotations
 
@@ -149,10 +150,13 @@ def _require_readout_range(bound: float, encodings) -> None:
 
 def _read_slopes(families, columns: np.ndarray, encodings, identity_shift: float) -> np.ndarray:
     """Slopes of the prepared ``columns``, one probe circuit per column and
-    window, read back conditioned on the prepared column, averaged over the
-    windows, minus the identity shift."""
-    grads = [readout_gradients(probe_distributions(family, columns, enc.m), enc)
-             for family, enc in zip(families, encodings)]
+    window, read conditioned on the prepared column and averaged over the
+    windows.  The identity shift c is the phase exp(i t s(eps) c) that c*I
+    puts on deviation state eps; it is subtracted after readout."""
+    grads = []
+    for family, enc in zip(families, encodings):
+        shift_phases = np.exp(1j * enc.time_step() * enc.offsets() * identity_shift)
+        grads.append(readout_gradients(probe_distributions(family, columns, deviation_phases=shift_phases), enc))
     return np.mean(grads, axis=0) - identity_shift
 
 
@@ -171,8 +175,6 @@ def eigenvalue_gradient_probes(x, vectors, delta: PerturbationDirection, enc: Gr
     """
     encodings = _windows(enc, symmetric)
     _require_readout_range(delta.spectral_norm() + abs(identity_shift), encodings)
-    if identity_shift:
-        delta = PerturbationDirection(kind="custom", matrix=delta.matrix + identity_shift * np.eye(delta.dim))
     families = [evolution_family(x, delta, enc_w) for enc_w in encodings]
     return _read_slopes(families, np.asarray(vectors, dtype=complex), encodings, identity_shift)
 
@@ -287,11 +289,11 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool =
         del adapted  # only the used columns or the couplings outlive the pass
 
     slopes = [None if job is None else
-              eigenvalue_gradient_probes(x, *job, encodings[0], identity_shift=shift, symmetric=symmetric)
+              _read_slopes([evolution_family(x, job[1], enc_w) for enc_w in encodings], job[0], encodings, shift)
               for job, (encodings, shift) in zip(dense, plans)]
     columns = np.eye(len(values), dtype=complex)[:, used]
     for signs, couplings in in_eigenbasis.items():
-        families = eigenbasis_families(values, signs, [(coupling, enc_w, plans[j][1])
+        families = eigenbasis_families(values, signs, [(coupling, enc_w)
                                                        for j, coupling in couplings for enc_w in plans[j][0]])
         for j, _ in couplings:
             encodings, shift = plans[j]
@@ -402,8 +404,7 @@ def _signed_phases(family: sv.ControlledFamily, columns: np.ndarray) -> np.ndarr
     b = columns.shape[1]
     phases = np.ones((2, 2 * b), dtype=complex)
     phases[1, b:] = -1j
-    dist = probe_distributions(family, np.concatenate([columns, columns], axis=1), m=1,
-                               deviation_phases=phases)
+    dist = probe_distributions(family, np.concatenate([columns, columns], axis=1), deviation_phases=phases)
     quadratures = dist[0] - dist[1]
     return np.arctan2(quadratures[b:], quadratures[:b])
 

@@ -43,11 +43,13 @@ def gaussian_kernel_matrix(points: np.ndarray, sigma: float, other: np.ndarray |
 
 def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "classical",
                k: int | None = None, enc: GradientEncoding = GradientEncoding()) -> KernelModel:
-    """Fit alpha = (K + ridge*I)^-1 f with the chosen solver."""
+    """Fit alpha = (K + ridge*I)^-1 f with the chosen solver.  Raises
+    ValueError unless sigma and ridge are finite and positive."""
     points = np.asarray(points, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if ridge <= 0:
-        raise ValueError("ridge regularizer must be positive")
+    for name, value in (("sigma", sigma), ("ridge", ridge)):
+        if not (np.isfinite(value) and value > 0):  # negated, so that a NaN fails here
+            raise ValueError(f"{name} = {value} must be finite and positive")
     if len(points) != len(targets):
         raise ValueError("points and targets differ in length")
     for name, values in (("points", points), ("targets", targets)):

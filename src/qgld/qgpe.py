@@ -70,9 +70,15 @@ class PerturbationDirection:
     def from_factors(cls, factors, signs) -> "PerturbationDirection":
         """The ``custom`` direction F diag(signs) F^dag, with ||Delta||_2 read
         from the r x r matrix diag(signs) F^dag F, which has its nonzero
-        eigenvalues."""
+        eigenvalues.  Raises ValueError unless F is (N, r) and ``signs`` are r
+        values of +-1, and NonFiniteInput for a non-finite entry of F."""
         factors = np.asarray(factors, dtype=complex)
         signs = tuple(float(v) for v in signs)
+        if factors.ndim != 2 or not signs or len(signs) != factors.shape[1] or any(abs(v) != 1.0 for v in signs):
+            raise ValueError(f"factors of shape {factors.shape} with signs {signs} of shape ({len(signs)},): "
+                             f"need (N, r) factors, r >= 1, and r signs of +-1")
+        if not np.isfinite(factors).all():
+            raise NonFiniteInput(f"factors have {np.count_nonzero(~np.isfinite(factors))} non-finite entries")
         mat = (factors * signs) @ factors.conj().T
         norm = float(np.max(np.abs(np.linalg.eigvals(np.array(signs)[:, None] * (factors.conj().T @ factors)))))
         return cls(kind="custom", matrix=(mat + mat.conj().T) / 2, exact_norm=norm, factors=factors, signs=signs)
@@ -173,8 +179,9 @@ def require_unit_weight_vector(phi, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GradientEncoding:
-    """Probe parameters: linearization length L, gradient scale W, m deviation
-    qubits and deviation window."""
+    """Probe parameters: linearization length L in (0, 1e-2], finite gradient
+    scale W > 0, an integer m in [1, 12] of deviation qubits and the
+    deviation window."""
 
     L: float = 1e-6
     W: float = 1.0
@@ -184,10 +191,10 @@ class GradientEncoding:
     def __post_init__(self):
         if not 0.0 < self.L <= 1e-2:
             raise ValueError(f"L = {self.L} outside (0, 1e-2]")
-        if self.W <= 0.0:
-            raise ValueError("W must be positive")
-        if not 1 <= self.m <= 12:
-            raise ValueError(f"m = {self.m} outside [1, 12]")
+        if not (np.isfinite(self.W) and self.W > 0.0):  # negated, so that a NaN W fails here
+            raise ValueError(f"W = {self.W} must be finite and positive")
+        if not isinstance(self.m, (int, np.integer)) or not 1 <= self.m <= 12:
+            raise ValueError(f"m = {self.m!r} must be an integer in [1, 12]")
         if self.shift not in SHIFTS:
             raise ValueError(f"shift must be one of {SHIFTS}")
 
@@ -258,10 +265,10 @@ def evolution_family(x, delta: PerturbationDirection, enc: GradientEncoding) -> 
 
 def eigenbasis_families(values, signs, probes):
     """Controlled families in the eigenbasis of X = V diag(values) V^dag, one
-    per (coupling C, encoding, identity shift c) of ``probes``, where C =
-    V^dag F for a direction Delta = F diag(signs) F^dag; yielded in order.
+    per (coupling C, encoding) pair of ``probes``, where C = V^dag F for a
+    direction Delta = F diag(signs) F^dag; yielded in order.
 
-    Member eps is exp(i t (Lambda + s (C diag(signs) C^dag + c I))).  Its
+    Member eps is exp(i t (Lambda + s C diag(signs) C^dag)).  Its
     s = 0 member is the diagonal slot exp(i t Lambda); the others come from
     :func:`low_rank_update_eigh`, batched over consecutive probes up to
     EIGENBASIS_BATCH entries of N x N work arrays, and stay factored (see
@@ -271,10 +278,10 @@ def eigenbasis_families(values, signs, probes):
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
-    for _, enc, _ in probes:
+    for _, enc in probes:
         _require_family_size(enc, n)
-    jobs = [[(eps, s) for eps, s in enumerate(enc.offsets()) if s] for _, enc, _ in probes]
-    bare = [np.exp(1j * enc.time_step() * values) for _, enc, _ in probes]
+    jobs = [[(eps, s) for eps, s in enumerate(enc.offsets()) if s] for _, enc in probes]
+    bare = [np.exp(1j * enc.time_step() * values) for _, enc in probes]
     start = 0
     while start < len(probes):
         stop, size = start + 1, len(jobs[start])
@@ -301,18 +308,17 @@ def _solved_factors(values, signs, probes, bare, batch):
     phases d (P, N) of member Q diag(d) Q^dag.
 
     With eigenvalue k held as values[anchor_k] + offset_k and ``bare[j]`` =
-    E = exp(i t Lambda), d = E[anchor] exp(i t (offset + s c)): N
-    exponentials per member.  Every member of a probe shares the one E, and
-    a phase common to a column's M amplitudes leaves its readout unchanged,
-    so in the term of each anchor's own amplitude E_b drops out and the
-    decoded phase stays t (offset + s c) at full relative precision.
+    E = exp(i t Lambda), d = E[anchor] exp(i t offset): N exponentials per
+    member.  Every member of a probe shares the one E, and a phase common
+    to a column's M amplitudes leaves its readout unchanged, so in the term
+    of each anchor's own amplitude E_b drops out and the decoded phase stays
+    t offset at full relative precision.
     """
     vectors, anchor, offset = low_rank_update_eigh(
         values, np.stack([probes[j][0] for j, _, _ in batch]), signs, [s for _, _, s in batch])
     times = np.array([probes[j][1].time_step() for j, _, _ in batch])[:, None]
-    shifts = np.array([s * probes[j][2] for j, _, s in batch])[:, None]
     phases = np.take_along_axis(np.stack([bare[j] for j, _, _ in batch]), anchor, axis=1)
-    return vectors, phases * np.exp(1j * times * (offset + shifts))
+    return vectors, phases * np.exp(1j * times * offset)
 
 
 def _amplitude_readout(p0: np.ndarray, p1: np.ndarray, w: float) -> np.ndarray:
@@ -354,41 +360,41 @@ def readout_gradients(distributions: np.ndarray, enc: GradientEncoding) -> np.nd
     return np.array([enc.bin_to_gradient(int(j)) for j in np.argmax(distributions, axis=0)])
 
 
-def probe_distributions(family, columns: np.ndarray, m: int,
-                        deviation_phases: np.ndarray | None = None) -> np.ndarray:
+def probe_distributions(family, columns: np.ndarray, *, deviation_phases: np.ndarray | None = None) -> np.ndarray:
     """Deviation distributions (M, B) of the probe circuit, run on every
-    column of ``columns`` (N, B) as an independent circuit.
+    column of ``columns`` (N, B) as an independent circuit, M = len(family).
 
     The circuit prepares each column c, fans the deviations out with
-    Hadamards, applies the controlled ``family``, optional per-column ``deviation_phases`` phi (M, B)
-    and the inverse QFT, and reads the deviation register conditioned on the
-    system register returning to c, which suppresses the contamination from
-    the small eigenvector tilt at finite L.  The projection onto c commutes
-    with every deviation-register gate, so bin j reads
-    |sum_eps exp(-2 pi i j eps / M) phi_eps a_eps|^2 / M^2, normalized, from
-    the family's amplitudes a_eps = <c|U(eps)|c>; no register is formed.
-    Raises ValueError unless N is a power of two >= 2 (n system qubits) and
-    the phases have unit modulus, FamilySizeMismatch unless the family has
-    2^m members of dimension N, UnnormalizedTarget for a column off unit
-    norm and NotInGroundRegister for a column with no conditioned weight.
+    Hadamards, applies the controlled ``family``, the optional deviation
+    phases phi, (M,) or per column (M, B), and the inverse QFT, and reads
+    the deviation register conditioned on the system register returning to
+    c, which suppresses the contamination from the small eigenvector tilt
+    at finite L.  That projection commutes with every deviation-register
+    gate, so bin j reads |sum_eps exp(-2 pi i j eps / M) phi_eps a_eps|^2 /
+    M^2, normalized, from the amplitudes a_eps = <c|U(eps)|c>.  Raises
+    FamilySizeMismatch unless M is a power of two >= 2 and the members have
+    dimension N, ValueError for N not a power of two >= 2 or phases off
+    unit modulus or those shapes, UnnormalizedTarget for a column off unit
+    norm and NotInGroundRegister for one with no conditioned weight.
     """
     columns = np.asarray(columns, dtype=complex)
-    n_dim, m_dim = columns.shape[0], 1 << m
+    n_dim, m_dim = columns.shape[0], len(family)
     if n_dim < 2 or n_dim & (n_dim - 1):
         raise ValueError(f"dimension {n_dim} is not a power of two >= 2")
-    if (len(family), family.dim) != (m_dim, n_dim):
-        raise FamilySizeMismatch(f"family of {len(family)} members of dimension {family.dim}, "
-                                 f"expected {m_dim} of dimension {n_dim}")
+    if m_dim < 2 or m_dim & (m_dim - 1) or family.dim != n_dim:
+        raise FamilySizeMismatch(f"family of {m_dim} members of dimension {family.dim} on columns of dimension "
+                                 f"{n_dim}; the deviation register needs 2^m >= 2 members of dimension {n_dim}")
     norms = np.linalg.norm(columns, axis=0)
     bad = np.flatnonzero(np.abs(norms - 1.0) > sv.NORM_ATOL)
     if bad.size:
         raise UnnormalizedTarget(f"target column {bad[0]} norm {norms[bad[0]]:.12f} != 1")
     amplitudes = family.amplitudes(columns)
     if deviation_phases is not None:
-        phases = np.asarray(deviation_phases, dtype=complex).reshape(amplitudes.shape)
-        if np.max(np.abs(np.abs(phases) - 1.0)) > sv.NORM_ATOL:
-            raise ValueError("deviation phases must have unit modulus")
-        amplitudes *= phases
+        phases = np.asarray(deviation_phases, dtype=complex)
+        if phases.shape not in ((m_dim,), amplitudes.shape) or np.max(np.abs(np.abs(phases) - 1.0)) > sv.NORM_ATOL:
+            raise ValueError(f"deviation phases must have unit modulus and shape ({m_dim},) or {amplitudes.shape}, "
+                             f"not {phases.shape}")
+        amplitudes *= phases.reshape(m_dim, -1)
     # the M = 2 inverse QFT is the Hadamard, which spares loading numpy.fft (0.4 MB resident);
     # 1/M = 1/sqrt(M) from the fan-out times 1/sqrt(M) from the inverse QFT, exact for M = 2^m
     if m_dim == 2:

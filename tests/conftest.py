@@ -254,9 +254,13 @@ def apply_controlled_family(state: StateVector, family) -> StateVector:
 
 def phase_deviation_register(state: StateVector, phases: np.ndarray) -> StateVector:
     """Diagonal gate on the deviation register: amplitude row eps picks up
-    phases[eps], with shape (M, B) (one diagonal per column)."""
+    phases[eps], with shape (M,) (one diagonal for every column) or (M, B)
+    (one diagonal per column)."""
     layout = state.layout
-    phases = np.asarray(phases, dtype=complex).reshape(layout.deviation_dim, 1, layout.batch)
+    phases = np.asarray(phases, dtype=complex)
+    if phases.shape not in ((layout.deviation_dim,), (layout.deviation_dim, layout.batch)):
+        raise ValueError(f"deviation phases of shape {phases.shape}")
+    phases = phases.reshape(layout.deviation_dim, 1, -1)
     if np.max(np.abs(np.abs(phases) - 1.0)) > NORM_ATOL:
         raise ValueError("deviation phases must have unit modulus")
     state.as_tensor()[:] *= phases
@@ -304,17 +308,18 @@ def deviation_distribution(state):
     return np.sum(np.abs(state.as_tensor()) ** 2, axis=1)
 
 
-def reference_distributions(family, columns, m: int, deviation_phases=None) -> np.ndarray:
+def reference_distributions(family, columns, deviation_phases=None) -> np.ndarray:
     """The probe circuit of ``qgld.qgpe.probe_distributions`` gate by gate:
     basis init, preparation of each column, Hadamard fan-out, the controlled
     family (a ControlledFamily's members formed by :func:`family_members`,
     or a raw sequence of members), the optional deviation phases, inverse
     QFT and the readout conditioned on the prepared column, in chunks of at
-    most ``batch_capacity`` columns."""
+    most ``batch_capacity`` columns.  The m deviation qubits are those of
+    the family's 2^m members, and the phases are (M,) or (M, B)."""
     if isinstance(family, ControlledFamily):
         family = family_members(family)
     columns = np.asarray(columns, dtype=complex)
-    n = columns.shape[0].bit_length() - 1
+    m, n = len(family).bit_length() - 1, columns.shape[0].bit_length() - 1
     chunk = batch_capacity(m, n)
     distributions = []
     for start in range(0, columns.shape[1], chunk):
@@ -324,7 +329,8 @@ def reference_distributions(family, columns, m: int, deviation_phases=None) -> n
         hadamard_deviation_register(state)
         apply_controlled_family(state, family)
         if deviation_phases is not None:
-            phase_deviation_register(state, np.asarray(deviation_phases)[:, start:start + chunk])
+            phases = np.asarray(deviation_phases)
+            phase_deviation_register(state, phases if phases.ndim == 1 else phases[:, start:start + chunk])
         inverse_qft_deviation(state)
         distributions.append(conditional_deviation_distribution(state, block))
     return np.concatenate(distributions, axis=1)

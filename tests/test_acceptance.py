@@ -224,9 +224,9 @@ def test_criterion_8_property_suites():
         from qgld import ControlledFamily, evolution_family, probe_distributions
 
         family = evolution_family(x, delta, enc)
-        base = probe_distributions(family, dec.vectors[:, [0]], enc.m)
+        base = probe_distributions(family, dec.vectors[:, [0]])
         rotated = probe_distributions(ControlledFamily(np.exp(1.234j) * family.phases, family.vectors),
-                                      dec.vectors[:, [0]], enc.m)
+                                      dec.vectors[:, [0]])
         assert np.max(np.abs(base - rotated)) <= 1e-12
 
         distributions = []

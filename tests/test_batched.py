@@ -78,11 +78,11 @@ class TestBatchedAgainstSingleCircuit:
         enc = GradientEncoding(L=1e-5, W=4.0, m=m, shift=shift)
         vectors = eig_hermitian(x).vectors
         family = evolution_family(x, delta, enc)
-        distributions = probe_distributions(family, vectors, enc.m)
+        distributions = probe_distributions(family, vectors)
         for p, distribution in enumerate(distributions.T):
             want = single_circuit_distribution(family, vectors[:, p])
             np.testing.assert_allclose(distribution, want, rtol=0, atol=1e-12)
-            single = probe_distributions(family, vectors[:, [p]], enc.m)[:, 0]
+            single = probe_distributions(family, vectors[:, [p]])[:, 0]
             np.testing.assert_allclose(single, distribution, rtol=0, atol=1e-12)
             assert np.argmax(single) == np.argmax(distribution)
 
@@ -105,11 +105,11 @@ class TestBatchedAgainstSingleCircuit:
         enc = GradientEncoding(L=1e-5, m=2)
         vectors = eig_hermitian(x).vectors
         family = evolution_family(x, build_delta("all_ones", 8), enc)
-        whole = probe_distributions(family, vectors, enc.m)
+        whole = probe_distributions(family, vectors)
         # a 6-qubit guard leaves room for 2 columns of M*N = 32 amplitudes
         monkeypatch.setattr(conftest, "MAX_QUBITS", 6)
         assert conftest.batch_capacity(2, 3) == 2
-        chunked = reference_distributions(family, vectors, enc.m)
+        chunked = reference_distributions(family, vectors)
         np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
 
     def test_layout_rejects_batch_beyond_guard(self):
@@ -119,17 +119,20 @@ class TestBatchedAgainstSingleCircuit:
             RegisterLayout(1, 1, batch=0)
 
 
-def _family(builder, x, enc, c, rng):
-    """A controlled family from ``builder``: the dense evolution family of an
-    element direction, an eigenbasis family of a rank-one (outer or all-ones)
-    or rank-two (element or signed pair) direction with identity shift c
-    (1 when ``c``), or the superposition pipelines' scaled-phase family."""
+def _family(builder, x, enc, rng):
+    """A controlled family from ``builder`` and the norm ||Delta||_2 of its
+    direction: the dense evolution family of an element direction, an
+    eigenbasis family of a rank-one (outer or all-ones) or rank-two (element
+    or signed pair) direction, or the superposition pipelines' scaled-phase
+    family, whose direction V diag(weights) V^dag has norm max |weights|."""
     n = len(x)
     if builder == "scaled-phase":
-        return qgld.expectation._scaled_phase_family(rng.standard_normal(n) / 4, enc.W)
+        weights = rng.standard_normal(n) / 4
+        return qgld.expectation._scaled_phase_family(weights, enc.W), float(np.max(np.abs(weights)))
     if builder == "dense":
         i, j = (int(v) for v in rng.integers(0, n, size=2))
-        return evolution_family(x, build_delta("element", n, i=i, j=j), enc)
+        delta = build_delta("element", n, i=i, j=j)
+        return evolution_family(x, delta, enc), delta.spectral_norm()
     if builder == "eigenbasis-1":
         delta = build_delta("outer", n, phi=random_state(rng, n)) if rng.integers(2) else build_delta("all_ones", n)
     elif rng.integers(2):
@@ -139,8 +142,8 @@ def _family(builder, x, enc, c, rng):
         e, f = np.eye(n)[int(rng.integers(0, n))], random_state(rng, n)
         delta = PerturbationDirection.from_factors(np.stack([e + f, e - f], axis=1) / 2, (1.0, -1.0))
     dec = eig_hermitian(x)
-    [family] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc, float(c))])
-    return family
+    [family] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc)])
+    return family, delta.spectral_norm()
 
 
 class TestContractedAgainstReferenceCircuit:
@@ -159,27 +162,33 @@ class TestContractedAgainstReferenceCircuit:
                                            quarter_wave, seed):
         # every builder's family read by the contracted readout, on unit or random columns, equals
         # the gate-level circuit on its formed members; the scaled-phase family has one deviation
-        # qubit.  With quarter_wave, the columns run twice, the second time with diag(1, -i) on the
-        # lowest deviation qubit, as the superposition pipelines' signed-phase reading does at m = 1
+        # qubit.  With identity_shift, both carry the deviation phases exp(i t s(eps) c) of the
+        # identity shift c = ||Delta||_2, one per deviation state.  With quarter_wave, the columns
+        # run twice, the second time with diag(1, -i) on the lowest deviation qubit as well, as the
+        # superposition pipelines' signed-phase reading does at m = 1
         rng = np.random.default_rng(seed)
         n = 1 << n_qubits
         if builder == "scaled-phase":
             m = 1
         x = random_hermitian(rng, n, indefinite=True)
         enc = GradientEncoding(L=1e-5, W=4.0, m=m, shift=shift)
-        family = _family(builder, x, enc, identity_shift, rng)
+        family, norm = _family(builder, x, enc, rng)
         if unit_columns:
             columns = np.eye(n, dtype=complex)[:, rng.permutation(n)[:5]]
         else:
             columns = np.stack([random_state(rng, n) for _ in range(3)], axis=1)
         phases = None
+        if identity_shift:
+            phases = np.exp(1j * enc.time_step() * enc.offsets() * norm)
+            assert np.max(np.abs(np.angle(phases))) > 0.0
         if quarter_wave:
             b = columns.shape[1]
             columns = np.concatenate([columns, columns], axis=1)
-            phases = np.ones((enc.deviation_dim, 2 * b), dtype=complex)
-            phases[1::2, b:] = -1j
-        got = probe_distributions(family, columns, m, phases)
-        want = reference_distributions(family, columns, m, phases)
+            quarter = np.ones((enc.deviation_dim, 2 * b), dtype=complex)
+            quarter[1::2, b:] = -1j
+            phases = quarter if phases is None else quarter * phases[:, None]
+        got = probe_distributions(family, columns, deviation_phases=phases)
+        want = reference_distributions(family, columns, phases)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
@@ -198,22 +207,39 @@ def _sigma_x_family(slots):
 class TestContractedChecks:
     def test_unnormalized_column(self):
         with pytest.raises(UnnormalizedTarget, match="target column 1"):
-            probe_distributions(_sigma_x_family([False, True]), np.array([[1.0, 1.0], [0.0, 1.0]]), 1)
+            probe_distributions(_sigma_x_family([False, True]), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_phases_off_unit_modulus(self):
         with pytest.raises(ValueError, match="unit modulus"):
-            probe_distributions(_sigma_x_family([False, True]), np.eye(2), 1, np.array([[1.0, 1.0], [0.5, 1.0]]))
+            probe_distributions(_sigma_x_family([False, True]), np.eye(2),
+                                deviation_phases=np.array([[1.0, 1.0], [0.5, 1.0]]))
 
     def test_column_without_conditioned_weight(self):
         # <e_0|sigma_x|e_0> = 0 on every member
         with pytest.raises(NotInGroundRegister, match="column 0"):
-            probe_distributions(_sigma_x_family([True, True]), np.eye(2)[:, [0]], 1)
+            probe_distributions(_sigma_x_family([True, True]), np.eye(2)[:, [0]])
 
     def test_family_size_and_dimension(self):
-        with pytest.raises(FamilySizeMismatch, match="3 members"):
-            probe_distributions(ControlledFamily(np.ones((3, 2), dtype=complex)), np.eye(2), 2)
-        with pytest.raises(FamilySizeMismatch, match="dimension 2, expected 2 of dimension 4"):
-            probe_distributions(ControlledFamily(np.ones((2, 2), dtype=complex)), np.eye(4), 1)
+        # M is read from the family: a power of two >= 2, on members of the columns' dimension
+        for members in (1, 3):
+            with pytest.raises(FamilySizeMismatch, match=f"family of {members} members of dimension 2 on columns"):
+                probe_distributions(ControlledFamily(np.ones((members, 2), dtype=complex)), np.eye(2))
+        with pytest.raises(FamilySizeMismatch, match="2 members of dimension 2 on columns of dimension 4"):
+            probe_distributions(ControlledFamily(np.ones((2, 2), dtype=complex)), np.eye(4))
+
+    def test_positional_m_refused(self):
+        # the deviation phases are keyword-only, so a register size passed where m once stood is refused
+        with pytest.raises(TypeError):
+            probe_distributions(_sigma_x_family([False, True]), np.eye(2), 1)
+
+    def test_phases_of_another_shape(self):
+        # one phase per deviation state, (M,), or per state and column, (M, B); nothing else
+        family = _sigma_x_family([False, True])
+        np.testing.assert_array_equal(probe_distributions(family, np.eye(2), deviation_phases=np.ones(2)),
+                                      probe_distributions(family, np.eye(2), deviation_phases=np.ones((2, 2))))
+        for shape in ((4,), (2, 1), (2, 3), (4, 2)):
+            with pytest.raises(ValueError, match=rf"not \({shape[0]},"):
+                probe_distributions(family, np.eye(2), deviation_phases=np.ones(shape))
 
 
 class TestFactoredFamilyCheck:
@@ -271,7 +297,7 @@ class TestFactoredFamilyCheck:
             return vectors, anchor, offset
 
         monkeypatch.setattr(qgld.qgpe, "low_rank_update_eigh", stretched)
-        monkeypatch.setattr(qgld.expectation, "probe_distributions", lambda *args: readouts.append(1))
+        monkeypatch.setattr(qgld.expectation, "probe_distributions", lambda *args, **kwargs: readouts.append(1))
         with pytest.raises(NonUnitaryMember, match="member 2 unitarity defect up to 1.1"):
             logdet_directional_derivatives(random_hermitian(rng, 8), [build_delta("element", 8, i=1, j=5)], 8,
                                            GradientEncoding(m=2))
@@ -287,7 +313,7 @@ class TestFactoredFamilyCheck:
             return vectors, phases
 
         monkeypatch.setattr(qgld.qgpe, "_solved_factors", stretched)
-        monkeypatch.setattr(qgld.expectation, "probe_distributions", lambda *args: readouts.append(1))
+        monkeypatch.setattr(qgld.expectation, "probe_distributions", lambda *args, **kwargs: readouts.append(1))
         with pytest.raises(NonUnitaryMember, match="member 2 unitarity defect up to 5.6"):
             logdet_directional_derivatives(random_hermitian(rng, 8), [build_delta("element", 8, i=1, j=5)], 8,
                                            GradientEncoding(m=2))

@@ -96,6 +96,20 @@ class TestGradient:
         for row in rows:
             assert abs(float(row[5]) - 1.0) <= 1e-5
 
+    @pytest.mark.parametrize("argv", [
+        ("gradient", "--matrix", "sigma-x"),
+        ("qgld", "--matrix", "random-spd:8:1", "--phi", "uniform", "--mode", "sigma"),
+        ("qgld", "--matrix", "random-spd:8:1", "--phi", "uniform"),
+        ("kernel-demo", "--format", "json"),
+    ])
+    @pytest.mark.parametrize("w", ["inf", "nan", "-inf"])
+    def test_non_finite_w_exits_2(self, capsys, argv, w):
+        # W = inf printed NaN gradients, totals and alphas at exit 0
+        code, out, err = run_cli(capsys, *argv, f"--W={w}")
+        assert code == 2
+        assert out == ""
+        assert f"W = {w} must be finite and positive" in err
+
     @pytest.mark.parametrize("k", ["-1", "9"])
     def test_k_out_of_range_exits_2(self, capsys, k):
         code, out, err = run_cli(capsys, "gradient", "--matrix", "random-spd:8:3",

@@ -428,8 +428,8 @@ def test_eigenbasis_circuit_equals_dense_circuit(n_qubits, reach, pipeline, seed
         columns = vectors.conj().T @ unrotated
     quarter_wave = np.repeat([[1.0], [-1j]], columns.shape[1], axis=1)
     for phases in (None, quarter_wave):
-        np.testing.assert_allclose(probe_distributions(family, columns, 1, phases),
-                                   reference_distributions(dense, unrotated, 1, phases), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probe_distributions(family, columns, deviation_phases=phases),
+                                   reference_distributions(dense, unrotated, phases), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("pipeline", [sigma_qgld_expectation, lambda x, phi: sampled_qgld(x, phi, 6, 0)],

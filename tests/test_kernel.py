@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qgld.expectation
+import qgld.kernel
 from qgld import (
     DenseSource,
     IllConditioned,
@@ -75,6 +76,20 @@ class TestClassicalSolver:
             kernel_fit([0.0, 1.0], [1.0], sigma=1.0, ridge=1e-6)
         with pytest.raises(ValueError):
             kernel_fit([0.0], [1.0], sigma=1.0, ridge=0.0)
+
+    @pytest.mark.parametrize("solver", ["classical", "qgld"])
+    @pytest.mark.parametrize("name, value", [("sigma", 0.0), ("sigma", -1.0), ("sigma", np.nan), ("sigma", np.inf),
+                                             ("ridge", np.nan), ("ridge", np.inf), ("ridge", -1e-3)])
+    def test_sigma_and_ridge_finite_and_positive(self, monkeypatch, solver, name, value):
+        # each of these raised numpy's "SVD did not converge" from the condition estimate, or got
+        # past it, naming neither parameter; now they are refused before the kernel matrix is formed
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the kernel matrix was formed")
+
+        monkeypatch.setattr(qgld.kernel, "gaussian_kernel_matrix", unreachable)
+        params = {"sigma": 1.0, "ridge": 1e-3, name: value}
+        with pytest.raises(ValueError, match=f"{name} = {value} must be finite and positive"):
+            kernel_fit(np.linspace(0.0, 3.0, 4), np.ones(4), solver=solver, **params)
 
     @pytest.mark.parametrize("solver", ["classical", "qgld"])
     @pytest.mark.parametrize("name", ["points", "targets"])

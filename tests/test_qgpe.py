@@ -7,6 +7,7 @@ from qgld import (
     FlatDistribution,
     GradientEncoding,
     IndexOutOfRange,
+    NonFiniteInput,
     PerturbationDirection,
     ProbabilityOutOfRange,
     UnnormalizedPhi,
@@ -108,6 +109,28 @@ class TestBuildDelta:
             assert abs(delta.spectral_norm() - svd) <= 8 * n * np.finfo(float).eps * svd
 
 
+class TestFromFactors:
+    @pytest.mark.parametrize("factors, signs", [
+        (np.ones((8, 2)), (1.0,)),  # two columns, one sign: broadcast into a wrong direction
+        (np.ones((8, 1)), (1.0, -1.0)),
+        (np.ones(8), (1.0,)),
+        (np.ones((8, 0)), ()),
+        (np.ones((8, 2)), (1.0, 0.5)),
+        (np.ones((8, 1)), (np.nan,)),
+    ])
+    def test_shapes_and_signs(self, factors, signs):
+        with pytest.raises(ValueError, match=rf"factors of shape \({factors.shape[0]},"):
+            PerturbationDirection.from_factors(factors, signs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_factors(self, bad):
+        # NaN factors failed inside LAPACK with "Array must not contain infs or NaNs"
+        factors = np.ones((8, 2))
+        factors[3, 1] = bad
+        with pytest.raises(NonFiniteInput, match="1 non-finite"):
+            PerturbationDirection.from_factors(factors, (1.0, -1.0))
+
+
 class TestEncoding:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -118,6 +141,19 @@ class TestEncoding:
             GradientEncoding(m=0)
         with pytest.raises(ValueError):
             GradientEncoding(shift="sideways")
+
+    @pytest.mark.parametrize("w", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_w_finite_and_positive(self, w):
+        # an infinite W read NaN gradients at exit 0, and a NaN W passed the W <= 0 test
+        with pytest.raises(ValueError, match=f"W = {w} must be finite and positive"):
+            GradientEncoding(W=w)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, "2", None])
+    def test_m_an_integer(self, m):
+        # m = 1.5 passed the range test and failed later in 1 << m
+        with pytest.raises(ValueError, match="must be an integer in"):
+            GradientEncoding(m=m)
+        assert GradientEncoding(m=np.int64(2)).deviation_dim == 4
 
     def test_offsets(self):
         enc = GradientEncoding(L=1e-4, m=2)
@@ -165,8 +201,8 @@ class TestFamilySize:
         # the first probe fits; the second one's size is refused before the first probe is solved
         monkeypatch.setattr(qgld.qgpe, "low_rank_update_eigh", _unreachable)
         coupling = np.full((512, 1), 1.0 / np.sqrt(512), dtype=complex)
-        families = eigenbasis_families(np.arange(1.0, 513.0), (1.0,), [(coupling, GradientEncoding(m=1), 0.0),
-                                                                      (coupling, GradientEncoding(m=12), 0.0)])
+        families = eigenbasis_families(np.arange(1.0, 513.0), (1.0,), [(coupling, GradientEncoding(m=1)),
+                                                                      (coupling, GradientEncoding(m=12))])
         with pytest.raises(ValueError, match=self.MESSAGE):
             next(families)
 
@@ -341,7 +377,7 @@ class TestExtractPeak:
         delta = build_delta("custom", 2, matrix=np.diag([np.pi / 4, 0.0]))
         enc = GradientEncoding(L=1e-6, W=1.0, m=2)
         columns = np.eye(2, dtype=complex)
-        distributions = probe_distributions(evolution_family(x, delta, enc), columns, enc.m)
+        distributions = probe_distributions(evolution_family(x, delta, enc), columns)
         assert np.max(distributions[:, 0]) == pytest.approx(1 / (16 * np.sin(np.pi / 8) ** 2), abs=1e-6)
         slopes = eigenvalue_gradient_probes(x, columns, delta, enc)
         assert min(abs(slopes[0]), abs(slopes[0] - np.pi / 2)) <= 1e-5
@@ -446,9 +482,9 @@ class TestPhaseProperties:
         enc = GradientEncoding(L=1e-5, m=2)
         dec = eig_hermitian(x)
         family = evolution_family(x, delta, enc)
-        base = probe_distributions(family, dec.vectors[:, [1]], enc.m)
+        base = probe_distributions(family, dec.vectors[:, [1]])
         shifted = sv.ControlledFamily(np.exp(0.737j) * family.phases, family.vectors)
-        rotated = probe_distributions(shifted, dec.vectors[:, [1]], enc.m)
+        rotated = probe_distributions(shifted, dec.vectors[:, [1]])
         assert np.max(np.abs(base - rotated)) <= 1e-12
 
     def test_m1_sign_blindness(self):
@@ -477,17 +513,21 @@ class TestEigenbasisFamily:
     # the absolute eigh rounding eps * ||X|| times t = M / (W L) in every
     # phase, the floor M * eps * ||X|| / (W L) per entry; summed over the N
     # eigenpairs of one entry that is at most N times the floor, and the bound
-    # allows 16 N.  The s = 0 member is the diagonal slot exp(i t Lambda).
+    # allows 16 N.  The s = 0 member of an eigenbasis family is the diagonal
+    # slot exp(i t Lambda).  Neither builder takes the identity shift c: the
+    # probe applies it as the deviation phase exp(i t s c), and that phase
+    # times member eps is the evolution under X + s (Delta + c I).
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.sampled_from([2, 4, 8, 16, 32]),
         kind=st.sampled_from(["outer", "element", "signed_pair"]),
+        builder=st.sampled_from(["eigenbasis", "dense"]),
         shifted=st.booleans(),
         shift=st.sampled_from(["unshifted", "centered"]),
         m=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_dense_members(self, n, kind, shifted, shift, m, seed):
+    def test_matches_dense_members(self, n, kind, builder, shifted, shift, m, seed):
         rng = np.random.default_rng(seed)
         x = random_hermitian(rng, n, indefinite=True)
         if kind == "outer":
@@ -501,35 +541,50 @@ class TestEigenbasisFamily:
         c = delta.spectral_norm() if shifted else 0.0
         enc = GradientEncoding(L=1e-5, W=4.0, m=m, shift=shift)
         dec = eig_hermitian(x)
-        [family] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc, c)])
         t = enc.time_step()
+        # the eigenbasis family's members are in the eigenbasis of X; the dense family's are not
+        basis = dec.vectors if builder == "eigenbasis" else np.eye(n)
+        if builder == "eigenbasis":
+            [family] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc)])
+            zero = list(enc.offsets()).index(0.0)
+            assert zero not in family.slots
+            np.testing.assert_array_equal(family.phases[zero], np.exp(1j * t * dec.values))
+        else:
+            family = evolution_family(x, delta, enc)
         bound = 16 * n * t * np.finfo(float).eps * np.linalg.norm(x, ord=2)
-        zero = list(enc.offsets()).index(0.0)
-        assert zero not in family.slots
-        np.testing.assert_array_equal(family.phases[zero], np.exp(1j * t * dec.values))
         for member, s in zip(family_members(family), enc.offsets()):
-            want = dec.vectors.conj().T @ unitary_phase_exp(x + s * (delta.matrix + c * np.eye(n)), t) @ dec.vectors
-            assert np.max(np.abs(member - want)) <= bound
+            want = basis.conj().T @ unitary_phase_exp(x + s * (delta.matrix + c * np.eye(n)), t) @ basis
+            assert np.max(np.abs(np.exp(1j * t * s * c) * member - want)) <= bound
 
     def test_phase_keeps_relative_precision_at_large_t(self, rng):
         # poles near 1e3, strength s = 1e-9 and t = 1e7: each amplitude
         # <e_p|U(1)|e_p>, relative to the s = 0 member's exp(i t lambda_p),
-        # carries the phase t (offset_p + s c) of the eigenvalue held against
-        # pole p, although t * lambda ~ 1e10 rad
+        # carries the phase t offset_p of the eigenvalue held against pole p,
+        # although t * lambda ~ 1e10 rad; with the identity shift c as the
+        # deviation phase exp(i t s c), the engine reads t (offset_p + s c)
         n = 16
         values = 1e3 + 0.37 * np.arange(n) + rng.uniform(0.0, 0.1, n)
         coupling = random_state(rng, n)[:, None]
         enc = GradientEncoding(L=2e-9, W=100.0, m=1)
-        assert enc.time_step() == pytest.approx(1e7)
+        t = enc.time_step()
+        assert t == pytest.approx(1e7)
         s, c = enc.offsets()[1], 0.5
-        [family] = eigenbasis_families(values, (1.0,), [(coupling, enc, c)])
+        [family] = eigenbasis_families(values, (1.0,), [(coupling, enc)])
         _, anchor, offset = low_rank_update_eigh(values, coupling[None], (1.0,), [s])
         assert sorted(anchor[0]) == list(range(n))
         want = np.empty(n)
-        want[anchor[0]] = enc.time_step() * (offset[0] + s * c)
+        want[anchor[0]] = t * offset[0]
         amplitudes = family.amplitudes(np.eye(n, dtype=complex))
         got = np.angle(amplitudes[1] * amplitudes[0].conj())
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+        # the two quadratures of the shifted probe, as the superposition pipelines read them:
+        # p0 - p1 is cos(phase) as it stands and sin(phase) behind diag(1, -i)
+        phases = np.repeat(np.exp(1j * t * enc.offsets() * c)[:, None], 2 * n, axis=1)
+        phases[1, n:] *= -1j
+        dist = probe_distributions(family, np.eye(n, dtype=complex)[:, np.r_[:n, :n]], deviation_phases=phases)
+        quadratures = dist[0] - dist[1]
+        got = np.arctan2(quadratures[n:], quadratures[:n])
+        assert np.max(np.abs(got - (want + t * s * c)) / np.abs(want + t * s * c)) <= 1e-12
 
 
 class TestDenseFamily:

@@ -16,6 +16,7 @@ from .errors import (
     ProbabilityOutOfRange,
     QgldError,
     RankDeficientBlock,
+    RoundingFloor,
     SingularMatrix,
     UnnormalizedPhi,
     UnnormalizedTarget,

@@ -24,6 +24,7 @@ from .errors import (
     IllConditioned,
     NearZeroEigenvalue,
     QgldError,
+    RoundingFloor,
     SingularMatrix,
 )
 from .expectation import (
@@ -49,6 +50,7 @@ NUMERIC_ERRORS = (
     DegenerateEigenvalue,
     FlatDistribution,
     IllConditioned,
+    RoundingFloor,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

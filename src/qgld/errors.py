@@ -65,6 +65,11 @@ class AliasedReadout(QgldError):
     """A gradient the probe may have to read lies beyond its window's readout range."""
 
 
+class RoundingFloor(QgldError):
+    """The rounding floor of a readout at its probe scale W exceeds the
+    accuracy its pipeline promises."""
+
+
 class NearZeroEigenvalue(QgldError):
     """All usable eigenvalues fell below the pseudo-inverse threshold."""
 

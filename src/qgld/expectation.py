@@ -21,12 +21,13 @@ readout.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import statevector as sv
-from .errors import AliasedReadout, NearZeroEigenvalue
+from .errors import AliasedReadout, NearZeroEigenvalue, RoundingFloor
 from .linalg import (
     as_complex_matrix,
     eig_hermitian,
@@ -50,6 +51,7 @@ from .lanczos import run_rqbl
 PSEUDO_INVERSE_RTOL = 1e-10
 EIGEN_RESIDUAL_RTOL = 1e-6
 SUPERPOSITION_ZOOM = 1e4
+SUPERPOSITION_ATOL = 2e-4  # the superposition total's promised accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +131,11 @@ class InverseExpectationReport:
 # ---------------------------------------------------------------------------
 # probes
 
-def _windows(enc: GradientEncoding, symmetric: bool) -> list[GradientEncoding]:
+def _windows(enc: GradientEncoding, symmetric: bool) -> tuple[GradientEncoding, ...]:
     """``enc``, and with ``symmetric`` the same encoding in the other window."""
     if not symmetric:
-        return [enc]
-    return [enc, replace(enc, shift="centered" if enc.shift == "unshifted" else "unshifted")]
+        return (enc,)
+    return enc, replace(enc, shift="centered" if enc.shift == "unshifted" else "unshifted")
 
 
 def _require_readout_range(bound: float, encodings) -> None:
@@ -160,6 +162,54 @@ def _read_slopes(families, columns: np.ndarray, encodings, identity_shift: float
     return np.mean(grads, axis=0) - identity_shift
 
 
+# The one direction whose ``held`` list holds families, weakly referenced: a caller that keeps
+# many directions and probes each then holds one oracle, not one per direction.
+_holder = None
+
+
+def _same_bits(a: np.ndarray, kept: np.ndarray) -> bool:
+    """Whether ``a`` holds exactly the bits of ``kept``, a C-contiguous copy."""
+    a = np.ascontiguousarray(a)
+    return a.dtype == kept.dtype and a.shape == kept.shape and np.array_equal(a.view(np.uint8),
+                                                                              kept.view(np.uint8))
+
+
+def _built_from(entry, x: np.ndarray, delta_matrix: np.ndarray, encodings) -> bool:
+    windows, kept_x, kept_delta, _ = entry
+    return windows == encodings and _same_bits(x, kept_x) and _same_bits(delta_matrix, kept_delta)
+
+
+def _probe_families(x, delta: PerturbationDirection, encodings) -> list:
+    """The dense families exp(i t (X + s Delta)), one per window of
+    ``encodings``, held on ``delta`` until it is released or another
+    direction's are built.
+
+    When ``delta`` holds families built from the same windows and from an X
+    and a Delta bitwise equal to these (compared against copies, since a
+    caller may change either in place), X is only validated and they are
+    reused: each family was checked when it was built, and its factors are
+    read-only.  Otherwise the held families, on ``delta`` or on the one other
+    direction that holds any, are released before the new ones are built,
+    so that two sets are never alive at once (in one thread; concurrent
+    callers may hold more, but never read an entry built from other inputs).
+    """
+    global _holder
+    x = np.asarray(x, dtype=complex)
+    held = delta.held[:]  # read once, so the entry checked is the entry returned
+    if held and _built_from(held[0], x, delta.matrix, encodings):
+        require_hermitian(x)
+        return held[0][3]
+    del held
+    holder = _holder() if _holder is not None else None
+    if holder is not None:
+        holder.held.clear()
+    delta.held.clear()
+    families = [evolution_family(x, delta, enc_w) for enc_w in encodings]
+    delta.held.append((encodings, x.copy(), delta.matrix.copy(), families))
+    _holder = weakref.ref(delta)
+    return families
+
+
 def eigenvalue_gradient_probes(x, vectors, delta: PerturbationDirection, enc: GradientEncoding,
                                identity_shift: float = 0.0, symmetric: bool = False) -> np.ndarray:
     """Probed directional eigenvalue derivatives, one per eigenvector column
@@ -171,11 +221,13 @@ def eigenvalue_gradient_probes(x, vectors, delta: PerturbationDirection, enc: Gr
     subtracts c, recovering the sign of slopes in [-c, c].  ``symmetric``
     averages the unshifted and centered deviation windows, which cancels the
     O(L) curvature term of the one-sided probe.  Raises AliasedReadout when
-    ||Delta||_2 + |c| exceeds a window's readout range.
+    ||Delta||_2 + |c| exceeds a window's readout range.  Consecutive calls on
+    the same X, Delta and windows build the families once (see
+    :func:`_probe_families`).
     """
     encodings = _windows(enc, symmetric)
     _require_readout_range(delta.spectral_norm() + abs(identity_shift), encodings)
-    families = [evolution_family(x, delta, enc_w) for enc_w in encodings]
+    families = _probe_families(x, delta, encodings)
     return _read_slopes(families, np.asarray(vectors, dtype=complex), encodings, identity_shift)
 
 
@@ -438,6 +490,23 @@ def _superposition_weights(x, phi):
     return dec, raw, scaled
 
 
+def _probe_scales(enc: GradientEncoding, n: int, *weights) -> list[float]:
+    """The probe scale max(W, SUPERPOSITION_ZOOM * max |w_p|) of each
+    superposition read, one per weight vector of ``weights``, on N = ``n``
+    eigenstates.  A read's phase is about max |w_p| / scale, so its rounding
+    (about 2 eps) puts a floor of N * scale * 2 eps in the total; at the
+    zoom scale that floor is a relative 2e4 * N * eps of max |w_p|.  Raises
+    RoundingFloor, before any circuit runs, when W sets a scale whose floor
+    exceeds SUPERPOSITION_ATOL, naming the largest W that meets it."""
+    eps = float(np.finfo(float).eps)
+    zooms = [SUPERPOSITION_ZOOM * float(np.max(np.abs(w))) for w in weights]
+    w_max = min(max(zoom, SUPERPOSITION_ATOL / (2.0 * eps * n)) for zoom in zooms)
+    if enc.W > w_max:
+        raise RoundingFloor(f"W = {enc.W:g} puts the superposition readout's rounding floor N * W * 2 eps = "
+                            f"{2.0 * eps * n * enc.W:.3g} above {SUPERPOSITION_ATOL:g}; use W <= {w_max:.4g}")
+    return [max(enc.W, zoom) for zoom in zooms]
+
+
 def sigma_qgld_expectation(x, phi, enc: GradientEncoding = GradientEncoding()) -> float:
     """Superposition pipeline: a single probe on the equal superposition of all
     eigenvectors, with the perturbation rescaled per eigenstate by 1/E_p.
@@ -455,7 +524,7 @@ def sigma_qgld_expectation(x, phi, enc: GradientEncoding = GradientEncoding()) -
     dec, _, weights = _superposition_weights(x, phi)
     if float(np.max(np.abs(weights))) == 0.0:
         return 0.0
-    w_run = max(enc.W, SUPERPOSITION_ZOOM * float(np.max(np.abs(weights))))
+    [w_run] = _probe_scales(enc, dec.dim, weights)
     family = _scaled_phase_family(weights, w_run)
     # V^dag psi for psi = sum_p |p> / sqrt(N): the uniform column of the eigenbasis
     uniform = np.full((dec.dim, 1), 1.0 / np.sqrt(dec.dim), dtype=complex)
@@ -481,8 +550,7 @@ def sampled_qgld(x, phi, n_samples: int, rng_seed: int,
         raise ValueError("n_samples must be >= 1")
     dec, raw, scaled = _superposition_weights(x, phi)
     n = dec.dim
-    w_num = max(enc.W, SUPERPOSITION_ZOOM * float(np.max(np.abs(scaled))))
-    w_den = max(enc.W, SUPERPOSITION_ZOOM * float(np.max(np.abs(raw))))
+    w_num, w_den = _probe_scales(enc, n, scaled, raw)
     family_num = _scaled_phase_family(scaled, w_num)
     family_den = _scaled_phase_family(raw, w_den)
 

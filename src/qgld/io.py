@@ -50,11 +50,19 @@ def format_number(x) -> str:
     return f"{float(x):.9g}"
 
 
+def _csv_field(value) -> str:
+    """A number through :func:`format_number`, or text, quoted as RFC 4180
+    asks when it holds a comma, a quote or a line break, quotes doubled."""
+    if isinstance(value, (int, float, np.floating, np.integer)):
+        return format_number(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(v) if isinstance(v, (int, float, np.floating, np.integer)) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(_csv_field, line)) + "\n" for line in [header, *rows])
 
 
 def render_json(payload: dict) -> str:

@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import eig_hermitian, eigen_residuals, orthonormalize_svd, relevance_order, require_hermitian
+from .linalg import (
+    RESIDUAL_COLUMNS,
+    eig_hermitian,
+    eigen_residuals,
+    orthonormalize_svd,
+    relevance_order,
+    require_hermitian,
+)
 
 BREAKDOWN_RTOL = 1e-10
 DGKS_ETA = 1 / np.sqrt(2)  # Daniel, Gragg, Kaufman & Stewart (1976)
@@ -45,8 +52,21 @@ class LanczosFactorization:
         return self.columns[:, :self.steps * self.block_size]
 
     def orthonormality_defect(self) -> float:
+        """||Q^dag Q - I||_F of the basis Q, from the tiles of RESIDUAL_COLUMNS
+        square on and above the diagonal of the hermitian Gram matrix (each
+        one above it counted twice), so that the largest temporary is one
+        conjugated block of RESIDUAL_COLUMNS columns."""
         q = self.basis()
-        return float(np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])))
+        width, total = q.shape[1], 0.0
+        for start in range(0, width, RESIDUAL_COLUMNS):
+            rows = q[:, start:start + RESIDUAL_COLUMNS].conj().T
+            for col in range(start, width, RESIDUAL_COLUMNS):
+                tile = rows @ q[:, col:col + RESIDUAL_COLUMNS]
+                if col == start:
+                    np.einsum("ii->i", tile)[...] -= 1.0
+                total += (1.0 if col == start else 2.0) * float(np.vdot(tile, tile).real)
+            del rows, tile  # before the next block's copy
+        return float(np.sqrt(total))
 
 
 @dataclass(frozen=True)

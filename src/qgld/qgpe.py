@@ -58,6 +58,8 @@ class PerturbationDirection:
     :func:`build_delta`); without it :meth:`spectral_norm` takes the SVD, once.
     Low-rank directions also carry ``factors`` F (N, r) and ``signs`` (r,) of
     +-1 with Delta = F diag(signs) F^dag; full-rank ``custom`` ones carry None.
+    ``held`` is the probe oracle that ``expectation.eigenvalue_gradient_probes``
+    last built along this direction, released with it (empty or one entry).
     """
 
     kind: str
@@ -65,6 +67,7 @@ class PerturbationDirection:
     exact_norm: float | None = None
     factors: np.ndarray | None = field(default=None, repr=False)
     signs: tuple | None = None
+    held: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @classmethod
     def from_factors(cls, factors, signs) -> "PerturbationDirection":

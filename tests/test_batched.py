@@ -1,6 +1,10 @@
 """The contracted probe readout against the gate-level reference circuit and
 per-column single-state circuits, and the validate-once contract of the
 controlled families."""
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,8 @@ from qgld import (
     ControlledFamily,
     FamilySizeMismatch,
     GradientEncoding,
+    AliasedReadout,
+    NonHermitianInput,
     NonUnitaryMember,
     NotInGroundRegister,
     PerturbationDirection,
@@ -88,15 +94,15 @@ class TestBatchedAgainstSingleCircuit:
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_probes_match_one_column_probes(self, rng, symmetric):
+        # each one-column probe runs along a new direction, so it builds its own family
         x = random_hermitian(rng, 8, indefinite=True)
-        delta = build_delta("element", 8, i=1, j=6)
         enc = GradientEncoding(L=1e-5)
         vectors = eig_hermitian(x).vectors
-        batched = eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0,
-                                             symmetric=symmetric)
+        batched = eigenvalue_gradient_probes(x, vectors, build_delta("element", 8, i=1, j=6), enc,
+                                             identity_shift=1.0, symmetric=symmetric)
         for p in range(8):
-            single = eigenvalue_gradient_probe(x, vectors[:, p], delta, enc, identity_shift=1.0,
-                                               symmetric=symmetric)
+            single = eigenvalue_gradient_probe(x, vectors[:, p], build_delta("element", 8, i=1, j=6), enc,
+                                               identity_shift=1.0, symmetric=symmetric)
             assert abs(batched[p] - single) <= 1e-12
 
     def test_chunked_columns_match_one_chunk(self, rng, monkeypatch):
@@ -144,6 +150,103 @@ def _family(builder, x, enc, rng):
     dec = eig_hermitian(x)
     [family] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc)])
     return family, delta.spectral_norm()
+
+
+def count_builds(monkeypatch) -> list:
+    """The dense families the probe functions build from here on, one entry each."""
+    builds, build = [], qgld.expectation.evolution_family
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(qgld.expectation, "evolution_family", counting)
+    return builds
+
+
+def fresh(delta: PerturbationDirection) -> PerturbationDirection:
+    """A direction equal to ``delta`` that holds no families."""
+    return PerturbationDirection(delta.kind, delta.matrix.copy(), delta.exact_norm)
+
+
+class TestProbeOracleReuse:
+    def test_one_column_loop_builds_one_family(self, rng, monkeypatch):
+        # many_small's probe: 32 one-column m = 4 centered probes on one (X, Delta, encoding)
+        x = random_hermitian(rng, 32, indefinite=True)
+        delta = build_delta("element", 32, i=3, j=17)
+        enc = GradientEncoding(m=4, shift="centered", W=2.0)
+        vectors = eig_hermitian(x).vectors
+        batched = eigenvalue_gradient_probes(x, vectors, fresh(delta), enc, identity_shift=1.0)
+        builds, checks, check = count_builds(monkeypatch), [], qgld.expectation.require_hermitian
+        monkeypatch.setattr(qgld.expectation, "require_hermitian", lambda a: checks.append(1) or check(a))
+        singles = [eigenvalue_gradient_probe(x, vectors[:, p], delta, enc, identity_shift=1.0) for p in range(32)]
+        assert len(builds) == 1
+        assert len(checks) == 31  # each reusing call still validates X
+        np.testing.assert_array_equal(singles, batched)
+
+    @pytest.mark.parametrize("change", ["x in place", "delta in place", "encoding", "symmetric", "direction"])
+    def test_rebuilt_after_a_change(self, rng, monkeypatch, change):
+        x = random_hermitian(rng, 8, indefinite=True)
+        vectors = eig_hermitian(x).vectors
+        delta, enc, symmetric = build_delta("element", 8, i=1, j=6), GradientEncoding(L=1e-5), False
+        builds = count_builds(monkeypatch)
+        eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0)
+        if change == "x in place":
+            x[2, 5] += 1e-3
+            x[5, 2] += 1e-3
+        elif change == "delta in place":
+            delta.matrix[1, 6] = delta.matrix[6, 1] = 0.5
+        elif change == "encoding":
+            enc = replace(enc, W=2.0)
+        elif change == "symmetric":
+            symmetric = True
+        else:
+            delta = build_delta("element", 8, i=0, j=3)
+        got = eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0, symmetric=symmetric)
+        assert len(builds) == (3 if symmetric else 2)
+        want = eigenvalue_gradient_probes(x.copy(), vectors, fresh(delta), enc, identity_shift=1.0,
+                                          symmetric=symmetric)
+        np.testing.assert_array_equal(got, want)
+
+    def test_one_direction_holds_families_until_released(self, rng):
+        x = random_hermitian(rng, 8)
+        vectors = eig_hermitian(x).vectors
+        first, second = build_delta("element", 8, i=1, j=6), build_delta("all_ones", 8)
+        eigenvalue_gradient_probes(x, vectors, first, GradientEncoding(L=1e-5), identity_shift=1.0)
+        assert len(first.held) == 1
+        eigenvalue_gradient_probes(x, vectors, second, GradientEncoding(L=1e-5, W=16.0), identity_shift=8.0)
+        assert first.held == [] and len(second.held) == 1
+        family = weakref.ref(second.held[0][-1][0])
+        del second
+        gc.collect()
+        assert family() is None
+
+    def test_a_failed_call_leaves_no_family_to_misread(self, rng, monkeypatch):
+        x = random_hermitian(rng, 8, indefinite=True)
+        vectors = eig_hermitian(x).vectors
+        delta, enc = build_delta("element", 8, i=1, j=6), GradientEncoding(L=1e-5)
+        want = eigenvalue_gradient_probes(x, vectors, fresh(delta), enc, identity_shift=1.0)
+        builds = count_builds(monkeypatch)
+        eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0)
+        # raised before any family is touched: the held ones still fit their inputs, and are reused
+        with pytest.raises(AliasedReadout):
+            eigenvalue_gradient_probes(x, vectors, delta, replace(enc, W=0.25), identity_shift=1.0)
+        np.testing.assert_array_equal(eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0), want)
+        assert len(builds) == 1
+        # the column checks still run on a reused family
+        with pytest.raises(UnnormalizedTarget):
+            eigenvalue_gradient_probes(x, 2 * vectors, delta, enc, identity_shift=1.0)
+        # a non-hermitian X releases the held families and holds none
+        entry = x[0, 1]
+        x[0, 1] += 1.0
+        with pytest.raises(NonHermitianInput):
+            eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0)
+        assert delta.held == []
+        with pytest.raises(NonHermitianInput):
+            eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0)
+        x[0, 1] = entry
+        np.testing.assert_array_equal(eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0), want)
+        assert len(builds) == 4
 
 
 class TestContractedAgainstReferenceCircuit:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -20,9 +22,7 @@ def run_cli(capsys, *argv):
 
 
 def parse_csv(text):
-    lines = text.strip().splitlines()
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
+    header, *rows = csv.reader(io.StringIO(text))
     return header, rows
 
 
@@ -117,6 +117,15 @@ class TestGradient:
         assert code == 2
         assert out == ""
         assert "--k" in err
+
+    def test_element_rows_read_as_csv(self, capsys):
+        # the delta_kind field element:0,1 was written unquoted: 9 fields under an 8-field header
+        code, out, _ = run_cli(capsys, "gradient", "--matrix", "random-spd:8:3", "--delta", "element:0,1")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert len(header) == 8 and len(rows) == 8
+        assert all(len(row) == 8 and row[2] == "element:0,1" for row in rows)
+        assert all(abs(float(row[5]) - float(row[6])) <= 1e-5 for row in rows)
 
     @pytest.mark.parametrize("k, rows", [("0", 8), ("3", 3), ("8", 8)])
     def test_k_selects_rows(self, capsys, k, rows):
@@ -308,6 +317,29 @@ class TestQgldCommand:
         assert code == 3
         assert out == ""
         assert "readout range" in err
+
+    # sigma exited 0 printing 0.66613 at W = 1e14, 0.0 at 1e200 and NaN at 1e308, and sampled 0.0 at
+    # 1e300 and 1e308 (classical 0.65602): the readout's rounding floor N * W * 2 eps
+    @pytest.mark.parametrize("mode", [("sigma",), ("sampled", "--shots", "16", "--seed", "1")])
+    @pytest.mark.parametrize("w", ["1e12", "1e200", "1e308"])
+    def test_rounding_floor_exits_3(self, capsys, mode, w):
+        code, out, err = run_cli(capsys, "qgld", "--matrix", "random-spd:8:1", "--phi", "uniform",
+                                 "--mode", *mode, "--W", w)
+        assert code == 3
+        assert out == ""
+        assert f"W = {float(w):g}" in err and "use W <= 5.629e+10" in err
+
+    @pytest.mark.parametrize("mode", [("sigma",), ("sampled", "--shots", "16", "--seed", "1")])
+    def test_rounding_floor_admits_w_below_it(self, capsys, mode):
+        # the floor 8 * 1e10 * 2 eps = 3.6e-5 meets 2e-4: the total matches the default-W run
+        totals = []
+        for w in ("1", "1e10"):
+            code, out, _ = run_cli(capsys, "qgld", "--matrix", "random-spd:8:1", "--phi", "uniform",
+                                   "--mode", *mode, "--W", w)
+            assert code == 0
+            payload = json.loads(out)
+            totals.append(payload["total" if mode[0] == "sigma" else "estimate"])
+        assert abs(totals[1] - totals[0]) <= 2e-4
 
     def test_singular_matrix_exit_code(self, capsys, tmp_path):
         path = tmp_path / "singular.json"

@@ -14,6 +14,7 @@ from qgld import (
     GradientEncoding,
     NonFiniteInput,
     NonHermitianInput,
+    RoundingFloor,
     RqblSource,
     UnnormalizedPhi,
     build_delta,
@@ -313,6 +314,25 @@ class TestSigmaQgld:
             per_eig = qgld_expectation(InverseExpectationRequest(x=x, phi=phi, k=n)).total
             superposed = sigma_qgld_expectation(x, phi)
             assert abs(superposed - per_eig) <= 2e-4
+
+    @pytest.mark.parametrize("pipeline", ["sigma", "sampled"])
+    def test_rounding_floor_bounds_w(self, pipeline):
+        # at N = 8 the floor 8 * W * 2 eps meets 2e-4 up to W = 5.6e10; beyond it the call raises
+        # before any circuit runs, where sigma read 0.65681 at W = 1e12 (classical 0.65602)
+        x, phi = random_spd(8, 1), np.full(8, 1 / np.sqrt(8))
+        want = classical_reference_expectation(x, phi)
+
+        def run(w):
+            enc = GradientEncoding(W=w)
+            return sigma_qgld_expectation(x, phi, enc) if pipeline == "sigma" else sampled_qgld(x, phi, 8, 1, enc)[0]
+
+        if pipeline == "sigma":
+            assert abs(run(1e10) - want) <= 2e-4
+        else:  # against the default-W estimate on the same draws
+            assert abs(run(1e10) - run(1.0)) <= 2e-4
+        for w in (1e12, 1e200, 1e308):
+            with pytest.raises(RoundingFloor, match="use W <= 5.629e"):
+                run(w)
 
     def test_indefinite_case(self, rng):
         x = random_hermitian(rng, 4, indefinite=True)

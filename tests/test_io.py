@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 
 from qgld.io import format_number, load_matrix, matrix_from_dict, render_csv
@@ -37,3 +40,10 @@ class TestCsv:
     def test_render(self):
         text = render_csv(["a", "b"], [[1, 0.5], ["x", 2.25]])
         assert text == "a,b\n1,0.5\nx,2.25\n"
+
+    def test_quotes_fields_that_hold_separators(self):
+        # RFC 4180: a field with a comma, a quote or a line break is quoted, its quotes doubled
+        rows = [["element:0,1", 1], ['say "hi"', 2], ["two\nlines", 3], ["plain", 4]]
+        text = render_csv(["text", "n"], rows)
+        assert text.splitlines()[1:3] == ['"element:0,1",1', '"say ""hi""",2']
+        assert list(csv.reader(io.StringIO(text))) == [["text", "n"]] + [[t, str(n)] for t, n in rows]

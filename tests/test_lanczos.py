@@ -185,6 +185,31 @@ class TestWorkingSet:
         assert peak <= 4 * n * n * np.dtype(complex).itemsize
 
 
+class TestOrthonormalityDefect:
+    @pytest.mark.parametrize("n, b, k", [(8, 1, None), (96, 3, 20), (256, 2, None)])
+    def test_matches_the_dense_formula(self, n, b, k):
+        fact = build_factorization(random_spd(n, 3), b, k, rng_seed=5)
+        q = fact.basis()
+        want = np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]))
+        assert abs(fact.orthonormality_defect() - want) <= 1e-14
+        # a basis off orthonormality reads its defect too
+        fact.columns[:, 0] *= 1.5
+        want = np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]))
+        assert abs(fact.orthonormality_defect() - want) <= 1e-14 * want
+
+    def test_transient_under_half_a_full_array(self):
+        # the conjugated copy, the Gram matrix, the identity and their difference peaked at 2.0 N x N
+        n = 256
+        fact = build_factorization(random_spd(n, 3), 2, None, rng_seed=5)
+        tracemalloc.start()
+        try:
+            fact.orthonormality_defect()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n * n * np.dtype(complex).itemsize
+
+
 class TestAssembleAndSolve:
     def test_full_block_is_exact(self, rng):
         x = rng.standard_normal((6, 6))

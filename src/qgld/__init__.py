@@ -25,7 +25,6 @@ from .linalg import (
     EigenDecomposition,
     eig_hermitian,
     inverse,
-    logdet_lu,
     low_rank_update_eigh,
     orthonormalize_svd,
     relevance_order,

@@ -162,82 +162,57 @@ def _read_slopes(families, columns: np.ndarray, encodings, identity_shift: float
     return np.mean(grads, axis=0) - identity_shift
 
 
-# The one direction whose ``held`` list holds families, weakly referenced: a caller that keeps
-# many directions and probes each then holds one oracle, not one per direction.
-_holder = None
+# The last probe oracle built: direction -> (encoding, copy of X, family), at most one entry,
+# released with its direction, so a caller that keeps many directions holds one family.
+_oracle = weakref.WeakKeyDictionary()
 
 
-def _same_bits(a: np.ndarray, kept: np.ndarray) -> bool:
-    """Whether ``a`` holds exactly the bits of ``kept``, a C-contiguous copy."""
-    a = np.ascontiguousarray(a)
-    return a.dtype == kept.dtype and a.shape == kept.shape and np.array_equal(a.view(np.uint8),
-                                                                              kept.view(np.uint8))
+def _probe_family(x, delta: PerturbationDirection, enc: GradientEncoding) -> sv.ControlledFamily:
+    """The dense family exp(i t (X + s Delta)) of ``enc``'s window.
 
-
-def _built_from(entry, x: np.ndarray, delta_matrix: np.ndarray, encodings) -> bool:
-    windows, kept_x, kept_delta, _ = entry
-    return windows == encodings and _same_bits(x, kept_x) and _same_bits(delta_matrix, kept_delta)
-
-
-def _probe_families(x, delta: PerturbationDirection, encodings) -> list:
-    """The dense families exp(i t (X + s Delta)), one per window of
-    ``encodings``, held on ``delta`` until it is released or another
-    direction's are built.
-
-    When ``delta`` holds families built from the same windows and from an X
-    and a Delta bitwise equal to these (compared against copies, since a
-    caller may change either in place), X is only validated and they are
-    reused: each family was checked when it was built, and its factors are
-    read-only.  Otherwise the held families, on ``delta`` or on the one other
-    direction that holds any, are released before the new ones are built,
-    so that two sets are never alive at once (in one thread; concurrent
-    callers may hold more, but never read an entry built from other inputs).
+    The last one built is reused when the call is along the same direction
+    (which cannot change), in an equal encoding, and on an X bitwise equal
+    to the copy it was built from and validated on (a caller may change X in
+    place): the family was checked when it was built, and its factors are
+    read-only.  Otherwise it is released before the build, so that two are
+    never alive at once (in one thread; concurrent callers may hold more,
+    but never read one built from other inputs).
     """
-    global _holder
-    x = np.asarray(x, dtype=complex)
-    held = delta.held[:]  # read once, so the entry checked is the entry returned
-    if held and _built_from(held[0], x, delta.matrix, encodings):
-        require_hermitian(x)
-        return held[0][3]
+    x = np.array(x, dtype=complex)  # a copy: the build validates it, and later calls compare against it
+    held = _oracle.get(delta)
+    if held is not None and held[0] == enc and held[1].shape == x.shape and held[1].tobytes() == x.tobytes():
+        return held[2]
     del held
-    holder = _holder() if _holder is not None else None
-    if holder is not None:
-        holder.held.clear()
-    delta.held.clear()
-    families = [evolution_family(x, delta, enc_w) for enc_w in encodings]
-    delta.held.append((encodings, x.copy(), delta.matrix.copy(), families))
-    _holder = weakref.ref(delta)
-    return families
+    _oracle.clear()
+    family = evolution_family(x, delta, enc)
+    _oracle[delta] = (enc, x, family)
+    return family
 
 
 def eigenvalue_gradient_probes(x, vectors, delta: PerturbationDirection, enc: GradientEncoding,
-                               identity_shift: float = 0.0, symmetric: bool = False) -> np.ndarray:
+                               identity_shift: float = 0.0) -> np.ndarray:
     """Probed directional eigenvalue derivatives, one per eigenvector column
-    of ``vectors`` (N, B), from one batched circuit per deviation window over
-    the dense family exp(i t (X + s Delta)).
+    of ``vectors`` (N, B), from one batched circuit over the dense family
+    exp(i t (X + s Delta)).
 
     Runs the circuits with the deviation register conditioned back on the
     prepared eigenvectors.  ``identity_shift`` c probes Delta + c*I and
-    subtracts c, recovering the sign of slopes in [-c, c].  ``symmetric``
-    averages the unshifted and centered deviation windows, which cancels the
-    O(L) curvature term of the one-sided probe.  Raises AliasedReadout when
-    ||Delta||_2 + |c| exceeds a window's readout range.  Consecutive calls on
-    the same X, Delta and windows build the families once (see
-    :func:`_probe_families`).
+    subtracts c, recovering the sign of slopes in [-c, c].  Raises
+    AliasedReadout when ||Delta||_2 + |c| exceeds the window's readout
+    range.  Consecutive calls on the same X, direction and encoding build
+    the family once (see :func:`_probe_family`).
     """
-    encodings = _windows(enc, symmetric)
-    _require_readout_range(delta.spectral_norm() + abs(identity_shift), encodings)
-    families = _probe_families(x, delta, encodings)
-    return _read_slopes(families, np.asarray(vectors, dtype=complex), encodings, identity_shift)
+    _require_readout_range(delta.spectral_norm() + abs(identity_shift), (enc,))
+    family = _probe_family(x, delta, enc)
+    return _read_slopes([family], np.asarray(vectors, dtype=complex), (enc,), identity_shift)
 
 
 def eigenvalue_gradient_probe(x, p_vec, delta: PerturbationDirection, enc: GradientEncoding,
-                              identity_shift: float = 0.0, symmetric: bool = False) -> float:
+                              identity_shift: float = 0.0) -> float:
     """Probed directional eigenvalue derivative for one eigenvector: the
     one-column case of :func:`eigenvalue_gradient_probes`."""
     columns = np.asarray(p_vec, dtype=complex)[:, None]
-    return float(eigenvalue_gradient_probes(x, columns, delta, enc, identity_shift=identity_shift,
-                                            symmetric=symmetric)[0])
+    return float(eigenvalue_gradient_probes(x, columns, delta, enc, identity_shift=identity_shift)[0])
 
 
 def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray, residuals: np.ndarray,

@@ -1,10 +1,9 @@
 """Dense complex linear algebra and the classical oracles used for cross-checking.
 
-Everything here is plain numpy on dense arrays, the LU oracles
-(``logdet_lu``, ``inverse``) included: their factorization is a blocked LU
-with LAPACK's pivot rule, written in numpy.  Matrices are ``np.ndarray`` of
-complex dtype; "hermitian" always means hermitian within
-``HERMITICITY_RTOL`` relative to the largest entry.
+Everything here is plain numpy on dense arrays, the LU oracle ``inverse``
+included: its pivot check is a blocked LU with LAPACK's pivot rule, written
+in numpy.  Matrices are ``np.ndarray`` of complex dtype; "hermitian" always
+means hermitian within ``HERMITICITY_RTOL`` relative to the largest entry.
 """
 from __future__ import annotations
 
@@ -45,18 +44,25 @@ def as_complex_matrix(a) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """max_ij |a_ij - conj(a_ji)|, the absolute deviation from hermiticity."""
-    return float(np.max(np.abs(a - a.conj().T)))
-
-
 def require_hermitian(a) -> np.ndarray:
+    """``a`` as :func:`as_complex_matrix` gives it, after checking that its
+    hermiticity defect max_ij |a_ij - conj(a_ji)| is at most
+    HERMITICITY_RTOL * max_ij |a_ij|; raises NonHermitianInput otherwise.
+    Both maxima are taken over the RESIDUAL_COLUMNS-square tiles on and
+    above the diagonal and their mirror tiles, so that the largest
+    temporary is one tile's copy, which the differences overwrite."""
     a = as_complex_matrix(a)
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-    if hermiticity_defect(a) > HERMITICITY_RTOL * scale:
-        raise NonHermitianInput(
-            f"hermiticity defect {hermiticity_defect(a):.3e} exceeds {HERMITICITY_RTOL:.1e} * {scale:.3e}"
-        )
+    n, step = a.shape[0], RESIDUAL_COLUMNS
+    defect, scale = 0.0, 1e-300
+    for start in range(0, n, step):
+        for col in range(start, n, step):
+            upper = a[start:start + step, col:col + step]
+            mirror = a[col:col + step, start:start + step].T.copy()
+            scale = max(scale, np.abs(upper).max(), np.abs(mirror).max())
+            np.subtract(upper, np.conjugate(mirror, out=mirror), out=mirror)
+            defect = max(defect, np.abs(mirror).max())
+    if defect > HERMITICITY_RTOL * scale:
+        raise NonHermitianInput(f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_RTOL:.1e} * {scale:.3e}")
     return a
 
 
@@ -335,20 +341,6 @@ def _lu_pivots(a: np.ndarray):
             f"LU pivot {np.min(np.abs(diag)):.3e} below {PIVOT_RTOL:.1e} * ||A||_F"
         )
     return piv, diag
-
-
-def logdet_lu(a) -> complex:
-    """log det A by LU factorization, imaginary part on the principal branch (-pi, pi]."""
-    a = as_complex_matrix(a)
-    piv, diag = _lu_pivots(a)
-    real = float(np.sum(np.log(np.abs(diag))))
-    # row swaps contribute a sign: permutation parity from the pivot list
-    swaps = int(np.sum(piv != np.arange(len(piv))))
-    phase = float(np.sum(np.angle(diag))) + np.pi * (swaps % 2)
-    phase = float(np.remainder(phase + np.pi, 2 * np.pi) - np.pi)
-    if phase == -np.pi:
-        phase = np.pi
-    return complex(real, phase)
 
 
 def inverse(a) -> np.ndarray:

@@ -50,7 +50,7 @@ FAMILY_ENTRIES = 1 << 23  # M * N^2 per family; see _require_family_size
 FLAT_PEAK_FLOOR = 0.4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationDirection:
     """Hermitian direction Delta selecting which entries of X are differentiated.
 
@@ -58,8 +58,12 @@ class PerturbationDirection:
     :func:`build_delta`); without it :meth:`spectral_norm` takes the SVD, once.
     Low-rank directions also carry ``factors`` F (N, r) and ``signs`` (r,) of
     +-1 with Delta = F diag(signs) F^dag; full-rank ``custom`` ones carry None.
-    ``held`` is the probe oracle that ``expectation.eigenvalue_gradient_probes``
-    last built along this direction, released with it (empty or one entry).
+
+    A direction is a value: it keeps read-only copies of ``matrix`` and
+    ``factors``, so a write to the caller's arrays leaves it unchanged and a
+    write to its own raises ValueError, and no write after construction can
+    leave its carried norm or factors stale.  Directions compare and hash by
+    identity.
     """
 
     kind: str
@@ -67,7 +71,13 @@ class PerturbationDirection:
     exact_norm: float | None = None
     factors: np.ndarray | None = field(default=None, repr=False)
     signs: tuple | None = None
-    held: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("matrix", "factors"):
+            if getattr(self, name) is not None:
+                own = np.array(getattr(self, name))  # a copy, so no caller array is aliased or frozen
+                own.flags.writeable = False
+                object.__setattr__(self, name, own)
 
     @classmethod
     def from_factors(cls, factors, signs) -> "PerturbationDirection":

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
@@ -92,17 +92,16 @@ class TestBatchedAgainstSingleCircuit:
             np.testing.assert_allclose(single, distribution, rtol=0, atol=1e-12)
             assert np.argmax(single) == np.argmax(distribution)
 
-    @pytest.mark.parametrize("symmetric", [False, True])
-    def test_probes_match_one_column_probes(self, rng, symmetric):
+    def test_probes_match_one_column_probes(self, rng):
         # each one-column probe runs along a new direction, so it builds its own family
         x = random_hermitian(rng, 8, indefinite=True)
         enc = GradientEncoding(L=1e-5)
         vectors = eig_hermitian(x).vectors
         batched = eigenvalue_gradient_probes(x, vectors, build_delta("element", 8, i=1, j=6), enc,
-                                             identity_shift=1.0, symmetric=symmetric)
+                                             identity_shift=1.0)
         for p in range(8):
             single = eigenvalue_gradient_probe(x, vectors[:, p], build_delta("element", 8, i=1, j=6), enc,
-                                               identity_shift=1.0, symmetric=symmetric)
+                                               identity_shift=1.0)
             assert abs(batched[p] - single) <= 1e-12
 
     def test_chunked_columns_match_one_chunk(self, rng, monkeypatch):
@@ -165,8 +164,16 @@ def count_builds(monkeypatch) -> list:
 
 
 def fresh(delta: PerturbationDirection) -> PerturbationDirection:
-    """A direction equal to ``delta`` that holds no families."""
-    return PerturbationDirection(delta.kind, delta.matrix.copy(), delta.exact_norm)
+    """Another direction with ``delta``'s matrix and norm, along which nothing is held."""
+    return PerturbationDirection(delta.kind, delta.matrix, delta.exact_norm)
+
+
+def count_checks(monkeypatch) -> list:
+    """The hermiticity checks the probe functions run from here on, one entry each."""
+    checks, check = [], qgld.linalg.require_hermitian
+    for module in (qgld.qgpe, qgld.expectation):
+        monkeypatch.setattr(module, "require_hermitian", lambda a: checks.append(1) or check(a))
+    return checks
 
 
 class TestProbeOracleReuse:
@@ -177,49 +184,60 @@ class TestProbeOracleReuse:
         enc = GradientEncoding(m=4, shift="centered", W=2.0)
         vectors = eig_hermitian(x).vectors
         batched = eigenvalue_gradient_probes(x, vectors, fresh(delta), enc, identity_shift=1.0)
-        builds, checks, check = count_builds(monkeypatch), [], qgld.expectation.require_hermitian
-        monkeypatch.setattr(qgld.expectation, "require_hermitian", lambda a: checks.append(1) or check(a))
+        builds, checks = count_builds(monkeypatch), count_checks(monkeypatch)
         singles = [eigenvalue_gradient_probe(x, vectors[:, p], delta, enc, identity_shift=1.0) for p in range(32)]
         assert len(builds) == 1
-        assert len(checks) == 31  # each reusing call still validates X
+        assert len(checks) == 1  # the build's: X bitwise equal to the copy it validated needs no other
         np.testing.assert_array_equal(singles, batched)
 
-    @pytest.mark.parametrize("change", ["x in place", "delta in place", "encoding", "symmetric", "direction"])
+    @pytest.mark.parametrize("change", ["x in place", "encoding", "direction"])
     def test_rebuilt_after_a_change(self, rng, monkeypatch, change):
         x = random_hermitian(rng, 8, indefinite=True)
         vectors = eig_hermitian(x).vectors
-        delta, enc, symmetric = build_delta("element", 8, i=1, j=6), GradientEncoding(L=1e-5), False
+        delta, enc = build_delta("element", 8, i=1, j=6), GradientEncoding(L=1e-5)
         builds = count_builds(monkeypatch)
         eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0)
         if change == "x in place":
             x[2, 5] += 1e-3
             x[5, 2] += 1e-3
-        elif change == "delta in place":
-            delta.matrix[1, 6] = delta.matrix[6, 1] = 0.5
         elif change == "encoding":
             enc = replace(enc, W=2.0)
-        elif change == "symmetric":
-            symmetric = True
         else:
             delta = build_delta("element", 8, i=0, j=3)
-        got = eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0, symmetric=symmetric)
-        assert len(builds) == (3 if symmetric else 2)
-        want = eigenvalue_gradient_probes(x.copy(), vectors, fresh(delta), enc, identity_shift=1.0,
-                                          symmetric=symmetric)
+        got = eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0)
+        assert len(builds) == 2
+        want = eigenvalue_gradient_probes(x.copy(), vectors, fresh(delta), enc, identity_shift=1.0)
         np.testing.assert_array_equal(got, want)
+
+    def test_a_direction_cannot_change_in_place(self, rng, monkeypatch):
+        # writing 50 into element:1,6 once left its carried norm and factors stale, so the
+        # readout-range check passed a probe that aliased; the write now raises, and the held
+        # family still fits its direction
+        x = random_hermitian(rng, 8, indefinite=True)
+        vectors = eig_hermitian(x).vectors
+        delta, enc = build_delta("element", 8, i=1, j=6), GradientEncoding(L=1e-5)
+        builds = count_builds(monkeypatch)
+        want = eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            delta.matrix[1, 6] = delta.matrix[6, 1] = 50.0
+        with pytest.raises(ValueError, match="read-only"):
+            delta.factors[1, 0] = 50.0
+        np.testing.assert_array_equal(eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0), want)
+        assert len(builds) == 1
 
     def test_one_direction_holds_families_until_released(self, rng):
         x = random_hermitian(rng, 8)
         vectors = eig_hermitian(x).vectors
         first, second = build_delta("element", 8, i=1, j=6), build_delta("all_ones", 8)
         eigenvalue_gradient_probes(x, vectors, first, GradientEncoding(L=1e-5), identity_shift=1.0)
-        assert len(first.held) == 1
+        assert list(qgld.expectation._oracle) == [first]
         eigenvalue_gradient_probes(x, vectors, second, GradientEncoding(L=1e-5, W=16.0), identity_shift=8.0)
-        assert first.held == [] and len(second.held) == 1
-        family = weakref.ref(second.held[0][-1][0])
+        assert list(qgld.expectation._oracle) == [second]
+        family = weakref.ref(qgld.expectation._oracle[second][-1])
         del second
         gc.collect()
         assert family() is None
+        assert len(qgld.expectation._oracle) == 0
 
     def test_a_failed_call_leaves_no_family_to_misread(self, rng, monkeypatch):
         x = random_hermitian(rng, 8, indefinite=True)
@@ -228,7 +246,7 @@ class TestProbeOracleReuse:
         want = eigenvalue_gradient_probes(x, vectors, fresh(delta), enc, identity_shift=1.0)
         builds = count_builds(monkeypatch)
         eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0)
-        # raised before any family is touched: the held ones still fit their inputs, and are reused
+        # raised before any family is touched: the held one still fits its inputs, and is reused
         with pytest.raises(AliasedReadout):
             eigenvalue_gradient_probes(x, vectors, delta, replace(enc, W=0.25), identity_shift=1.0)
         np.testing.assert_array_equal(eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0), want)
@@ -236,12 +254,12 @@ class TestProbeOracleReuse:
         # the column checks still run on a reused family
         with pytest.raises(UnnormalizedTarget):
             eigenvalue_gradient_probes(x, 2 * vectors, delta, enc, identity_shift=1.0)
-        # a non-hermitian X releases the held families and holds none
+        # a non-hermitian X releases the held family and holds none
         entry = x[0, 1]
         x[0, 1] += 1.0
         with pytest.raises(NonHermitianInput):
             eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0)
-        assert delta.held == []
+        assert len(qgld.expectation._oracle) == 0
         with pytest.raises(NonHermitianInput):
             eigenvalue_gradient_probes(x, vectors, delta, enc, identity_shift=1.0)
         x[0, 1] = entry
@@ -261,6 +279,12 @@ class TestContractedAgainstReferenceCircuit:
         quarter_wave=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # two draws whose random columns have a small conditioning weight w (4.0e-5 in the first): off by
+    # 2.15e-14 and 1.58e-14, against the fixed atol of 1e-14 this test once had
+    @example(n_qubits=4, m=1, shift="unshifted", builder="dense", identity_shift=False, unit_columns=False,
+             quarter_wave=False, seed=1060962)
+    @example(n_qubits=5, m=1, shift="unshifted", builder="eigenbasis-2", identity_shift=False, unit_columns=False,
+             quarter_wave=False, seed=5444)
     def test_distributions_equal_reference(self, n_qubits, m, shift, builder, identity_shift, unit_columns,
                                            quarter_wave, seed):
         # every builder's family read by the contracted readout, on unit or random columns, equals
@@ -292,7 +316,11 @@ class TestContractedAgainstReferenceCircuit:
             phases = quarter if phases is None else quarter * phases[:, None]
         got = probe_distributions(family, columns, deviation_phases=phases)
         want = reference_distributions(family, columns, phases)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        # Each distribution is normalized by its column's conditioning weight w = sum_eps |a_eps|^2 / M
+        # (Parseval, with |phi_eps| = 1), so p ~ |a|^2 / w and an amplitude rounding da moves p by about
+        # da / sqrt(w): the bound is 1e-14 / sqrt(w) per column, 1e-14 at w ~ 1 (eigenvector columns).
+        weight = np.sum(np.abs(family.amplitudes(columns)) ** 2, axis=0) / len(family)
+        assert np.all(np.abs(got - want) <= 1e-14 / np.sqrt(weight))
 
 
 # sigma_x = H diag(1, -1) H, kept as its factors

@@ -524,10 +524,12 @@ class TestReadoutRange:
     def test_bound_beyond_range_raises_before_any_circuit(self, no_circuit, m, shift, symmetric, w_limit):
         # sigma-z, all-ones, shift c = ||Delta||_2 = 2: slopes up to 4, read up to w_limit * pi * W
         w = 4.0 / (w_limit * np.pi) * 0.99
-        enc = GradientEncoding(W=w, m=m, shift=shift)
+        enc, delta = GradientEncoding(W=w, m=m, shift=shift), build_delta("all_ones", 2)
         with pytest.raises(AliasedReadout, match="readout range"):
-            eigenvalue_gradient_probes(SIGMA_Z, np.eye(2), build_delta("all_ones", 2), enc,
-                                       identity_shift=2.0, symmetric=symmetric)
+            if symmetric:  # both windows are read on the log-det path, which shifts by ||Delta||_2 too
+                logdet_directional_derivatives(SIGMA_Z, [delta], 2, enc, symmetric=True)
+            else:
+                eigenvalue_gradient_probes(SIGMA_Z, np.eye(2), delta, enc, identity_shift=2.0)
 
     @pytest.mark.parametrize("m, shift, w_limit", [(1, "unshifted", 1.0), (2, "unshifted", 2.0)])
     def test_bound_inside_range_reads(self, m, shift, w_limit):

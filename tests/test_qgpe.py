@@ -108,6 +108,27 @@ class TestBuildDelta:
             svd = float(np.linalg.norm(delta.matrix, ord=2))
             assert abs(delta.spectral_norm() - svd) <= 8 * n * np.finfo(float).eps * svd
 
+    def test_directions_are_read_only_values(self, rng):
+        # outer once kept a view of the caller's phi, from_factors of its factors and a direct
+        # construction its matrix, and any of them could be written in place under the norm and
+        # factors the direction carried; == raised on the arrays
+        phi, matrix = random_state(rng, 4), random_hermitian(rng, 4, indefinite=True).astype(complex)
+        factors = np.stack([random_state(rng, 4), random_state(rng, 4)], axis=1)
+        directions = [build_delta("outer", 4, phi=phi), PerturbationDirection.from_factors(factors, (1.0, -1.0)),
+                      PerturbationDirection("custom", matrix), build_delta("element", 4, i=1, j=2)]
+        built = [(d.matrix.copy(), d.factors.copy() if d.factors is not None else None) for d in directions]
+        phi[:], matrix[:], factors[:] = 0.0, 0.0, 0.0
+        for delta, (want_matrix, want_factors) in zip(directions, built):
+            np.testing.assert_array_equal(delta.matrix, want_matrix)
+            with pytest.raises(ValueError, match="read-only"):
+                delta.matrix[0, 0] = 1.0
+            if want_factors is not None:
+                np.testing.assert_array_equal(delta.factors, want_factors)
+                with pytest.raises(ValueError, match="read-only"):
+                    delta.factors[0, 0] = 1.0
+        assert directions[3] == directions[3] and directions[3] != build_delta("element", 4, i=1, j=2)
+        assert len({*directions, *directions}) == 4
+
 
 class TestFromFactors:
     @pytest.mark.parametrize("factors, signs", [

@@ -52,6 +52,7 @@ PSEUDO_INVERSE_RTOL = 1e-10
 EIGEN_RESIDUAL_RTOL = 1e-6
 SUPERPOSITION_ZOOM = 1e4
 SUPERPOSITION_ATOL = 2e-4  # the superposition total's promised accuracy
+ROUNDING_RTOL = 1e-4  # a probe's rounding floor against its slope bound; see _require_readable
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +132,19 @@ class InverseExpectationReport:
 # ---------------------------------------------------------------------------
 # probes
 
-def _windows(enc: GradientEncoding, symmetric: bool) -> tuple[GradientEncoding, ...]:
-    """``enc``, and with ``symmetric`` the same encoding in the other window."""
-    if not symmetric:
-        return (enc,)
-    return enc, replace(enc, shift="centered" if enc.shift == "unshifted" else "unshifted")
-
-
-def _require_readout_range(bound: float, encodings) -> None:
-    """Raise AliasedReadout, before any circuit runs, when ``bound`` on the
-    probed |slope| (||Delta||_2 + |c|) exceeds a window's readout range."""
+def _require_readable(bound: float, encodings, x_norm: float | None = None) -> None:
+    """Raise, before any circuit runs, when a window cannot read slopes up to
+    ``bound`` = ||Delta||_2 + |c|: AliasedReadout beyond its readout range,
+    and RoundingFloor when rounding alone costs a slope more than
+    ROUNDING_RTOL * ``bound``.  At m = 1, p0 = cos^2(phase / 2) rounds to 1
+    below a phase of sqrt(2 eps): a floor of sqrt(2 eps) W.  A dense family
+    (``x_norm`` ~ ||X||_2 given) adds s Delta to X, so its phases t lambda,
+    t = M / (W L), carry eps t ||X||_2, which the read scales by W: a floor of
+    M eps ||X||_2 / L.  The tolerance is relative since slopes scale with
+    Delta; at a bound of 1 it is the 1e-4 accuracy asked of totals and
+    log-det entries, and it admits W up to 4700 * bound.  A zero direction
+    reads exactly 0 (every member is the s = 0 one), so it has no floor."""
+    eps, tol = float(np.finfo(float).eps), ROUNDING_RTOL * bound
     for enc in encodings:
         if bound > enc.readout_range():
             scale = enc.readout_range() / enc.W
@@ -148,6 +152,16 @@ def _require_readout_range(bound: float, encodings) -> None:
                 f"slopes up to ||Delta||_2 + |c| = {bound:.4g} exceed the {enc.shift} window's readout "
                 f"range {enc.readout_range():.4g} at W = {enc.W:g}, m = {enc.m}; use W >= {bound / scale:.4g}"
             )
+        floor = np.sqrt(2.0 * eps) * enc.W if enc.m == 1 else 0.0
+        if 0.0 < tol < floor:
+            raise RoundingFloor(f"W = {enc.W:g} puts the m = 1 read's rounding floor sqrt(2 eps) W = {floor:.3g} "
+                                f"above {ROUNDING_RTOL:g} * (||Delta||_2 + |c|) = {tol:.3g}; "
+                                f"use W <= {enc.W * tol / floor:.4g}")
+        floor = enc.deviation_dim * eps * x_norm / enc.L if x_norm is not None else 0.0
+        if 0.0 < tol < floor:
+            raise RoundingFloor(f"L = {enc.L:g} puts the dense family's rounding floor M eps ||X||_2 / L = "
+                                f"{floor:.3g} above {ROUNDING_RTOL:g} * (||Delta||_2 + |c|) = {tol:.3g}; "
+                                f"use L >= {enc.L * floor / tol:.4g}")
 
 
 def _read_slopes(families, columns: np.ndarray, encodings, identity_shift: float) -> np.ndarray:
@@ -199,11 +213,15 @@ def eigenvalue_gradient_probes(x, vectors, delta: PerturbationDirection, enc: Gr
     prepared eigenvectors.  ``identity_shift`` c probes Delta + c*I and
     subtracts c, recovering the sign of slopes in [-c, c].  Raises
     AliasedReadout when ||Delta||_2 + |c| exceeds the window's readout
-    range.  Consecutive calls on the same X, direction and encoding build
-    the family once (see :func:`_probe_family`).
+    range, and RoundingFloor when W or L puts its rounding floor above
+    ROUNDING_RTOL of that bound (L's once X is validated).  Consecutive calls
+    on the same X, direction and encoding build the family once (see
+    :func:`_probe_family`).
     """
-    _require_readout_range(delta.spectral_norm() + abs(identity_shift), (enc,))
-    family = _probe_family(x, delta, enc)
+    bound = delta.spectral_norm() + abs(identity_shift)
+    _require_readable(bound, (enc,))
+    family = _probe_family(x, delta, enc)  # which validates x
+    _require_readable(bound, (enc,), float(np.linalg.norm(x)))  # ||X||_F >= ||X||_2
     return _read_slopes([family], np.asarray(vectors, dtype=complex), (enc,), identity_shift)
 
 
@@ -226,62 +244,39 @@ def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray, re
     Delta's internal eigendirections, so probing an unadapted basis vector
     reads a phase mixture.  Standard degenerate perturbation theory:
     diagonalizing the restriction of Delta fixes the basis the probes need.
-    Returns rotated vectors and residuals, recomputed for rotated columns only.
+    Returns rotated vectors and residuals, recomputed for rotated columns
+    only, in copies; with no cluster it returns ``vectors`` and ``residuals``
+    themselves, so callers must not write to what it returns.
     """
     tol = max(1e-8 * float(np.linalg.norm(x)), 4.0 * l_value * delta_norm)
-    vectors, residuals = vectors.copy(), np.array(residuals, dtype=float)
     order = np.argsort(values, kind="stable")
-    start = 0
-    sorted_values = values[order]
-    while start < len(order):
-        stop = start + 1
-        while stop < len(order) and sorted_values[stop] - sorted_values[stop - 1] <= tol:
-            stop += 1
-        if stop - start > 1:
-            idx = order[start:stop]
+    apart = np.diff(values[order]) > tol
+    if apart.all():
+        return vectors, residuals
+    vectors, residuals = vectors.copy(), np.array(residuals, dtype=float)
+    for idx in np.split(order, np.flatnonzero(apart) + 1):
+        if len(idx) > 1:
             basis = vectors[:, idx]
             restricted = basis.conj().T @ delta_matrix @ basis
             _, rot = np.linalg.eigh((restricted + restricted.conj().T) / 2)
             vectors[:, idx] = basis @ rot
             residuals[idx] = eigen_residuals(x, values[idx], vectors[:, idx])
-        start = stop
     return vectors, residuals
-
-
-def _relevant_eigenpairs(x, k: int, eigensource):
-    """Eigenpairs and their residuals from ``eigensource``, the indices of the
-    k most relevant (``relevance_order``) and the eigenvalues skipped under
-    the pseudo-inverse threshold.  Raises when k is outside [1, pairs
-    resolved], and when a used pair's eigen-residual exceeds
-    EIGEN_RESIDUAL_RTOL * ||X||_F, since its probe would read a wrong slope."""
-    values, vectors, residuals = eigensource.resolve(x)
-    if not 1 <= k <= len(values):
-        raise ValueError(f"k = {k} outside [1, {len(values)}], the eigenpairs resolved")
-    x_norm = float(np.linalg.norm(x))
-    order = relevance_order(values)[:k]
-    threshold = PSEUDO_INVERSE_RTOL * max(x_norm, 1e-300)
-    used = [int(i) for i in order if abs(values[i]) > threshold]
-    skipped = [float(values[i]) for i in order if abs(values[i]) <= threshold]
-    if not used:
-        raise NearZeroEigenvalue("every requested eigenvalue is below the pseudo-inverse threshold")
-    bad = [i for i in used if residuals[i] > EIGEN_RESIDUAL_RTOL * x_norm]
-    if bad:
-        raise ValueError(
-            f"eigensource residual {max(residuals[i] for i in bad):.3e} exceeds "
-            f"{EIGEN_RESIDUAL_RTOL:.0e} * ||X||_F; increase Lanczos steps"
-        )
-    return values, vectors, residuals, used, skipped
 
 
 def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool = False):
     """The one resolve-then-probe path of the log-det queries: validates X
     (in the eigenpair source's resolve) and resolves its k most relevant
-    eigenpairs once, then per (direction, encoding) pair of ``probes`` adapts
-    degenerate clusters and probes the used pairs, unshifted for outer(phi)
-    (slopes |<p|phi>|^2 >= 0) and shifted by ||Delta||_2 otherwise.  Every
-    readout range is checked before any circuit runs.  Returns the used
-    eigenvalues (|E| descending), the skipped ones and, per pair, (slopes,
-    adapted residuals, sum_p deltaE_p / E_p summed in |E| order).
+    (``relevance_order``) eigenpairs once, then per (direction, encoding)
+    pair of ``probes`` adapts degenerate clusters and probes the used pairs,
+    unshifted for outer(phi) (slopes |<p|phi>|^2 >= 0) and shifted by
+    ||Delta||_2 otherwise.  The rank, each used pair's eigen-residual
+    (EIGEN_RESIDUAL_RTOL * ||X||_F, else its probe would read a wrong slope)
+    and every direction, readout range and rounding floor are checked before
+    any circuit runs.  Returns arrays: the used eigenvalues (|E| descending),
+    the skipped ones (a list), and per probe a row of the (probes, used)
+    slopes deltaE_p and adapted residuals, and the totals sum_p deltaE_p / E_p
+    as a running sum in |E| order.
 
     With a DenseSource, a direction that carries factors is probed in the
     eigenbasis V of the resolve: each used eigenvector is a unit column, and
@@ -294,45 +289,57 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool =
     vectors.
     """
     x = np.asarray(x, dtype=complex)  # validated by the resolve, before any other use
-    values, vectors, resolved_residuals, used, skipped = _relevant_eigenpairs(x, k, eigensource)
-    used_values = [float(values[i]) for i in used]
+    values, vectors, resolved_residuals = eigensource.resolve(x)
+    if not 1 <= k <= len(values):
+        raise ValueError(f"k = {k} outside [1, {len(values)}], the eigenpairs resolved")
+    x_norm = float(np.linalg.norm(x))
+    order = relevance_order(values)[:k]
+    kept = np.abs(values[order]) > PSEUDO_INVERSE_RTOL * max(x_norm, 1e-300)
+    used, skipped = order[kept], values[order[~kept]].tolist()
+    if not used.size:
+        raise NearZeroEigenvalue("every requested eigenvalue is below the pseudo-inverse threshold")
+    worst = float(np.max(resolved_residuals[used]))
+    if worst > EIGEN_RESIDUAL_RTOL * x_norm:
+        raise ValueError(f"eigensource residual {worst:.3e} exceeds {EIGEN_RESIDUAL_RTOL:.0e} * ||X||_F; "
+                         f"increase Lanczos steps")
     # one pass checks, adapts and keeps what the circuits need; they all run after it
-    plans, dense, residuals = [], [], []  # per probe: (windows, shift), dense-family job or None
+    plans, residuals = [], []  # per probe: (windows, shift, dense-family job or None)
     in_eigenbasis = {}  # signs -> [(probe index, coupling V^dag F)]
     for j, (delta, enc) in enumerate(probes):
+        if not isinstance(delta, PerturbationDirection):
+            raise TypeError(f"direction {j} is a {type(delta).__name__}, not a PerturbationDirection; "
+                            f"wrap a hermitian matrix as build_delta(\"custom\", n, matrix=...)")
+        if delta.dim != len(x):
+            raise ValueError(f"direction {j} has dimension {delta.dim}, expected {len(x)}")
         norm = delta.spectral_norm()
         shift = 0.0 if delta.kind == "outer" else norm
-        encodings = _windows(enc, symmetric)
-        _require_readout_range(norm + shift, encodings)
-        plans.append((encodings, shift))
+        encodings = ((enc, replace(enc, shift="centered" if enc.shift == "unshifted" else "unshifted"))
+                     if symmetric else (enc,))
+        factored = delta.factors is not None and isinstance(eigensource, DenseSource)
+        # ||X||_2 for a dense family: the resolve's largest |E| (for Ritz pairs, the Lanczos estimate)
+        _require_readable(norm + shift, encodings, None if factored else float(np.max(np.abs(values))))
         adapted, adapted_residuals = adapt_degenerate_eigenvectors(x, values, vectors, resolved_residuals,
                                                                    delta.matrix, enc.L, norm)
-        residuals.append([float(adapted_residuals[i]) for i in used])
-        if delta.factors is not None and isinstance(eigensource, DenseSource):
+        residuals.append(adapted_residuals[used])
+        if factored:
             in_eigenbasis.setdefault(delta.signs, []).append((j, (delta.factors.conj().T @ adapted).conj().T))
-            dense.append(None)
-        else:
-            dense.append((adapted[:, used], delta))
+        plans.append((encodings, shift, None if factored else (adapted[:, used], delta)))
         del adapted  # only the used columns or the couplings outlive the pass
 
-    slopes = [None if job is None else
-              _read_slopes([evolution_family(x, job[1], enc_w) for enc_w in encodings], job[0], encodings, shift)
-              for job, (encodings, shift) in zip(dense, plans)]
+    slopes = np.empty((len(plans), len(used)))
+    for j, (encodings, shift, job) in enumerate(plans):
+        if job is not None:
+            slopes[j] = _read_slopes([evolution_family(x, job[1], e) for e in encodings], job[0], encodings, shift)
     columns = np.eye(len(values), dtype=complex)[:, used]
     for signs, couplings in in_eigenbasis.items():
         families = eigenbasis_families(values, signs, [(coupling, enc_w)
                                                        for j, coupling in couplings for enc_w in plans[j][0]])
         for j, _ in couplings:
-            encodings, shift = plans[j]
+            encodings, shift, _ = plans[j]
             slopes[j] = _read_slopes([next(families) for _ in encodings], columns, encodings, shift)
-
-    probed = []
-    for slope, residual in zip(slopes, residuals):
-        total = 0.0
-        for value, s in zip(used_values, slope.tolist()):
-            total += s / value
-        probed.append((slope.tolist(), residual, total))
-    return used_values, skipped, probed
+    # + 0.0: a sum from 0.0, as a loop would give it, so a zero total is never -0.0
+    totals = np.cumsum(slopes / values[used], axis=1)[:, -1] + 0.0
+    return values[used], skipped, slopes, np.reshape(residuals, slopes.shape), totals
 
 
 def qgld_expectation_sweep(request: InverseExpectationRequest, l_values,
@@ -350,19 +357,19 @@ def qgld_expectation_sweep(request: InverseExpectationRequest, l_values,
     phi = np.asarray(request.phi, dtype=complex)
     outer = build_delta("outer", len(phi), phi=phi)
     encodings = [replace(request.enc, L=float(l_value)) for l_value in l_values]
-    values, skipped, probed = _probe_relevant_eigenpairs(
+    values, skipped, slopes, residuals, totals = _probe_relevant_eigenpairs(
         request.x, [(outer, enc) for enc in encodings], request.k, request.eigensource)
     reference = classical_reference_expectation(request.x, phi) if with_classical_reference else None
     return [
         InverseExpectationReport(
             contributions=tuple(EigenContribution(eigenvalue=e, delta_e=s, value=s / e)
-                                for e, s in zip(values, slopes)),
+                                for e, s in zip(values.tolist(), row)),
             total=total,
             classical_reference=reference,
-            residuals=tuple(residuals),
+            residuals=tuple(row_residuals),
             skipped=tuple(skipped),
         )
-        for slopes, residuals, total in probed
+        for row, row_residuals, total in zip(slopes.tolist(), residuals.tolist(), totals.tolist())
     ]
 
 
@@ -378,22 +385,14 @@ def logdet_directional_derivatives(x, deltas, k: int, enc: GradientEncoding = Gr
                                    eigensource: DenseSource | RqblSource = DenseSource(),
                                    symmetric: bool = False) -> list[float]:
     """Directional derivatives d/ds log det(X + s*Delta) at s = 0 along each
-    direction of the iterable ``deltas`` (hermitian matrices, or
-    PerturbationDirections, whose factors let a dense resolve probe them in
-    the eigenbasis), taken one at a time, read as sum_p deltaE_p / E_p over
-    the k most relevant eigenpairs of one eigendecomposition.  At k = N and
-    L -> 0 each converges to tr(X^-1 Delta)."""
-    n = as_complex_matrix(x).shape[0]
-
-    def direction(delta):
-        if not isinstance(delta, PerturbationDirection):
-            return build_delta("custom", n, matrix=delta)
-        if delta.dim != n:
-            raise ValueError(f"direction has dimension {delta.dim}, expected {n}")
-        return delta
-
-    probes = ((direction(delta), enc) for delta in deltas)
-    return [total for _, _, total in _probe_relevant_eigenpairs(x, probes, k, eigensource, symmetric)[2]]
+    PerturbationDirection of the iterable ``deltas`` (whose factors let a
+    dense resolve probe it in the eigenbasis), read as sum_p deltaE_p / E_p
+    over the k most relevant eigenpairs of one eigendecomposition.  At k = N
+    and L -> 0 each converges to tr(X^-1 Delta).  Raises TypeError for a
+    direction that is not a PerturbationDirection (wrap a hermitian matrix
+    with ``build_delta("custom", ...)``)."""
+    probes = ((delta, enc) for delta in deltas)
+    return _probe_relevant_eigenpairs(x, probes, k, eigensource, symmetric)[4].tolist()
 
 
 def logdet_gradient_entry(x, i: int, j: int, k: int, enc: GradientEncoding = GradientEncoding(),

@@ -341,6 +341,23 @@ class TestQgldCommand:
             totals.append(payload["total" if mode[0] == "sigma" else "estimate"])
         assert abs(totals[1] - totals[0]) <= 2e-4
 
+    # both exited 0: W = 1e300 printed -1 for the +1 eigenvector (the m = 1 read's floor sqrt(2 eps) W),
+    # and L = 1e-300 printed -2.2e-16 for both eigenvectors (the dense family's floor M eps ||X||_2 / L)
+    @pytest.mark.parametrize("flag,value,hint", [("--W", "1e300", "use W <= 9491"),
+                                                 ("--L", "1e-300", "use L >= 3.14e-12")])
+    def test_probe_rounding_floor_exits_3(self, capsys, flag, value, hint):
+        code, out, err = run_cli(capsys, "gradient", "--matrix", "sigma-x", flag, value)
+        assert code == 3
+        assert out == ""
+        assert f"{flag[2:]} = {float(value):g} puts" in err and hint in err
+
+    def test_probe_rounding_floor_admits_the_named_values(self, capsys):
+        for flag, value in (("--W", "9400"), ("--L", "3.2e-12")):
+            code, out, _ = run_cli(capsys, "gradient", "--matrix", "sigma-x", flag, value)
+            assert code == 0
+            _, rows = parse_csv(out)
+            assert [abs(float(row[5]) - float(row[6])) <= 2e-4 for row in rows] == [True, True]
+
     def test_singular_matrix_exit_code(self, capsys, tmp_path):
         path = tmp_path / "singular.json"
         write_matrix(path, np.ones((2, 2)))

@@ -14,6 +14,7 @@ from qgld import (
     GradientEncoding,
     NonFiniteInput,
     NonHermitianInput,
+    PerturbationDirection,
     RoundingFloor,
     RqblSource,
     UnnormalizedPhi,
@@ -25,6 +26,7 @@ from qgld import (
     logdet_gradient_entry,
     probe_distributions,
     qgld_expectation,
+    qgld_expectation_sweep,
     sampled_qgld,
     sigma_qgld_expectation,
 )
@@ -90,13 +92,20 @@ class TestLogdetDirectionalDerivative:
         gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         delta = gauss + gauss.conj().T
         delta *= norm / np.linalg.norm(delta, ord=2)
-        got = logdet_directional_derivatives(x, [delta], n)[0]
+        got = logdet_directional_derivatives(x, [build_delta("custom", n, matrix=delta)], n)[0]
         want = np.trace(np.linalg.inv(x) @ delta).real
         assert abs(got - want) <= 1e-4
 
     def test_rejects_non_hermitian_direction(self):
         with pytest.raises(NonHermitianInput):
-            logdet_directional_derivatives(SIGMA_Z, [np.array([[0.0, 1.0], [0.0, 0.0]])], 2)
+            logdet_directional_derivatives(SIGMA_Z, [build_delta("custom", 2, matrix=[[0.0, 1.0], [0.0, 0.0]])], 2)
+        # a bare matrix is not a direction: the core takes PerturbationDirections only
+        with pytest.raises(TypeError, match=r'build_delta\("custom", n, matrix=...\)'):
+            logdet_directional_derivatives(SIGMA_Z, [np.eye(2)], 2)
+
+    def test_rejects_direction_of_another_dimension(self):
+        with pytest.raises(ValueError, match="direction 0 has dimension 4, expected 2"):
+            logdet_directional_derivatives(SIGMA_Z, [build_delta("element", 4, i=0, j=1)], 2)
 
     def test_batch_equals_one_direction_calls(self, rng):
         for n, symmetric in ((2, False), (4, True), (8, False)):
@@ -107,9 +116,27 @@ class TestLogdetDirectionalDerivative:
                 deltas.append(gauss + gauss.conj().T)
             deltas.append(np.outer(np.eye(n)[0], np.ones(n)) + np.outer(np.ones(n), np.eye(n)[0]))
             # unit spectral norm keeps every shifted slope inside the W = 1 readout range
-            deltas = [d / np.linalg.norm(d, ord=2) for d in deltas]
+            deltas = [build_delta("custom", n, matrix=d / np.linalg.norm(d, ord=2)) for d in deltas]
             batch = logdet_directional_derivatives(x, iter(deltas), n, symmetric=symmetric)
             assert batch == [logdet_directional_derivatives(x, [d], n, symmetric=symmetric)[0] for d in deltas]
+        # every kind of direction in one call, on both branches of the core (eigenbasis families for
+        # factored directions on a dense resolve, the dense family otherwise) and both sources
+        n = 8
+        x = random_hermitian(rng, n)
+        gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        factors = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) / 4
+        deltas = [
+            build_delta("element", n, i=2, j=2),
+            build_delta("element", n, i=1, j=6),
+            build_delta("outer", n, phi=random_state(rng, n)),
+            PerturbationDirection.from_factors(factors, (1.0, -1.0)),
+            build_delta("custom", n, matrix=(gauss + gauss.conj().T) / np.linalg.norm(gauss + gauss.conj().T, 2)),
+        ]
+        for source in (DenseSource(), RqblSource(b=2, seed=1)):
+            for symmetric in (False, True):
+                batch = logdet_directional_derivatives(x, deltas, n, eigensource=source, symmetric=symmetric)
+                assert batch == [logdet_directional_derivatives(x, [d], n, eigensource=source,
+                                                                symmetric=symmetric)[0] for d in deltas]
 
     def test_batch_resolves_once(self, rng, monkeypatch):
         calls = []
@@ -121,7 +148,8 @@ class TestLogdetDirectionalDerivative:
 
         monkeypatch.setattr(DenseSource, "resolve", counting)
         x = random_hermitian(rng, 4, indefinite=True)
-        logdet_directional_derivatives(x, [np.eye(4), x, np.ones((4, 4)) / 4], 4)
+        deltas = [build_delta("custom", 4, matrix=m) for m in (np.eye(4), x, np.ones((4, 4)) / 4)]
+        logdet_directional_derivatives(x, deltas, 4)
         assert len(calls) == 1
 
 
@@ -206,6 +234,22 @@ class TestQgldExpectation:
             "contributions", "total", "classical_reference", "residuals",
             "skipped_eigenvalues",
         }
+
+    def test_total_is_the_loop_sum_of_contributions(self, rng):
+        # the core sums deltaE_p / E_p as one running sum in |E| order; the loop below is its
+        # reference, bit for bit, including the sign of a zero total (all slopes 0 on E < 0)
+        requests = [InverseExpectationRequest(x=random_hermitian(rng, 8, indefinite=True), phi=random_state(rng, 8),
+                                              k=k) for k in (8, 5)]
+        requests.append(InverseExpectationRequest(x=np.diag([-4.0, 1.0, 2.0, 3.0]).astype(complex),
+                                                  phi=np.eye(4, dtype=complex)[1], k=1))
+        for request in requests:
+            for report in qgld_expectation_sweep(request, [1e-3, 1e-6]):
+                total = 0.0
+                for c in report.contributions:
+                    assert c.value == c.delta_e / c.eigenvalue
+                    total += c.delta_e / c.eigenvalue
+                assert (report.total, np.copysign(1.0, report.total)) == (total, np.copysign(1.0, total))
+        assert report.contributions[0].value == 0.0 and np.copysign(1.0, report.total) == 1.0
 
     def test_rank_truncation_error_bound(self, rng):
         # spectrum 2^-i: truncation error bounded by the classically computed tail
@@ -602,3 +646,15 @@ class TestAdaptDegenerateEigenvectors:
         for cluster in ([0, 1, 2], [4, 5]):
             block = vectors[:, cluster].conj().T @ delta @ vectors[:, cluster]
             np.testing.assert_allclose(block, np.diag(np.diag(block)), atol=1e-12)
+        # the caller's arrays are left as they were
+        np.testing.assert_array_equal(passed, np.arange(1, 9) * 1e-3)
+        np.testing.assert_array_equal(dec.vectors, eig_hermitian(x).vectors)
+
+    def test_no_cluster_returns_its_inputs(self, rng):
+        # every gap above the reach: nothing rotates, so nothing is copied or recomputed
+        x = random_hermitian(rng, 8)
+        dec = eig_hermitian(x)
+        passed = np.arange(1, 9) * 1e-3
+        vectors, residuals = adapt_degenerate_eigenvectors(x, dec.values, dec.vectors, passed,
+                                                           random_hermitian(rng, 8), 1e-6, 1.0)
+        assert vectors is dec.vectors and residuals is passed

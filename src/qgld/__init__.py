@@ -51,7 +51,6 @@ from .lanczos import (
 )
 from .expectation import (
     DenseSource,
-    EigenContribution,
     adapt_degenerate_eigenvectors,
     InverseExpectationReport,
     InverseExpectationRequest,

@@ -34,7 +34,6 @@ from .linalg import (
     eigen_residuals,
     inverse,
     relevance_order,
-    require_hermitian,
 )
 from .qgpe import (
     GradientEncoding,
@@ -86,45 +85,33 @@ class RqblSource:
 
 @dataclass(frozen=True)
 class InverseExpectationRequest:
+    """Inputs of the per-eigenvector pipeline, as given: the call checks them, before any circuit runs."""
+
     x: np.ndarray
     phi: np.ndarray
     k: int
     enc: GradientEncoding = GradientEncoding()
     eigensource: DenseSource | RqblSource = DenseSource()
 
-    def __post_init__(self):
-        x = require_hermitian(self.x)
-        if not 1 <= self.k <= x.shape[0]:
-            raise ValueError(f"k = {self.k} outside [1, {x.shape[0]}]")
-        require_unit_weight_vector(self.phi, x.shape[0])
 
-
-@dataclass(frozen=True)
-class EigenContribution:
-    """One eigenvalue's share: raw probed gradient and its 1/E_p weighted value."""
-
-    eigenvalue: float
-    delta_e: float
-    value: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InverseExpectationReport:
-    contributions: tuple
+    """One L's read: E_p, deltaE_p and residuals of the used pairs (|E| descending), read-only, and the total."""
+
+    eigenvalues: np.ndarray
+    slopes: np.ndarray
+    residuals: np.ndarray
     total: float
     classical_reference: float | None
-    residuals: tuple
     skipped: tuple = ()
 
     def to_dict(self) -> dict:
         return {
-            "contributions": [
-                {"E_p": c.eigenvalue, "deltaE_p": c.delta_e, "Yp": c.value}
-                for c in self.contributions
-            ],
+            "contributions": [{"E_p": e, "deltaE_p": s, "Yp": s / e}
+                              for e, s in zip(self.eigenvalues.tolist(), self.slopes.tolist())],
             "total": self.total,
             "classical_reference": self.classical_reference,
-            "residuals": list(self.residuals),
+            "residuals": self.residuals.tolist(),
             "skipped_eigenvalues": list(self.skipped),
         }
 
@@ -138,12 +125,15 @@ def _require_readable(bound: float, encodings, x_norm: float | None = None) -> N
     and RoundingFloor when rounding alone costs a slope more than
     ROUNDING_RTOL * ``bound``.  At m = 1, p0 = cos^2(phase / 2) rounds to 1
     below a phase of sqrt(2 eps): a floor of sqrt(2 eps) W.  A dense family
-    (``x_norm`` ~ ||X||_2 given) adds s Delta to X, so its phases t lambda,
-    t = M / (W L), carry eps t ||X||_2, which the read scales by W: a floor of
-    M eps ||X||_2 / L.  The tolerance is relative since slopes scale with
-    Delta; at a bound of 1 it is the 1e-4 accuracy asked of totals and
-    log-det entries, and it admits W up to 4700 * bound.  A zero direction
-    reads exactly 0 (every member is the s = 0 one), so it has no floor."""
+    (``x_norm`` = ||X||_F given) adds s Delta to X, so its phases t lambda,
+    t = M / (W L), carry the eigensolver's rounding, which the read scales
+    by W: a floor of M eps ||X||_F / L.  ||X||_F, since that rounding grows
+    with N: at 1.05 times the floor with ||X||_2, a dense element (0, 1)
+    total on random-spd:N:1 read 1.2e-4, 4.0e-4 and 6.7e-4 off at N = 64,
+    128 and 256.  The tolerance is relative since slopes scale with Delta; at
+    a bound of 1 it is the 1e-4 accuracy asked of totals and log-det entries,
+    and it admits W up to 4700 * bound.  A zero direction reads exactly 0
+    (every member is the s = 0 one), so it has no floor."""
     eps, tol = float(np.finfo(float).eps), ROUNDING_RTOL * bound
     for enc in encodings:
         if bound > enc.readout_range():
@@ -159,7 +149,7 @@ def _require_readable(bound: float, encodings, x_norm: float | None = None) -> N
                                 f"use W <= {enc.W * tol / floor:.4g}")
         floor = enc.deviation_dim * eps * x_norm / enc.L if x_norm is not None else 0.0
         if 0.0 < tol < floor:
-            raise RoundingFloor(f"L = {enc.L:g} puts the dense family's rounding floor M eps ||X||_2 / L = "
+            raise RoundingFloor(f"L = {enc.L:g} puts the dense family's rounding floor M eps ||X||_F / L = "
                                 f"{floor:.3g} above {ROUNDING_RTOL:g} * (||Delta||_2 + |c|) = {tol:.3g}; "
                                 f"use L >= {enc.L * floor / tol:.4g}")
 
@@ -316,8 +306,7 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool =
         encodings = ((enc, replace(enc, shift="centered" if enc.shift == "unshifted" else "unshifted"))
                      if symmetric else (enc,))
         factored = delta.factors is not None and isinstance(eigensource, DenseSource)
-        # ||X||_2 for a dense family: the resolve's largest |E| (for Ritz pairs, the Lanczos estimate)
-        _require_readable(norm + shift, encodings, None if factored else float(np.max(np.abs(values))))
+        _require_readable(norm + shift, encodings, None if factored else x_norm)
         adapted, adapted_residuals = adapt_degenerate_eigenvectors(x, values, vectors, resolved_residuals,
                                                                    delta.matrix, enc.L, norm)
         residuals.append(adapted_residuals[used])
@@ -354,30 +343,25 @@ def qgld_expectation_sweep(request: InverseExpectationRequest, l_values,
     so the magnitude readout is already signed; eigenvalue signs enter through
     the classical 1/E_p weights.
     """
-    phi = np.asarray(request.phi, dtype=complex)
-    outer = build_delta("outer", len(phi), phi=phi)
     encodings = [replace(request.enc, L=float(l_value)) for l_value in l_values]
+
+    def probes():  # read after the core checks X and k, so phi is checked (and named) on X's dimension
+        outer = build_delta("outer", len(request.x), phi=request.phi)
+        yield from ((outer, enc) for enc in encodings)
+
     values, skipped, slopes, residuals, totals = _probe_relevant_eigenpairs(
-        request.x, [(outer, enc) for enc in encodings], request.k, request.eigensource)
-    reference = classical_reference_expectation(request.x, phi) if with_classical_reference else None
-    return [
-        InverseExpectationReport(
-            contributions=tuple(EigenContribution(eigenvalue=e, delta_e=s, value=s / e)
-                                for e, s in zip(values.tolist(), row)),
-            total=total,
-            classical_reference=reference,
-            residuals=tuple(row_residuals),
-            skipped=tuple(skipped),
-        )
-        for row, row_residuals, total in zip(slopes.tolist(), residuals.tolist(), totals.tolist())
-    ]
+        request.x, probes(), request.k, request.eigensource)
+    reference = classical_reference_expectation(request.x, request.phi) if with_classical_reference else None
+    for array in (values, slopes, residuals):
+        array.flags.writeable = False  # so that no report can alter another's rows
+    return [InverseExpectationReport(values, row, row_residuals, total, reference, tuple(skipped))
+            for row, row_residuals, total in zip(slopes, residuals, totals.tolist())]
 
 
 def qgld_expectation(request: InverseExpectationRequest,
                      with_classical_reference: bool = False) -> InverseExpectationReport:
-    """Per-eigenvector pipeline: one probe per relevant eigenpair with the
-    outer-product direction of phi, accumulated as sum_p deltaE_p / E_p; the
-    one-L case of :func:`qgld_expectation_sweep`."""
+    """Per-eigenvector pipeline, sum_p deltaE_p / E_p along the outer-product
+    direction of phi: the one-L case of :func:`qgld_expectation_sweep`."""
     return qgld_expectation_sweep(request, [request.enc.L], with_classical_reference)[0]
 
 
@@ -406,9 +390,8 @@ def logdet_gradient_entry(x, i: int, j: int, k: int, enc: GradientEncoding = Gra
 
 def classical_reference_expectation(x, phi) -> float:
     """Ground truth <phi| X^-1 |phi> through the LU inverse."""
-    x = np.asarray(x, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
-    value = complex(phi.conj() @ inverse(x) @ phi)
+    value = complex(phi.conj() @ inverse(x) @ phi)  # inverse validates x
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
         raise ValueError(f"expectation has imaginary part {value.imag:.3e}")
     return float(value.real)

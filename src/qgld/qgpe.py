@@ -57,7 +57,8 @@ class PerturbationDirection:
     ``exact_norm`` is ||Delta||_2 where the construction fixes it (see
     :func:`build_delta`); without it :meth:`spectral_norm` takes the SVD, once.
     Low-rank directions also carry ``factors`` F (N, r) and ``signs`` (r,) of
-    +-1 with Delta = F diag(signs) F^dag; full-rank ``custom`` ones carry None.
+    +-1 with Delta = F diag(signs) F^dag; full-rank ``custom`` ones carry None
+    and check their matrix (NonHermitianInput), which they keep symmetrized.
 
     A direction is a value: it keeps read-only copies of ``matrix`` and
     ``factors``, so a write to the caller's arrays leaves it unchanged and a
@@ -73,6 +74,9 @@ class PerturbationDirection:
     signs: tuple | None = None
 
     def __post_init__(self):
+        if self.factors is None:  # the matrix is all there is, so it is checked and symmetrized here
+            mat = require_hermitian(self.matrix)
+            object.__setattr__(self, "matrix", (mat + mat.conj().T) / 2)
         for name in ("matrix", "factors"):
             if getattr(self, name) is not None:
                 own = np.array(getattr(self, name))  # a copy, so no caller array is aliased or frozen
@@ -156,10 +160,9 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
     elif kind == "custom":
         if matrix is None:
             raise ValueError("custom direction needs a matrix")
-        mat = require_hermitian(matrix)
+        mat = np.asarray(matrix, dtype=complex)  # checked and symmetrized by the direction
         if mat.shape != (n, n):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({n}, {n})")
-        mat = (mat + mat.conj().T) / 2
         norm, factors, signs = None, None, None
     else:
         raise ValueError(f"unknown direction kind {kind!r}; choose from {DELTA_KINDS}")

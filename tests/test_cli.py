@@ -275,7 +275,8 @@ class TestQgldCommand:
                            for l_value, r in zip(l_values, single)])
         assert out == want
         request = InverseExpectationRequest(x=x, phi=phi, k=8)
-        assert qgld_expectation_sweep(request, l_values, with_classical_reference=True) == single
+        swept = qgld_expectation_sweep(request, l_values, with_classical_reference=True)
+        assert [r.to_dict() for r in swept] == [r.to_dict() for r in single]
 
     @pytest.mark.parametrize("mode", ["sigma", "sampled"])
     # --L and --m were echoed into the JSON while L = 1e-6, m = 1 ran
@@ -342,7 +343,7 @@ class TestQgldCommand:
         assert abs(totals[1] - totals[0]) <= 2e-4
 
     # both exited 0: W = 1e300 printed -1 for the +1 eigenvector (the m = 1 read's floor sqrt(2 eps) W),
-    # and L = 1e-300 printed -2.2e-16 for both eigenvectors (the dense family's floor M eps ||X||_2 / L)
+    # and L = 1e-300 printed -2.2e-16 for both eigenvectors (the dense family's floor M eps ||X||_F / L)
     @pytest.mark.parametrize("flag,value,hint", [("--W", "1e300", "use W <= 9491"),
                                                  ("--L", "1e-300", "use L >= 3.14e-12")])
     def test_probe_rounding_floor_exits_3(self, capsys, flag, value, hint):
@@ -357,6 +358,15 @@ class TestQgldCommand:
             assert code == 0
             _, rows = parse_csv(out)
             assert [abs(float(row[5]) - float(row[6])) <= 2e-4 for row in rows] == [True, True]
+
+    # exited 0 printing 0.1031348 against 0.1033027: the Ritz pairs' dense family floor was taken with
+    # the largest |E|, ||X||_2, which underestimates the eigensolver's rounding at N = 128
+    def test_lanczos_sourced_rounding_floor_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "qgld", "--matrix", "random-spd:128:1", "--phi", "uniform", "--b", "4",
+                                 "--seed", "1", "--L", "2.4e-10")
+        assert code == 3
+        assert out == ""
+        assert "M eps ||X||_F / L" in err and "use L >= 1.504e-09" in err
 
     def test_singular_matrix_exit_code(self, capsys, tmp_path):
         path = tmp_path / "singular.json"

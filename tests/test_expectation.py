@@ -103,6 +103,22 @@ class TestLogdetDirectionalDerivative:
         with pytest.raises(TypeError, match=r'build_delta\("custom", n, matrix=...\)'):
             logdet_directional_derivatives(SIGMA_Z, [np.eye(2)], 2)
 
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_dense_family_floor_holds_at_large_n(self, n):
+        # at 1.05 times the floor taken with ||X||_2 (M = 2, slope bound ||Delta||_2 + c = 2), a dense
+        # element(0, 1) direction read 2 Re (X^-1)_01 1.2e-4, 4.0e-4 and 6.7e-4 off at N = 64, 128 and
+        # 256; the floor is taken with ||X||_F, and an L it admits must read within 1e-4
+        x = random_spd(n, 1)
+        element = np.zeros((n, n))
+        element[0, 1] = element[1, 0] = 1.0
+        enc = GradientEncoding(L=1.05 * 2 * np.finfo(float).eps * np.linalg.norm(x, 2) / (1e-4 * 2.0))
+        try:
+            [got] = logdet_directional_derivatives(x, [build_delta("custom", n, matrix=element)], n, enc)
+        except RoundingFloor as refused:
+            assert "M eps ||X||_F / L" in str(refused)
+        else:
+            assert abs(got - 2.0 * np.linalg.inv(x)[0, 1].real) <= 1e-4
+
     def test_rejects_direction_of_another_dimension(self):
         with pytest.raises(ValueError, match="direction 0 has dimension 4, expected 2"):
             logdet_directional_derivatives(SIGMA_Z, [build_delta("element", 4, i=0, j=1)], 2)
@@ -220,20 +236,23 @@ class TestQgldExpectation:
         x = random_spd_pow2(rng, 4)
         phi = random_state(rng, 4)
         report = qgld_expectation(InverseExpectationRequest(x=x, phi=phi, k=3))
-        assert len(report.contributions) == 3
-        for c in report.contributions:
-            assert c.value == pytest.approx(c.delta_e / c.eigenvalue, abs=1e-15)
-            assert c.delta_e >= 0.0  # outer-product direction slopes are nonnegative
-        assert report.total == pytest.approx(sum(c.value for c in report.contributions))
+        assert report.eigenvalues.shape == report.slopes.shape == report.residuals.shape == (3,)
+        assert np.all(report.slopes >= 0.0)  # outer-product direction slopes are nonnegative
+        assert report.total == pytest.approx(float(np.sum(report.slopes / report.eigenvalues)))
         # most relevant first
-        magnitudes = [abs(c.eigenvalue) for c in report.contributions]
+        magnitudes = np.abs(report.eigenvalues).tolist()
         assert magnitudes == sorted(magnitudes, reverse=True)
         assert max(report.residuals) <= 1e-6 * np.linalg.norm(x)
+        for array in (report.eigenvalues, report.slopes, report.residuals):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
         dump = report.to_dict()
         assert set(dump) == {
             "contributions", "total", "classical_reference", "residuals",
             "skipped_eigenvalues",
         }
+        for c in dump["contributions"]:
+            assert c["Yp"] == pytest.approx(c["deltaE_p"] / c["E_p"], abs=1e-15)
 
     def test_total_is_the_loop_sum_of_contributions(self, rng):
         # the core sums deltaE_p / E_p as one running sum in |E| order; the loop below is its
@@ -244,12 +263,13 @@ class TestQgldExpectation:
                                                   phi=np.eye(4, dtype=complex)[1], k=1))
         for request in requests:
             for report in qgld_expectation_sweep(request, [1e-3, 1e-6]):
-                total = 0.0
-                for c in report.contributions:
-                    assert c.value == c.delta_e / c.eigenvalue
-                    total += c.delta_e / c.eigenvalue
+                total, values = 0.0, []
+                for e, s in zip(report.eigenvalues.tolist(), report.slopes.tolist()):
+                    values.append(s / e)
+                    total += s / e
+                assert [c["Yp"] for c in report.to_dict()["contributions"]] == values
                 assert (report.total, np.copysign(1.0, report.total)) == (total, np.copysign(1.0, total))
-        assert report.contributions[0].value == 0.0 and np.copysign(1.0, report.total) == 1.0
+        assert values[0] == 0.0 and np.copysign(1.0, report.total) == 1.0
 
     def test_rank_truncation_error_bound(self, rng):
         # spectrum 2^-i: truncation error bounded by the classically computed tail
@@ -316,9 +336,10 @@ class TestQgldExpectation:
         report = qgld_expectation(InverseExpectationRequest(x=x, phi=phi, k=4))
         vals, vecs = np.linalg.eigh(x)
         order = np.argsort(-np.abs(vals))
-        for c, p in zip(report.contributions, order):
+        assert len(report.slopes) == 4
+        for slope, p in zip(report.slopes, order):
             overlap = abs(vecs[:, p].conj() @ phi) ** 2
-            assert abs(c.delta_e - overlap) <= 1e-5
+            assert abs(slope - overlap) <= 1e-5
 
 
 class TestClassicalReference:
@@ -550,14 +571,15 @@ def test_clustered_spectrum_keeps_relative_precision():
         assert abs(qgld_expectation(request).total / want - 1.0) <= 1e-6
 
 
+@pytest.fixture
+def no_circuit(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a circuit ran")
+
+    monkeypatch.setattr(qgld.expectation, "probe_distributions", fail)
+
+
 class TestReadoutRange:
-    @pytest.fixture
-    def no_circuit(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a circuit ran")
-
-        monkeypatch.setattr(qgld.expectation, "probe_distributions", fail)
-
     @pytest.mark.parametrize("m, shift, symmetric, w_limit", [
         (1, "unshifted", False, 1.0),
         (1, "centered", False, 1.0),
@@ -591,15 +613,28 @@ class TestReadoutRange:
 
 
 class TestRequestValidation:
-    def test_k_bounds(self, rng):
+    # a request is plain data: the call checks it, before any circuit runs
+    def test_k_bounds(self, rng, no_circuit):
         x = random_spd_pow2(rng, 4)
-        with pytest.raises(ValueError):
-            InverseExpectationRequest(x=x, phi=random_state(rng, 4), k=5)
+        for k in (0, 5):
+            request = InverseExpectationRequest(x=x, phi=random_state(rng, 4), k=k)
+            with pytest.raises(ValueError, match=f"k = {k} outside"):
+                qgld_expectation(request)
 
-    def test_phi_normalization(self, rng):
+    def test_phi_normalization(self, rng, no_circuit):
         x = random_spd_pow2(rng, 4)
+        request = InverseExpectationRequest(x=x, phi=np.ones(4), k=2)
         with pytest.raises(UnnormalizedPhi):
-            InverseExpectationRequest(x=x, phi=np.ones(4), k=2)
+            qgld_expectation(request)
+
+    @pytest.mark.parametrize("x, phi, error, match", [
+        (np.triu(np.ones((4, 4))), np.ones(4) / 2, NonHermitianInput, "hermiticity"),
+        (np.eye(4), np.ones(3) / np.sqrt(3), ValueError, r"phi has shape \(3,\), expected \(4,\)"),
+    ])
+    def test_x_and_phi_are_named_by_the_call(self, no_circuit, x, phi, error, match):
+        request = InverseExpectationRequest(x=x, phi=phi, k=2)
+        with pytest.raises(error, match=match):
+            qgld_expectation(request)
 
     PIPELINES = {
         "outer": lambda x, phi: build_delta("outer", 4, phi=phi),

@@ -8,6 +8,7 @@ from qgld import (
     GradientEncoding,
     IndexOutOfRange,
     NonFiniteInput,
+    NonHermitianInput,
     PerturbationDirection,
     ProbabilityOutOfRange,
     UnnormalizedPhi,
@@ -107,6 +108,21 @@ class TestBuildDelta:
             np.testing.assert_allclose(rebuilt, delta.matrix, rtol=0, atol=8 * n * np.finfo(float).eps)
             svd = float(np.linalg.norm(delta.matrix, ord=2))
             assert abs(delta.spectral_norm() - svd) <= 8 * n * np.finfo(float).eps * svd
+
+    def test_a_direction_without_factors_checks_its_matrix(self, rng):
+        # D[0, 1] = 1 alone was accepted, and the log-det core then read -8.1e-16 along it on
+        # random_spd(4, 1), where tr(X^-1 D) = 0.0071 - 0.110i
+        d = np.zeros((4, 4))
+        d[0, 1] = 1.0
+        with pytest.raises(NonHermitianInput, match="hermiticity defect"):
+            PerturbationDirection("custom", d)
+        with pytest.raises(NonFiniteInput):
+            PerturbationDirection("custom", np.full((2, 2), np.nan))
+        # within the tolerance the matrix is kept symmetrized
+        near = random_hermitian(rng, 4, indefinite=True) + 1e-15 * rng.standard_normal((4, 4))
+        delta = PerturbationDirection("custom", near)
+        np.testing.assert_array_equal(delta.matrix, delta.matrix.conj().T)
+        np.testing.assert_array_equal(delta.matrix, build_delta("custom", 4, matrix=near).matrix)
 
     def test_directions_are_read_only_values(self, rng):
         # outer once kept a view of the caller's phi, from_factors of its factors and a direct

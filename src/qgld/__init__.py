@@ -43,7 +43,6 @@ from .lanczos import (
     LanczosFactorization,
     RitzSolution,
     assemble_and_solve,
-    assemble_block_tridiagonal,
     build_factorization,
     rqbl_init,
     rqbl_step,

@@ -141,7 +141,7 @@ def cmd_gradient(args) -> str:
     dec = eig_hermitian(x)
     selected = relevance_order(dec.values)[:args.k or n]
     grads = eigenvalue_gradient_probes(x, dec.vectors[:, selected], delta, enc,
-                                       identity_shift=delta.spectral_norm())
+                                       identity_shift=delta.norm)
     x_norm = float(np.linalg.norm(x))
     rows = []
     for p, grad in zip(selected, grads.tolist()):

@@ -208,7 +208,7 @@ def eigenvalue_gradient_probes(x, vectors, delta: PerturbationDirection, enc: Gr
     on the same X, direction and encoding build the family once (see
     :func:`_probe_family`).
     """
-    bound = delta.spectral_norm() + abs(identity_shift)
+    bound = delta.norm + abs(identity_shift)
     _require_readable(bound, (enc,))
     family = _probe_family(x, delta, enc)  # which validates x
     _require_readable(bound, (enc,), float(np.linalg.norm(x)))  # ||X||_F >= ||X||_2
@@ -224,21 +224,20 @@ def eigenvalue_gradient_probe(x, p_vec, delta: PerturbationDirection, enc: Gradi
 
 
 def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray, residuals: np.ndarray,
-                                  delta_matrix: np.ndarray, l_value: float,
-                                  delta_norm: float) -> tuple[np.ndarray, np.ndarray]:
+                                  delta: PerturbationDirection, l_value: float) -> tuple[np.ndarray, np.ndarray]:
     """Rotate eigenvector clusters so Delta is diagonal inside each degenerate
     (or nearly degenerate at the probe scale) eigenspace.
 
     Within a cluster whose internal gaps are below the perturbation reach
-    ~L*||Delta||_2 (``delta_norm``), the perturbed eigenvectors re-sort along
-    Delta's internal eigendirections, so probing an unadapted basis vector
-    reads a phase mixture.  Standard degenerate perturbation theory:
-    diagonalizing the restriction of Delta fixes the basis the probes need.
-    Returns rotated vectors and residuals, recomputed for rotated columns
-    only, in copies; with no cluster it returns ``vectors`` and ``residuals``
-    themselves, so callers must not write to what it returns.
+    ~L*||Delta||_2, the perturbed eigenvectors re-sort along Delta's internal
+    eigendirections, so probing an unadapted basis vector reads a phase
+    mixture.  Standard degenerate perturbation theory: diagonalizing the
+    restriction of Delta fixes the basis the probes need.  Returns rotated
+    vectors and residuals, recomputed for rotated columns only, in copies;
+    with no cluster it returns ``vectors`` and ``residuals`` themselves, so
+    callers must not write to what it returns.
     """
-    tol = max(1e-8 * float(np.linalg.norm(x)), 4.0 * l_value * delta_norm)
+    tol = max(1e-8 * float(np.linalg.norm(x)), 4.0 * l_value * delta.norm)
     order = np.argsort(values, kind="stable")
     apart = np.diff(values[order]) > tol
     if apart.all():
@@ -247,7 +246,7 @@ def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray, re
     for idx in np.split(order, np.flatnonzero(apart) + 1):
         if len(idx) > 1:
             basis = vectors[:, idx]
-            restricted = basis.conj().T @ delta_matrix @ basis
+            restricted = basis.conj().T @ delta.matrix @ basis
             _, rot = np.linalg.eigh((restricted + restricted.conj().T) / 2)
             vectors[:, idx] = basis @ rot
             residuals[idx] = eigen_residuals(x, values[idx], vectors[:, idx])
@@ -301,14 +300,13 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool =
                             f"wrap a hermitian matrix as build_delta(\"custom\", n, matrix=...)")
         if delta.dim != len(x):
             raise ValueError(f"direction {j} has dimension {delta.dim}, expected {len(x)}")
-        norm = delta.spectral_norm()
-        shift = 0.0 if delta.kind == "outer" else norm
+        shift = 0.0 if delta.kind == "outer" else delta.norm
         encodings = ((enc, replace(enc, shift="centered" if enc.shift == "unshifted" else "unshifted"))
                      if symmetric else (enc,))
         factored = delta.factors is not None and isinstance(eigensource, DenseSource)
-        _require_readable(norm + shift, encodings, None if factored else x_norm)
+        _require_readable(delta.norm + shift, encodings, None if factored else x_norm)
         adapted, adapted_residuals = adapt_degenerate_eigenvectors(x, values, vectors, resolved_residuals,
-                                                                   delta.matrix, enc.L, norm)
+                                                                   delta, enc.L)
         residuals.append(adapted_residuals[used])
         if factored:
             in_eigenbasis.setdefault(delta.signs, []).append((j, (delta.factors.conj().T @ adapted).conj().T))

@@ -8,13 +8,13 @@ with A_p = Psi_p^dag X Psi_p and the residual block R reorthogonalized against
 the whole accumulated basis: one Gram-Schmidt pass, and a second only where
 the DGKS criterion finds that the first one cancelled most of a column.  One
 thin SVD R = U S V^dag gives B_{p+1} = V S V^dag (the hermitian square root
-of R^dag R) and Psi_{p+1} = U V^dag = R B_{p+1}^-1.  The blocks assemble
-into the block-tridiagonal S whose eigenpairs, lifted through the basis, are
-the Ritz approximations used as probe input states.
+of R^dag R) and Psi_{p+1} = U V^dag = R B_{p+1}^-1.  Each step writes its
+blocks into the block-tridiagonal S whose eigenpairs, lifted through the
+basis, are the Ritz approximations used as probe input states.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,23 +33,25 @@ DGKS_ETA = 1 / np.sqrt(2)  # Daniel, Gragg, Kaufman & Stewart (1976)
 
 @dataclass
 class LanczosFactorization:
-    """Accumulated blocks: A_p (hermitian b x b), B_p (b x b), and the basis
-    blocks Psi_p as consecutive b-column slices of one column-major array.
-    ``breakdown``: an invariant subspace stopped the recursion before k steps."""
+    """The recursion's two preallocated arrays, written in place: the basis
+    blocks Psi_p as consecutive b-column slices of one column-major array,
+    and S, with A_p (hermitian b x b) on its block diagonal, B_{p+1} below it
+    and B_{p+1}^dag above.  ``breakdown``: an invariant subspace stopped the
+    recursion before k steps."""
 
     block_size: int
     columns: np.ndarray  # N x (k*b); the first steps*b columns hold the basis
-    a_blocks: list = field(default_factory=list)
-    b_blocks: list = field(default_factory=list)
+    s: np.ndarray  # (k*b) x (k*b); its leading (steps*b) square is S
+    steps: int = 0
     breakdown: bool = False
-
-    @property
-    def steps(self) -> int:
-        return len(self.a_blocks)
 
     def basis(self) -> np.ndarray:
         """The N x (steps*b) basis, a view of ``columns`` (no copy)."""
         return self.columns[:, :self.steps * self.block_size]
+
+    def tridiagonal(self) -> np.ndarray:
+        """The (steps*b) square block-tridiagonal S, a view of ``s`` (no copy)."""
+        return self.s[:self.steps * self.block_size, :self.steps * self.block_size]
 
     def orthonormality_defect(self) -> float:
         """||Q^dag Q - I||_F of the basis Q, from the tiles of RESIDUAL_COLUMNS
@@ -80,8 +82,7 @@ class RitzSolution:
 class LanczosStep:
     a_block: np.ndarray
     b_next: np.ndarray
-    psi_next: np.ndarray | None
-    breakdown: bool
+    psi_next: np.ndarray | None  # None on breakdown
 
 
 def rqbl_init(n: int, b: int, rng_seed: int) -> np.ndarray:
@@ -117,7 +118,8 @@ def rqbl_step(x: np.ndarray, psi_p: np.ndarray, psi_prev: np.ndarray | None,
     the residual is projected out of all of it (full reorthogonalization).
     Breakdown (smallest singular value of the residual under
     ``breakdown_floor``, which the factorization sets once to
-    BREAKDOWN_RTOL * ||X||_F: an invariant subspace) is reported, not raised.
+    BREAKDOWN_RTOL * ||X||_F: an invariant subspace) is reported as no
+    ``psi_next``, not raised.
     """
     work = x @ psi_p
     a_p = psi_p.conj().T @ work
@@ -129,21 +131,7 @@ def rqbl_step(x: np.ndarray, psi_p: np.ndarray, psi_prev: np.ndarray | None,
 
     u, sigma, vh = np.linalg.svd(r, full_matrices=False)
     b_next = (vh.conj().T * sigma) @ vh
-    if sigma[-1] < breakdown_floor:
-        return LanczosStep(a_block=a_p, b_next=b_next, psi_next=None, breakdown=True)
-    return LanczosStep(a_block=a_p, b_next=b_next, psi_next=u @ vh, breakdown=False)
-
-
-def assemble_block_tridiagonal(fact: LanczosFactorization) -> np.ndarray:
-    """Dense hermitian S with A_p on the diagonal and B_p on the sub-diagonal."""
-    k, b = fact.steps, fact.block_size
-    s = np.zeros((k * b, k * b), dtype=complex)
-    for p, a in enumerate(fact.a_blocks):
-        s[p * b:(p + 1) * b, p * b:(p + 1) * b] = a
-    for p, bb in enumerate(fact.b_blocks):
-        s[(p + 1) * b:(p + 2) * b, p * b:(p + 1) * b] = bb
-        s[p * b:(p + 1) * b, (p + 1) * b:(p + 2) * b] = bb.conj().T
-    return s
+    return LanczosStep(a_block=a_p, b_next=b_next, psi_next=None if sigma[-1] < breakdown_floor else u @ vh)
 
 
 def assemble_and_solve(x: np.ndarray, fact: LanczosFactorization) -> RitzSolution:
@@ -151,13 +139,13 @@ def assemble_and_solve(x: np.ndarray, fact: LanczosFactorization) -> RitzSolutio
     pairs in ``relevance_order``: |value| descending (most relevant first),
     and magnitudes equal within DEGENERACY_RTOL in ascending-value order.
 
-    S and its decomposition are dropped before the one lift, which goes
+    The decomposition of S is dropped before the one lift, which goes
     straight into the final order, and the residuals come in column blocks:
-    besides the basis, about three N x (steps*b) complex arrays are alive at
-    the peak, the eigensolve's own LAPACK workspace aside."""
+    besides the factorization, about three N x (steps*b) complex arrays are
+    alive at the peak, the eigensolve's own LAPACK workspace aside."""
     if fact.steps < 1:
         raise ValueError("factorization holds no blocks")
-    dec = eig_hermitian(assemble_block_tridiagonal(fact))
+    dec = eig_hermitian(fact.tridiagonal())
     order = relevance_order(dec.values)
     values, ritz = dec.values[order], dec.vectors[:, order]
     del dec
@@ -188,33 +176,36 @@ def build_factorization(x: np.ndarray, b: int, k: int | None, rng_seed: int) -> 
     # one column-major basis; the blocks and every step's history are views of it
     basis = np.empty((n, k * b), dtype=complex, order="F")
     basis[:, :b] = start
-    fact = LanczosFactorization(block_size=b, columns=basis)
+    fact = LanczosFactorization(block_size=b, columns=basis, s=np.zeros((k * b, k * b), dtype=complex))
     floor = BREAKDOWN_RTOL * max(float(np.linalg.norm(x)), 1e-300)
     psi_prev, b_p = None, None
     for p in range(k):
-        psi = basis[:, p * b:(p + 1) * b]
+        here, after = slice(p * b, (p + 1) * b), slice((p + 1) * b, (p + 2) * b)
+        psi = basis[:, here]
         step = rqbl_step(x, psi, psi_prev, b_p, history=basis[:, :(p + 1) * b],
                          breakdown_floor=floor)
-        fact.a_blocks.append(step.a_block)
-        if step.breakdown or p + 1 == k:
+        fact.s[here, here], fact.steps = step.a_block, p + 1
+        if step.psi_next is None or p + 1 == k:
             break
-        fact.b_blocks.append(step.b_next)
-        basis[:, (p + 1) * b:(p + 2) * b] = step.psi_next
+        fact.s[after, here], fact.s[here, after] = step.b_next, step.b_next.conj().T
+        basis[:, after] = step.psi_next
         psi_prev, b_p = psi, step.b_next
     fact.breakdown = fact.steps < k
     return fact
 
 
 def dump_factorization(fact: LanczosFactorization) -> dict:
-    """JSON-ready nested-array dump of all blocks."""
+    """JSON-ready nested-array dump of all blocks, sliced from S."""
     def arr(a):
         return {"re": np.asarray(a).real.tolist(), "im": np.asarray(a).imag.tolist()}
 
+    s, b = fact.tridiagonal(), fact.block_size
+    blocks = [slice(p * b, (p + 1) * b) for p in range(fact.steps)]
     return {
         "block_size": fact.block_size,
         "steps": fact.steps,
         "breakdown": fact.breakdown,
-        "a_blocks": [arr(a) for a in fact.a_blocks],
-        "b_blocks": [arr(b) for b in fact.b_blocks],
+        "a_blocks": [arr(s[here, here]) for here in blocks],
+        "b_blocks": [arr(s[after, here]) for here, after in zip(blocks, blocks[1:])],
         "basis_blocks": [arr(p) for p in np.hsplit(fact.basis(), fact.steps)],
     }

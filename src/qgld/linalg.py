@@ -127,10 +127,10 @@ def relevance_order(values) -> np.ndarray:
     return order[np.lexsort((values[order], cluster))]
 
 
-def low_rank_update_eigh(values, factors, signs, strengths):
-    """Eigensystems of diag(values) + s_p * F_p diag(signs) F_p^dag for P
-    problems: ``values`` (N,) real, ``factors`` (P, N, r), ``signs`` (r,) of
-    +-1 and ``strengths`` (P,) nonzero.
+def low_rank_update_eigh(values, factors, weights):
+    """Eigensystems of diag(values) + F_p diag(weights_p) F_p^dag for P
+    problems: ``values`` (N,) real, ``factors`` (P, N, r) and ``weights``
+    (P, r) real and nonzero, one per rank-one term.
 
     Each rank-one term is one secular-equation solve (Golub 1973; Bunch,
     Nielsen and Sorensen 1978), applied in turn.  Eigenvalue k of problem p
@@ -141,17 +141,18 @@ def low_rank_update_eigh(values, factors, signs, strengths):
     """
     values = np.asarray(values, dtype=float)
     factors = np.asarray(factors, dtype=complex)
-    strengths = np.asarray(strengths, dtype=float)
-    if not np.all(strengths):
-        raise ValueError("every strength must be nonzero")
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (factors.shape[0], factors.shape[2]) or not np.all(weights):
+        raise ValueError(f"weights of shape {weights.shape} for factors of shape {factors.shape}: "
+                         f"need (P, r), every weight nonzero")
     anchor = np.broadcast_to(np.arange(len(values)), factors.shape[:2])
     offset = np.zeros(factors.shape[:2])
     vectors = None
-    for column, sign in enumerate(signs):
+    for column in range(factors.shape[2]):
         z = factors[:, :, column]
         if vectors is not None:
             z = np.einsum("pki,pk->pi", vectors.conj(), z)
-        step, root, tau = _secular_rank_one(values, anchor, offset, z, sign * strengths)
+        step, root, tau = _secular_rank_one(values, anchor, offset, z, weights[:, column])
         rows = np.arange(len(root))[:, None]
         anchor, offset = anchor[rows, root], offset[rows, root] + tau
         vectors = step if vectors is None else vectors @ step
@@ -179,19 +180,13 @@ def _secular_rank_one(values, anchor, offset, z, rho):
     idx = np.arange(n)
     sign = np.sign(rho)[:, None]  # rho < 0 solves -D + |rho| z z^dag
     base = values[anchor]
-    shifted = offset.any()
-    if shifted:
-        key = base + offset
-        part = key - base
-        low = (base - (key - part)) + (offset - part)  # key + low = base + offset exactly
-        order = np.lexsort((sign * low, sign * key), axis=-1)
-    else:
-        order = np.argsort(sign * base, axis=-1, kind="stable")
-    base = sign * base[rows, order]
+    key = base + offset
+    part = key - base
+    low = (base - (key - part)) + (offset - part)  # key + low = base + offset exactly
+    order = np.lexsort((sign * low, sign * key), axis=-1)
+    base, off = sign * base[rows, order], sign * offset[rows, order]
     gaps = base[:, None, :] - base[:, :, None]  # d_j - d_i
-    if shifted:
-        off = sign * offset[rows, order]
-        gaps += off[:, None, :] - off[:, :, None]
+    gaps += off[:, None, :] - off[:, :, None]
     mag = np.abs(z[rows, order])
     weight = np.abs(rho)[:, None] * mag * mag
     active = mag > SECULAR_DEFLATION * np.sqrt(np.sum(mag * mag, axis=1, keepdims=True))

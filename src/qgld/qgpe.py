@@ -23,7 +23,6 @@ member as its factors Q diag(exp(i t lambda)) Q^dag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -54,34 +53,47 @@ FLAT_PEAK_FLOOR = 0.4
 class PerturbationDirection:
     """Hermitian direction Delta selecting which entries of X are differentiated.
 
-    ``exact_norm`` is ||Delta||_2 where the construction fixes it (see
-    :func:`build_delta`); without it :meth:`spectral_norm` takes the SVD, once.
-    Low-rank directions also carry ``factors`` F (N, r) and ``signs`` (r,) of
-    +-1 with Delta = F diag(signs) F^dag; full-rank ``custom`` ones carry None
-    and check their matrix (NonHermitianInput), which they keep symmetrized.
+    ``PerturbationDirection(matrix)`` checks the matrix (NonHermitianInput)
+    and keeps it symmetrized as a ``custom`` direction whose ``norm`` =
+    ||Delta||_2 is its largest singular value.  The other kinds, their exact
+    norms and the low-rank ``factors`` F (N, r) and ``signs`` (r,) of +-1
+    with Delta = F diag(signs) F^dag (None for a matrix alone) are set only
+    by :func:`build_delta` and :meth:`from_factors`, so no field can
+    disagree with the matrix.
 
     A direction is a value: it keeps read-only copies of ``matrix`` and
     ``factors``, so a write to the caller's arrays leaves it unchanged and a
-    write to its own raises ValueError, and no write after construction can
-    leave its carried norm or factors stale.  Directions compare and hash by
+    write to its own raises ValueError.  Directions compare and hash by
     identity.
     """
 
-    kind: str
     matrix: np.ndarray = field(repr=False)
-    exact_norm: float | None = None
-    factors: np.ndarray | None = field(default=None, repr=False)
-    signs: tuple | None = None
+    kind: str = field(init=False)
+    norm: float = field(init=False)
+    factors: np.ndarray | None = field(init=False, repr=False)
+    signs: tuple | None = field(init=False)
 
     def __post_init__(self):
-        if self.factors is None:  # the matrix is all there is, so it is checked and symmetrized here
-            mat = require_hermitian(self.matrix)
-            object.__setattr__(self, "matrix", (mat + mat.conj().T) / 2)
+        mat = require_hermitian(self.matrix)
+        self._set("custom", (mat + mat.conj().T) / 2)
+
+    @classmethod
+    def _exact(cls, kind: str, matrix, norm: float, factors, signs) -> "PerturbationDirection":
+        """A direction whose builder knows its kind, exact norm and factors."""
+        delta = object.__new__(cls)
+        delta._set(kind, matrix, norm, factors, signs)
+        return delta
+
+    def _set(self, kind, matrix, norm=None, factors=None, signs=None) -> None:
+        """Set every field once; ``norm`` None takes the SVD of the matrix."""
+        fields = {"kind": kind, "matrix": matrix, "factors": factors, "signs": signs}
         for name in ("matrix", "factors"):
-            if getattr(self, name) is not None:
-                own = np.array(getattr(self, name))  # a copy, so no caller array is aliased or frozen
-                own.flags.writeable = False
-                object.__setattr__(self, name, own)
+            if fields[name] is not None:
+                fields[name] = np.array(fields[name])  # a copy, so no caller array is aliased or frozen
+                fields[name].flags.writeable = False
+        fields["norm"] = float(np.linalg.norm(fields["matrix"], ord=2)) if norm is None else norm
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_factors(cls, factors, signs) -> "PerturbationDirection":
@@ -98,21 +110,11 @@ class PerturbationDirection:
             raise NonFiniteInput(f"factors have {np.count_nonzero(~np.isfinite(factors))} non-finite entries")
         mat = (factors * signs) @ factors.conj().T
         norm = float(np.max(np.abs(np.linalg.eigvals(np.array(signs)[:, None] * (factors.conj().T @ factors)))))
-        return cls(kind="custom", matrix=(mat + mat.conj().T) / 2, exact_norm=norm, factors=factors, signs=signs)
+        return cls._exact("custom", (mat + mat.conj().T) / 2, norm, factors, signs)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def spectral_norm(self) -> float:
-        """||Delta||_2, the largest singular value."""
-        if self.exact_norm is not None:
-            return self.exact_norm
-        return self._svd_norm
-
-    @cached_property
-    def _svd_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, ord=2))
 
 
 def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
@@ -163,10 +165,10 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
         mat = np.asarray(matrix, dtype=complex)  # checked and symmetrized by the direction
         if mat.shape != (n, n):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({n}, {n})")
-        norm, factors, signs = None, None, None
+        return PerturbationDirection(mat)
     else:
         raise ValueError(f"unknown direction kind {kind!r}; choose from {DELTA_KINDS}")
-    return PerturbationDirection(kind=kind, matrix=mat, exact_norm=norm, factors=factors, signs=signs)
+    return PerturbationDirection._exact(kind, mat, norm, factors, signs)
 
 
 def require_weight_vector(phi, n: int) -> np.ndarray:
@@ -243,7 +245,7 @@ class GradientEncoding:
 
 def suggest_gradient_bound(delta: PerturbationDirection) -> float:
     """A safe W: twice the spectral norm of Delta, so |grad|/W <= 1/2 < pi."""
-    return 2.0 * delta.spectral_norm()
+    return 2.0 * delta.norm
 
 
 def _require_family_size(enc: GradientEncoding, n: int) -> None:
@@ -331,7 +333,7 @@ def _solved_factors(values, signs, probes, bare, batch):
     t offset at full relative precision.
     """
     vectors, anchor, offset = low_rank_update_eigh(
-        values, np.stack([probes[j][0] for j, _, _ in batch]), signs, [s for _, _, s in batch])
+        values, np.stack([probes[j][0] for j, _, _ in batch]), np.outer([s for _, _, s in batch], signs))
     times = np.array([probes[j][1].time_step() for j, _, _ in batch])[:, None]
     phases = np.take_along_axis(np.stack([bare[j] for j, _, _ in batch]), anchor, axis=1)
     return vectors, phases * np.exp(1j * times * offset)

@@ -80,7 +80,7 @@ class TestBatchedAgainstSingleCircuit:
         i, j = (int(v) for v in rng.integers(0, n, size=2))
         delta = build_delta("element", n, i=i, j=j)
         if identity_shift:
-            delta = PerturbationDirection("custom", delta.matrix + np.eye(n))
+            delta = PerturbationDirection(delta.matrix + np.eye(n))
         enc = GradientEncoding(L=1e-5, W=4.0, m=m, shift=shift)
         vectors = eig_hermitian(x).vectors
         family = evolution_family(x, delta, enc)
@@ -137,7 +137,7 @@ def _family(builder, x, enc, rng):
     if builder == "dense":
         i, j = (int(v) for v in rng.integers(0, n, size=2))
         delta = build_delta("element", n, i=i, j=j)
-        return evolution_family(x, delta, enc), delta.spectral_norm()
+        return evolution_family(x, delta, enc), delta.norm
     if builder == "eigenbasis-1":
         delta = build_delta("outer", n, phi=random_state(rng, n)) if rng.integers(2) else build_delta("all_ones", n)
     elif rng.integers(2):
@@ -148,7 +148,7 @@ def _family(builder, x, enc, rng):
         delta = PerturbationDirection.from_factors(np.stack([e + f, e - f], axis=1) / 2, (1.0, -1.0))
     dec = eig_hermitian(x)
     [family] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc)])
-    return family, delta.spectral_norm()
+    return family, delta.norm
 
 
 def count_builds(monkeypatch) -> list:
@@ -164,8 +164,8 @@ def count_builds(monkeypatch) -> list:
 
 
 def fresh(delta: PerturbationDirection) -> PerturbationDirection:
-    """Another direction with ``delta``'s matrix and norm, along which nothing is held."""
-    return PerturbationDirection(delta.kind, delta.matrix, delta.exact_norm)
+    """Another direction with ``delta``'s matrix, along which nothing is held."""
+    return PerturbationDirection(delta.matrix)
 
 
 def count_checks(monkeypatch) -> list:

@@ -670,8 +670,8 @@ class TestAdaptDegenerateEigenvectors:
         dec = eig_hermitian(x)
         delta = random_hermitian(rng, 8)
         passed = np.arange(1, 9) * 1e-3  # not residuals of any column, so a recompute shows
-        vectors, residuals = adapt_degenerate_eigenvectors(x, dec.values, dec.vectors, passed, delta,
-                                                           1e-6, 1.0)
+        vectors, residuals = adapt_degenerate_eigenvectors(x, dec.values, dec.vectors, passed,
+                                                           PerturbationDirection(delta), 1e-6)
         unrotated, rotated = [3, 6, 7], [0, 1, 2, 4, 5]
         np.testing.assert_array_equal(vectors[:, unrotated], dec.vectors[:, unrotated])
         np.testing.assert_array_equal(residuals[unrotated], passed[unrotated])
@@ -691,5 +691,5 @@ class TestAdaptDegenerateEigenvectors:
         dec = eig_hermitian(x)
         passed = np.arange(1, 9) * 1e-3
         vectors, residuals = adapt_degenerate_eigenvectors(x, dec.values, dec.vectors, passed,
-                                                           random_hermitian(rng, 8), 1e-6, 1.0)
+                                                           PerturbationDirection(random_hermitian(rng, 8)), 1e-6)
         assert vectors is dec.vectors and residuals is passed

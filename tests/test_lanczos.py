@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qgld import (
     assemble_and_solve,
-    assemble_block_tridiagonal,
     build_factorization,
     rqbl_init,
     rqbl_step,
@@ -39,7 +38,6 @@ class TestStep:
         psi0 = np.eye(4, dtype=complex)[:, :2]
         step = rqbl_step(x, psi0, None, None, history=psi0,
                          breakdown_floor=BREAKDOWN_RTOL * np.linalg.norm(x))
-        assert step.breakdown
         np.testing.assert_allclose(step.a_block, np.diag([3.0, 1.0]), atol=1e-12)
         assert step.psi_next is None
 
@@ -78,8 +76,7 @@ class TestStep:
         if depth:
             residual -= psi_prev @ b_p.conj().T
         residual -= history @ (history.conj().T @ residual)
-        if step.breakdown:
-            assert step.psi_next is None
+        if step.psi_next is None:  # breakdown
             return
         psi, b_next = step.psi_next, step.b_next
         assert np.max(np.abs(psi @ b_next - residual)) <= 1e-12
@@ -92,7 +89,8 @@ class TestStep:
         x = rng.standard_normal((10, 10))
         x = (x + x.T) / 2
         fact = build_factorization(x, b=2, k=4, rng_seed=6)
-        for a_block, psi in zip(fact.a_blocks, np.hsplit(fact.basis(), fact.steps)):
+        a_blocks = [fact.tridiagonal()[2 * p:2 * p + 2, 2 * p:2 * p + 2] for p in range(fact.steps)]
+        for a_block, psi in zip(a_blocks, np.hsplit(fact.basis(), fact.steps)):
             recomputed = psi.conj().T @ x @ psi
             assert np.max(np.abs(a_block - recomputed)) <= 1e-10
 
@@ -100,7 +98,7 @@ class TestStep:
         x = rng.standard_normal((12, 12))
         x = (x + x.T) / 2
         fact = build_factorization(x, b=2, k=4, rng_seed=6)
-        s = assemble_block_tridiagonal(fact)
+        s = fact.tridiagonal()
         assert np.max(np.abs(s - s.conj().T)) <= 1e-12
         # blocks beyond the first off-diagonal stay exactly zero
         assert np.max(np.abs(s[4:, :2])) == 0.0
@@ -165,6 +163,7 @@ class TestBuildFactorization:
         basis = fact.basis()
         assert np.shares_memory(basis, fact.columns)
         assert basis.flags.f_contiguous
+        assert fact.tridiagonal().shape == (8, 8) and np.shares_memory(fact.tridiagonal(), fact.s)
 
 
 class TestWorkingSet:
@@ -221,7 +220,7 @@ class TestAssembleAndSolve:
     def test_sigma_x_chain(self):
         # hand oracle: S = [[0, 1], [1, 0]] with Ritz values -1, +1
         fact = build_factorization(SIGMA_X, b=1, k=2, rng_seed=5)
-        s = assemble_block_tridiagonal(fact)
+        s = fact.tridiagonal()
         # the diagonal depends on the start vector; S is sigma_x conjugated by
         # a unitary, so its trace vanishes
         assert abs(np.trace(s)) <= 1e-10

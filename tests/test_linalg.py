@@ -206,7 +206,7 @@ class TestLowRankUpdateEigh:
         factors = rng.standard_normal((3, n, rank)) + 1j * rng.standard_normal((3, n, rank))
         signs = (1.0, -1.0)[:rank]
         strengths = scale * np.array([1.0, -1.0, 0.5])
-        vectors, anchor, offset = low_rank_update_eigh(values, factors, signs, strengths)
+        vectors, anchor, offset = low_rank_update_eigh(values, factors, np.outer(strengths, signs))
         for p in range(3):
             a = np.diag(values) + strengths[p] * (factors[p] * signs) @ factors[p].conj().T
             lam = values[anchor[p]] + offset[p]
@@ -217,6 +217,30 @@ class TestLowRankUpdateEigh:
             assert np.linalg.norm(vectors[p].conj().T @ vectors[p] - np.eye(n)) <= 64 * n * self.EPS
             assert np.max(np.abs(np.sort(lam) - np.linalg.eigvalsh(a))) <= 64 * n * self.EPS * size
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 24), rank=st.integers(1, 3), problems=st.integers(2, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_call_over_mixed_weights_is_each_problem_alone(self, n, rank, problems, seed):
+        # every rank-one term of every problem carries its own sign and strength
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-5.0, 5.0, n)
+        factors = rng.standard_normal((problems, n, rank)) + 1j * rng.standard_normal((problems, n, rank))
+        scales = rng.choice([1e-9, 1e-6, 0.3, 5.0], size=(problems, 1))
+        weights = scales * rng.choice([1.0, -1.0], size=(problems, rank)) * rng.uniform(0.5, 1.0, (problems, rank))
+        batched = low_rank_update_eigh(values, factors, weights)
+        for p in range(problems):
+            alone = low_rank_update_eigh(values, factors[p:p + 1], weights[p:p + 1])
+            for got, want in zip(batched, alone):
+                np.testing.assert_array_equal(got[p], want[0])
+            vectors, anchor, offset = (part[p] for part in batched)
+            a = np.diag(values) + (factors[p] * weights[p]) @ factors[p].conj().T
+            lam = values[anchor] + offset
+            size = np.max(np.abs(values)) + np.max(np.abs(weights[p])) * np.linalg.norm(factors[p], ord=2) ** 2
+            residual = np.linalg.norm(a @ vectors - vectors * lam, axis=0)
+            assert np.max(residual) <= 64 * n * self.EPS * size
+            assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)) <= 64 * n * self.EPS
+            assert np.max(np.abs(np.sort(lam) - np.linalg.eigvalsh(a))) <= 64 * n * self.EPS * size
+
     @pytest.mark.parametrize("i, j", [(0, 1), (2, 6)])
     def test_ties_and_zero_components_deflate_exactly(self, i, j):
         # element directions on repeated values: within the tied run (0, 1) the
@@ -225,7 +249,7 @@ class TestLowRankUpdateEigh:
         values = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 4.0])
         s = 1e-6
         delta = build_delta("element", 8, i=i, j=j)
-        vectors, anchor, offset = low_rank_update_eigh(values, delta.factors[None], delta.signs, [s])
+        vectors, anchor, offset = low_rank_update_eigh(values, delta.factors[None], s * np.array([delta.signs]))
         lam = values[anchor[0]] + offset[0]
         a = np.diag(values) + s * delta.matrix
         np.testing.assert_allclose(a @ vectors[0], vectors[0] * lam, rtol=0, atol=1e-15)
@@ -242,7 +266,7 @@ class TestLowRankUpdateEigh:
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         z /= np.linalg.norm(z)
         rho = 1e-9
-        _, anchor, offset = low_rank_update_eigh(values, z[None, :, None], (1.0,), [rho])
+        _, anchor, offset = low_rank_update_eigh(values, z[None, :, None], [[rho]])
         assert np.array_equal(anchor[0], np.arange(n))
         weights = np.abs(z) ** 2
         gaps = values[:, None] - values[None, :]

@@ -17,10 +17,12 @@ from qgld import (
     eigenbasis_families,
     eigenvalue_gradient_probes,
     evolution_family,
+    logdet_directional_derivatives,
     low_rank_update_eigh,
     suggest_gradient_bound,
 )
 import qgld.qgpe
+from qgld.cli import random_spd
 import qgld.statevector as sv
 from qgld.qgpe import probe_distributions, readout_gradients
 from conftest import (
@@ -86,16 +88,16 @@ class TestBuildDelta:
             phi = np.ones(n, dtype=complex)
         phi = phi / np.linalg.norm(phi)
         for delta in (build_delta("element", n, i=i, j=j), build_delta("outer", n, phi=phi)):
-            assert delta.exact_norm is not None
+            assert delta.norm is not None
             svd = float(np.linalg.norm(delta.matrix, ord=2))
-            assert abs(delta.spectral_norm() - svd) <= 4 * np.finfo(float).eps
+            assert abs(delta.norm - svd) <= 4 * np.finfo(float).eps
 
     def test_other_kinds_take_the_svd(self, rng):
-        # custom is the one kind without a carried norm
+        # custom is the one kind whose norm is its SVD
         x = random_hermitian(rng, 4, indefinite=True)
         delta = build_delta("custom", 4, matrix=x)
-        assert delta.exact_norm is None and delta.factors is None
-        assert delta.spectral_norm() == float(np.linalg.norm(delta.matrix, ord=2))
+        assert delta.factors is None
+        assert delta.norm == float(np.linalg.norm(delta.matrix, ord=2))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     def test_low_rank_kinds_carry_factors_and_norm(self, rng, n):
@@ -107,7 +109,7 @@ class TestBuildDelta:
             rebuilt = (delta.factors * delta.signs) @ delta.factors.conj().T
             np.testing.assert_allclose(rebuilt, delta.matrix, rtol=0, atol=8 * n * np.finfo(float).eps)
             svd = float(np.linalg.norm(delta.matrix, ord=2))
-            assert abs(delta.spectral_norm() - svd) <= 8 * n * np.finfo(float).eps * svd
+            assert abs(delta.norm - svd) <= 8 * n * np.finfo(float).eps * svd
 
     def test_a_direction_without_factors_checks_its_matrix(self, rng):
         # D[0, 1] = 1 alone was accepted, and the log-det core then read -8.1e-16 along it on
@@ -115,12 +117,12 @@ class TestBuildDelta:
         d = np.zeros((4, 4))
         d[0, 1] = 1.0
         with pytest.raises(NonHermitianInput, match="hermiticity defect"):
-            PerturbationDirection("custom", d)
+            PerturbationDirection(d)
         with pytest.raises(NonFiniteInput):
-            PerturbationDirection("custom", np.full((2, 2), np.nan))
+            PerturbationDirection(np.full((2, 2), np.nan))
         # within the tolerance the matrix is kept symmetrized
         near = random_hermitian(rng, 4, indefinite=True) + 1e-15 * rng.standard_normal((4, 4))
-        delta = PerturbationDirection("custom", near)
+        delta = PerturbationDirection(near)
         np.testing.assert_array_equal(delta.matrix, delta.matrix.conj().T)
         np.testing.assert_array_equal(delta.matrix, build_delta("custom", 4, matrix=near).matrix)
 
@@ -131,7 +133,7 @@ class TestBuildDelta:
         phi, matrix = random_state(rng, 4), random_hermitian(rng, 4, indefinite=True).astype(complex)
         factors = np.stack([random_state(rng, 4), random_state(rng, 4)], axis=1)
         directions = [build_delta("outer", 4, phi=phi), PerturbationDirection.from_factors(factors, (1.0, -1.0)),
-                      PerturbationDirection("custom", matrix), build_delta("element", 4, i=1, j=2)]
+                      PerturbationDirection(matrix), build_delta("element", 4, i=1, j=2)]
         built = [(d.matrix.copy(), d.factors.copy() if d.factors is not None else None) for d in directions]
         phi[:], matrix[:], factors[:] = 0.0, 0.0, 0.0
         for delta, (want_matrix, want_factors) in zip(directions, built):
@@ -144,6 +146,38 @@ class TestBuildDelta:
                     delta.factors[0, 0] = 1.0
         assert directions[3] == directions[3] and directions[3] != build_delta("element", 4, i=1, j=2)
         assert len({*directions, *directions}) == 4
+
+    def test_a_matrix_is_all_a_caller_gives(self, rng):
+        # a kind, a norm or factors given beside the matrix were taken on trust, and on
+        # random_spd(4, 1) at k = N the log-det core read each wrong at exit 0: "outer" with
+        # diag(1, -1, 0, 0) 0.904 for tr(X^-1 Delta) = 0.111 (no shift for a signed slope), and D
+        # with a norm of 0.5 for its 10.5 read 5.36, and with factors e_0 their own 0.843, for -6.75
+        x, o = random_spd(4, 1), np.diag([1.0, -1.0, 0.0, 0.0])
+        g = np.random.default_rng(0).standard_normal((4, 4))
+        d = 3 * (g + g.T)
+        for args in (("outer", o), ("custom", d, 0.5), ("custom", d, 1.0, np.eye(4)[:, :1], (1.0,))):
+            with pytest.raises(TypeError):
+                PerturbationDirection(*args)
+        with pytest.raises(TypeError):
+            PerturbationDirection(matrix=o, kind="outer")
+        inv = np.linalg.inv(x)
+        for matrix, w in ((o, 1.0), (d, 8.0)):
+            delta = PerturbationDirection(matrix)
+            assert (delta.kind, delta.factors, delta.signs) == ("custom", None, None)
+            assert delta.norm == float(np.linalg.norm(delta.matrix, ord=2))
+            [got] = logdet_directional_derivatives(x, [delta], 4, GradientEncoding(W=w))
+            assert abs(got - np.trace(inv @ matrix)) <= 1e-4
+        # what the builders set agrees with the matrix
+        e, f = np.eye(4)[3], random_state(rng, 4).real
+        built = {"all_ones": build_delta("all_ones", 4), "element": build_delta("element", 4, i=0, j=3),
+                 "outer": build_delta("outer", 4, phi=random_state(rng, 4)),
+                 "custom": PerturbationDirection.from_factors(np.stack([e + f, e - f], axis=1) / 2, (1.0, -1.0))}
+        for kind, delta in built.items():
+            assert delta.kind == kind
+            rebuilt = (delta.factors * delta.signs) @ delta.factors.conj().T
+            np.testing.assert_allclose(rebuilt, delta.matrix, rtol=0, atol=32 * np.finfo(float).eps)
+            svd = float(np.linalg.norm(delta.matrix, ord=2))
+            assert abs(delta.norm - svd) <= 32 * np.finfo(float).eps * svd
 
 
 class TestFromFactors:
@@ -575,7 +609,7 @@ class TestEigenbasisFamily:
         else:  # the kernel weight's (e_i f^T + f e_i^T) / 2
             e, f = np.eye(n)[int(rng.integers(0, n))], random_state(rng, n)
             delta = PerturbationDirection.from_factors(np.stack([e + f, e - f], axis=1) / 2, (1.0, -1.0))
-        c = delta.spectral_norm() if shifted else 0.0
+        c = delta.norm if shifted else 0.0
         enc = GradientEncoding(L=1e-5, W=4.0, m=m, shift=shift)
         dec = eig_hermitian(x)
         t = enc.time_step()
@@ -607,7 +641,7 @@ class TestEigenbasisFamily:
         assert t == pytest.approx(1e7)
         s, c = enc.offsets()[1], 0.5
         [family] = eigenbasis_families(values, (1.0,), [(coupling, enc)])
-        _, anchor, offset = low_rank_update_eigh(values, coupling[None], (1.0,), [s])
+        _, anchor, offset = low_rank_update_eigh(values, coupling[None], [[s]])
         assert sorted(anchor[0]) == list(range(n))
         want = np.empty(n)
         want[anchor[0]] = t * offset[0]

@@ -154,16 +154,16 @@ def _require_readable(bound: float, encodings, x_norm: float | None = None) -> N
                                 f"use L >= {enc.L * floor / tol:.4g}")
 
 
-def _read_slopes(families, columns: np.ndarray, encodings, identity_shift: float) -> np.ndarray:
-    """Slopes of the prepared ``columns``, one probe circuit per column and
-    window, read conditioned on the prepared column and averaged over the
-    windows.  The identity shift c is the phase exp(i t s(eps) c) that c*I
-    puts on deviation state eps; it is subtracted after readout."""
-    grads = []
-    for family, enc in zip(families, encodings):
-        shift_phases = np.exp(1j * enc.time_step() * enc.offsets() * identity_shift)
-        grads.append(readout_gradients(probe_distributions(family, columns, deviation_phases=shift_phases), enc))
-    return np.mean(grads, axis=0) - identity_shift
+def _read_slopes(family, columns: np.ndarray, enc: GradientEncoding, identity_shift) -> np.ndarray:
+    """Shifted slopes of the prepared ``columns`` in the window ``enc``, (B,)
+    for one family or (J, B) for a stack of J, read in one pass: one probe
+    circuit per column, conditioned on the prepared column, with the
+    identity shift c (one per probe of a stack) applied as the deviation
+    phase exp(i t s(eps) c) that c*I puts on state eps.  The caller averages
+    the windows and subtracts c."""
+    shift = np.asarray(identity_shift, dtype=float)
+    phases = np.exp(1j * enc.time_step() * enc.offsets() * shift[..., None])
+    return readout_gradients(probe_distributions(family, columns, deviation_phases=phases), enc)
 
 
 # The last probe oracle built: direction -> (encoding, copy of X, family), at most one entry,
@@ -212,7 +212,7 @@ def eigenvalue_gradient_probes(x, vectors, delta: PerturbationDirection, enc: Gr
     _require_readable(bound, (enc,))
     family = _probe_family(x, delta, enc)  # which validates x
     _require_readable(bound, (enc,), float(np.linalg.norm(x)))  # ||X||_F >= ||X||_2
-    return _read_slopes([family], np.asarray(vectors, dtype=complex), (enc,), identity_shift)
+    return _read_slopes(family, np.asarray(vectors, dtype=complex), enc, identity_shift) - identity_shift
 
 
 def eigenvalue_gradient_probe(x, p_vec, delta: PerturbationDirection, enc: GradientEncoding,
@@ -294,6 +294,7 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool =
     # one pass checks, adapts and keeps what the circuits need; they all run after it
     plans, residuals = [], []  # per probe: (windows, shift, dense-family job or None)
     in_eigenbasis = {}  # signs -> [(probe index, coupling V^dag F)]
+    windows_of = {}  # encoding -> the windows it reads
     for j, (delta, enc) in enumerate(probes):
         if not isinstance(delta, PerturbationDirection):
             raise TypeError(f"direction {j} is a {type(delta).__name__}, not a PerturbationDirection; "
@@ -301,8 +302,10 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool =
         if delta.dim != len(x):
             raise ValueError(f"direction {j} has dimension {delta.dim}, expected {len(x)}")
         shift = 0.0 if delta.kind == "outer" else delta.norm
-        encodings = ((enc, replace(enc, shift="centered" if enc.shift == "unshifted" else "unshifted"))
-                     if symmetric else (enc,))
+        encodings = windows_of.get(enc)
+        if encodings is None:
+            encodings = windows_of[enc] = ((enc, replace(enc, shift="centered" if enc.shift == "unshifted"
+                                                          else "unshifted")) if symmetric else (enc,))
         factored = delta.factors is not None and isinstance(eigensource, DenseSource)
         _require_readable(delta.norm + shift, encodings, None if factored else x_norm)
         adapted, adapted_residuals = adapt_degenerate_eigenvectors(x, values, vectors, resolved_residuals,
@@ -313,17 +316,23 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool =
         plans.append((encodings, shift, None if factored else (adapted[:, used], delta)))
         del adapted  # only the used columns or the couplings outlive the pass
 
+    # each slope is its windows' mean read less the shift
     slopes = np.empty((len(plans), len(used)))
     for j, (encodings, shift, job) in enumerate(plans):
         if job is not None:
-            slopes[j] = _read_slopes([evolution_family(x, job[1], e) for e in encodings], job[0], encodings, shift)
+            grads = [_read_slopes(evolution_family(x, job[1], e), job[0], e, shift) for e in encodings]
+            slopes[j] = np.mean(grads, axis=0) - shift
     columns = np.eye(len(values), dtype=complex)[:, used]
     for signs, couplings in in_eigenbasis.items():
-        families = eigenbasis_families(values, signs, [(coupling, enc_w)
-                                                       for j, coupling in couplings for enc_w in plans[j][0]])
-        for j, _ in couplings:
-            encodings, shift, _ = plans[j]
-            slopes[j] = _read_slopes([next(families) for _ in encodings], columns, encodings, shift)
+        directions = [j for j, _ in couplings]
+        shifts = np.array([plans[j][1] for j in directions])
+        windows = len(plans[directions[0]][0])
+        # probe q reads window q % windows of direction q // windows, one stack per batch and window
+        window_probes = [(coupling, enc_w) for j, coupling in couplings for enc_w in plans[j][0]]
+        grads = np.empty((len(window_probes), len(used)))
+        for rows, family in eigenbasis_families(values, signs, window_probes):
+            grads[rows] = _read_slopes(family, columns, window_probes[rows[0]][1], shifts[rows // windows])
+        slopes[directions] = grads.reshape(len(directions), windows, -1).mean(axis=1) - shifts[:, None]
     # + 0.0: a sum from 0.0, as a loop would give it, so a zero total is never -0.0
     totals = np.cumsum(slopes / values[used], axis=1)[:, -1] + 0.0
     return values[used], skipped, slopes, np.reshape(residuals, slopes.shape), totals

@@ -254,20 +254,23 @@ def _secular_rank_one(values, anchor, offset, z, rho):
             # the last root's own pole is the model's right one
             own, down = terms[:, idx, idx] * last, dterms[:, idx, idx] * last
             psi, phi, dpsi, dphi = psi - own, phi + own, dpsi - down, dphi + down
+            slope = dpsi + dphi
+            unconverged = np.abs(f) > EPS * (bound + 3.0 * np.abs(tau) * slope)
+            if step and not (todo & unconverged).any():
+                break  # this step's update would leave every root where it is
             below = f < 0
             lo, hi = np.where(below, tau, lo), np.where(below, hi, tau)
             # the model c + s / (left_pole - x) + t / (right_pole - x) matching f and f' at
             # tau (one of the poles is 0), solved for the new offset x itself, so a root
             # next to the origin keeps its relative precision
             left, right = left_pole - tau, right_pole - tau
-            slope = dpsi + dphi
             s_left, s_right = left * left * dpsi, right * right * dphi
             c = f - left * dpsi - right * dphi
             a = c * (left_pole + right_pole) + s_left + s_right
             b = s_left * right_pole + s_right * left_pole
             q = (a + np.copysign(np.sqrt(np.abs(a * a - 4 * b * c)), a)) / 2
             new = np.where((b / q > lo) & (b / q < hi), b / q, q / c)
-            todo &= (np.abs(f) > EPS * (bound + 3.0 * np.abs(tau) * slope)) & (new != tau)
+            todo &= unconverged & (new != tau)
             new = np.where(todo, np.where((new > lo) & (new < hi), new, (lo + hi) / 2), tau)
             if step == 0:  # from here on, hold each root against its nearer pole
                 upper = ~last & (new > width / 2)

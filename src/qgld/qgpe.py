@@ -22,6 +22,7 @@ member as its factors Q diag(exp(i t lambda)) Q^dag.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,10 @@ class PerturbationDirection:
     norms and the low-rank ``factors`` F (N, r) and ``signs`` (r,) of +-1
     with Delta = F diag(signs) F^dag (None for a matrix alone) are set only
     by :func:`build_delta` and :meth:`from_factors`, so no field can
-    disagree with the matrix.
+    disagree with the matrix.  A direction with factors forms its N x N
+    ``matrix`` on the first read, by its builder's formula (see
+    :func:`_factored_matrix`), and keeps it: the eigenbasis probes read
+    only the factors.
 
     A direction is a value: it keeps read-only copies of ``matrix`` and
     ``factors``, so a write to the caller's arrays leaves it unchanged and a
@@ -78,22 +82,40 @@ class PerturbationDirection:
         self._set("custom", (mat + mat.conj().T) / 2)
 
     @classmethod
-    def _exact(cls, kind: str, matrix, norm: float, factors, signs) -> "PerturbationDirection":
-        """A direction whose builder knows its kind, exact norm and factors."""
+    def _exact(cls, kind: str, norm: float, factors, signs, entry=()) -> "PerturbationDirection":
+        """A direction whose builder knows its kind, exact norm and factors,
+        and for an element its ``entry`` (i, j); its matrix is formed when
+        first read."""
         delta = object.__new__(cls)
-        delta._set(kind, matrix, norm, factors, signs)
+        delta._set(kind, None, norm, factors, signs)
+        object.__setattr__(delta, "_entry", entry)
         return delta
 
     def _set(self, kind, matrix, norm=None, factors=None, signs=None) -> None:
-        """Set every field once; ``norm`` None takes the SVD of the matrix."""
+        """Set every field once (``matrix`` None: formed when first read);
+        ``norm`` None takes the SVD of the matrix."""
         fields = {"kind": kind, "matrix": matrix, "factors": factors, "signs": signs}
         for name in ("matrix", "factors"):
             if fields[name] is not None:
                 fields[name] = np.array(fields[name])  # a copy, so no caller array is aliased or frozen
                 fields[name].flags.writeable = False
+        if matrix is None:
+            del fields["matrix"]
         fields["norm"] = float(np.linalg.norm(fields["matrix"], ord=2)) if norm is None else norm
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set: the matrix of a factored direction before its first read
+        entry = self.__dict__.get("_entry") if name == "matrix" else None
+        if entry is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        with _MATRIX_LOCK:  # so that concurrent first reads form it once
+            if "matrix" not in self.__dict__:
+                matrix = _factored_matrix(self, *entry)
+                matrix.flags.writeable = False
+                object.__setattr__(self, "matrix", matrix)
+        return self.__dict__["matrix"]
 
     @classmethod
     def from_factors(cls, factors, signs) -> "PerturbationDirection":
@@ -108,13 +130,34 @@ class PerturbationDirection:
                              f"need (N, r) factors, r >= 1, and r signs of +-1")
         if not np.isfinite(factors).all():
             raise NonFiniteInput(f"factors have {np.count_nonzero(~np.isfinite(factors))} non-finite entries")
-        mat = (factors * signs) @ factors.conj().T
         norm = float(np.max(np.abs(np.linalg.eigvals(np.array(signs)[:, None] * (factors.conj().T @ factors)))))
-        return cls._exact("custom", (mat + mat.conj().T) / 2, norm, factors, signs)
+        return cls._exact("custom", norm, factors, signs)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return (self.matrix if self.factors is None else self.factors).shape[0]
+
+
+_MATRIX_LOCK = threading.Lock()
+
+
+def _factored_matrix(delta: PerturbationDirection, i=None, j=None) -> np.ndarray:
+    """The N x N matrix of a direction with factors, by its builder's
+    formula: ones at (i, j) and (j, i) for an element, every entry 1 for
+    all-ones, phi phi^dag for outer(phi), and F diag(signs) F^dag,
+    symmetrized, from :meth:`PerturbationDirection.from_factors`."""
+    n = delta.dim
+    if delta.kind == "element":
+        mat = np.zeros((n, n), dtype=complex)
+        mat[i, j] = 1.0
+        mat[j, i] = 1.0
+        return mat
+    if delta.kind == "all_ones":
+        return np.ones((n, n), dtype=complex)
+    if delta.kind == "outer":
+        return np.outer(delta.factors[:, 0], delta.factors[:, 0].conj())
+    mat = (delta.factors * delta.signs) @ delta.factors.conj().T
+    return (mat + mat.conj().T) / 2
 
 
 def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
@@ -132,16 +175,13 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
     (e_i +- e_j)/sqrt(2) with signs +-1 otherwise, the all-ones vector, and
     phi.  A ``custom`` matrix is symmetrized.
     """
-    signs = (1.0,)
+    signs, entry = (1.0,), ()
     if kind == "element":
         if i is None or j is None:
             raise ValueError("element direction needs indices i and j")
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"indices ({i}, {j}) outside [0, {n})")
-        mat = np.zeros((n, n), dtype=complex)
-        mat[i, j] = 1.0
-        mat[j, i] = 1.0
-        norm = 1.0
+        norm, entry = 1.0, (i, j)
         factors = np.zeros((n, 1 if i == j else 2), dtype=complex)
         if i == j:
             factors[i, 0] = 1.0
@@ -149,14 +189,12 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
             factors[[i, j, i, j], [0, 0, 1, 1]] = np.array([1.0, 1.0, 1.0, -1.0]) / np.sqrt(2.0)
             signs = (1.0, -1.0)
     elif kind == "all_ones":
-        mat = np.ones((n, n), dtype=complex)
         norm = float(n)
         factors = np.ones((n, 1), dtype=complex)
     elif kind == "outer":
         if phi is None:
             raise ValueError("outer direction needs the weight vector phi")
         phi = require_unit_weight_vector(phi, n)
-        mat = np.outer(phi, phi.conj())
         norm = float(np.vdot(phi, phi).real)
         factors = phi[:, None]
     elif kind == "custom":
@@ -168,7 +206,7 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
         return PerturbationDirection(mat)
     else:
         raise ValueError(f"unknown direction kind {kind!r}; choose from {DELTA_KINDS}")
-    return PerturbationDirection._exact(kind, mat, norm, factors, signs)
+    return PerturbationDirection._exact(kind, norm, factors, signs, entry)
 
 
 def require_weight_vector(phi, n: int) -> np.ndarray:
@@ -235,11 +273,11 @@ class GradientEncoding:
         or in the centered window, 2*pi*W in the unshifted window at m >= 2."""
         return (2.0 if self.m >= 2 and self.shift == "unshifted" else 1.0) * np.pi * self.W
 
-    def bin_to_gradient(self, j: int) -> float:
-        """Map an inverse-QFT bin index to a gradient value."""
+    def bin_to_gradient(self, j):
+        """Map an inverse-QFT bin index, or each of an array of them, to a gradient value."""
         m_dim = self.deviation_dim
-        if self.shift == "centered" and j >= m_dim / 2:
-            j = j - m_dim
+        if self.shift == "centered":
+            j = np.where(j >= m_dim / 2, j - m_dim, j)
         return j * 2 * np.pi * self.W / m_dim
 
 
@@ -282,118 +320,141 @@ def evolution_family(x, delta: PerturbationDirection, enc: GradientEncoding) -> 
 
 
 def eigenbasis_families(values, signs, probes):
-    """Controlled families in the eigenbasis of X = V diag(values) V^dag, one
-    per (coupling C, encoding) pair of ``probes``, where C = V^dag F for a
-    direction Delta = F diag(signs) F^dag; yielded in order.
+    """Controlled families in the eigenbasis of X = V diag(values) V^dag for
+    the (coupling C, encoding) pairs of ``probes``, where C = V^dag F for a
+    direction Delta = F diag(signs) F^dag, yielded as (rows, stack): the
+    indices into ``probes`` of one stack's probes, an integer array in
+    order, and their :class:`~qgld.statevector.ControlledFamily` stack.
 
-    Member eps is exp(i t (Lambda + s C diag(signs) C^dag)).  Its
-    s = 0 member is the diagonal slot exp(i t Lambda); the others come from
-    :func:`low_rank_update_eigh`, batched over consecutive probes up to
-    EIGENBASIS_BATCH entries of N x N work arrays, and stay factored (see
-    :func:`_solved_factors`).  Every probe's family size is checked before
-    the first solve, and every family of a batch before the first one is
-    yielded.
+    Member eps is exp(i t (Lambda + s C diag(signs) C^dag)).  Its s = 0
+    member is the diagonal slot exp(i t Lambda), formed once per encoding;
+    the others come from :func:`low_rank_update_eigh`, batched over
+    consecutive probes up to EIGENBASIS_BATCH entries of N x N work arrays,
+    and stay factored (see :func:`_solved_factors`).  Each batch yields one
+    stack per encoding, so a stack never spans two batches.  Every probe's
+    family size is checked before the first solve, and every stack of a
+    batch before the first one is yielded.
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
+    plans = {}  # encoding -> (exp(i t Lambda), slots of the solved members, their strengths s, t)
     for _, enc in probes:
         _require_family_size(enc, n)
-    jobs = [[(eps, s) for eps, s in enumerate(enc.offsets()) if s] for _, enc in probes]
-    bare = [np.exp(1j * enc.time_step() * values) for _, enc in probes]
+        if enc not in plans:
+            offsets, t = enc.offsets(), enc.time_step()
+            plans[enc] = np.exp(1j * t * values), np.flatnonzero(offsets), offsets[offsets != 0], t
+    members = [len(plans[enc][1]) for _, enc in probes]  # solved members of each probe
     start = 0
     while start < len(probes):
-        stop, size = start + 1, len(jobs[start])
-        while stop < len(probes) and (size + len(jobs[stop])) * n * n <= EIGENBASIS_BATCH:
-            size += len(jobs[stop])
+        stop, size = start + 1, members[start]
+        while stop < len(probes) and (size + members[stop]) * n * n <= EIGENBASIS_BATCH:
+            size += members[stop]
             stop += 1
-        batch = [(j, eps, s) for j in range(start, stop) for eps, s in jobs[j]]
-        vectors, solved = _solved_factors(values, signs, probes, bare, batch)
-        families, done = [], 0
+        stacks = {}  # encoding -> rows, in order of first appearance
         for j in range(start, stop):
-            slots = [eps for eps, _ in jobs[j]]
-            part = slice(done, done + len(slots))
-            phases = np.repeat(bare[j][None], probes[j][1].deviation_dim, axis=0)
-            phases[slots] = solved[part]
-            families.append(sv.ControlledFamily(phases, vectors[part], slots))
-            done += len(slots)
+            stacks.setdefault(probes[j][1], []).append(j)
+        vectors, solved = _solved_factors(values, signs, [(probes[j][0], plans[enc])
+                                                          for enc, rows in stacks.items() for j in rows])
+        families, done = [], 0
+        for enc, rows in stacks.items():
+            exp_lambda, slots = plans[enc][:2]
+            part = slice(done, done + len(rows) * len(slots))
+            phases = np.empty((len(rows), enc.deviation_dim, n), dtype=complex)
+            phases[:] = exp_lambda
+            phases[:, slots] = solved[part].reshape(len(rows), len(slots), n)
+            stacked = vectors[part].reshape(len(rows), len(slots), n, n)
+            families.append((np.array(rows), sv.ControlledFamily(phases, stacked, slots)))
+            done = part.stop
         yield from families
         start = stop
 
 
-def _solved_factors(values, signs, probes, bare, batch):
-    """Factors of the members for the (probe j, eps, s != 0) of ``batch``, in
-    order, from one low-rank update solve: eigenvectors Q (P, N, N) and the
-    phases d (P, N) of member Q diag(d) Q^dag.
+def _solved_factors(values, signs, batch):
+    """Factors of the solved members of the (coupling, (E, slots, strengths
+    s, t)) probes of ``batch``, probe by probe and slot by slot, from one
+    low-rank update solve: eigenvectors Q (P, N, N) and the phases d (P, N)
+    of member Q diag(d) Q^dag.
 
-    With eigenvalue k held as values[anchor_k] + offset_k and ``bare[j]`` =
-    E = exp(i t Lambda), d = E[anchor] exp(i t offset): N exponentials per
-    member.  Every member of a probe shares the one E, and a phase common
-    to a column's M amplitudes leaves its readout unchanged, so in the term
-    of each anchor's own amplitude E_b drops out and the decoded phase stays
-    t offset at full relative precision.
+    With eigenvalue k held as values[anchor_k] + offset_k and E = exp(i t
+    Lambda) of the probe's encoding, d = E[anchor] exp(i t offset): N
+    exponentials per member.  Every member of a probe shares the one E, and
+    a phase common to a column's M amplitudes leaves its readout unchanged,
+    so in the term of each anchor's own amplitude E_b drops out and the
+    decoded phase stays t offset at full relative precision.
     """
-    vectors, anchor, offset = low_rank_update_eigh(
-        values, np.stack([probes[j][0] for j, _, _ in batch]), np.outer([s for _, _, s in batch], signs))
-    times = np.array([probes[j][1].time_step() for j, _, _ in batch])[:, None]
-    phases = np.take_along_axis(np.stack([bare[j] for j, _, _ in batch]), anchor, axis=1)
-    return vectors, phases * np.exp(1j * times * offset)
+    couplings, bare, strengths, times = zip(*[(coupling, exp_lambda, s, t) for coupling, (exp_lambda, _, each, t)
+                                              in batch for s in each])
+    vectors, anchor, offset = low_rank_update_eigh(values, np.stack(couplings), np.outer(strengths, signs))
+    phases = np.take_along_axis(np.stack(bare), anchor, axis=1)
+    return vectors, phases * np.exp(1j * np.array(times)[:, None] * offset)
+
+
+def _column(flat: int, shape) -> str:
+    """Where the flat index ``flat`` of a (B,) or stacked (J, B) array lies."""
+    *probe, column = np.unravel_index(flat, shape)
+    return f"probe {probe[0]} column {column}" if probe else f"column {column}"
 
 
 def _amplitude_readout(p0: np.ndarray, p1: np.ndarray, w: float) -> np.ndarray:
     """2*arccos(sqrt(p0))*W for every column, after checking all columns at
     once: each probability in [0, 1] (to 1e-12), each pair summing to one
     (to 1e-8), and the arccos and arcsin extractions agreeing (to 1e-8 *
-    max(1, W)).  Raises ProbabilityOutOfRange naming the first failing column."""
+    max(1, W)).  Raises ProbabilityOutOfRange naming the first failing
+    column (and its probe, in a stack)."""
     # negated, so that a NaN fails here, before any sqrt sees it
     bad = np.flatnonzero(~((p0 >= 0.0) & (p0 <= 1.0 + 1e-12) & (p1 >= 0.0) & (p1 <= 1.0 + 1e-12)))
     if bad.size:
-        raise ProbabilityOutOfRange(f"column {bad[0]}: p0 = {p0[bad[0]]}, p1 = {p1[bad[0]]}")
+        raise ProbabilityOutOfRange(f"{_column(bad[0], p0.shape)}: p0 = {p0.flat[bad[0]]}, p1 = {p1.flat[bad[0]]}")
     total = p0 + p1
     bad = np.flatnonzero(np.abs(total - 1.0) > 1e-8)
     if bad.size:
-        raise ProbabilityOutOfRange(f"column {bad[0]}: p0 + p1 = {total[bad[0]]} != 1")
+        raise ProbabilityOutOfRange(f"{_column(bad[0], p0.shape)}: p0 + p1 = {total.flat[bad[0]]} != 1")
     from_p0 = 2.0 * np.arccos(np.minimum(1.0, np.sqrt(p0))) * w
     from_p1 = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(p1))) * w
     bad = np.flatnonzero(np.abs(from_p0 - from_p1) > 1e-8 * max(1.0, w))
     if bad.size:
-        raise ProbabilityOutOfRange(
-            f"column {bad[0]}: arccos/arcsin extractions disagree: {from_p0[bad[0]]} vs {from_p1[bad[0]]}"
-        )
+        raise ProbabilityOutOfRange(f"{_column(bad[0], p0.shape)}: arccos/arcsin extractions disagree: "
+                                    f"{from_p0.flat[bad[0]]} vs {from_p1.flat[bad[0]]}")
     return from_p0
 
 
 def readout_gradients(distributions: np.ndarray, enc: GradientEncoding) -> np.ndarray:
-    """Gradient of each column of (M, B) deviation distributions: the m = 1
-    amplitude readout with its range and arccos/arcsin checks, or at m >= 2
-    the peak bin, raising FlatDistribution for a column whose peak is below
-    min(2/M, FLAT_PEAK_FLOOR) (no bin stands out, so the argmax is noise)."""
+    """Gradient of each column of (M, B) deviation distributions, or of each
+    probe's columns of a stacked (J, M, B): the m = 1 amplitude readout with
+    its range and arccos/arcsin checks, or at m >= 2 the peak bin, raising
+    FlatDistribution for a column whose peak is below min(2/M,
+    FLAT_PEAK_FLOOR) (no bin stands out, so the argmax is noise)."""
     distributions = np.asarray(distributions, dtype=float)
     if enc.m == 1:
-        return _amplitude_readout(distributions[0], distributions[1], enc.W)
+        return _amplitude_readout(distributions[..., 0, :], distributions[..., 1, :], enc.W)
     floor = min(2.0 / enc.deviation_dim, FLAT_PEAK_FLOOR)
-    peaks = np.max(distributions, axis=0)
+    peaks = np.max(distributions, axis=-2)
     flat = np.flatnonzero(peaks < floor)
     if flat.size:
-        raise FlatDistribution(f"column {flat[0]}: max probability {peaks[flat[0]]:.3e} below {floor:.3e}")
-    return np.array([enc.bin_to_gradient(int(j)) for j in np.argmax(distributions, axis=0)])
+        raise FlatDistribution(f"{_column(flat[0], peaks.shape)}: max probability {peaks.flat[flat[0]]:.3e} "
+                               f"below {floor:.3e}")
+    return enc.bin_to_gradient(np.argmax(distributions, axis=-2))
 
 
 def probe_distributions(family, columns: np.ndarray, *, deviation_phases: np.ndarray | None = None) -> np.ndarray:
     """Deviation distributions (M, B) of the probe circuit, run on every
-    column of ``columns`` (N, B) as an independent circuit, M = len(family).
+    column of ``columns`` (N, B) as an independent circuit, M = len(family);
+    (J, M, B) for a stack of J families, each on every column.
 
     The circuit prepares each column c, fans the deviations out with
     Hadamards, applies the controlled ``family``, the optional deviation
-    phases phi, (M,) or per column (M, B), and the inverse QFT, and reads
-    the deviation register conditioned on the system register returning to
-    c, which suppresses the contamination from the small eigenvector tilt
-    at finite L.  That projection commutes with every deviation-register
-    gate, so bin j reads |sum_eps exp(-2 pi i j eps / M) phi_eps a_eps|^2 /
-    M^2, normalized, from the amplitudes a_eps = <c|U(eps)|c>.  Raises
-    FamilySizeMismatch unless M is a power of two >= 2 and the members have
-    dimension N, ValueError for N not a power of two >= 2 or phases off
-    unit modulus or those shapes, UnnormalizedTarget for a column off unit
-    norm and NotInGroundRegister for one with no conditioned weight.
+    phases phi, one per deviation state, (M,), per probe of a stack, (J, M),
+    or per column as well, the shape of the distributions, and the inverse
+    QFT, and reads the deviation register conditioned on the system register
+    returning to c, which suppresses the contamination from the small
+    eigenvector tilt at finite L.  That projection commutes with every
+    deviation-register gate, so bin j reads |sum_eps exp(-2 pi i j eps / M)
+    phi_eps a_eps|^2 / M^2, normalized, from the amplitudes a_eps =
+    <c|U(eps)|c>.  Raises FamilySizeMismatch unless M is a power of two >= 2
+    and the members have dimension N, ValueError for N not a power of two
+    >= 2 or phases off unit modulus or those shapes, UnnormalizedTarget for a
+    column off unit norm and NotInGroundRegister for one with no
+    conditioned weight.
     """
     columns = np.asarray(columns, dtype=complex)
     n_dim, m_dim = columns.shape[0], len(family)
@@ -409,19 +470,22 @@ def probe_distributions(family, columns: np.ndarray, *, deviation_phases: np.nda
     amplitudes = family.amplitudes(columns)
     if deviation_phases is not None:
         phases = np.asarray(deviation_phases, dtype=complex)
-        if phases.shape not in ((m_dim,), amplitudes.shape) or np.max(np.abs(np.abs(phases) - 1.0)) > sv.NORM_ATOL:
-            raise ValueError(f"deviation phases must have unit modulus and shape ({m_dim},) or {amplitudes.shape}, "
-                             f"not {phases.shape}")
-        amplitudes *= phases.reshape(m_dim, -1)
+        shapes = {(m_dim,), family.phases.shape[:-1], amplitudes.shape}
+        if phases.shape not in shapes or np.max(np.abs(np.abs(phases) - 1.0)) > sv.NORM_ATOL:
+            raise ValueError(f"deviation phases must have unit modulus and shape "
+                             f"{' or '.join(str(shape) for shape in sorted(shapes, key=len))}, not {phases.shape}")
+        amplitudes *= phases if phases.shape == amplitudes.shape else phases[..., None]
     # the M = 2 inverse QFT is the Hadamard, which spares loading numpy.fft (0.4 MB resident);
     # 1/M = 1/sqrt(M) from the fan-out times 1/sqrt(M) from the inverse QFT, exact for M = 2^m
     if m_dim == 2:
-        spectrum = np.stack([amplitudes[0] + amplitudes[1], amplitudes[0] - amplitudes[1]])
+        spectrum = np.stack([amplitudes[..., 0, :] + amplitudes[..., 1, :],
+                             amplitudes[..., 0, :] - amplitudes[..., 1, :]], axis=-2)
     else:
-        spectrum = np.fft.fft(amplitudes, axis=0)
+        spectrum = np.fft.fft(amplitudes, axis=-2)
     probs = np.abs(spectrum / m_dim) ** 2
-    weight = np.sum(probs, axis=0)
+    weight = np.sum(probs, axis=-2)
     empty = np.flatnonzero(weight < 1e-30)
     if empty.size:
-        raise NotInGroundRegister(f"conditioning state of column {empty[0]} has no overlap with the register")
-    return probs / weight
+        raise NotInGroundRegister(f"conditioning state of {_column(empty[0], weight.shape)} has no overlap with the "
+                                  f"register")
+    return probs / weight[..., None, :]

@@ -218,6 +218,12 @@ def family_members(family) -> list:
     return members
 
 
+def unstacked(stack, j: int = 0) -> ControlledFamily:
+    """Probe j of a stacked ControlledFamily as a family of its own, on the
+    same factors (checked again)."""
+    return ControlledFamily(stack.phases[j], stack.vectors[j], stack.slots)
+
+
 def checked_members(members) -> list:
     """A raw sequence of N x N members, copied, each checked for its shape
     and for ||U^dag U - I||_F <= NORM_ATOL * N; raises FamilySizeMismatch or

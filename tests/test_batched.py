@@ -16,6 +16,7 @@ import qgld.qgpe
 import qgld.statevector as sv
 from qgld import (
     ControlledFamily,
+    DenseSource,
     FamilySizeMismatch,
     GradientEncoding,
     AliasedReadout,
@@ -45,6 +46,7 @@ from conftest import (
     random_hermitian,
     random_state,
     reference_distributions,
+    unstacked,
 )
 
 
@@ -147,8 +149,8 @@ def _family(builder, x, enc, rng):
         e, f = np.eye(n)[int(rng.integers(0, n))], random_state(rng, n)
         delta = PerturbationDirection.from_factors(np.stack([e + f, e - f], axis=1) / 2, (1.0, -1.0))
     dec = eig_hermitian(x)
-    [family] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc)])
-    return family, delta.norm
+    [(_, stack)] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc)])
+    return unstacked(stack), delta.norm
 
 
 def count_builds(monkeypatch) -> list:
@@ -322,6 +324,55 @@ class TestContractedAgainstReferenceCircuit:
         assert np.all(np.abs(got - want) <= 1e-14 / np.sqrt(weight))
 
 
+class TestStackedRead:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_qubits=st.integers(1, 4),
+        m=st.sampled_from([1, 2, 3]),
+        shift=st.sampled_from(["unshifted", "centered"]),
+        symmetric=st.booleans(),
+        kinds=st.lists(st.sampled_from(["element", "outer", "factors"]), min_size=1, max_size=6),
+        budget=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # three directions in both windows, three probes a batch: the second direction's two windows
+    # fall into two batches, each read from a stack of its own
+    @example(n_qubits=3, m=1, shift="unshifted", symmetric=True, kinds=["element", "outer", "factors"], budget=3,
+             seed=7)
+    def test_stack_reads_each_probe_alone(self, n_qubits, m, shift, symmetric, kinds, budget, seed):
+        # the directions of one call are read from one stack per secular batch and window, of at most
+        # ``budget`` probes a batch; their slopes, adapted residuals and totals equal those of
+        # each direction read alone (its one probe per window, a stack of one) bit for bit.  Element
+        # and factored directions read with the identity shift ||Delta||_2, outer ones without
+        rng = np.random.default_rng(seed)
+        n = 1 << n_qubits
+        x = random_hermitian(rng, n, indefinite=True)
+        deltas = []
+        for kind in kinds:
+            if kind == "element":
+                i, j = (int(v) for v in rng.integers(0, n, size=2))
+                deltas.append(build_delta("element", n, i=i, j=j))
+            elif kind == "outer":
+                deltas.append(build_delta("outer", n, phi=random_state(rng, n)))
+            else:  # the kernel weight's (e_i f^T + f e_i^T) / 2
+                e, f = np.eye(n)[int(rng.integers(0, n))], random_state(rng, n)
+                deltas.append(PerturbationDirection.from_factors(np.stack([e + f, e - f], axis=1) / 2, (1.0, -1.0)))
+        enc = GradientEncoding(L=1e-5, W=4.0, m=m, shift=shift)
+
+        def read(directions):
+            return qgld.expectation._probe_relevant_eigenpairs(x, [(d, enc) for d in directions], n, DenseSource(),
+                                                               symmetric)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qgld.qgpe, "EIGENBASIS_BATCH", budget * (enc.deviation_dim - 1) * n * n)
+            _, _, slopes, residuals, totals = read(deltas)
+        for row, delta in enumerate(deltas):
+            _, _, alone, alone_residuals, alone_total = read([delta])
+            np.testing.assert_array_equal(slopes[row], alone[0])
+            np.testing.assert_array_equal(residuals[row], alone_residuals[0])
+            assert totals[row] == alone_total[0]
+
+
 # sigma_x = H diag(1, -1) H, kept as its factors
 SIGMA_X_FACTORS = (np.array([1.0, -1.0], dtype=complex), HADAMARD)
 
@@ -451,11 +502,13 @@ class TestFactoredFamilyCheck:
 
 
 class TestValidateOnce:
-    # a dense per-eigenvector call builds its families in the eigenbasis: per
-    # window the s = 0 member, a diagonal slot, and one secular member; each
-    # family checks its eigenvector stack and its phases once
+    # per-eigenvector reads along three directions build their families in the eigenbasis, one
+    # stack of three per window: per probe the s = 0 member, a diagonal slot, and one secular
+    # member, so ``members`` per direction in all; each stack checks all its eigenvectors with
+    # one call and all its phases with another
     @pytest.mark.parametrize("symmetric,members", [(False, 2), (True, 4)])
     def test_unitarity_checked_once_per_member(self, rng, monkeypatch, symmetric, members):
+        stacks = members // 2
         checks, built, dense = [], [], []
         real_defect, real_families = sv.unitarity_defect, qgld.expectation.eigenbasis_families
 
@@ -465,22 +518,24 @@ class TestValidateOnce:
 
         def counting_families(*args):
             families = list(real_families(*args))
-            built.extend(families)
+            built.extend(family for _, family in families)
             return iter(families)
 
         monkeypatch.setattr(sv, "unitarity_defect", counting_defect)
         monkeypatch.setattr(qgld.expectation, "eigenbasis_families", counting_families)
         monkeypatch.setattr(qgld.expectation, "evolution_family", lambda *args: dense.append(1))
         x = random_hermitian(rng, 16)
-        # the qgld expectation of phi, through its core so that both windows can run
-        outer = build_delta("outer", 16, phi=random_state(rng, 16))
-        logdet_directional_derivatives(x, [outer], 16, symmetric=symmetric)
-        assert sum(len(family) for family in built) == members
-        assert checks == [(1, False), (2, True)] * (members // 2)
+        # the qgld expectations of three phi, through the core so that both windows can run
+        outers = [build_delta("outer", 16, phi=random_state(rng, 16)) for _ in range(3)]
+        logdet_directional_derivatives(x, outers, 16, symmetric=symmetric)
+        assert [family.phases.shape for family in built] == [(3, 2, 16)] * stacks
+        assert [len(family) for family in built] == [2] * stacks
+        assert checks == [(3, False), (3, True)] * stacks
         bare = np.exp(1j * GradientEncoding().time_step() * eig_hermitian(x).values)
         for family in built:
             [slot] = family.diagonal_slots
-            np.testing.assert_array_equal(family.phases[slot], bare)
+            for phases in family.phases:
+                np.testing.assert_array_equal(phases[slot], bare)
         assert dense == []
 
     def test_non_unitary_member_rejected_at_build(self):

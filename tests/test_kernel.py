@@ -139,9 +139,9 @@ class TestProbeSolver:
         monkeypatch.setattr(qgld.expectation, "eigenbasis_families", counting_families)
         points, targets = sin_training_set()
         kernel_fit(points, targets, sigma=1.0, ridge=1e-6, solver="qgld")
-        # one batched circuit per deviation window (the fit is symmetric) per
-        # weight; every weight's families come from one batch
-        assert len(circuits) == 2 * len(points)
+        # every weight's families come from one secular batch, read as one stack
+        # and one batched circuit per deviation window (the fit is symmetric)
+        assert len(circuits) == 2
         assert batches == [2 * len(points)]
 
     def test_one_resolve_per_fit(self, monkeypatch):

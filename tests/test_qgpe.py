@@ -40,6 +40,7 @@ from conftest import (
     random_hermitian,
     random_state,
     unitary_phase_exp,
+    unstacked,
 )
 
 
@@ -146,6 +147,29 @@ class TestBuildDelta:
                     delta.factors[0, 0] = 1.0
         assert directions[3] == directions[3] and directions[3] != build_delta("element", 4, i=1, j=2)
         assert len({*directions, *directions}) == 4
+
+    def test_factored_matrix_formed_on_first_read(self, rng):
+        # 2080 element directions at N = 64 once held 136 MB of matrices that the eigenbasis probes
+        # never read: a direction with factors forms its matrix when it is first read, by its kind's
+        # formula, once, read-only; a custom matrix is kept as given
+        n, phi = 8, random_state(rng, 8)
+        e, f = np.eye(n)[2], random_state(rng, n)
+        factors = np.stack([e + f, e - f], axis=1) / 2
+        element = np.zeros((n, n), dtype=complex)
+        element[1, 5] = element[5, 1] = 1.0
+        pair = (factors * (1.0, -1.0)) @ factors.conj().T
+        cases = [(build_delta("element", n, i=1, j=5), element),
+                 (build_delta("all_ones", n), np.ones((n, n), dtype=complex)),
+                 (build_delta("outer", n, phi=phi), np.outer(phi, phi.conj())),
+                 (PerturbationDirection.from_factors(factors, (1.0, -1.0)), (pair + pair.conj().T) / 2)]
+        x = random_spd(n, 1)
+        logdet_directional_derivatives(x, [delta for delta, _ in cases], n, GradientEncoding(W=4.0 * n))
+        for delta, want in cases:
+            assert "matrix" not in vars(delta) and delta.dim == n
+            formed = delta.matrix
+            np.testing.assert_array_equal(formed, want)
+            assert delta.matrix is formed and not formed.flags.writeable
+        assert "matrix" in vars(build_delta("custom", n, matrix=element))
 
     def test_a_matrix_is_all_a_caller_gives(self, rng):
         # a kind, a norm or factors given beside the matrix were taken on trust, and on
@@ -394,6 +418,10 @@ class TestExtractM1:
             with pytest.raises(ProbabilityOutOfRange, match=message):
                 readout_gradients(np.array(columns).T, enc)
         np.testing.assert_allclose(readout_gradients(np.array([good] * 3).T, enc), 0.5, atol=1e-12)
+        # a stack's (J, M, B) distributions are checked at once too, naming the probe and the column
+        stacked = np.stack([np.array([good] * 3).T, np.array([good, [-0.1, 1.1], good]).T])
+        with pytest.raises(ProbabilityOutOfRange, match="probe 1 column 1: p0 = -0.1"):
+            readout_gradients(stacked, enc)
 
 
 class TestExtractPeak:
@@ -616,7 +644,8 @@ class TestEigenbasisFamily:
         # the eigenbasis family's members are in the eigenbasis of X; the dense family's are not
         basis = dec.vectors if builder == "eigenbasis" else np.eye(n)
         if builder == "eigenbasis":
-            [family] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc)])
+            [(_, stack)] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc)])
+            family = unstacked(stack)
             zero = list(enc.offsets()).index(0.0)
             assert zero not in family.slots
             np.testing.assert_array_equal(family.phases[zero], np.exp(1j * t * dec.values))
@@ -640,7 +669,8 @@ class TestEigenbasisFamily:
         t = enc.time_step()
         assert t == pytest.approx(1e7)
         s, c = enc.offsets()[1], 0.5
-        [family] = eigenbasis_families(values, (1.0,), [(coupling, enc)])
+        [(_, stack)] = eigenbasis_families(values, (1.0,), [(coupling, enc)])
+        family = unstacked(stack)
         _, anchor, offset = low_rank_update_eigh(values, coupling[None], [[s]])
         assert sorted(anchor[0]) == list(range(n))
         want = np.empty(n)

@@ -214,6 +214,13 @@ class TestControlledFamily:
             ControlledFamily(phases)
         with pytest.raises(NonUnitaryMember, match="member 2 "):
             checked_members([good, good, 2.0 * good, good])
+        # a stack of three probes' families, checked at once: the message names the probe too
+        stacked = np.ones((3, 2, 2), dtype=complex)
+        stacked[2, 1, 0] = 1.0 + 1e-6
+        with pytest.raises(NonUnitaryMember, match="probe 2 member 1 "):
+            ControlledFamily(stacked, np.stack([np.stack([good])] * 3), [1])
+        with pytest.raises(NonUnitaryMember, match="probe 1 member 1 "):
+            ControlledFamily(np.ones((3, 2, 2), dtype=complex), np.array([[good], [2.0 * good], [good]]), [1])
 
 
 class TestInverseQft:

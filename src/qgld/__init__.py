@@ -57,6 +57,7 @@ from .expectation import (
     classical_reference_expectation,
     eigenvalue_gradient_probe,
     eigenvalue_gradient_probes,
+    eigenvalue_spacing,
     logdet_directional_derivatives,
     logdet_gradient_entry,
     qgld_expectation,

@@ -224,7 +224,8 @@ def eigenvalue_gradient_probe(x, p_vec, delta: PerturbationDirection, enc: Gradi
 
 
 def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray, residuals: np.ndarray,
-                                  delta: PerturbationDirection, l_value: float) -> tuple[np.ndarray, np.ndarray]:
+                                  delta: PerturbationDirection, l_value: float,
+                                  spacing: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Rotate eigenvector clusters so Delta is diagonal inside each degenerate
     (or nearly degenerate at the probe scale) eigenspace.
 
@@ -232,14 +233,14 @@ def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray, re
     ~L*||Delta||_2, the perturbed eigenvectors re-sort along Delta's internal
     eigendirections, so probing an unadapted basis vector reads a phase
     mixture.  Standard degenerate perturbation theory: diagonalizing the
-    restriction of Delta fixes the basis the probes need.  Returns rotated
-    vectors and residuals, recomputed for rotated columns only, in copies;
-    with no cluster it returns ``vectors`` and ``residuals`` themselves, so
-    callers must not write to what it returns.
+    restriction of Delta fixes the basis the probes need.  ``spacing`` is
+    :func:`eigenvalue_spacing` of ``values``, which depends on X alone.
+    Returns rotated vectors and residuals, recomputed for rotated columns
+    only, in copies; with no cluster it returns ``vectors`` and ``residuals``
+    themselves, so callers must not write to what it returns.
     """
-    tol = max(1e-8 * float(np.linalg.norm(x)), 4.0 * l_value * delta.norm)
-    order = np.argsort(values, kind="stable")
-    apart = np.diff(values[order]) > tol
+    order, gaps, floor = spacing
+    apart = gaps > max(floor, 4.0 * l_value * delta.norm)
     if apart.all():
         return vectors, residuals
     vectors, residuals = vectors.copy(), np.array(residuals, dtype=float)
@@ -251,6 +252,14 @@ def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray, re
             vectors[:, idx] = basis @ rot
             residuals[idx] = eigen_residuals(x, values[idx], vectors[:, idx])
     return vectors, residuals
+
+
+def eigenvalue_spacing(values: np.ndarray, x_norm: float) -> tuple:
+    """The X-only part of :func:`adapt_degenerate_eigenvectors`: the order of
+    ``values`` ascending, the gaps between neighbours in that order, and the
+    adaptation floor 1e-8 * ||X||_F (``x_norm``)."""
+    order = np.argsort(values, kind="stable")
+    return order, np.diff(values[order]), 1e-8 * x_norm
 
 
 def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool = False):
@@ -282,6 +291,7 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool =
     if not 1 <= k <= len(values):
         raise ValueError(f"k = {k} outside [1, {len(values)}], the eigenpairs resolved")
     x_norm = float(np.linalg.norm(x))
+    spacing = eigenvalue_spacing(values, x_norm)
     order = relevance_order(values)[:k]
     kept = np.abs(values[order]) > PSEUDO_INVERSE_RTOL * max(x_norm, 1e-300)
     used, skipped = order[kept], values[order[~kept]].tolist()
@@ -309,7 +319,7 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool =
         factored = delta.factors is not None and isinstance(eigensource, DenseSource)
         _require_readable(delta.norm + shift, encodings, None if factored else x_norm)
         adapted, adapted_residuals = adapt_degenerate_eigenvectors(x, values, vectors, resolved_residuals,
-                                                                   delta, enc.L)
+                                                                   delta, enc.L, spacing)
         residuals.append(adapted_residuals[used])
         if factored:
             in_eigenbasis.setdefault(delta.signs, []).append((j, (delta.factors.conj().T @ adapted).conj().T))

@@ -130,7 +130,7 @@ def relevance_order(values) -> np.ndarray:
 def low_rank_update_eigh(values, factors, weights):
     """Eigensystems of diag(values) + F_p diag(weights_p) F_p^dag for P
     problems: ``values`` (N,) real, ``factors`` (P, N, r) and ``weights``
-    (P, r) real and nonzero, one per rank-one term.
+    (P, r) real and nonzero, one per rank-one term, all finite.
 
     Each rank-one term is one secular-equation solve (Golub 1973; Bunch,
     Nielsen and Sorensen 1978), applied in turn.  Eigenvalue k of problem p
@@ -138,22 +138,30 @@ def low_rank_update_eigh(values, factors, weights):
     it was found next to, so every difference from the unperturbed values
     keeps the relative precision of the offsets rather than eps * max|values|.
     Returns (vectors (P, N, N), columns the eigenvectors; anchor; offset).
+    Raises ValueError naming the shapes that do not fit, or for a zero
+    weight, and NonFiniteInput naming the array that holds a NaN or inf.
     """
     values = np.asarray(values, dtype=float)
     factors = np.asarray(factors, dtype=complex)
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (factors.shape[0], factors.shape[2]) or not np.all(weights):
+    if values.ndim != 1 or factors.ndim != 3 or factors.shape[1] != len(values):
+        raise ValueError(f"factors of shape {factors.shape} for values of shape {values.shape}: "
+                         f"need (P, N, r) and (N,)")
+    if weights.shape != (factors.shape[0], factors.shape[2]) or np.count_nonzero(weights) < weights.size:
         raise ValueError(f"weights of shape {weights.shape} for factors of shape {factors.shape}: "
                          f"need (P, r), every weight nonzero")
-    anchor = np.broadcast_to(np.arange(len(values)), factors.shape[:2])
-    offset = np.zeros(factors.shape[:2])
+    for name, part in (("values", values), ("factors", factors), ("weights", weights)):
+        bad = part.size - np.count_nonzero(np.isfinite(part))
+        if bad:
+            raise NonFiniteInput(f"{name} have {bad} non-finite entries (NaN or inf)")
+    p_total, n = factors.shape[:2]
+    anchor, offset, rows = np.tile(np.arange(n), (p_total, 1)), np.zeros((p_total, n)), np.arange(p_total)[:, None]
     vectors = None
     for column in range(factors.shape[2]):
         z = factors[:, :, column]
         if vectors is not None:
             z = np.einsum("pki,pk->pi", vectors.conj(), z)
         step, root, tau = _secular_rank_one(values, anchor, offset, z, weights[:, column])
-        rows = np.arange(len(root))[:, None]
         anchor, offset = anchor[rows, root], offset[rows, root] + tau
         vectors = step if vectors is None else vectors @ step
     return vectors, anchor, offset
@@ -174,34 +182,40 @@ def _secular_rank_one(values, anchor, offset, z, rho):
     safeguarded by bisection.  Eigenvectors come from the Gu-Eisenstat vector
     z_hat, for which the computed roots are exact, so they are orthogonal to
     working precision.  Returns (vectors, root pole index, tau).
+
+    Five float arrays of P * N^2 entries are held at once: gaps, terms and
+    dterms, and d_j - root_k and the re-origined gaps in the memory of the
+    complex eigenvectors, which are formed last.
     """
     p_total, n = z.shape
-    rows = np.arange(p_total)[:, None]
-    idx = np.arange(n)
+    rows, idx = np.arange(p_total)[:, None], np.arange(n)
     sign = np.sign(rho)[:, None]  # rho < 0 solves -D + |rho| z z^dag
-    base = values[anchor]
-    key = base + offset
-    part = key - base
-    low = (base - (key - part)) + (offset - part)  # key + low = base + offset exactly
-    order = np.lexsort((sign * low, sign * key), axis=-1)
-    base, off = sign * base[rows, order], sign * offset[rows, order]
-    gaps = base[:, None, :] - base[:, :, None]  # d_j - d_i
-    gaps += off[:, None, :] - off[:, :, None]
+    base, off = values[anchor] * sign, offset * sign
+    key = base + off
+    part = key - base  # key + low = base + offset exactly, so the order is exact
+    order = np.lexsort(((base - (key - part)) + (off - part), key), axis=-1)
+    base, off = base[rows, order], off[rows, order]
+    vectors = np.empty((p_total, n, n), dtype=complex)
+    diff, moved = vectors.reshape(-1).view(float).reshape(2, p_total, n, n)
+    gaps = np.subtract(base[:, None, :], base[:, :, None])  # d_j - d_i
+    gaps += np.subtract(off[:, None, :], off[:, :, None], out=diff)
     mag = np.abs(z[rows, order])
     weight = np.abs(rho)[:, None] * mag * mag
-    active = mag > SECULAR_DEFLATION * np.sqrt(np.sum(mag * mag, axis=1, keepdims=True))
+    active = mag > SECULAR_DEFLATION * np.sqrt((mag * mag).sum(axis=1, keepdims=True))
     slot = idx  # the pole each deflated eigenvalue keeps
 
     def next_active():
-        later = np.minimum.accumulate(np.where(active, idx, n)[:, ::-1], axis=1)[:, ::-1]
-        nxt = np.concatenate([later[:, 1:], np.full((p_total, 1), n)], axis=1)
-        return nxt, gaps[rows, idx, np.minimum(nxt, n - 1)]
+        ahead = np.full((p_total, n + 1), n)
+        np.copyto(ahead[:, :n], idx, where=active)
+        nxt = np.minimum.accumulate(ahead[:, ::-1], axis=1)[:, -2::-1]
+        last = nxt == n
+        return nxt, last, gaps[rows, idx, nxt - last]
 
-    nxt, width = next_active()
-    tie = 8 * EPS * (np.sum(weight, axis=1, keepdims=True) + np.max(np.abs(offset), axis=1, keepdims=True))
-    tied = active & (nxt < n) & (width <= tie)
+    nxt, last, width = next_active()
+    tie = 8 * EPS * (weight.sum(axis=1, keepdims=True) + np.abs(offset).max(axis=1, keepdims=True))
+    tied = active & ~last & (width <= tie)
     runs = []
-    if tied.any():
+    if np.count_nonzero(tied):
         continued = np.zeros((p_total, n + 1), dtype=bool)
         continued[np.nonzero(tied)[0], nxt[tied]] = True
         slot = np.broadcast_to(idx, (p_total, n)).copy()
@@ -216,89 +230,104 @@ def _secular_rank_one(values, anchor, offset, z, rho):
             weight[p, members[0]] = np.abs(rho[p]) * np.sum(mag[p, members] ** 2)
             active[p, members[1:]] = False
             slot[p, members[1:]] = members[0]
-        nxt, width = next_active()
-    last = nxt == n
+        nxt, last, width = next_active()
     # the last root lies below d_max + rho ||z||^2
-    width = np.where(last, np.sum(weight * active, axis=1, keepdims=True), width)
+    width = np.where(last, (weight * active).sum(axis=1, keepdims=True), width)
+    half = width / 2
     # each root's rational model has two poles, relative to its origin: the
-    # bracketing ones, or for the last root the active pole before it and its own
-    earlier = np.maximum.accumulate(np.where(active, idx, -1), axis=1)
-    before = np.concatenate([np.full((p_total, 1), -1), earlier[:, :-1]], axis=1)
-    left_pole = np.where(last & (before >= 0), gaps[rows, idx, np.maximum(before, 0)], 0.0)
-    right_pole = np.where(last, 0.0, width)
+    # bracketing ones, or for the last root the active pole before it and its
+    # own; they and the bracket [lo, hi] of its offset move with the origin
+    behind = np.full((p_total, n + 1), -1)
+    np.copyto(behind[:, 1:], idx, where=active)
+    before = np.maximum.accumulate(behind, axis=1)[:, :n]
+    frame = np.zeros((4, p_total, n))
+    poles, lo, hi = frame[:2], frame[2], frame[3]
+    np.copyto(poles[0], gaps[rows, idx, before], where=last & (before >= 0))
+    np.copyto(poles[1], width, where=~last)
+    hi[...] = width
+    span = poles[0] + poles[1]
+    # a deflated pole drops out of every sum: its column of gaps is +inf
+    dead = np.nonzero(~active)
+    gaps[dead[0], :, dead[1]] = np.inf
 
     # pole j at or below pole k, and above it: each side is its own masked
     # sum, so a small side keeps its relative precision next to a large one
-    side_below = np.tri(n)
-    side_above = 1.0 - side_below
-    counted = np.broadcast_to(active[:, None, :], gaps.shape)  # deflated poles drop out of every sum
-    diff, terms, dterms = np.empty(gaps.shape), np.zeros(gaps.shape), np.zeros(gaps.shape)
+    sides = np.empty((2, n, n))
+    sides[0] = idx[:, None] >= idx
+    np.subtract(1.0, sides[0], out=sides[1])
+    terms, dterms = work = np.empty((2, p_total, n, n))
+    diagonals = work.reshape(2, p_total, -1)[..., ::n + 1]  # each root's own-pole terms
+    candidates, sums = np.empty((2, p_total, n)), np.empty((2, 2, p_total, n))
+    (psi, phi), slopes = sums  # the sides' sums of terms, and of dterms
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         origin, delta = idx, gaps  # rows of the pole each root is held against
         # start from the one-pole estimate w_k / (1 + sum_{j != k} w_j / (d_j - d_k)), else mid-interval
-        np.divide(weight[:, None, :], gaps, out=terms, where=counted)
-        terms[:, idx, idx] = 0.0
+        np.divide(weight[:, None, :], gaps, out=terms)
+        diagonals[0] = 0.0
         tau = weight / (1.0 + terms.sum(axis=2))
-        tau = np.where((tau > 0) & (tau < width), tau, width / 2)
-        lo, hi = np.zeros((p_total, n)), width
+        tau = np.where((tau > 0) & (tau < width), tau, half)
         todo = active.copy()
-        for step in range(SECULAR_MAX_STEPS):
+        for step in range(SECULAR_MAX_STEPS + 1):
             np.subtract(delta, tau[:, :, None], out=diff)
-            np.divide(weight[:, None, :], diff, out=terms, where=counted)
-            np.divide(terms, diff, out=dterms, where=counted)
-            psi, phi = np.einsum("pkj,kj->pk", terms, side_below), np.einsum("pkj,kj->pk", terms, side_above)
-            dpsi = np.einsum("pkj,kj->pk", dterms, side_below)
-            dphi = np.einsum("pkj,kj->pk", dterms, side_above)
+            if step == SECULAR_MAX_STEPS or step and not np.count_nonzero(todo):
+                break  # every root is final, and diff is taken at it
+            np.divide(weight[:, None, :], diff, out=terms)
+            np.divide(terms, diff, out=dterms)
+            np.einsum("tpkj,skj->tspk", work, sides, out=sums)
             f = 1.0 + psi + phi
             bound = 8.0 * (phi - psi) + 2.0
             # the last root's own pole is the model's right one
-            own, down = terms[:, idx, idx] * last, dterms[:, idx, idx] * last
-            psi, phi, dpsi, dphi = psi - own, phi + own, dpsi - down, dphi + down
-            slope = dpsi + dphi
-            unconverged = np.abs(f) > EPS * (bound + 3.0 * np.abs(tau) * slope)
-            if step and not (todo & unconverged).any():
+            down = diagonals[1] * last
+            slopes[0] -= down
+            slopes[1] += down
+            unconverged = np.abs(f) > EPS * (bound + 3.0 * np.abs(tau) * (slopes[0] + slopes[1]))
+            if step and not np.count_nonzero(todo & unconverged):
                 break  # this step's update would leave every root where it is
             below = f < 0
-            lo, hi = np.where(below, tau, lo), np.where(below, hi, tau)
-            # the model c + s / (left_pole - x) + t / (right_pole - x) matching f and f' at
+            np.copyto(lo, tau, where=below)
+            np.copyto(hi, tau, where=~below)
+            # the model c + s / (left pole - x) + t / (right pole - x) matching f and f' at
             # tau (one of the poles is 0), solved for the new offset x itself, so a root
             # next to the origin keeps its relative precision
-            left, right = left_pole - tau, right_pole - tau
-            s_left, s_right = left * left * dpsi, right * right * dphi
-            c = f - left * dpsi - right * dphi
-            a = c * (left_pole + right_pole) + s_left + s_right
-            b = s_left * right_pole + s_right * left_pole
+            apart = poles - tau
+            scaled = apart * slopes
+            s = apart * apart * slopes
+            c = f - scaled[0] - scaled[1]
+            a = c * span + s[0] + s[1]
+            s *= poles[::-1]
+            b = s[0] + s[1]
             q = (a + np.copysign(np.sqrt(np.abs(a * a - 4 * b * c)), a)) / 2
-            new = np.where((b / q > lo) & (b / q < hi), b / q, q / c)
+            # the model's root b / q if inside the bracket, else q / c, else bisection
+            np.divide(b, q, out=candidates[0])
+            np.divide(q, c, out=candidates[1])
+            inside = (candidates > lo) & (candidates < hi)
+            new = np.where(inside[0], candidates[0], candidates[1])
             todo &= unconverged & (new != tau)
-            new = np.where(todo, np.where((new > lo) & (new < hi), new, (lo + hi) / 2), tau)
+            new = np.where(todo, np.where(inside[0] | inside[1], new, (lo + hi) / 2), tau)
             if step == 0:  # from here on, hold each root against its nearer pole
-                upper = ~last & (new > width / 2)
+                upper = ~last & (new > half)
                 origin = np.where(upper, nxt, idx)
-                new, lo, hi = (np.where(upper, v - width, v) for v in (new, lo, hi))
-                left_pole, right_pole = np.where(upper, -width, left_pole), np.where(upper, 0.0, right_pole)
-                delta = gaps[rows[:, :, None], origin[:, :, None], idx]
+                np.subtract(new, width, out=new, where=upper)
+                np.subtract(frame, width, out=frame, where=upper)
+                span = poles[0] + poles[1]
+                delta = gaps.reshape(-1, n).take(origin + rows * n, axis=0, out=moved, mode="clip")
             tau = new
-            if not todo.any():
-                break
-        # d_i - root_k, and the Gu-Eisenstat z_hat_i^2 = |prod_k (root_k - d_i) / prod_{k != i} (d_k - d_i)|
-        np.subtract(delta, tau[:, :, None], out=diff)
-        apart = diff.transpose(0, 2, 1)
-        pair = counted & active[:, :, None]
-        np.divide(apart, gaps, out=terms)
-        terms[:, idx, idx] = apart[:, idx, idx]
-        np.copyto(terms, 1.0, where=~pair)
-        z_hat = np.sqrt(np.abs(np.prod(terms, axis=2)))
-        vec = np.divide(z_hat[:, :, None], apart, out=dterms)
-    del gaps, delta, diff, apart, terms  # before the complex vectors, to bound the peak
-    np.copyto(vec, 0.0, where=~pair)
-    vec /= np.sqrt(np.einsum("pik,pik->pk", vec, vec))[:, None, :] + ~active[:, None, :]
-    vec[:, idx, idx] += ~active
+        # the Gu-Eisenstat z_hat_i^2 = |prod_k (d_i - root_k) / prod_{k != i} (d_i - d_k)|, a product
+        # down each column of diff / gaps (d_k - d_i = -gaps[k, i] exactly), and d_i - root_k
+        np.divide(diff, gaps, out=terms)
+        diagonals[0] = diff.reshape(p_total, -1)[:, ::n + 1]
+        terms[dead[0], dead[1], :] = 1.0
+        z_hat = np.sqrt(np.abs(np.multiply.reduce(terms, axis=1)))
+        vec = np.divide(z_hat[:, :, None], diff.transpose(0, 2, 1), out=dterms)
+    # a deflated pole keeps its unit vector, and has no part in any other
+    vec[dead[0], dead[1], :] = 0.0
+    vec[dead[0], :, dead[1]] = 0.0
+    vec[dead[0], dead[1], dead[1]] = 1.0
+    vec /= np.sqrt(np.einsum("pik,pik->pk", vec, vec))[:, None, :]
     for p, members, reflect in runs:
         vec[p, members, :] = reflect @ vec[p, members, :]
-    vectors = np.empty(vec.shape, dtype=complex)
     vectors[rows, order, :] = vec
-    vectors *= np.exp(1j * np.angle(z))[:, :, None]
+    vectors *= np.exp(1j * np.arctan2(z.imag, z.real))[:, :, None]
     root = order[rows, np.where(active, origin, slot)]
     return vectors, root, np.where(active, sign * tau, 0.0)
 

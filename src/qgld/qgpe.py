@@ -293,8 +293,9 @@ def _require_family_size(enc: GradientEncoding, n: int) -> None:
     take 128 MB, 16 bytes per complex entry.  A dense family adds little
     beside them, since its eighs and its check work a chunk at a time (about
     20 bytes per entry in all); an eigenbasis family's secular solve holds
-    about five float work arrays of M * N^2 entries at once (45 to 60 bytes
-    per entry in all, about 0.5 GB at the limit)."""
+    five float arrays of M * N^2 entries at once, two of them in the memory
+    of the eigenvectors it returns (a peak of about 44 bytes per entry for a
+    rank-one direction and 60 for rank two, about 0.5 GB at the limit)."""
     entries = enc.deviation_dim * n * n
     if entries > FAMILY_ENTRIES:
         raise ValueError(f"a family at m = {enc.m}, N = {n} holds M * N^2 = {entries} eigenvector entries, "

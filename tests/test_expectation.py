@@ -10,6 +10,7 @@ from qgld import (
     AliasedReadout,
     DenseSource,
     adapt_degenerate_eigenvectors,
+    eigenvalue_spacing,
     InverseExpectationRequest,
     GradientEncoding,
     NonFiniteInput,
@@ -671,7 +672,8 @@ class TestAdaptDegenerateEigenvectors:
         delta = random_hermitian(rng, 8)
         passed = np.arange(1, 9) * 1e-3  # not residuals of any column, so a recompute shows
         vectors, residuals = adapt_degenerate_eigenvectors(x, dec.values, dec.vectors, passed,
-                                                           PerturbationDirection(delta), 1e-6)
+                                                           PerturbationDirection(delta), 1e-6,
+                                                           eigenvalue_spacing(dec.values, np.linalg.norm(x)))
         unrotated, rotated = [3, 6, 7], [0, 1, 2, 4, 5]
         np.testing.assert_array_equal(vectors[:, unrotated], dec.vectors[:, unrotated])
         np.testing.assert_array_equal(residuals[unrotated], passed[unrotated])
@@ -691,5 +693,6 @@ class TestAdaptDegenerateEigenvectors:
         dec = eig_hermitian(x)
         passed = np.arange(1, 9) * 1e-3
         vectors, residuals = adapt_degenerate_eigenvectors(x, dec.values, dec.vectors, passed,
-                                                           PerturbationDirection(random_hermitian(rng, 8)), 1e-6)
+                                                           PerturbationDirection(random_hermitian(rng, 8)), 1e-6,
+                                                           eigenvalue_spacing(dec.values, np.linalg.norm(x)))
         assert vectors is dec.vectors and residuals is passed

@@ -30,6 +30,7 @@ from qgld.linalg import (
     HERMITICITY_RTOL,
     PIVOT_RTOL,
     RESIDUAL_COLUMNS,
+    SECULAR_DEFLATION,
     _fix_phases,
     _lu_pivots,
     as_complex_matrix,
@@ -240,6 +241,46 @@ class TestLowRankUpdateEigh:
             assert np.max(residual) <= 64 * n * self.EPS * size
             assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)) <= 64 * n * self.EPS
             assert np.max(np.abs(np.sort(lam) - np.linalg.eigvalsh(a))) <= 64 * n * self.EPS * size
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.one_of(st.sampled_from([1, 2]), st.integers(3, 20)), problems=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_tied_runs_deflated_components_and_signs_at_every_level(self, n, problems, seed):
+        # runs of 2 to 4 equal poles, components at 0 and about the deflation
+        # threshold, weights of either sign, and three terms, so that the second
+        # and third solves start from nonzero offsets
+        rng = np.random.default_rng(seed)
+        runs = rng.integers(1, 5, size=n)
+        values = rng.permutation(np.repeat(rng.uniform(-5.0, 5.0, n), runs)[:n])
+        factors = rng.standard_normal((problems, n, 3)) + 1j * rng.standard_normal((problems, n, 3))
+        near = SECULAR_DEFLATION * rng.uniform(0.5, 2.0, factors.shape) * np.linalg.norm(factors, axis=1,
+                                                                                         keepdims=True)
+        draw = rng.random(factors.shape)
+        factors = np.where(draw < 0.2, 0.0, np.where(draw < 0.35, near * np.exp(6.3j * draw), factors))
+        scales = rng.choice([1e-9, 1e-6, 0.3, 5.0], size=(problems, 1))
+        weights = scales * rng.choice([1.0, -1.0], size=(problems, 3)) * rng.uniform(0.5, 1.0, (problems, 3))
+        vectors, anchor, offset = low_rank_update_eigh(values, factors, weights)
+        for p in range(problems):
+            a = np.diag(values) + (factors[p] * weights[p]) @ factors[p].conj().T
+            lam = values[anchor[p]] + offset[p]
+            size = np.max(np.abs(values)) + np.max(np.abs(weights[p])) * np.linalg.norm(factors[p], ord=2) ** 2
+            residual = np.linalg.norm(a @ vectors[p] - vectors[p] * lam, axis=0)
+            assert np.max(residual) <= 64 * n * self.EPS * size
+            assert np.linalg.norm(vectors[p].conj().T @ vectors[p] - np.eye(n)) <= 64 * n * self.EPS
+            assert np.max(np.abs(np.sort(lam) - np.linalg.eigvalsh(a))) <= 64 * n * self.EPS * size
+
+    @pytest.mark.parametrize("name, entry", [("values", np.nan), ("factors", np.inf), ("weights", np.nan),
+                                             ("weights", np.inf)])
+    def test_non_finite_input_is_named(self, name, entry):
+        # unchecked, each flows into NaN offsets or vectors without an error
+        arrays = {"values": np.arange(3.0), "factors": np.ones((1, 3, 1), complex), "weights": np.ones((1, 1))}
+        arrays[name].flat[0] = entry
+        with pytest.raises(NonFiniteInput, match=f"^{name} have 1 non-finite"):
+            low_rank_update_eigh(**arrays)
+
+    def test_factor_length_must_match_values(self):
+        with pytest.raises(ValueError, match=r"factors of shape \(1, 4, 2\) for values of shape \(3,\)"):
+            low_rank_update_eigh(np.arange(3.0), np.ones((1, 4, 2)), np.ones((1, 2)))
 
     @pytest.mark.parametrize("i, j", [(0, 1), (2, 6)])
     def test_ties_and_zero_components_deflate_exactly(self, i, j):

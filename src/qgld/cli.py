@@ -174,7 +174,6 @@ def cmd_reproduce_table1(args) -> str:
 
 
 def cmd_qgld(args) -> str:
-    reject_unread(args, COMMANDS["qgld"][2])
     x = resolve_matrix(args.matrix)
     phi = resolve_phi(args.phi or "uniform", x.shape[0])
     enc = encoding_from_args(args)
@@ -195,14 +194,14 @@ def cmd_qgld(args) -> str:
             return qio.render_csv(["L", "total", "classical_reference", "abs_error"], rows)
         payload = qgld_expectation(request, with_classical_reference=True).to_dict()
     elif args.mode == "sigma":
-        total = sigma_qgld_expectation(x, phi, enc)
+        total = sigma_qgld_expectation(x, phi)
         payload = {
             "mode": "sigma",
             "total": total,
             "classical_reference": classical_reference_expectation(x, phi),
         }
     else:  # sampled
-        estimate, spread = sampled_qgld(x, phi, args.shots, args.seed, enc)
+        estimate, spread = sampled_qgld(x, phi, args.shots, args.seed)
         payload = {
             "mode": "sampled",
             "n_samples": args.shots,
@@ -274,6 +273,14 @@ def seed_value(text: str) -> int:
     return int(text)
 
 
+def w_value(text: str) -> float:
+    """A --W value, checked by the encoding when parsed, so that a mode that reads no W still names a bad one."""
+    try:
+        return GradientEncoding(W=float(text)).W
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 # Every flag a subcommand may take, as argparse keywords.
 FLAGS = {
     "--matrix": dict(default="sigma-x", help="matrix JSON path or preset (sigma-x, sigma-z, hadamard, "
@@ -281,7 +288,7 @@ FLAGS = {
     "--phi": dict(default=None, help="weight vector: uniform, basis0, or JSON path"),
     "--delta": dict(default="matrix", help="element:i,j (zero-based) | all-ones | outer | identity | matrix"),
     "--L": dict(type=float, default=1e-6, help="linearization length"),
-    "--W": dict(type=float, default=1.0, help="gradient scale of the readout"),
+    "--W": dict(type=w_value, default=1.0, help="gradient scale of the readout"),
     "--m": dict(type=int, default=1, help="deviation qubits"),
     "--k": dict(type=int, default=0),
     "--b": dict(type=int, default=0),
@@ -296,7 +303,7 @@ FLAGS = {
 }
 
 PER_EIGENVECTOR = ("--mode per-eigenvector", lambda args: args.mode == "per-eigenvector")
-# --sweep-L replaces --L row by row; the superposition modes run their fixed L and m
+# --sweep-L replaces --L row by row; the superposition modes run fixed L and m, scaled by their weights
 ONE_L = ("--mode per-eigenvector and no --sweep-L",
          lambda args: args.mode == "per-eigenvector" and args.sweep_L is None)
 
@@ -304,12 +311,12 @@ ONE_L = ("--mode per-eigenvector and no --sweep-L",
 # replacing those of FLAGS, and "when", the (condition, test) it is read under})
 COMMANDS = {
     "gradient": (cmd_gradient, "per-eigenpair gradient probe vs oracle", {
-        "--matrix": {}, "--phi": {}, "--delta": {}, "--L": {}, "--W": {}, "--m": {},
-        "--k": {"help": "pairs probed, most relevant first (0 = all)"}}),
+        "--matrix": {}, "--phi": {"when": ("--delta outer", lambda args: args.delta == "outer")}, "--delta": {},
+        "--L": {}, "--W": {}, "--m": {}, "--k": {"help": "pairs probed, most relevant first (0 = all)"}}),
     "reproduce-table1": (cmd_reproduce_table1, "single-qubit gradient benchmark table", {}),
     "qgld": (cmd_qgld, "inverse expectation value pipelines", {
-        "--matrix": {}, "--phi": {}, "--L": {"when": ONE_L}, "--W": {}, "--m": {"when": PER_EIGENVECTOR},
-        "--mode": {},
+        "--matrix": {}, "--phi": {}, "--L": {"when": ONE_L}, "--W": {"when": PER_EIGENVECTOR},
+        "--m": {"when": PER_EIGENVECTOR}, "--mode": {},
         "--k": {"help": "rank cutoff: the k most relevant eigenpairs (0 = all)", "when": PER_EIGENVECTOR},
         "--b": {"help": "Lanczos block size of the eigenpair source (0 = dense)", "when": PER_EIGENVECTOR},
         "--lanczos-steps": {"when": ("--b", lambda args: args.b != 0)},
@@ -353,6 +360,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        reject_unread(args, COMMANDS[args.command][2])
         output = args.handler(args)
     except NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

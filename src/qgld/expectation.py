@@ -50,7 +50,6 @@ from .lanczos import run_rqbl
 PSEUDO_INVERSE_RTOL = 1e-10
 EIGEN_RESIDUAL_RTOL = 1e-6
 SUPERPOSITION_ZOOM = 1e4
-SUPERPOSITION_ATOL = 2e-4  # the superposition total's promised accuracy
 ROUNDING_RTOL = 1e-4  # a probe's rounding floor against its slope bound; see _require_readable
 
 
@@ -464,50 +463,38 @@ def _superposition_weights(x, phi):
     return dec, raw, scaled
 
 
-def _probe_scales(enc: GradientEncoding, n: int, *weights) -> list[float]:
-    """The probe scale max(W, SUPERPOSITION_ZOOM * max |w_p|) of each
-    superposition read, one per weight vector of ``weights``, on N = ``n``
-    eigenstates.  A read's phase is about max |w_p| / scale, so its rounding
-    (about 2 eps) puts a floor of N * scale * 2 eps in the total; at the
-    zoom scale that floor is a relative 2e4 * N * eps of max |w_p|.  Raises
-    RoundingFloor, before any circuit runs, when W sets a scale whose floor
-    exceeds SUPERPOSITION_ATOL, naming the largest W that meets it."""
-    eps = float(np.finfo(float).eps)
-    zooms = [SUPERPOSITION_ZOOM * float(np.max(np.abs(w))) for w in weights]
-    w_max = min(max(zoom, SUPERPOSITION_ATOL / (2.0 * eps * n)) for zoom in zooms)
-    if enc.W > w_max:
-        raise RoundingFloor(f"W = {enc.W:g} puts the superposition readout's rounding floor N * W * 2 eps = "
-                            f"{2.0 * eps * n * enc.W:.3g} above {SUPERPOSITION_ATOL:g}; use W <= {w_max:.4g}")
-    return [max(enc.W, zoom) for zoom in zooms]
+def _superposition_family(weights: np.ndarray) -> tuple:
+    """The family of one superposition read and its probe scale w = max(1,
+    SUPERPOSITION_ZOOM * max |w_p|).  Its phase is about max |w_p| / w, so its
+    rounding (about 2 eps) puts a floor of N * w * 2 eps in the total: a
+    relative 2e4 * N * eps of max |w_p|."""
+    w_run = max(1.0, SUPERPOSITION_ZOOM * float(np.max(np.abs(weights))))
+    return _scaled_phase_family(weights, w_run), w_run
 
 
-def sigma_qgld_expectation(x, phi, enc: GradientEncoding = GradientEncoding()) -> float:
+def sigma_qgld_expectation(x, phi) -> float:
     """Superposition pipeline: a single probe on the equal superposition of all
     eigenvectors, with the perturbation rescaled per eigenstate by 1/E_p.
 
     The circuit runs in the eigenbasis of X, where the equal superposition
     is the uniform column and each family member is diagonal: eigenstate p
-    picks up only the phase eps * weight_p / W that the perturbed evolution
+    picks up only the phase eps * weight_p / w that the perturbed evolution
     composed with the inverse evolution exp(-i t X) would leave.  The
     conditioned readout <c|U|c> does not depend on the basis.  The probe
-    scale W is raised far above max |weight| (factor SUPERPOSITION_ZOOM),
+    scale w of :func:`_superposition_family` sits far above max |weight|,
     pushing every phase into the regime where the coherent average of the
-    per-eigenstate phases equals their mean; N * W * phase then returns
+    per-eigenstate phases equals their mean; N * w * phase then returns
     sum_p deltaE_p / E_p directly.
     """
     dec, _, weights = _superposition_weights(x, phi)
-    if float(np.max(np.abs(weights))) == 0.0:
-        return 0.0
-    [w_run] = _probe_scales(enc, dec.dim, weights)
-    family = _scaled_phase_family(weights, w_run)
+    family, w_run = _superposition_family(weights)
     # V^dag psi for psi = sum_p |p> / sqrt(N): the uniform column of the eigenbasis
     uniform = np.full((dec.dim, 1), 1.0 / np.sqrt(dec.dim), dtype=complex)
     phase = float(_signed_phases(family, uniform)[0])
     return float(dec.dim * w_run * phase)
 
 
-def sampled_qgld(x, phi, n_samples: int, rng_seed: int,
-                 enc: GradientEncoding = GradientEncoding()) -> tuple[float, float]:
+def sampled_qgld(x, phi, n_samples: int, rng_seed: int) -> tuple[float, float]:
     """Superposition pipeline averaged over random orthonormal starting states.
 
     Samples are the columns of random orthonormal (QR) batches, each batch
@@ -524,9 +511,8 @@ def sampled_qgld(x, phi, n_samples: int, rng_seed: int,
         raise ValueError("n_samples must be >= 1")
     dec, raw, scaled = _superposition_weights(x, phi)
     n = dec.dim
-    w_num, w_den = _probe_scales(enc, n, scaled, raw)
-    family_num = _scaled_phase_family(scaled, w_num)
-    family_den = _scaled_phase_family(raw, w_den)
+    family_num, w_num = _superposition_family(scaled)
+    family_den, w_den = _superposition_family(raw)
 
     rng = np.random.default_rng(rng_seed)
     estimates = []

@@ -7,9 +7,12 @@ import numpy as np
 
 
 def matrix_from_dict(data: dict) -> np.ndarray:
-    dim = int(data["dim"])
+    dim = data["dim"]
+    if not (type(dim) is int or type(dim) is float and dim.is_integer()):  # type(): a bool is an int
+        raise ValueError(f"field 'dim' is {dim!r}, expected an integer")
+    dim = int(dim)
     re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data.get("im", np.zeros((dim, dim))), dtype=float)
+    im = np.asarray(data["im"], dtype=float) if "im" in data else np.zeros_like(re)
     for field, part in (("re", re), ("im", im)):
         if part.shape != (dim, dim):
             raise ValueError(f"field {field!r} has shape {part.shape}, expected ({dim}, {dim}) from 'dim'")

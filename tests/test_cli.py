@@ -1,6 +1,9 @@
 import csv
 import io
+import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +185,22 @@ class TestGradient:
         assert out == ""
         assert "gap at index" in err
 
+    # the element delta ignored --phi uniform at exit 0, and failed on a --phi file it never read
+    @pytest.mark.parametrize("phi", ["uniform", "nope.json"])
+    def test_phi_needs_outer_delta(self, capsys, phi):
+        code, out, err = run_cli(capsys, "gradient", "--matrix", "random-spd:4:1", "--phi", phi,
+                                 "--delta", "element:0,1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --phi applies only with --delta outer\n"
+
+    def test_phi_with_outer_delta(self, capsys):
+        code, out, _ = run_cli(capsys, "gradient", "--matrix", "random-spd:4:1", "--phi", "uniform",
+                               "--delta", "outer")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 4 and all(row[2] == "outer" and float(row[7]) <= 1e-5 for row in rows)
+
 
 class TestFamilySize:
     # m = 12 at N = 512 would hold 2^30 eigenvector entries (17 GB); each command exits 2
@@ -279,9 +298,11 @@ class TestQgldCommand:
         assert [r.to_dict() for r in swept] == [r.to_dict() for r in single]
 
     @pytest.mark.parametrize("mode", ["sigma", "sampled"])
-    # --L and --m were echoed into the JSON while L = 1e-6, m = 1 ran
+    # --L and --m were echoed into the JSON while L = 1e-6, m = 1 ran; --W = 5 was echoed beside
+    # the W = 1 total, since these modes take their probe scale from their weights
     @pytest.mark.parametrize("flag, value", [("--k", "99"), ("--b", "4"), ("--lanczos-steps", "3"),
-                                             ("--sweep-L", "1e-4"), ("--L", "1e-3"), ("--m", "3")])
+                                             ("--sweep-L", "1e-4"), ("--L", "1e-3"), ("--m", "3"),
+                                             ("--W", "2")])
     def test_superposition_modes_reject_per_eigenvector_flags(self, capsys, mode, flag, value):
         code, out, err = run_cli(capsys, "qgld", "--matrix", "random-spd:4:1", "--phi", "uniform",
                                  "--mode", mode, flag, value)
@@ -319,29 +340,6 @@ class TestQgldCommand:
         assert out == ""
         assert "readout range" in err
 
-    # sigma exited 0 printing 0.66613 at W = 1e14, 0.0 at 1e200 and NaN at 1e308, and sampled 0.0 at
-    # 1e300 and 1e308 (classical 0.65602): the readout's rounding floor N * W * 2 eps
-    @pytest.mark.parametrize("mode", [("sigma",), ("sampled", "--shots", "16", "--seed", "1")])
-    @pytest.mark.parametrize("w", ["1e12", "1e200", "1e308"])
-    def test_rounding_floor_exits_3(self, capsys, mode, w):
-        code, out, err = run_cli(capsys, "qgld", "--matrix", "random-spd:8:1", "--phi", "uniform",
-                                 "--mode", *mode, "--W", w)
-        assert code == 3
-        assert out == ""
-        assert f"W = {float(w):g}" in err and "use W <= 5.629e+10" in err
-
-    @pytest.mark.parametrize("mode", [("sigma",), ("sampled", "--shots", "16", "--seed", "1")])
-    def test_rounding_floor_admits_w_below_it(self, capsys, mode):
-        # the floor 8 * 1e10 * 2 eps = 3.6e-5 meets 2e-4: the total matches the default-W run
-        totals = []
-        for w in ("1", "1e10"):
-            code, out, _ = run_cli(capsys, "qgld", "--matrix", "random-spd:8:1", "--phi", "uniform",
-                                   "--mode", *mode, "--W", w)
-            assert code == 0
-            payload = json.loads(out)
-            totals.append(payload["total" if mode[0] == "sigma" else "estimate"])
-        assert abs(totals[1] - totals[0]) <= 2e-4
-
     # both exited 0: W = 1e300 printed -1 for the +1 eigenvector (the m = 1 read's floor sqrt(2 eps) W),
     # and L = 1e-300 printed -2.2e-16 for both eigenvectors (the dense family's floor M eps ||X||_F / L)
     @pytest.mark.parametrize("flag,value,hint", [("--W", "1e300", "use W <= 9491"),
@@ -377,13 +375,20 @@ class TestQgldCommand:
 
 
 class TestMalformedJson:
-    # each exited 2 naming neither file nor field: "'dim'", "'re'" and numpy's
-    # "operands could not be broadcast together with shapes (4,) (2,)"
+    # the first three exited 2 naming neither file nor field: "'dim'", "'re'" and numpy's
+    # "operands could not be broadcast together with shapes (4,) (2,)"; the last three
+    # loaded through int() and ran at exit 0; a dim far beyond 're' exited 1 on a MemoryError,
+    # asking for dim x dim zeros as 'im'
     @pytest.mark.parametrize("flag, content, field", [
         ("--matrix", {"re": [[2, 0], [0, 3]]}, "'dim'"),
         ("--phi", {"im": [0, 0, 0, 0]}, "'re'"),
         ("--phi", {"re": [1, 2, 3, 4], "im": [0, 0]}, "'im' has shape (2,)"),
-    ], ids=["matrix-without-dim", "phi-without-re", "phi-im-shape"])
+        ("--matrix", {"dim": 2.9, "re": [[2, 0], [0, 3]]}, "'dim' is 2.9"),
+        ("--matrix", {"dim": "2", "re": [[2, 0], [0, 3]]}, "'dim' is '2'"),
+        ("--matrix", {"dim": True, "re": [[2, 0], [0, 3]]}, "'dim' is True"),
+        ("--matrix", {"dim": 10**6, "re": [[2, 0], [0, 3]]}, "'re' has shape (2, 2), expected (1000000, 1000000)"),
+    ], ids=["matrix-without-dim", "phi-without-re", "phi-im-shape", "dim-fraction", "dim-string", "dim-bool",
+            "dim-beyond-re"])
     def test_names_file_and_field(self, capsys, tmp_path, flag, content, field):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content))
@@ -512,13 +517,29 @@ SHARED = {"--matrix": "sigma-z", "--phi": "uniform", "--L": "1e-3", "--W": "2", 
           "--b": "1", "--lanczos-steps": "1", "--seed": "3", "--shots": "8", "--format": "json"}
 
 
+def parser_flags() -> dict:
+    """Each subcommand's option strings, in the order build_parser() adds them, without -h."""
+    [sub] = [a for a in build_parser()._actions if a.dest == "command"]
+    return {name: [s for a in p._actions if a.dest != "help" for s in a.option_strings]
+            for name, p in sub.choices.items()}
+
+
 class TestFlagLists:
     def test_option_slots(self):
-        [sub] = [a for a in build_parser()._actions if a.dest == "command"]
-        slots = {name: sorted(s for a in p._actions if a.dest != "help" for s in a.option_strings)
-                 for name, p in sub.choices.items()}
+        slots = {name: sorted(flags) for name, flags in parser_flags().items()}
         assert slots == {name: sorted(flags | {"--out"}) for name, flags in READS.items()}
         assert sum(map(len, slots.values())) == 34
+
+    def test_readme_table_matches_parser(self):
+        # each row of README's "| subcommand | flags |" table: the name, then its first code span, in any order
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| subcommand | flags |") + 2
+        rows = {}
+        for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
+            name, flags = line.strip("|").split("|")[:2]
+            spans = re.findall(r"`([^`]*)`", flags)
+            rows[name.strip().strip("`")] = sorted(spans[0].split() if flags.strip() != "none" else [])
+        assert rows == {name: sorted(set(flags) - {"--out"}) for name, flags in parser_flags().items()}
 
     @pytest.mark.parametrize("command, flag", [(c, f) for c in READS for f in SHARED if f not in READS[c]])
     def test_unread_flag_exits_2(self, capsys, command, flag):

@@ -381,25 +381,6 @@ class TestSigmaQgld:
             superposed = sigma_qgld_expectation(x, phi)
             assert abs(superposed - per_eig) <= 2e-4
 
-    @pytest.mark.parametrize("pipeline", ["sigma", "sampled"])
-    def test_rounding_floor_bounds_w(self, pipeline):
-        # at N = 8 the floor 8 * W * 2 eps meets 2e-4 up to W = 5.6e10; beyond it the call raises
-        # before any circuit runs, where sigma read 0.65681 at W = 1e12 (classical 0.65602)
-        x, phi = random_spd(8, 1), np.full(8, 1 / np.sqrt(8))
-        want = classical_reference_expectation(x, phi)
-
-        def run(w):
-            enc = GradientEncoding(W=w)
-            return sigma_qgld_expectation(x, phi, enc) if pipeline == "sigma" else sampled_qgld(x, phi, 8, 1, enc)[0]
-
-        if pipeline == "sigma":
-            assert abs(run(1e10) - want) <= 2e-4
-        else:  # against the default-W estimate on the same draws
-            assert abs(run(1e10) - run(1.0)) <= 2e-4
-        for w in (1e12, 1e200, 1e308):
-            with pytest.raises(RoundingFloor, match="use W <= 5.629e"):
-                run(w)
-
     def test_indefinite_case(self, rng):
         x = random_hermitian(rng, 4, indefinite=True)
         phi = random_state(rng, 4)
@@ -516,6 +497,24 @@ def test_eigenbasis_circuit_equals_dense_circuit(n_qubits, reach, pipeline, seed
     for phases in (None, quarter_wave):
         np.testing.assert_allclose(probe_distributions(family, columns, deviation_phases=phases),
                                    reference_distributions(dense, unrotated, phases), rtol=0, atol=1e-12)
+
+
+def test_zero_weights_read_positive_zero():
+    # phi sits on an eigenvalue under the pseudo-inverse threshold, so every weight is 0:
+    # the scale is 1 and the identity family reads +0.0, with no branch for it
+    x, phi = np.diag([1.0, 2.0, 3.0, 1e-300]).astype(complex), np.eye(4)[3]
+    total = sigma_qgld_expectation(x, phi)
+    assert total == 0.0 and not np.signbit(total)
+    estimate, spread = sampled_qgld(x, phi, 6, rng_seed=0)
+    assert (estimate, spread) == (0.0, 0.0) and not np.signbit(estimate)
+
+
+@pytest.mark.parametrize("call", [lambda x, phi, enc: sigma_qgld_expectation(x, phi, enc),
+                                  lambda x, phi, enc: sampled_qgld(x, phi, 4, 0, enc=enc)], ids=["sigma", "sampled"])
+def test_superposition_pipelines_take_no_encoding(rng, call):
+    # the probe scale comes from the weights: there is no W to pass
+    with pytest.raises(TypeError):
+        call(random_spd_pow2(rng, 4), random_state(rng, 4), GradientEncoding(W=2.0))
 
 
 @pytest.mark.parametrize("pipeline", [sigma_qgld_expectation, lambda x, phi: sampled_qgld(x, phi, 6, 0)],

@@ -19,6 +19,10 @@ class TestMatrixFormat:
         np.testing.assert_allclose(a, np.diag([1.0, 2.0]), atol=1e-15)
         assert a.dtype == complex
 
+    def test_integral_float_dim(self):
+        a = matrix_from_dict({"dim": 2.0, "re": [[1.0, 0.0], [0.0, 2.0]]})
+        np.testing.assert_allclose(a, np.diag([1.0, 2.0]), atol=1e-15)
+
     def test_shape_validation(self):
         try:
             matrix_from_dict({"dim": 3, "re": [[1.0, 0.0], [0.0, 2.0]]})

@@ -19,7 +19,6 @@ import numpy as np
 from . import io as qio
 from .errors import (
     AliasedReadout,
-    DegenerateEigenvalue,
     FlatDistribution,
     IllConditioned,
     NearZeroEigenvalue,
@@ -31,8 +30,10 @@ from .expectation import (
     DenseSource,
     InverseExpectationRequest,
     RqblSource,
+    adapt_degenerate_eigenvectors,
     classical_reference_expectation,
     eigenvalue_gradient_probes,
+    eigenvalue_spacing,
     qgld_expectation,
     qgld_expectation_sweep,
     sampled_qgld,
@@ -40,14 +41,14 @@ from .expectation import (
 )
 from .kernel import kernel_fit, kernel_predict
 from .lanczos import assemble_and_solve, build_factorization, dump_factorization
-from .linalg import eig_hermitian, hellmann_feynman_derivative, relevance_order
-from .qgpe import GradientEncoding, PerturbationDirection, build_delta, require_weight_vector
+from .linalg import eig_hermitian, relevance_order
+from .qgpe import (GradientEncoding, PerturbationDirection, build_delta, require_register_dimension,
+                   require_weight_vector)
 
 NUMERIC_ERRORS = (
     AliasedReadout,
     SingularMatrix,
     NearZeroEigenvalue,
-    DegenerateEigenvalue,
     FlatDistribution,
     IllConditioned,
     RoundingFloor,
@@ -138,15 +139,18 @@ def cmd_gradient(args) -> str:
     n = x.shape[0]
     if not 0 <= args.k <= n:
         raise ValueError(f"--k {args.k} outside [0, {n}] (0 = all)")
-    dec = eig_hermitian(x)
-    selected = relevance_order(dec.values)[:args.k or n]
-    grads = eigenvalue_gradient_probes(x, dec.vectors[:, selected], delta, enc,
-                                       identity_shift=delta.norm)
-    x_norm = float(np.linalg.norm(x))
+    require_register_dimension(n)
+    values, vectors, residuals = DenseSource().resolve(x)
+    # inside a degenerate cluster, the eigenvectors that diagonalize Delta there are the ones read
+    spacing = eigenvalue_spacing(values, float(np.linalg.norm(x)))
+    vectors, _ = adapt_degenerate_eigenvectors(x, values, vectors, residuals, delta, enc.L, spacing)
+    selected = relevance_order(values)[:args.k or n]
+    grads = eigenvalue_gradient_probes(x, vectors[:, selected], delta, enc, identity_shift=delta.norm)
     rows = []
     for p, grad in zip(selected, grads.tolist()):
-        oracle = hellmann_feynman_derivative(dec, delta.matrix, int(p), x_norm)
-        rows.append([int(p), float(dec.values[p]), args.delta, enc.L, enc.m,
+        v = vectors[:, p]
+        oracle = float(np.real(v.conj() @ delta.matrix @ v))  # <p|Delta|p>
+        rows.append([int(p), float(values[p]), args.delta, enc.L, enc.m,
                      grad, oracle, abs(grad - oracle)])
     return qio.render_csv(
         ["p", "E_p", "delta_kind", "L", "m", "gradient_quantum", "gradient_oracle", "abs_error"],

@@ -14,7 +14,7 @@ class NonHermitianInput(QgldError):
 
 
 class SingularMatrix(QgldError):
-    """A pivot underflowed tolerance during factorization."""
+    """A matrix's LU met a zero pivot, or its condition number reached the inverse's limit."""
 
 
 class RankDeficientBlock(QgldError):

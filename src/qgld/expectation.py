@@ -43,6 +43,7 @@ from .qgpe import (
     evolution_family,
     probe_distributions,
     readout_gradients,
+    require_register_dimension,
     require_unit_weight_vector,
 )
 from .lanczos import run_rqbl
@@ -207,6 +208,7 @@ def eigenvalue_gradient_probes(x, vectors, delta: PerturbationDirection, enc: Gr
     on the same X, direction and encoding build the family once (see
     :func:`_probe_family`).
     """
+    require_register_dimension(len(vectors))
     bound = delta.norm + abs(identity_shift)
     _require_readable(bound, (enc,))
     family = _probe_family(x, delta, enc)  # which validates x
@@ -285,7 +287,8 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool =
     RqblSource (no full eigenbasis), run the dense family on the adapted
     vectors.
     """
-    x = np.asarray(x, dtype=complex)  # validated by the resolve, before any other use
+    x = as_complex_matrix(x)  # the rest of its validation is the resolve's
+    require_register_dimension(len(x))
     values, vectors, resolved_residuals = eigensource.resolve(x)
     if not 1 <= k <= len(values):
         raise ValueError(f"k = {k} outside [1, {len(values)}], the eigenpairs resolved")
@@ -450,6 +453,8 @@ def _superposition_weights(x, phi):
     <p|outer(phi)|p>, raw and divided by E_p, both zero on eigenvalues under
     the pseudo-inverse threshold.  Raises UnnormalizedPhi unless ||phi|| = 1
     within 1e-10, the bound of the outer-product direction."""
+    x = as_complex_matrix(x)
+    require_register_dimension(len(x))
     dec = eig_hermitian(x)
     phi = require_unit_weight_vector(phi, dec.dim)
     overlaps = np.abs(dec.vectors.conj().T @ phi) ** 2

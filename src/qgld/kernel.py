@@ -18,7 +18,7 @@ import numpy as np
 from .errors import IllConditioned, NonFiniteInput
 from .expectation import logdet_directional_derivatives
 from .linalg import inverse
-from .qgpe import GradientEncoding, PerturbationDirection
+from .qgpe import GradientEncoding, PerturbationDirection, require_register_dimension
 
 CONDITION_LIMIT = 1e12
 
@@ -57,6 +57,8 @@ def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "class
             bad = int(np.sum(~np.isfinite(values)))
             raise NonFiniteInput(f"{name} has {bad} non-finite entries (NaN or inf)")
     n = len(targets)
+    if solver == "qgld":
+        require_register_dimension(n)
     system = gaussian_kernel_matrix(points, sigma) + ridge * np.eye(n)
     cond = float(np.linalg.cond(system))
     if cond > CONDITION_LIMIT:

@@ -1,9 +1,8 @@
 """Dense complex linear algebra and the classical oracles used for cross-checking.
 
-Everything here is plain numpy on dense arrays, the LU oracle ``inverse``
-included: its pivot check is a blocked LU with LAPACK's pivot rule, written
-in numpy.  Matrices are ``np.ndarray`` of complex dtype; "hermitian" always
-means hermitian within ``HERMITICITY_RTOL`` relative to the largest entry.
+Plain numpy on dense arrays: every factorization is numpy's LAPACK call.
+Matrices are ``np.ndarray`` of complex dtype; "hermitian" always means
+hermitian within ``HERMITICITY_RTOL`` relative to the largest entry.
 """
 from __future__ import annotations
 
@@ -26,7 +25,6 @@ RANK_RTOL = 1e-10
 EPS = float(np.finfo(float).eps)
 SECULAR_DEFLATION = 8 * EPS
 SECULAR_MAX_STEPS = 64
-LU_PANEL = 32
 RESIDUAL_COLUMNS = 64
 
 
@@ -332,52 +330,25 @@ def _secular_rank_one(values, anchor, offset, z, rho):
     return vectors, root, np.where(active, sign * tau, 0.0)
 
 
-def _lu_pivots(a: np.ndarray):
-    """Pivot list and U diagonal of PA = LU, in LAPACK getrf's layout (row j
-    was swapped with row piv[j]); raises SingularMatrix when a pivot is at
-    most PIVOT_RTOL * ||A||_F.
-
-    Blocked right-looking LU with partial pivoting: each LU_PANEL-wide panel
-    is factored column by column, then its rows of U to the right are solved
-    for, then the trailing block takes one matmul.  Pivots follow LAPACK's
-    izamax rule, the largest |re| + |im| with ties to the first, as getrf
-    does, so the pivots and U diagonal are getrf's up to rounding.
-    """
-    lu = a.copy()
-    n = lu.shape[0]
-    piv = np.empty(n, dtype=np.intp)
-    for start in range(0, n, LU_PANEL):
-        stop = min(start + LU_PANEL, n)
-        for j in range(start, stop):
-            column = lu[j:, j]
-            p = j + int(np.argmax(np.abs(column.real) + np.abs(column.imag)))
-            piv[j] = p
-            if p != j:
-                lu[[j, p]] = lu[[p, j]]
-            if lu[j, j] != 0:  # an exact zero pivot is left to the check below
-                lu[j + 1:, j] /= lu[j, j]
-            lu[j + 1:, j + 1:stop] -= np.outer(lu[j + 1:, j], lu[j, j + 1:stop])
-        # the panel's rows of U right of it, once its swaps are done: L11^-1 A12
-        for j in range(start, stop - 1):
-            lu[j + 1:stop, stop:] -= np.outer(lu[j + 1:stop, j], lu[j, stop:])
-        lu[stop:, stop:] -= lu[stop:, start:stop] @ lu[start:stop, stop:]
-    diag = np.diag(lu).copy()
-    scale = max(float(np.linalg.norm(a)), 1e-300)
-    if np.min(np.abs(diag)) <= PIVOT_RTOL * scale:
-        raise SingularMatrix(
-            f"LU pivot {np.min(np.abs(diag)):.3e} below {PIVOT_RTOL:.1e} * ||A||_F"
-        )
-    return piv, diag
-
-
 def inverse(a) -> np.ndarray:
-    """A^-1 via LU with partial pivoting; raises SingularMatrix on pivot underflow.
-
-    The pivot check is ``_lu_pivots``; the inverse itself is LAPACK gesv
-    through numpy, whose getrf picks the same pivots."""
+    """A^-1 from one LAPACK solve of A X = I, an LU with partial pivoting.
+    Raises SingularMatrix when the LU meets an exact zero pivot, or unless
+    ||A||_F ||A^-1||_F < 1 / (N PIVOT_RTOL), which a non-finite A^-1 fails.
+    That refuses every A with a pivot |u_jj| <= PIVOT_RTOL ||A||_F: with PA
+    = LU and |l_ij| <= 1, sigma_min(A) <= ||L||_2 sigma_min(U) <= N min
+    |u_jj|, and sigma_min(A) >= 1 / ||A^-1||_F.  The norms are taken of A /
+    max |a_ij| and A^-1 * max |a_ij|, so that neither over- nor underflows."""
     a = as_complex_matrix(a)
-    _lu_pivots(a)
-    return np.linalg.solve(a, np.eye(a.shape[0], dtype=complex))
+    try:
+        inv = np.linalg.solve(a, np.eye(len(a), dtype=complex))
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("LU met an exact zero pivot") from None
+    scale = np.max(np.abs(a))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite A^-1 gives an inf or NaN condition
+        condition = float(np.linalg.norm(a / scale) * np.linalg.norm(inv * scale))
+    if not condition < 1.0 / (len(a) * PIVOT_RTOL):  # negated, so that a NaN refuses
+        raise SingularMatrix(f"||A||_F ||A^-1||_F = {condition:.3e} at least 1 / (N * {PIVOT_RTOL:.1e})")
+    return inv
 
 
 def orthonormalize_svd(block) -> np.ndarray:

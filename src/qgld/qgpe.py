@@ -286,6 +286,12 @@ def suggest_gradient_bound(delta: PerturbationDirection) -> float:
     return 2.0 * delta.norm
 
 
+def require_register_dimension(n: int) -> None:
+    """Raise ValueError unless ``n`` is a power of two >= 2, the dimension of a system register of qubits."""
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"dimension {n} is not a power of two >= 2")
+
+
 def _require_family_size(enc: GradientEncoding, n: int) -> None:
     """Raise ValueError, before any eigendecomposition or secular solve, when
     a family of ``enc`` on dimension ``n`` would hold more than FAMILY_ENTRIES
@@ -459,8 +465,7 @@ def probe_distributions(family, columns: np.ndarray, *, deviation_phases: np.nda
     """
     columns = np.asarray(columns, dtype=complex)
     n_dim, m_dim = columns.shape[0], len(family)
-    if n_dim < 2 or n_dim & (n_dim - 1):
-        raise ValueError(f"dimension {n_dim} is not a power of two >= 2")
+    require_register_dimension(n_dim)
     if m_dim < 2 or m_dim & (m_dim - 1) or family.dim != n_dim:
         raise FamilySizeMismatch(f"family of {m_dim} members of dimension {family.dim} on columns of dimension "
                                  f"{n_dim}; the deviation register needs 2^m >= 2 members of dimension {n_dim}")

@@ -179,11 +179,31 @@ class TestGradient:
         assert len(resolved) == 1
         assert lapack == [(8, 8), (2, 8, 8)]
 
-    def test_degenerate_oracle_exits_3(self, capsys):
-        code, out, err = run_cli(capsys, "gradient", "--matrix", "identity:4", "--delta", "element:0,1")
-        assert code == 3
-        assert out == ""
-        assert "gap at index" in err
+    @pytest.mark.parametrize("coupling", [None, 0.0, 1e-9], ids=["identity", "diag-1123", "diag-1123-coupled"])
+    def test_degenerate_pairs_are_read_adapted(self, capsys, tmp_path, coupling):
+        # each degenerate cluster is rotated to diagonalize Delta inside it before it is probed, so a
+        # degenerate pair reads the eigenvalues of Delta's restriction, as the oracle column does
+        matrix, want = "identity:4", [-1.0, 0.0, 0.0, 1.0]
+        if coupling is not None:  # diag(1, 1, 2, 3), its pair coupled by (0, 1): rows by |E| descending
+            x = np.diag([1.0, 1.0, 2.0, 3.0])
+            x[0, 1] = x[1, 0] = coupling
+            matrix, want = str(tmp_path / "x.json"), [0.0, 0.0, -1.0, 1.0]
+            write_matrix(matrix, x)
+        code, out, err = run_cli(capsys, "gradient", "--matrix", matrix, "--delta", "element:0,1")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        quantum, oracle = (np.array([float(row[column]) for row in rows]) for column in (5, 6))
+        np.testing.assert_allclose(oracle, want, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(quantum, oracle, rtol=0, atol=1e-6)
+
+    def test_dimension_not_a_power_of_two_exits_2_before_any_eigendecomposition(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an eigendecomposition ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", unreachable)
+        code, out, err = run_cli(capsys, "gradient", "--matrix", "random-spd:12:1", "--delta", "element:0,1")
+        assert (code, out) == (2, "")
+        assert "dimension 12 is not a power of two" in err
 
     # the element delta ignored --phi uniform at exit 0, and failed on a --phi file it never read
     @pytest.mark.parametrize("phi", ["uniform", "nope.json"])

@@ -23,6 +23,7 @@ from qgld import (
     classical_reference_expectation,
     eig_hermitian,
     eigenvalue_gradient_probes,
+    kernel_fit,
     logdet_directional_derivatives,
     logdet_gradient_entry,
     probe_distributions,
@@ -208,6 +209,26 @@ class TestRankRange:
         request = InverseExpectationRequest(x=random_spd(12, 1), phi=np.ones(12) / np.sqrt(12), k=12)
         with pytest.raises(ValueError, match="dimension 12 is not a power of two"):
             qgld_expectation(request)
+
+    @pytest.mark.parametrize("call", ["logdet", "per-eigenvector probes", "sigma", "sampled", "kernel"])
+    def test_dimension_refused_before_any_eigendecomposition(self, monkeypatch, call):
+        x, phi = random_spd(12, 1), np.ones(12) / np.sqrt(12)
+        points = np.linspace(0.0, 2 * np.pi, 24)
+        calls = {
+            "logdet": lambda: logdet_directional_derivatives(x, [build_delta("element", 12, i=0, j=1)], 12),
+            "per-eigenvector probes": lambda: eigenvalue_gradient_probes(x, np.eye(12), build_delta("all_ones", 12),
+                                                                         GradientEncoding(W=24.0)),
+            "sigma": lambda: sigma_qgld_expectation(x, phi),
+            "sampled": lambda: sampled_qgld(x, phi, 4, 1),
+            "kernel": lambda: kernel_fit(points, np.sin(points), 1.0, 1e-3, solver="qgld"),
+        }
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an eigendecomposition ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", unreachable)
+        with pytest.raises(ValueError, match=r"dimension (12|24) is not a power of two"):
+            calls[call]()
 
 
 class TestQgldExpectation:

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,13 +25,11 @@ from qgld import (
     relevance_order,
 )
 from qgld.linalg import (
-    EPS,
     HERMITICITY_RTOL,
     PIVOT_RTOL,
     RESIDUAL_COLUMNS,
     SECULAR_DEFLATION,
     _fix_phases,
-    _lu_pivots,
     as_complex_matrix,
     eigen_residuals,
     require_hermitian,
@@ -334,9 +331,45 @@ class TestInverse:
         with pytest.raises(SingularMatrix):
             inverse(np.ones((3, 3)))
 
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_non_finite_inverse_raises(self, entry, monkeypatch):
+        # a solve that returns no finite inverse is refused by the negated condition test
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, entry))
+        with pytest.raises(SingularMatrix):
+            inverse(np.eye(2))
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_condition_test_is_scale_free(self, rng, scale):
+        # ||A||_F alone would underflow or overflow at these scales
+        a = random_hermitian(rng, 9, indefinite=True)
+        np.testing.assert_allclose(inverse(scale * a) * scale, inverse(a), rtol=0, atol=1e-12)
+
+    def test_one_factorization_per_call(self, rng, monkeypatch):
+        matrices = [random_hermitian(rng, n, indefinite=True) for n in (1, 9, 70)]
+        calls = []
+        solve = np.linalg.solve
+
+        def counting_solve(*args):
+            calls.append("solve")
+            return solve(*args)
+
+        def refused(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"np.linalg.{name} was called")
+            return call
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        for name in ("inv", "det", "slogdet", "lstsq", "pinv", "cond", "matrix_rank",
+                     "cholesky", "qr", "svd", "eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refused(name))
+        for a in matrices:
+            inverse(a)
+        assert calls == ["solve"] * len(matrices)
+
     @pytest.mark.parametrize("scipy_state", ["installed", "unimportable"])
     def test_program_runs_without_scipy(self, scipy_state):
-        # a fresh interpreter: this test process holds scipy.linalg as the LU test oracle
+        # a fresh interpreter: this test process may hold scipy, which the test extra installs
         script = (
             "import contextlib, io, sys\n"
             + ("sys.modules['scipy'] = None\n" if scipy_state == "unimportable" else "")
@@ -362,38 +395,30 @@ class TestInverse:
 
 
 class TestLuFactorization:
-    """The numpy LU behind the inverse oracle, against LAPACK getrf through scipy."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 80), complex_entries=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_getrf(self, n, complex_entries, seed):
-        # n crosses the LU_PANEL boundaries at 32 and 64
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_entries else 0.0)
-        a = a.astype(complex)
-        lu, piv = scipy.linalg.lu_factor(a)
-        got_piv, got_diag = _lu_pivots(a)
-        np.testing.assert_array_equal(got_piv, piv)
-        tol = 64 * n * EPS * np.linalg.norm(a)
-        assert np.max(np.abs(got_diag - np.diag(lu))) <= tol
+    """The singularity test of the inverse oracle, against the pivots of its LAPACK LU."""
 
     @pytest.mark.parametrize("factor", [0.5, 2.0])
     def test_singular_boundary(self, rng, factor):
-        # a row-permuted upper-triangular matrix factors exactly (every multiplier
-        # is 0), so its U diagonal, small pivot included, is known exactly
-        n, small = 40, 35
+        n = 40
+        # a row-permuted upper-triangular matrix factors exactly (every multiplier is 0), so its
+        # smallest pivot is known exactly: at half of PIVOT_RTOL * ||A||_F, which the pivot test
+        # refused, the condition test refuses it too
         u = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        u[small, small] = 0.0
-        u[small, small] = factor * PIVOT_RTOL * np.linalg.norm(u) * np.exp(0.3j)
-        perm = rng.permutation(n)
-        a = u[perm]
-        if factor < 1:
+        u[35, 35] = 0.0
+        u[35, 35] = 0.5 * PIVOT_RTOL * np.linalg.norm(u) * np.exp(0.3j)
+        with pytest.raises(SingularMatrix):
+            inverse(u[rng.permutation(n)])
+        # a unitary-conjugated diagonal with ||A||_F ||A^-1||_F at factor / (N PIVOT_RTOL)
+        values = np.ones(n)
+        values[-1] = np.sqrt(n - 1) * n * PIVOT_RTOL / factor
+        condition = np.linalg.norm(values) * np.linalg.norm(1.0 / values)
+        assert condition * n * PIVOT_RTOL == pytest.approx(factor, rel=1e-6)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        a = (q * values) @ q.conj().T
+        if factor > 1:
             with pytest.raises(SingularMatrix):
                 inverse(a)
             return
-        piv, diag = _lu_pivots(a)
-        np.testing.assert_array_equal(piv, scipy.linalg.lu_factor(a)[1])
-        np.testing.assert_array_equal(diag, np.diag(u))
         assert np.isfinite(inverse(a)).all()
 
 

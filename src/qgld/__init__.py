@@ -3,7 +3,6 @@ circuits, with independent classical oracles for every quantum readout."""
 
 from .errors import (
     AliasedReadout,
-    DegenerateEigenvalue,
     FamilySizeMismatch,
     FlatDistribution,
     IllConditioned,
@@ -22,7 +21,7 @@ from .errors import (
     UnnormalizedTarget,
 )
 from .linalg import (
-    EigenDecomposition,
+    Spectrum,
     eig_hermitian,
     inverse,
     low_rank_update_eigh,
@@ -41,7 +40,6 @@ from .qgpe import (
 )
 from .lanczos import (
     LanczosFactorization,
-    RitzSolution,
     assemble_and_solve,
     build_factorization,
     rqbl_init,
@@ -57,7 +55,6 @@ from .expectation import (
     classical_reference_expectation,
     eigenvalue_gradient_probe,
     eigenvalue_gradient_probes,
-    eigenvalue_spacing,
     logdet_directional_derivatives,
     logdet_gradient_entry,
     qgld_expectation,

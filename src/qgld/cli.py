@@ -33,7 +33,6 @@ from .expectation import (
     adapt_degenerate_eigenvectors,
     classical_reference_expectation,
     eigenvalue_gradient_probes,
-    eigenvalue_spacing,
     qgld_expectation,
     qgld_expectation_sweep,
     sampled_qgld,
@@ -41,9 +40,8 @@ from .expectation import (
 )
 from .kernel import kernel_fit, kernel_predict
 from .lanczos import assemble_and_solve, build_factorization, dump_factorization
-from .linalg import eig_hermitian, relevance_order
-from .qgpe import (GradientEncoding, PerturbationDirection, build_delta, require_register_dimension,
-                   require_weight_vector)
+from .linalg import eig_hermitian
+from .qgpe import GradientEncoding, PerturbationDirection, build_delta, require_weight_vector
 
 NUMERIC_ERRORS = (
     AliasedReadout,
@@ -139,18 +137,16 @@ def cmd_gradient(args) -> str:
     n = x.shape[0]
     if not 0 <= args.k <= n:
         raise ValueError(f"--k {args.k} outside [0, {n}] (0 = all)")
-    require_register_dimension(n)
-    values, vectors, residuals = DenseSource().resolve(x)
+    spectrum = DenseSource().resolve(x)
     # inside a degenerate cluster, the eigenvectors that diagonalize Delta there are the ones read
-    spacing = eigenvalue_spacing(values, float(np.linalg.norm(x)))
-    vectors, _ = adapt_degenerate_eigenvectors(x, values, vectors, residuals, delta, enc.L, spacing)
-    selected = relevance_order(values)[:args.k or n]
+    vectors, _ = adapt_degenerate_eigenvectors(spectrum, delta, enc.L)
+    selected = spectrum.order[:args.k or n]
     grads = eigenvalue_gradient_probes(x, vectors[:, selected], delta, enc, identity_shift=delta.norm)
     rows = []
     for p, grad in zip(selected, grads.tolist()):
         v = vectors[:, p]
         oracle = float(np.real(v.conj() @ delta.matrix @ v))  # <p|Delta|p>
-        rows.append([int(p), float(values[p]), args.delta, enc.L, enc.m,
+        rows.append([int(p), float(spectrum.values[p]), args.delta, enc.L, enc.m,
                      grad, oracle, abs(grad - oracle)])
     return qio.render_csv(
         ["p", "E_p", "delta_kind", "L", "m", "gradient_quantum", "gradient_oracle", "abs_error"],

@@ -21,10 +21,6 @@ class RankDeficientBlock(QgldError):
     """Block has numerical rank below its column count."""
 
 
-class DegenerateEigenvalue(QgldError):
-    """Eigenvalue gap too small for a well-defined directional derivative."""
-
-
 class IndexOutOfRange(QgldError, IndexError):
     """Index outside the valid range."""
 

@@ -28,13 +28,8 @@ import numpy as np
 
 from . import statevector as sv
 from .errors import AliasedReadout, NearZeroEigenvalue, RoundingFloor
-from .linalg import (
-    as_complex_matrix,
-    eig_hermitian,
-    eigen_residuals,
-    inverse,
-    relevance_order,
-)
+from .linalg import EIGEN_RESIDUAL_RTOL, PSEUDO_INVERSE_RTOL  # noqa: F401 (the Spectrum's, importable here)
+from .linalg import Spectrum, as_complex_matrix, eig_hermitian, eigen_residuals, inverse
 from .qgpe import (
     GradientEncoding,
     PerturbationDirection,
@@ -48,22 +43,22 @@ from .qgpe import (
 )
 from .lanczos import run_rqbl
 
-PSEUDO_INVERSE_RTOL = 1e-10
-EIGEN_RESIDUAL_RTOL = 1e-6
 SUPERPOSITION_ZOOM = 1e4
 ROUNDING_RTOL = 1e-4  # a probe's rounding floor against its slope bound; see _require_readable
 
 
 # ---------------------------------------------------------------------------
-# eigenpair sources: each one's resolve validates the matrix it is given
+# eigenpair sources: each one's resolve validates the matrix it is given, its
+# shape and entries and its power-of-two dimension before the eigensolve
 
 @dataclass(frozen=True)
 class DenseSource:
     """All eigenpairs from the dense solver."""
 
-    def resolve(self, x: np.ndarray):
-        dec = eig_hermitian(x)  # which validates x
-        return dec.values, dec.vectors, eigen_residuals(x, dec.values, dec.vectors)
+    def resolve(self, x: np.ndarray) -> Spectrum:
+        x = as_complex_matrix(x)
+        require_register_dimension(len(x))
+        return eig_hermitian(x)  # which checks that x is hermitian
 
 
 @dataclass(frozen=True)
@@ -74,10 +69,11 @@ class RqblSource:
     seed: int
     steps: int | None = None
 
-    def resolve(self, x: np.ndarray):
-        # x, b and the steps (None: N // b) are validated by build_factorization, before any step
-        sol = run_rqbl(x, self.b, self.steps, self.seed)
-        return sol.values, sol.vectors, sol.residuals
+    def resolve(self, x: np.ndarray) -> Spectrum:
+        x = as_complex_matrix(x)
+        require_register_dimension(len(x))
+        # hermiticity, b and the steps (None: N // b) are validated by build_factorization, before any step
+        return run_rqbl(x, self.b, self.steps, self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -224,60 +220,49 @@ def eigenvalue_gradient_probe(x, p_vec, delta: PerturbationDirection, enc: Gradi
     return float(eigenvalue_gradient_probes(x, columns, delta, enc, identity_shift=identity_shift)[0])
 
 
-def adapt_degenerate_eigenvectors(x, values: np.ndarray, vectors: np.ndarray, residuals: np.ndarray,
-                                  delta: PerturbationDirection, l_value: float,
-                                  spacing: tuple) -> tuple[np.ndarray, np.ndarray]:
+def adapt_degenerate_eigenvectors(spectrum: Spectrum, delta: PerturbationDirection,
+                                  l_value: float) -> tuple[np.ndarray, np.ndarray]:
     """Rotate eigenvector clusters so Delta is diagonal inside each degenerate
     (or nearly degenerate at the probe scale) eigenspace.
 
     Within a cluster whose internal gaps are below the perturbation reach
-    ~L*||Delta||_2, the perturbed eigenvectors re-sort along Delta's internal
-    eigendirections, so probing an unadapted basis vector reads a phase
-    mixture.  Standard degenerate perturbation theory: diagonalizing the
-    restriction of Delta fixes the basis the probes need.  ``spacing`` is
-    :func:`eigenvalue_spacing` of ``values``, which depends on X alone.
-    Returns rotated vectors and residuals, recomputed for rotated columns
-    only, in copies; with no cluster it returns ``vectors`` and ``residuals``
-    themselves, so callers must not write to what it returns.
+    4 L ||Delta||_2 (:meth:`Spectrum.clusters`), the perturbed eigenvectors
+    re-sort along Delta's internal eigendirections, so probing an unadapted
+    basis vector reads a phase mixture.  Standard degenerate perturbation
+    theory: diagonalizing the restriction of Delta fixes the basis the
+    probes need.  Returns the rotated vectors and their residuals,
+    recomputed for rotated columns only, in copies; with no cluster it
+    returns the spectrum's own ``vectors`` and ``residuals``, so callers
+    must not write to what it returns.
     """
-    order, gaps, floor = spacing
-    apart = gaps > max(floor, 4.0 * l_value * delta.norm)
-    if apart.all():
-        return vectors, residuals
-    vectors, residuals = vectors.copy(), np.array(residuals, dtype=float)
-    for idx in np.split(order, np.flatnonzero(apart) + 1):
-        if len(idx) > 1:
-            basis = vectors[:, idx]
-            restricted = basis.conj().T @ delta.matrix @ basis
-            _, rot = np.linalg.eigh((restricted + restricted.conj().T) / 2)
-            vectors[:, idx] = basis @ rot
-            residuals[idx] = eigen_residuals(x, values[idx], vectors[:, idx])
+    clusters = spectrum.clusters(4.0 * l_value * delta.norm)
+    if not clusters:
+        return spectrum.vectors, spectrum.residuals
+    vectors, residuals = spectrum.vectors.copy(), spectrum.residuals.copy()
+    for idx in clusters:
+        basis = vectors[:, idx]
+        restricted = basis.conj().T @ delta.matrix @ basis
+        _, rot = np.linalg.eigh((restricted + restricted.conj().T) / 2)
+        vectors[:, idx] = basis @ rot
+        residuals[idx] = eigen_residuals(spectrum.x, spectrum.values[idx], vectors[:, idx])
     return vectors, residuals
 
 
-def eigenvalue_spacing(values: np.ndarray, x_norm: float) -> tuple:
-    """The X-only part of :func:`adapt_degenerate_eigenvectors`: the order of
-    ``values`` ascending, the gaps between neighbours in that order, and the
-    adaptation floor 1e-8 * ||X||_F (``x_norm``)."""
-    order = np.argsort(values, kind="stable")
-    return order, np.diff(values[order]), 1e-8 * x_norm
-
-
-def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool = False):
-    """The one resolve-then-probe path of the log-det queries: validates X
-    (in the eigenpair source's resolve) and resolves its k most relevant
-    (``relevance_order``) eigenpairs once, then per (direction, encoding)
-    pair of ``probes`` adapts degenerate clusters and probes the used pairs,
+def _probe_relevant_eigenpairs(spectrum: Spectrum, probes, k: int, symmetric: bool = False):
+    """The one probe path of the log-det queries, on the one resolve of X
+    that each public query makes: selects the k most relevant pairs
+    (:meth:`Spectrum.select`), then per (direction, encoding) pair of
+    ``probes`` adapts degenerate clusters and probes the used pairs,
     unshifted for outer(phi) (slopes |<p|phi>|^2 >= 0) and shifted by
-    ||Delta||_2 otherwise.  The rank, each used pair's eigen-residual
-    (EIGEN_RESIDUAL_RTOL * ||X||_F, else its probe would read a wrong slope)
-    and every direction, readout range and rounding floor are checked before
-    any circuit runs.  Returns arrays: the used eigenvalues (|E| descending),
-    the skipped ones (a list), and per probe a row of the (probes, used)
-    slopes deltaE_p and adapted residuals, and the totals sum_p deltaE_p / E_p
-    as a running sum in |E| order.
+    ||Delta||_2 otherwise.  The rank, each used pair's eigen-residual, and
+    every direction, readout range, rounding floor and cut (no cluster of
+    the adaptation split by k) are checked before any circuit runs.
+    Returns arrays: the used eigenvalues (|E| descending), the skipped ones
+    (a list), and per probe a row of the (probes, used) slopes deltaE_p and
+    adapted residuals, and the totals sum_p deltaE_p / E_p as a running sum
+    in |E| order.
 
-    With a DenseSource, a direction that carries factors is probed in the
+    With a dense spectrum, a direction that carries factors is probed in the
     eigenbasis V of the resolve: each used eigenvector is a unit column, and
     the families are :func:`eigenbasis_families` of Lambda = diag(values)
     and the couplings V^dag F, built for all such probes in one batch per
@@ -287,22 +272,8 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool =
     RqblSource (no full eigenbasis), run the dense family on the adapted
     vectors.
     """
-    x = as_complex_matrix(x)  # the rest of its validation is the resolve's
-    require_register_dimension(len(x))
-    values, vectors, resolved_residuals = eigensource.resolve(x)
-    if not 1 <= k <= len(values):
-        raise ValueError(f"k = {k} outside [1, {len(values)}], the eigenpairs resolved")
-    x_norm = float(np.linalg.norm(x))
-    spacing = eigenvalue_spacing(values, x_norm)
-    order = relevance_order(values)[:k]
-    kept = np.abs(values[order]) > PSEUDO_INVERSE_RTOL * max(x_norm, 1e-300)
-    used, skipped = order[kept], values[order[~kept]].tolist()
-    if not used.size:
-        raise NearZeroEigenvalue("every requested eigenvalue is below the pseudo-inverse threshold")
-    worst = float(np.max(resolved_residuals[used]))
-    if worst > EIGEN_RESIDUAL_RTOL * x_norm:
-        raise ValueError(f"eigensource residual {worst:.3e} exceeds {EIGEN_RESIDUAL_RTOL:.0e} * ||X||_F; "
-                         f"increase Lanczos steps")
+    x, values = spectrum.x, spectrum.values
+    used, skipped = spectrum.select(k)
     # one pass checks, adapts and keeps what the circuits need; they all run after it
     plans, residuals = [], []  # per probe: (windows, shift, dense-family job or None)
     in_eigenbasis = {}  # signs -> [(probe index, coupling V^dag F)]
@@ -318,10 +289,10 @@ def _probe_relevant_eigenpairs(x, probes, k: int, eigensource, symmetric: bool =
         if encodings is None:
             encodings = windows_of[enc] = ((enc, replace(enc, shift="centered" if enc.shift == "unshifted"
                                                           else "unshifted")) if symmetric else (enc,))
-        factored = delta.factors is not None and isinstance(eigensource, DenseSource)
-        _require_readable(delta.norm + shift, encodings, None if factored else x_norm)
-        adapted, adapted_residuals = adapt_degenerate_eigenvectors(x, values, vectors, resolved_residuals,
-                                                                   delta, enc.L, spacing)
+        factored = delta.factors is not None and spectrum.dense
+        _require_readable(delta.norm + shift, encodings, None if factored else spectrum.x_norm)
+        spectrum.require_whole_clusters(k, 4.0 * enc.L * delta.norm)
+        adapted, adapted_residuals = adapt_degenerate_eigenvectors(spectrum, delta, enc.L)
         residuals.append(adapted_residuals[used])
         if factored:
             in_eigenbasis.setdefault(delta.signs, []).append((j, (delta.factors.conj().T @ adapted).conj().T))
@@ -369,7 +340,7 @@ def qgld_expectation_sweep(request: InverseExpectationRequest, l_values,
         yield from ((outer, enc) for enc in encodings)
 
     values, skipped, slopes, residuals, totals = _probe_relevant_eigenpairs(
-        request.x, probes(), request.k, request.eigensource)
+        request.eigensource.resolve(request.x), probes(), request.k)
     reference = classical_reference_expectation(request.x, request.phi) if with_classical_reference else None
     for array in (values, slopes, residuals):
         array.flags.writeable = False  # so that no report can alter another's rows
@@ -395,7 +366,7 @@ def logdet_directional_derivatives(x, deltas, k: int, enc: GradientEncoding = Gr
     direction that is not a PerturbationDirection (wrap a hermitian matrix
     with ``build_delta("custom", ...)``)."""
     probes = ((delta, enc) for delta in deltas)
-    return _probe_relevant_eigenpairs(x, probes, k, eigensource, symmetric)[4].tolist()
+    return _probe_relevant_eigenpairs(eigensource.resolve(x), probes, k, symmetric)[4].tolist()
 
 
 def logdet_gradient_entry(x, i: int, j: int, k: int, enc: GradientEncoding = GradientEncoding(),
@@ -449,23 +420,18 @@ def _scaled_phase_family(weights: np.ndarray, w_run: float) -> sv.ControlledFami
 
 
 def _superposition_weights(x, phi):
-    """One eigendecomposition of X with the per-eigenstate derivative weights
+    """One resolve of X with the per-eigenstate derivative weights
     <p|outer(phi)|p>, raw and divided by E_p, both zero on eigenvalues under
     the pseudo-inverse threshold.  Raises UnnormalizedPhi unless ||phi|| = 1
     within 1e-10, the bound of the outer-product direction."""
-    x = as_complex_matrix(x)
-    require_register_dimension(len(x))
-    dec = eig_hermitian(x)
-    phi = require_unit_weight_vector(phi, dec.dim)
-    overlaps = np.abs(dec.vectors.conj().T @ phi) ** 2
-    threshold = PSEUDO_INVERSE_RTOL * max(float(np.linalg.norm(x)), 1e-300)
-    usable = np.abs(dec.values) > threshold
+    spectrum = DenseSource().resolve(x)
+    phi = require_unit_weight_vector(phi, len(spectrum.values))
+    overlaps = np.abs(spectrum.vectors.conj().T @ phi) ** 2
+    usable = spectrum.usable
     if not np.any(usable):
         raise NearZeroEigenvalue("all eigenvalues below the pseudo-inverse threshold")
     raw = np.where(usable, overlaps, 0.0)
-    scaled = raw.copy()
-    scaled[usable] = overlaps[usable] / dec.values[usable]
-    return dec, raw, scaled
+    return spectrum, raw, np.divide(raw, spectrum.values, out=np.zeros_like(raw), where=usable)
 
 
 def _superposition_family(weights: np.ndarray) -> tuple:
@@ -491,12 +457,13 @@ def sigma_qgld_expectation(x, phi) -> float:
     per-eigenstate phases equals their mean; N * w * phase then returns
     sum_p deltaE_p / E_p directly.
     """
-    dec, _, weights = _superposition_weights(x, phi)
+    spectrum, _, weights = _superposition_weights(x, phi)
+    n = len(spectrum.values)
     family, w_run = _superposition_family(weights)
     # V^dag psi for psi = sum_p |p> / sqrt(N): the uniform column of the eigenbasis
-    uniform = np.full((dec.dim, 1), 1.0 / np.sqrt(dec.dim), dtype=complex)
+    uniform = np.full((n, 1), 1.0 / np.sqrt(n), dtype=complex)
     phase = float(_signed_phases(family, uniform)[0])
-    return float(dec.dim * w_run * phase)
+    return float(n * w_run * phase)
 
 
 def sampled_qgld(x, phi, n_samples: int, rng_seed: int) -> tuple[float, float]:
@@ -514,8 +481,8 @@ def sampled_qgld(x, phi, n_samples: int, rng_seed: int) -> tuple[float, float]:
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    dec, raw, scaled = _superposition_weights(x, phi)
-    n = dec.dim
+    spectrum, raw, scaled = _superposition_weights(x, phi)
+    n = len(spectrum.values)
     family_num, w_num = _superposition_family(scaled)
     family_den, w_den = _superposition_family(raw)
 
@@ -524,7 +491,7 @@ def sampled_qgld(x, phi, n_samples: int, rng_seed: int) -> tuple[float, float]:
     for start in range(0, n_samples, n):
         gauss = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         q, _ = np.linalg.qr(gauss)
-        batch = dec.vectors.conj().T @ q[:, :min(n, n_samples - start)]  # in the eigenbasis
+        batch = spectrum.vectors.conj().T @ q[:, :min(n, n_samples - start)]  # in the eigenbasis
         numer = n * w_num * _signed_phases(family_num, batch)
         denom = n * w_den * _signed_phases(family_den, batch)
         for num, den in zip(numer.tolist(), denom.tolist()):

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    RESIDUAL_COLUMNS,
-    eig_hermitian,
-    eigen_residuals,
-    orthonormalize_svd,
-    relevance_order,
-    require_hermitian,
-)
+from .linalg import RESIDUAL_COLUMNS, Spectrum, eig_hermitian, orthonormalize_svd, require_hermitian
 
 BREAKDOWN_RTOL = 1e-10
 DGKS_ETA = 1 / np.sqrt(2)  # Daniel, Gragg, Kaufman & Stewart (1976)
@@ -69,13 +62,6 @@ class LanczosFactorization:
                 total += (1.0 if col == start else 2.0) * float(np.vdot(tile, tile).real)
             del rows, tile  # before the next block's copy
         return float(np.sqrt(total))
-
-
-@dataclass(frozen=True)
-class RitzSolution:
-    values: np.ndarray
-    vectors: np.ndarray
-    residuals: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -134,28 +120,29 @@ def rqbl_step(x: np.ndarray, psi_p: np.ndarray, psi_prev: np.ndarray | None,
     return LanczosStep(a_block=a_p, b_next=b_next, psi_next=None if sigma[-1] < breakdown_floor else u @ vh)
 
 
-def assemble_and_solve(x: np.ndarray, fact: LanczosFactorization) -> RitzSolution:
-    """Diagonalize S and lift its eigenvectors through the basis, as Ritz
-    pairs in ``relevance_order``: |value| descending (most relevant first),
-    and magnitudes equal within DEGENERACY_RTOL in ascending-value order.
+def assemble_and_solve(x: np.ndarray, fact: LanczosFactorization) -> Spectrum:
+    """Diagonalize S and lift its eigenvectors through the basis, as the
+    Ritz pairs of X in ``relevance_order``: |value| descending (most
+    relevant first), and magnitudes equal within DEGENERACY_RTOL in
+    ascending-value order.  The Spectrum forms their residuals against
+    ``x`` only when they are read.
 
     The decomposition of S is dropped before the one lift, which goes
-    straight into the final order, and the residuals come in column blocks:
-    besides the factorization, about three N x (steps*b) complex arrays are
-    alive at the peak, the eigensolve's own LAPACK workspace aside."""
+    straight into the final order: besides the factorization, about three
+    N x (steps*b) complex arrays are alive at the peak, the eigensolve's
+    own LAPACK workspace aside."""
     if fact.steps < 1:
         raise ValueError("factorization holds no blocks")
     dec = eig_hermitian(fact.tridiagonal())
-    order = relevance_order(dec.values)
-    values, ritz = dec.values[order], dec.vectors[:, order]
+    values, ritz = dec.values[dec.order], dec.vectors[:, dec.order]
     del dec
     vectors = fact.basis() @ ritz
     del ritz
     vectors /= np.linalg.norm(vectors, axis=0)
-    return RitzSolution(values=values, vectors=vectors, residuals=eigen_residuals(x, values, vectors))
+    return Spectrum(x=x, values=values, vectors=vectors)
 
 
-def run_rqbl(x: np.ndarray, b: int, k: int | None, rng_seed: int) -> RitzSolution:
+def run_rqbl(x: np.ndarray, b: int, k: int | None, rng_seed: int) -> Spectrum:
     """Random init plus k recursion steps (early stop on breakdown), then the
     Ritz pairs of S."""
     x = np.asarray(x, dtype=complex)

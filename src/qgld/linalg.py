@@ -6,17 +6,12 @@ hermitian within ``HERMITICITY_RTOL`` relative to the largest entry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateEigenvalue,
-    NonFiniteInput,
-    NonHermitianInput,
-    RankDeficientBlock,
-    SingularMatrix,
-)
+from .errors import NearZeroEigenvalue, NonFiniteInput, NonHermitianInput, RankDeficientBlock, SingularMatrix
 
 HERMITICITY_RTOL = 1e-12
 PIVOT_RTOL = 1e-13
@@ -26,6 +21,8 @@ EPS = float(np.finfo(float).eps)
 SECULAR_DEFLATION = 8 * EPS
 SECULAR_MAX_STEPS = 64
 RESIDUAL_COLUMNS = 64
+PSEUDO_INVERSE_RTOL = 1e-10
+EIGEN_RESIDUAL_RTOL = 1e-6
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -64,28 +61,103 @@ def require_hermitian(a) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues ascending, orthonormal eigenvectors as columns."""
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Eigenpairs of one validated hermitian X as its producer resolved them:
+    ``values`` and the orthonormal columns ``vectors``, and ``dense``, true
+    only for a full eigenbasis from the dense solver.  ||X||_F, the
+    ascending spacing, the relevance order, the pseudo-inverse mask and the
+    eigen-residuals are each formed on first read and kept.  X is held as
+    given, not copied, and read then; no array may be written to."""
 
+    x: np.ndarray = field(repr=False)
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray = field(repr=False)
+    dense: bool = False
 
-    @property
-    def dim(self) -> int:
-        return len(self.values)
+    @cached_property
+    def x_norm(self) -> float:
+        """||X||_F."""
+        return float(np.linalg.norm(self.x))
+
+    @cached_property
+    def spacing(self) -> tuple:
+        """The order of ``values`` ascending, and the gaps between neighbours in it."""
+        order = np.argsort(self.values, kind="stable")
+        return order, np.diff(self.values[order])
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """:func:`relevance_order` of ``values``."""
+        return relevance_order(self.values)
+
+    @cached_property
+    def usable(self) -> np.ndarray:
+        """|E| > PSEUDO_INVERSE_RTOL * ||X||_F: the pairs a pseudo-inverse keeps."""
+        return np.abs(self.values) > PSEUDO_INVERSE_RTOL * max(self.x_norm, 1e-300)
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """:func:`eigen_residuals` of every pair."""
+        return eigen_residuals(self.x, self.values, self.vectors)
+
+    def clusters(self, reach: float) -> list:
+        """The indices of each run of two or more ascending values whose
+        neighbour gaps are at most max(DEGENERACY_RTOL * ||X||_F, ``reach``):
+        the eigenspaces that a perturbation of that reach mixes."""
+        order, gaps = self.spacing
+        apart = gaps > max(DEGENERACY_RTOL * self.x_norm, reach)
+        if apart.all():
+            return []
+        return [idx for idx in np.split(order, np.flatnonzero(apart) + 1) if len(idx) > 1]
+
+    def select(self, k: int) -> tuple:
+        """The k most relevant pairs (:attr:`order`): (the indices of those
+        above the pseudo-inverse threshold, the values of the others).
+        Raises ValueError for a k outside [1, pairs resolved] or a used
+        pair's residual above EIGEN_RESIDUAL_RTOL * ||X||_F (its probe would
+        read a wrong slope), and NearZeroEigenvalue when no pair is used."""
+        if not 1 <= k <= len(self.values):
+            raise ValueError(f"k = {k} outside [1, {len(self.values)}], the eigenpairs resolved")
+        order = self.order[:k]
+        kept = self.usable[order]
+        used = order[kept]
+        if not used.size:
+            raise NearZeroEigenvalue("every requested eigenvalue is below the pseudo-inverse threshold")
+        worst = float(np.max(self.residuals[used]))
+        if worst > EIGEN_RESIDUAL_RTOL * self.x_norm:
+            raise ValueError(f"eigensource residual {worst:.3e} exceeds {EIGEN_RESIDUAL_RTOL:.0e} * ||X||_F; "
+                             f"increase Lanczos steps")
+        return used, self.values[order[~kept]].tolist()
+
+    def require_whole_clusters(self, k: int, reach: float) -> None:
+        """Raise ValueError, naming the nearest k below and above that do
+        not, when the k most relevant pairs hold part of a cluster of
+        :meth:`clusters` at ``reach``: the sum over them is then not
+        defined by X, since it depends on which vectors of the cluster's
+        eigenspace are taken."""
+        reach = max(DEGENERACY_RTOL * self.x_norm, reach)
+        rank = np.argsort(self.order)  # each pair's place in the relevance order
+        inside = np.zeros(len(rank) + 1, dtype=bool)  # inside[c]: the first c pairs split a cluster
+        for idx in self.clusters(reach):
+            if self.usable[idx].any():  # a cluster the pseudo-inverse skips adds nothing, however it is cut
+                inside[rank[idx].min() + 1:rank[idx].max() + 1] = True
+        if inside[k]:
+            valid = np.flatnonzero(~inside[1:]) + 1
+            nearest = [*valid[valid < k][-1:], valid[valid > k][0]]
+            raise ValueError(f"k = {k} ends inside a cluster of eigenvalues with gaps at most {reach:.3g}, so the "
+                             f"sum over the first k is not defined by X; use k = {' or '.join(map(str, nearest))}")
 
 
-def eig_hermitian(a) -> EigenDecomposition:
-    """Full eigendecomposition of a hermitian matrix.
+def eig_hermitian(a) -> Spectrum:
+    """Full eigendecomposition of a hermitian matrix, as a dense Spectrum.
 
     Ordering is deterministic: eigenvalues ascending, and each eigenvector's
     first component of magnitude above 1e-8 is made real and positive.
     """
     a = require_hermitian(a)
     values, vectors = np.linalg.eigh(a)
-    vectors = _fix_phases(vectors)
-    return EigenDecomposition(values=values, vectors=vectors)
+    return Spectrum(x=a, values=values, vectors=_fix_phases(vectors), dense=True)
 
 
 def eigen_residuals(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -362,25 +434,3 @@ def orthonormalize_svd(block) -> np.ndarray:
             f"singular value ratio {s[-1] / s[0]:.3e} below {RANK_RTOL:.1e}"
         )
     return u @ vh
-
-
-def _eigenvalue_gap(values: np.ndarray, p: int) -> float:
-    gaps = []
-    if p > 0:
-        gaps.append(abs(values[p] - values[p - 1]))
-    if p < len(values) - 1:
-        gaps.append(abs(values[p + 1] - values[p]))
-    return min(gaps) if gaps else np.inf
-
-
-def hellmann_feynman_derivative(dec: EigenDecomposition, delta: np.ndarray, p: int, a_norm: float) -> float:
-    """<p|Delta|p>, the slope of the p-th eigenvalue of ``dec`` along the
-    hermitian ``delta``, read from an existing eigendecomposition of A
-    (``a_norm`` = ||A||_F).  Raises DegenerateEigenvalue when the eigenvalue's
-    gap is at most DEGENERACY_RTOL * ||A||_F."""
-    gap = _eigenvalue_gap(dec.values, p)
-    if gap <= DEGENERACY_RTOL * max(a_norm, 1e-300):
-        raise DegenerateEigenvalue(f"gap at index {p} is {gap:.3e}, at most {DEGENERACY_RTOL:.1e} * ||A||_F")
-    v = dec.vectors[:, p]
-    return float(np.real(v.conj() @ delta @ v))
-

@@ -9,9 +9,10 @@ from qgld.errors import (
     IndexOutOfRange,
     NonUnitaryMember,
     NotInGroundRegister,
+    QgldError,
     UnnormalizedTarget,
 )
-from qgld.linalg import DEGENERACY_RTOL, eig_hermitian, hellmann_feynman_derivative, require_hermitian
+from qgld.linalg import DEGENERACY_RTOL, eig_hermitian, require_hermitian
 from qgld.statevector import NORM_ATOL, ControlledFamily, unitarity_defect
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -343,6 +344,31 @@ def reference_distributions(family, columns, deviation_phases=None) -> np.ndarra
 
 
 CENTRAL_DIFFERENCE_STEP = 1e-5
+
+
+class DegenerateEigenvalue(QgldError):
+    """Eigenvalue gap too small for a well-defined directional derivative."""
+
+
+def _eigenvalue_gap(values: np.ndarray, p: int) -> float:
+    gaps = []
+    if p > 0:
+        gaps.append(abs(values[p] - values[p - 1]))
+    if p < len(values) - 1:
+        gaps.append(abs(values[p + 1] - values[p]))
+    return min(gaps) if gaps else np.inf
+
+
+def hellmann_feynman_derivative(dec, delta: np.ndarray, p: int, a_norm: float) -> float:
+    """<p|Delta|p>, the slope of the p-th eigenvalue of ``dec`` (a Spectrum)
+    along the hermitian ``delta``, read from an existing eigendecomposition
+    of A (``a_norm`` = ||A||_F).  Raises DegenerateEigenvalue when the
+    eigenvalue's gap is at most DEGENERACY_RTOL * ||A||_F."""
+    gap = _eigenvalue_gap(dec.values, p)
+    if gap <= DEGENERACY_RTOL * max(a_norm, 1e-300):
+        raise DegenerateEigenvalue(f"gap at index {p} is {gap:.3e}, at most {DEGENERACY_RTOL:.1e} * ||A||_F")
+    v = dec.vectors[:, p]
+    return float(np.real(v.conj() @ delta @ v))
 
 
 def directional_eigen_derivative(a, delta, p: int, mode: str = "hellmann_feynman") -> float:

@@ -360,8 +360,8 @@ class TestStackedRead:
         enc = GradientEncoding(L=1e-5, W=4.0, m=m, shift=shift)
 
         def read(directions):
-            return qgld.expectation._probe_relevant_eigenpairs(x, [(d, enc) for d in directions], n, DenseSource(),
-                                                               symmetric)
+            return qgld.expectation._probe_relevant_eigenpairs(DenseSource().resolve(x), [(d, enc) for d in directions],
+                                                               n, symmetric)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qgld.qgpe, "EIGENBASIS_BATCH", budget * (enc.deviation_dim - 1) * n * n)

@@ -386,6 +386,15 @@ class TestQgldCommand:
         assert out == ""
         assert "M eps ||X||_F / L" in err and "use L >= 1.504e-09" in err
 
+    def test_k_inside_a_cluster_exits_2(self, capsys, tmp_path):
+        # printed 0.1875 at exit 0: the rank-3 sum over diag(1, 1, 2, 4) is anything in [0.1875, 0.6875]
+        path = tmp_path / "diag.json"
+        write_matrix(path, np.diag([1.0, 1.0, 2.0, 4.0]))
+        code, out, err = run_cli(capsys, "qgld", "--matrix", str(path), "--phi", "uniform", "--k", "3")
+        assert code == 2
+        assert out == ""
+        assert "k = 3 ends inside a cluster" in err and "use k = 2 or 4" in err
+
     def test_singular_matrix_exit_code(self, capsys, tmp_path):
         path = tmp_path / "singular.json"
         write_matrix(path, np.ones((2, 2)))

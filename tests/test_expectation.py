@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgld.cli
 import qgld.expectation
 import qgld.linalg
 import qgld.statevector as sv
@@ -10,7 +11,6 @@ from qgld import (
     AliasedReadout,
     DenseSource,
     adapt_degenerate_eigenvectors,
-    eigenvalue_spacing,
     InverseExpectationRequest,
     GradientEncoding,
     NonFiniteInput,
@@ -209,6 +209,46 @@ class TestRankRange:
         request = InverseExpectationRequest(x=random_spd(12, 1), phi=np.ones(12) / np.sqrt(12), k=12)
         with pytest.raises(ValueError, match="dimension 12 is not a power of two"):
             qgld_expectation(request)
+
+    # k = 3 on diag(1, 1, 2, 4) read 0.1875 at exit 0: the rank-3 sum takes one vector of the E = 1
+    # plane, chosen by the adaptation, so it can be anything in [0.1875, 0.6875]
+    def test_k_ending_inside_a_cluster_is_refused(self):
+        x, phi = np.diag([1.0, 1.0, 2.0, 4.0]).astype(complex), np.ones(4) / 2
+        with pytest.raises(ValueError, match=r"k = 3 ends inside a cluster .* use k = 2 or 4$"):
+            qgld_expectation(InverseExpectationRequest(x=x, phi=phi, k=3))
+        for k, want in ((2, 0.1875), (4, 0.6875)):
+            assert abs(qgld_expectation(InverseExpectationRequest(x=x, phi=phi, k=k)).total - want) <= 1e-4
+        with pytest.raises(ValueError, match=r"k = 1 ends inside a cluster .* use k = 2$"):
+            logdet_gradient_entry(np.diag([1.0, 2.0, 4.0, 4.0]), 0, 1, k=1)
+        with pytest.raises(UnnormalizedPhi):  # a bad phi is named before the cut
+            qgld_expectation(InverseExpectationRequest(x=x, phi=np.ones(4), k=3))
+        # a cluster under the pseudo-inverse threshold adds nothing to the sum, however k cuts it
+        report = qgld_expectation(InverseExpectationRequest(x=np.diag([0.0, 0.0, 1.0, 2.0]), phi=phi, k=3))
+        assert report.skipped == (0.0,) and abs(report.total - 0.375) <= 1e-4
+
+    def test_a_pair_merged_at_the_probe_scale_is_a_cluster(self, rng):
+        # a gap of 5e-3 is one cluster to the adaptation once 4 L ||Delta||_2 reaches it
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        x, phi = (q * np.array([1.0, 1.005, 2.0, 4.0])) @ q.conj().T, random_state(rng, 4)
+        merged, apart = GradientEncoding(L=1.5e-3), GradientEncoding(L=1e-6)
+        with pytest.raises(ValueError, match=r"k = 3 ends inside .* use k = 2 or 4$"):
+            qgld_expectation(InverseExpectationRequest(x=x, phi=phi, k=3, enc=merged))
+        with pytest.raises(ValueError, match=r"k = 3 ends inside"):
+            logdet_directional_derivatives(x, [build_delta("element", 4, i=0, j=1)], 3, merged)
+        overlaps = np.abs(q.conj().T @ phi) ** 2
+        want = overlaps[3] / 4.0 + overlaps[2] / 2.0 + overlaps[1] / 1.005
+        got = qgld_expectation(InverseExpectationRequest(x=x, phi=phi, k=3, enc=apart)).total
+        assert abs(got - want) <= 1e-4
+
+    def test_a_cluster_apart_in_relevance_order_is_refused_at_every_cut_between(self, rng):
+        # relevance order 3, 1.003, -1.002, 1.0: the cluster {1.0, 1.003} holds ranks 1 and 3, so
+        # k = 2 and k = 3 each take one of its vectors, though no two neighbours in the order share it
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        x = (q * np.array([-1.002, 1.0, 1.003, 3.0])) @ q.conj().T
+        enc = GradientEncoding(L=1.5e-3)
+        for k in (2, 3):
+            with pytest.raises(ValueError, match=rf"k = {k} ends inside .* use k = 1 or 4$"):
+                qgld_expectation(InverseExpectationRequest(x=x, phi=random_state(rng, 4), k=k, enc=enc))
 
     @pytest.mark.parametrize("call", ["logdet", "per-eigenvector probes", "sigma", "sampled", "kernel"])
     def test_dimension_refused_before_any_eigendecomposition(self, monkeypatch, call):
@@ -691,9 +731,8 @@ class TestAdaptDegenerateEigenvectors:
         dec = eig_hermitian(x)
         delta = random_hermitian(rng, 8)
         passed = np.arange(1, 9) * 1e-3  # not residuals of any column, so a recompute shows
-        vectors, residuals = adapt_degenerate_eigenvectors(x, dec.values, dec.vectors, passed,
-                                                           PerturbationDirection(delta), 1e-6,
-                                                           eigenvalue_spacing(dec.values, np.linalg.norm(x)))
+        vars(dec)["residuals"] = passed  # as if already read
+        vectors, residuals = adapt_degenerate_eigenvectors(dec, PerturbationDirection(delta), 1e-6)
         unrotated, rotated = [3, 6, 7], [0, 1, 2, 4, 5]
         np.testing.assert_array_equal(vectors[:, unrotated], dec.vectors[:, unrotated])
         np.testing.assert_array_equal(residuals[unrotated], passed[unrotated])
@@ -712,7 +751,36 @@ class TestAdaptDegenerateEigenvectors:
         x = random_hermitian(rng, 8)
         dec = eig_hermitian(x)
         passed = np.arange(1, 9) * 1e-3
-        vectors, residuals = adapt_degenerate_eigenvectors(x, dec.values, dec.vectors, passed,
-                                                           PerturbationDirection(random_hermitian(rng, 8)), 1e-6,
-                                                           eigenvalue_spacing(dec.values, np.linalg.norm(x)))
+        vars(dec)["residuals"] = passed  # as if already read
+        vectors, residuals = adapt_degenerate_eigenvectors(dec, PerturbationDirection(random_hermitian(rng, 8)), 1e-6)
         assert vectors is dec.vectors and residuals is passed
+
+
+class TestOneEigendecompositionPerCall:
+    """Each public query resolves X once and reads every pair, mask and
+    residual from that one Spectrum; family eighs over (members, N, N)
+    stacks are not counted."""
+
+    CALLS = {
+        "qgld_expectation": lambda x, phi: qgld_expectation(InverseExpectationRequest(x=x, phi=phi, k=8)),
+        "logdet_directional_derivatives": lambda x, phi: logdet_directional_derivatives(
+            x, [build_delta("element", 8, i=i, j=j) for i, j in ((0, 0), (1, 5), (2, 7))], 8),
+        "sigma_qgld_expectation": sigma_qgld_expectation,
+        "sampled_qgld": lambda x, phi: sampled_qgld(x, phi, 8, 1),
+        "kernel_fit": lambda x, phi: kernel_fit(np.arange(8.0), np.sin(np.arange(8.0)), 1.0, 1e-3, solver="qgld"),
+        "qgld gradient": lambda x, phi: qgld.cli.main(["gradient", "--matrix", "random-spd:8:3",
+                                                       "--delta", "element:1,5"]),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_one_full_size_eigh(self, monkeypatch, capsys, call):
+        full_size, eigh = [], np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            if np.ndim(a) == 2 and np.shape(a) == (8, 8):
+                full_size.append(1)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        self.CALLS[call](random_spd(8, 3), np.ones(8) / np.sqrt(8))
+        assert len(full_size) == 1

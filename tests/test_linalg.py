@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import qgld
 from qgld import (
-    DegenerateEigenvalue,
     InverseExpectationRequest,
     NonFiniteInput,
     NonHermitianInput,
@@ -36,6 +35,7 @@ from qgld.linalg import (
 )
 from qgld.qgpe import build_delta
 from conftest import (
+    DegenerateEigenvalue,
     HADAMARD,
     SIGMA_X,
     SIGMA_Z,

@@ -8,9 +8,8 @@ of them as the columns of one batched circuit per deviation window, or a
 single run on an equal superposition of eigenvectors with the perturbation
 rescaled by 1/E_p per eigenstate (superposition pipeline, whose controlled
 family is diagonal in the eigenbasis of X and built there), and cross-checks
-both against the direct classical evaluation.  With the dense eigenpair
-source, the per-eigenvector circuits of a low-rank direction also run in the
-eigenbasis of X, their families from the secular equation.
+both against the direct classical evaluation.  Low-rank directions are
+probed in the basis of the resolved pairs, families from the secular equation.
 
 Sign handling: the single-deviation-qubit readout yields |gradient| only, so
 probes that can go negative (general directions, such as single entries on
@@ -262,21 +261,22 @@ def _probe_relevant_eigenpairs(spectrum: Spectrum, probes, k: int, symmetric: bo
     adapted residuals, and the totals sum_p deltaE_p / E_p as a running sum
     in |E| order.
 
-    With a dense spectrum, a direction that carries factors is probed in the
-    eigenbasis V of the resolve: each used eigenvector is a unit column, and
-    the families are :func:`eigenbasis_families` of Lambda = diag(values)
-    and the couplings V^dag F, built for all such probes in one batch per
-    signs pattern.  Inside an adapted cluster V^dag X V is replaced by
-    diag(values); the dropped part is at most the cluster's width, below
-    the adaptation tolerance.  Full-rank directions, and Ritz pairs of an
-    RqblSource (no full eigenbasis), run the dense family on the adapted
-    vectors.
+    The direction alone picks the family: ``custom`` matrices run the dense
+    family exp(i t (X + s Delta)); factors F run :func:`eigenbasis_families`
+    of Theta = diag(values) and U^dag F, one batch per signs pattern, in the
+    basis U of the adapted pairs (any count: each resolve checks N), whose
+    first-order read is exactly <u_p|Delta|u_p>.  At m = 1 a slope is
+    within L ||Delta||_2 (1 + eta)^2 ||Delta||_2 (1 + W L / g_p) / g_p +
+    4 sqrt(2 eps) W of it, eta = ||U^dag U - I||_2 and g_p the gap from E_p
+    to the values outside its cluster.  Theta stands in for U^dag X U, off
+    by D = U^dag R + (U^dag U - I) Theta, R the residual columns, which could
+    move a read about 2 (1 + eta) ||Delta||_2 ||D||_2 / g_p more.
     """
     x, values = spectrum.x, spectrum.values
     used, skipped = spectrum.select(k)
     # one pass checks, adapts and keeps what the circuits need; they all run after it
     plans, residuals = [], []  # per probe: (windows, shift, dense-family job or None)
-    in_eigenbasis = {}  # signs -> [(probe index, coupling V^dag F)]
+    in_eigenbasis = {}  # signs -> [(probe index, coupling U^dag F)]
     windows_of = {}  # encoding -> the windows it reads
     for j, (delta, enc) in enumerate(probes):
         if not isinstance(delta, PerturbationDirection):
@@ -289,14 +289,13 @@ def _probe_relevant_eigenpairs(spectrum: Spectrum, probes, k: int, symmetric: bo
         if encodings is None:
             encodings = windows_of[enc] = ((enc, replace(enc, shift="centered" if enc.shift == "unshifted"
                                                           else "unshifted")) if symmetric else (enc,))
-        factored = delta.factors is not None and spectrum.dense
-        _require_readable(delta.norm + shift, encodings, None if factored else spectrum.x_norm)
+        _require_readable(delta.norm + shift, encodings, spectrum.x_norm if delta.factors is None else None)
         spectrum.require_whole_clusters(k, 4.0 * enc.L * delta.norm)
         adapted, adapted_residuals = adapt_degenerate_eigenvectors(spectrum, delta, enc.L)
         residuals.append(adapted_residuals[used])
-        if factored:
+        if delta.factors is not None:
             in_eigenbasis.setdefault(delta.signs, []).append((j, (delta.factors.conj().T @ adapted).conj().T))
-        plans.append((encodings, shift, None if factored else (adapted[:, used], delta)))
+        plans.append((encodings, shift, (adapted[:, used], delta) if delta.factors is None else None))
         del adapted  # only the used columns or the couplings outlive the pass
 
     # each slope is its windows' mean read less the shift

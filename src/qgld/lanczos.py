@@ -10,7 +10,7 @@ the DGKS criterion finds that the first one cancelled most of a column.  One
 thin SVD R = U S V^dag gives B_{p+1} = V S V^dag (the hermitian square root
 of R^dag R) and Psi_{p+1} = U V^dag = R B_{p+1}^-1.  Each step writes its
 blocks into the block-tridiagonal S whose eigenpairs, lifted through the
-basis, are the Ritz approximations used as probe input states.
+basis, are the Ritz pairs in whose basis the probes run.
 """
 from __future__ import annotations
 

@@ -64,16 +64,16 @@ def require_hermitian(a) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenpairs of one validated hermitian X as its producer resolved them:
-    ``values`` and the orthonormal columns ``vectors``, and ``dense``, true
-    only for a full eigenbasis from the dense solver.  ||X||_F, the
-    ascending spacing, the relevance order, the pseudo-inverse mask and the
-    eigen-residuals are each formed on first read and kept.  X is held as
-    given, not copied, and read then; no array may be written to."""
+    ``values`` and the orthonormal columns ``vectors``, eigenvectors or Ritz
+    vectors QY, the basis factored directions are probed in (``custom`` ones
+    run the dense family), of any count: each resolve checks N.  ||X||_F,
+    the ascending spacing, the relevance order, the pseudo-inverse mask and
+    the eigen-residuals are each formed on first read and kept.  X is held
+    as given, not copied, and read then; no array may be written to."""
 
     x: np.ndarray = field(repr=False)
     values: np.ndarray
     vectors: np.ndarray = field(repr=False)
-    dense: bool = False
 
     @cached_property
     def x_norm(self) -> float:
@@ -150,14 +150,14 @@ class Spectrum:
 
 
 def eig_hermitian(a) -> Spectrum:
-    """Full eigendecomposition of a hermitian matrix, as a dense Spectrum.
+    """Full eigendecomposition of a hermitian matrix, as a Spectrum.
 
     Ordering is deterministic: eigenvalues ascending, and each eigenvector's
     first component of magnitude above 1e-8 is made real and positive.
     """
     a = require_hermitian(a)
     values, vectors = np.linalg.eigh(a)
-    return Spectrum(x=a, values=values, vectors=_fix_phases(vectors), dense=True)
+    return Spectrum(x=a, values=values, vectors=_fix_phases(vectors))
 
 
 def eigen_residuals(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:

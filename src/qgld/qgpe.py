@@ -13,12 +13,12 @@ inverse QFT peaks at bin j = M*grad/(2*pi*W).  The paper's main-text
 convention, with 2*pi inside the exponent, t = 2*pi*M/(W'*L), is this one at
 W = W'/(2*pi): the time step, the bin decode and the m = 1 decode all agree.
 
-:func:`evolution_family` builds the family from the eigendecompositions of
-X + s(eps) Delta, and :func:`eigenbasis_families` builds it in the
-eigenbasis of X, for directions that carry low-rank factors; both keep each
-member as its factors Q diag(exp(i t lambda)) Q^dag.
-:func:`probe_distributions` reads any of them from the M amplitudes
-<c|U(eps)|c> of each prepared column c.
+:func:`evolution_family` builds the family of a ``custom`` matrix from the
+eigendecompositions of X + s(eps) Delta, and :func:`eigenbasis_families`
+that of a factored direction in the basis of the resolved pairs of X; both
+keep each member as its factors Q diag(exp(i t lambda)) Q^dag.
+:func:`probe_distributions` reads any of them, in a basis of any size (the
+power-of-two check is on X), from the amplitudes <c|U(eps)|c> of each column c.
 """
 from __future__ import annotations
 
@@ -327,11 +327,12 @@ def evolution_family(x, delta: PerturbationDirection, enc: GradientEncoding) -> 
 
 
 def eigenbasis_families(values, signs, probes):
-    """Controlled families in the eigenbasis of X = V diag(values) V^dag for
-    the (coupling C, encoding) pairs of ``probes``, where C = V^dag F for a
-    direction Delta = F diag(signs) F^dag, yielded as (rows, stack): the
-    indices into ``probes`` of one stack's probes, an integer array in
-    order, and their :class:`~qgld.statevector.ControlledFamily` stack.
+    """Controlled families in the basis V of the resolved pairs of X (any
+    count: each resolve checks N), with diag(values) for V^dag X V, for the
+    (C = V^dag F, encoding) pairs of ``probes`` of factored directions Delta
+    = F diag(signs) F^dag (``custom`` ones run :func:`evolution_family`),
+    yielded as (rows, stack): the indices into ``probes`` of one stack's
+    probes, an integer array in order, and their ControlledFamily stack.
 
     Member eps is exp(i t (Lambda + s C diag(signs) C^dag)).  Its s = 0
     member is the diagonal slot exp(i t Lambda), formed once per encoding;
@@ -446,7 +447,9 @@ def readout_gradients(distributions: np.ndarray, enc: GradientEncoding) -> np.nd
 def probe_distributions(family, columns: np.ndarray, *, deviation_phases: np.ndarray | None = None) -> np.ndarray:
     """Deviation distributions (M, B) of the probe circuit, run on every
     column of ``columns`` (N, B) as an independent circuit, M = len(family);
-    (J, M, B) for a stack of J families, each on every column.
+    (J, M, B) for a stack of J families, each on every column.  N may be
+    any count of Ritz pairs: each resolve, eigenvalue_gradient_probes and
+    kernel_fit check the N of X, where it enters.
 
     The circuit prepares each column c, fans the deviations out with
     Hadamards, applies the controlled ``family``, the optional deviation
@@ -458,14 +461,12 @@ def probe_distributions(family, columns: np.ndarray, *, deviation_phases: np.nda
     deviation-register gate, so bin j reads |sum_eps exp(-2 pi i j eps / M)
     phi_eps a_eps|^2 / M^2, normalized, from the amplitudes a_eps =
     <c|U(eps)|c>.  Raises FamilySizeMismatch unless M is a power of two >= 2
-    and the members have dimension N, ValueError for N not a power of two
-    >= 2 or phases off unit modulus or those shapes, UnnormalizedTarget for a
-    column off unit norm and NotInGroundRegister for one with no
-    conditioned weight.
+    and the members have dimension N, ValueError for phases off unit modulus
+    or those shapes, UnnormalizedTarget for a column off unit norm and
+    NotInGroundRegister for one with no conditioned weight.
     """
     columns = np.asarray(columns, dtype=complex)
     n_dim, m_dim = columns.shape[0], len(family)
-    require_register_dimension(n_dim)
     if m_dim < 2 or m_dim & (m_dim - 1) or family.dim != n_dim:
         raise FamilySizeMismatch(f"family of {m_dim} members of dimension {family.dim} on columns of dimension "
                                  f"{n_dim}; the deviation register needs 2^m >= 2 members of dimension {n_dim}")

@@ -377,14 +377,29 @@ class TestQgldCommand:
             _, rows = parse_csv(out)
             assert [abs(float(row[5]) - float(row[6])) <= 2e-4 for row in rows] == [True, True]
 
-    # exited 0 printing 0.1031348 against 0.1033027: the Ritz pairs' dense family floor was taken with
-    # the largest |E|, ||X||_2, which underestimates the eigensolver's rounding at N = 128
-    def test_lanczos_sourced_rounding_floor_exits_3(self, capsys):
-        code, out, err = run_cli(capsys, "qgld", "--matrix", "random-spd:128:1", "--phi", "uniform", "--b", "4",
-                                 "--seed", "1", "--L", "2.4e-10")
-        assert code == 3
-        assert out == ""
-        assert "M eps ||X||_F / L" in err and "use L >= 1.504e-09" in err
+    # exited 0 printing 0.1031348 against 0.1033027 while the Ritz pairs ran the dense family, whose floor
+    # was taken with ||X||_2, then exited 3 at its floor M eps ||X||_F / L once that was taken with ||X||_F;
+    # probed in their own basis they have no such floor, and read the LU reference
+    def test_lanczos_sourced_read_below_the_dense_floor(self, capsys):
+        code, out, _ = run_cli(capsys, "qgld", "--matrix", "random-spd:128:1", "--phi", "uniform", "--b", "4",
+                               "--seed", "1", "--L", "2.4e-10")
+        assert code == 0
+        payload = json.loads(out)
+        reference = float(np.sum(np.linalg.inv(random_spd(128, 1)).real)) / 128  # <phi| X^-1 |phi>, phi uniform
+        assert abs(payload["classical_reference"] - reference) <= 1e-12
+        assert abs(payload["total"] - reference) <= 1e-4
+
+    # printed 0.451714 and 0.305737 at exit 0: the Krylov space holds one vector of each degenerate
+    # eigenspace, three Ritz pairs in all, and the dense family read each as a mixture of the phases
+    # that Delta splits its eigenspace into
+    @pytest.mark.parametrize("seed,want", [(0, 0.450461), (1, 0.304710)])
+    def test_lanczos_read_of_a_degenerate_matrix(self, capsys, tmp_path, seed, want):
+        path = tmp_path / "diag.json"
+        write_matrix(path, np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0]))
+        code, out, _ = run_cli(capsys, "qgld", "--matrix", str(path), "--phi", "uniform", "--b", "1", "--k", "3",
+                               "--seed", str(seed))
+        assert code == 0
+        assert abs(json.loads(out)["total"] - want) <= 1e-4
 
     def test_k_inside_a_cluster_exits_2(self, capsys, tmp_path):
         # printed 0.1875 at exit 0: the rank-3 sum over diag(1, 1, 2, 4) is anything in [0.1875, 0.6875]

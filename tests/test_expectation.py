@@ -16,6 +16,7 @@ from qgld import (
     NonFiniteInput,
     NonHermitianInput,
     PerturbationDirection,
+    QgldError,
     RoundingFloor,
     RqblSource,
     UnnormalizedPhi,
@@ -784,3 +785,109 @@ class TestOneEigendecompositionPerCall:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         self.CALLS[call](random_spd(8, 3), np.ones(8) / np.sqrt(8))
         assert len(full_size) == 1
+
+
+class TestRitzBasis:
+    """Ritz pairs are probed in their own basis, through the same
+    eigenbasis families as a dense resolve's eigenpairs."""
+
+    # read 0.451714 and 0.305737: the dense family exp(i t (X + s Delta)) on the one Ritz vector the
+    # Krylov space holds of each degenerate eigenspace read a mixture of the phases Delta splits it into
+    @pytest.mark.parametrize("seed,want", [(0, 0.450461), (1, 0.304710)])
+    def test_degenerate_matrix_reads_the_sum_over_its_ritz_pairs(self, seed, want):
+        x, phi, source = np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0]), np.ones(8) / np.sqrt(8), RqblSource(1, seed)
+        ritz = source.resolve(x)
+        assert len(ritz.values) == 3  # a basis whose size is not a power of two is read, not refused
+        used, _ = ritz.select(3)
+        rank_k = float(np.sum(np.abs(ritz.vectors[:, used].conj().T @ phi) ** 2 / ritz.values[used]))
+        assert abs(rank_k - want) <= 1e-6
+        report = qgld_expectation(InverseExpectationRequest(x=x, phi=phi, k=3, eigensource=source))
+        assert abs(report.total - rank_k) <= 1e-4
+
+    @pytest.mark.parametrize("kind", ["outer", "element", "all_ones", "from_factors", "custom"])
+    def test_only_custom_directions_build_a_dense_family(self, rng, monkeypatch, kind):
+        builds, build = [], qgld.expectation.evolution_family
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(qgld.expectation, "evolution_family", counting)
+        x, phi = random_spd(8, 3), random_state(rng, 8)
+        delta = {
+            "outer": lambda: build_delta("outer", 8, phi=phi),
+            "element": lambda: build_delta("element", 8, i=1, j=5),
+            "all_ones": lambda: build_delta("all_ones", 8),
+            "from_factors": lambda: PerturbationDirection.from_factors(random_state(rng, 8)[:, None], (-1.0,)),
+            "custom": lambda: build_delta("custom", 8, matrix=random_hermitian(rng, 8) / 8),
+        }[kind]()
+        enc = GradientEncoding(W=2.0 * delta.norm)
+        for source in (DenseSource(), RqblSource(b=2, seed=1)):
+            for symmetric, windows in ((False, 1), (True, 2)):
+                builds.clear()
+                logdet_directional_derivatives(x, [delta], 8, enc, source, symmetric)
+                assert len(builds) == (windows if kind == "custom" else 0)
+        builds.clear()
+        qgld_expectation(InverseExpectationRequest(x=x, phi=phi, k=8, eigensource=RqblSource(b=2, seed=1)))
+        assert builds == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([4, 8, 16]),
+        b=st.integers(1, 4),
+        steps=st.sampled_from(["default", "invariant", "partial"]),
+        spectrum=st.sampled_from(["definite", "indefinite", "low-rank + 1e-2"]),
+        kind=st.sampled_from(["outer", "element", "from_factors"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lanczos_reads_the_rank_k_sum_over_its_ritz_pairs(self, n, b, steps, spectrum, kind, seed):
+        rng = np.random.default_rng(seed)
+        values = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
+        if spectrum == "indefinite":
+            values *= rng.choice([-1.0, 1.0], n)
+        elif spectrum == "low-rank + 1e-2":
+            values[rng.integers(1, n):] = 0.0
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        x = (q * values) @ q.conj().T
+        x = (x + x.conj().T) / 2 + (1e-2 * np.eye(n) if spectrum == "low-rank + 1e-2" else 0.0)
+        # "invariant": as many steps as X has distinct eigenvalues, after which the Krylov space is
+        # invariant, so that a low-rank X passes the residual check before N // b steps
+        distinct = len(np.unique(values))
+        source = RqblSource(b, seed % 2**31, {"default": None, "invariant": min(distinct, n // b),
+                                              "partial": int(rng.integers(1, n // b + 1))}[steps])
+        if kind == "outer":
+            delta = build_delta("outer", n, phi=random_state(rng, n))
+        elif kind == "element":
+            delta = build_delta("element", n, i=int(rng.integers(n)), j=int(rng.integers(n)))
+        else:
+            factors = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            delta = PerturbationDirection.from_factors(factors / np.linalg.norm(factors, 2), rng.choice([-1.0, 1.0], 2))
+        k, enc = int(rng.integers(1, n + 1)), GradientEncoding()
+        try:
+            [total] = logdet_directional_derivatives(x, [delta], k, enc, source)
+        except (QgldError, ValueError):
+            return  # a documented refusal: a partial space's residual, k beyond the pairs or inside a cluster
+        ritz = source.resolve(x)
+        used, _ = ritz.select(k)
+        # <u_p|Delta|u_p> over the returned Ritz pairs, a cluster's in the basis the adaptation gives it (the
+        # basis the core reads, and the one in which a cluster whose values differ sums to a defined total)
+        adapted, _ = adapt_degenerate_eigenvectors(ritz, delta, enc.L)
+        couplings = adapted[:, used].conj().T @ delta.factors
+        first_order = np.abs(couplings) ** 2 @ np.array(delta.signs)
+        want = float(np.sum(first_order / ritz.values[used]))
+        # each slope against the <u_p|Delta|u_p> of the pair it read, within the core's stated bound
+        _, _, [slopes], _, _ = qgld.expectation._probe_relevant_eigenpairs(ritz, [(delta, enc)], k)
+        eta = np.linalg.norm(adapted.conj().T @ adapted - np.eye(adapted.shape[1]), 2)
+        cluster = np.full(len(ritz.values), -1)
+        for label, idx in enumerate(ritz.clusters(4.0 * enc.L * delta.norm)):
+            cluster[idx] = label
+        gaps = np.array([min((abs(ritz.values[p] - value) for q, value in enumerate(ritz.values)
+                              if q != p and (cluster[q] < 0 or cluster[q] != cluster[p])), default=np.inf)
+                         for p in used])
+        second_order = enc.L * delta.norm * (1.0 + eta) ** 2 * delta.norm * (1.0 + enc.W * enc.L / gaps) / gaps
+        bound = second_order + 4.0 * np.sqrt(2.0 * np.finfo(float).eps) * enc.W
+        assert np.all(np.abs(slopes - first_order) <= bound)
+        # the total to 1e-4, or where a gap is small beside L ||Delta||_2 / 1e-4 to the slope bounds over
+        # |E_p|: no check refuses that finite-L error yet, and a dense resolve reads it too
+        tolerance = max(1e-4 * max(1.0, abs(want)), float(np.sum(second_order / np.abs(ritz.values[used]))))
+        assert abs(total - want) <= tolerance

@@ -42,8 +42,6 @@ from .lanczos import (
     LanczosFactorization,
     assemble_and_solve,
     build_factorization,
-    rqbl_init,
-    rqbl_step,
     run_rqbl,
 )
 from .expectation import (

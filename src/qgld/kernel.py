@@ -5,9 +5,10 @@ are recovered entry by entry from log-determinant directional derivatives:
 because K and f are real, alpha_i = ||f|| * e_i^T (K + lambda*I)^-1 f_hat is
 ||f|| times the derivative of log det(K + lambda*I) along the signed
 direction (e_i f_hat^T + f_hat e_i^T)/2, one probe set per weight, all n
-directions read from one eigendecomposition of K + lambda*I.  Each direction
-is passed in its rank-two factored form, so its probes run in the
-eigenbasis of K + lambda*I.
+directions read from one eigendecomposition of K + lambda*I, whose
+eigenvalues also give its condition number.  Each direction is passed in
+its rank-two factored form, so its probes run in the eigenbasis of
+K + lambda*I.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditioned, NonFiniteInput
-from .expectation import logdet_directional_derivatives
+from .expectation import DenseSource, _probe_relevant_eigenpairs
 from .linalg import inverse
-from .qgpe import GradientEncoding, PerturbationDirection, require_register_dimension
+from .qgpe import GradientEncoding, PerturbationDirection
 
 CONDITION_LIMIT = 1e12
 
@@ -57,10 +58,12 @@ def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "class
             bad = int(np.sum(~np.isfinite(values)))
             raise NonFiniteInput(f"{name} has {bad} non-finite entries (NaN or inf)")
     n = len(targets)
-    if solver == "qgld":
-        require_register_dimension(n)
     system = gaussian_kernel_matrix(points, sigma) + ridge * np.eye(n)
-    cond = float(np.linalg.cond(system))
+    if solver == "qgld":
+        spectrum = DenseSource().resolve(system)  # refuses an N that is not a power of two before its eigh
+        cond = float(np.max(np.abs(spectrum.values)) / np.min(np.abs(spectrum.values)))  # kappa_2
+    else:
+        cond = float(np.linalg.cond(system))
     if cond > CONDITION_LIMIT:
         raise IllConditioned(f"condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
 
@@ -75,9 +78,9 @@ def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "class
         if f_norm > 0.0:  # zero targets give alpha = 0; f_hat would be 0/0
             f_hat = targets / f_norm
             # (e_i f^T + f e_i^T)/2 = a a^T - b b^T with a, b = (e_i +- f)/2
-            directions = (PerturbationDirection.from_factors(np.stack([e + f_hat, e - f_hat], axis=1) / 2,
-                                                             (1.0, -1.0)) for e in np.eye(n))
-            alpha = f_norm * np.array(logdet_directional_derivatives(system, directions, k, enc, symmetric=True))
+            probes = ((PerturbationDirection.from_factors(np.stack([e + f_hat, e - f_hat], axis=1) / 2, (1.0, -1.0)),
+                       enc) for e in np.eye(n))
+            alpha = f_norm * _probe_relevant_eigenpairs(spectrum, probes, k, symmetric=True)[4]
     else:
         raise ValueError(f"unknown solver {solver!r}")
     return KernelModel(

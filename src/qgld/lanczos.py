@@ -8,9 +8,10 @@ with A_p = Psi_p^dag X Psi_p and the residual block R reorthogonalized against
 the whole accumulated basis: one Gram-Schmidt pass, and a second only where
 the DGKS criterion finds that the first one cancelled most of a column.  One
 thin SVD R = U S V^dag gives B_{p+1} = V S V^dag (the hermitian square root
-of R^dag R) and Psi_{p+1} = U V^dag = R B_{p+1}^-1.  Each step writes its
-blocks into the block-tridiagonal S whose eigenpairs, lifted through the
-basis, are the Ritz pairs in whose basis the probes run.
+of R^dag R) and Psi_{p+1} = U V^dag = R B_{p+1}^-1.  One loop writes each
+step's blocks straight into the basis and the block-tridiagonal S whose
+eigenpairs, lifted through the basis, are the Ritz pairs in whose basis the
+probes run.
 """
 from __future__ import annotations
 
@@ -64,22 +65,6 @@ class LanczosFactorization:
         return float(np.sqrt(total))
 
 
-@dataclass(frozen=True)
-class LanczosStep:
-    a_block: np.ndarray
-    b_next: np.ndarray
-    psi_next: np.ndarray | None  # None on breakdown
-
-
-def rqbl_init(n: int, b: int, rng_seed: int) -> np.ndarray:
-    """Random orthonormal N x b starting block (Gaussian entries, then U V^dag)."""
-    if not 1 <= b <= n:
-        raise ValueError(f"block size {b} outside [1, {n}]")
-    rng = np.random.default_rng(rng_seed)
-    block = rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b))
-    return orthonormalize_svd(block)
-
-
 def _project_out(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Classical Gram-Schmidt of ``block`` against ``basis``, with the second
     pass ("twice is enough") run only when the DGKS test asks for it: some
@@ -94,30 +79,6 @@ def _project_out(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
     if np.any(np.linalg.norm(block, axis=0) < DGKS_ETA * before):
         block = one_pass(block)
     return block
-
-
-def rqbl_step(x: np.ndarray, psi_p: np.ndarray, psi_prev: np.ndarray | None,
-              b_p: np.ndarray | None, history: np.ndarray, breakdown_floor: float) -> LanczosStep:
-    """One block recursion step on a complex X.
-
-    ``history`` holds every basis block so far, psi_p included, concatenated;
-    the residual is projected out of all of it (full reorthogonalization).
-    Breakdown (smallest singular value of the residual under
-    ``breakdown_floor``, which the factorization sets once to
-    BREAKDOWN_RTOL * ||X||_F: an invariant subspace) is reported as no
-    ``psi_next``, not raised.
-    """
-    work = x @ psi_p
-    a_p = psi_p.conj().T @ work
-    a_p = (a_p + a_p.conj().T) / 2
-    r = work - psi_p @ a_p
-    if psi_prev is not None and b_p is not None:
-        r = r - psi_prev @ b_p.conj().T
-    r = _project_out(r, history)
-
-    u, sigma, vh = np.linalg.svd(r, full_matrices=False)
-    b_next = (vh.conj().T * sigma) @ vh
-    return LanczosStep(a_block=a_p, b_next=b_next, psi_next=None if sigma[-1] < breakdown_floor else u @ vh)
 
 
 def assemble_and_solve(x: np.ndarray, fact: LanczosFactorization) -> Spectrum:
@@ -152,31 +113,46 @@ def run_rqbl(x: np.ndarray, b: int, k: int | None, rng_seed: int) -> Spectrum:
 def build_factorization(x: np.ndarray, b: int, k: int | None, rng_seed: int) -> LanczosFactorization:
     """The raw factorization behind run_rqbl, kept for inspection and dumps.
     Validates X (square, finite, hermitian), then the block size b in
-    [1, N], then k*b in [1, N], before any step; k = None takes N // b steps."""
+    [1, N], then k*b in [1, N], before any step; k = None takes N // b steps.
+    The start block is U V^dag of a seeded complex Gaussian N x b block.
+    Every step but the last, which forms only A_p, projects its residual out
+    of the whole basis so far (full reorthogonalization); a smallest singular
+    value under BREAKDOWN_RTOL * ||X||_F marks an invariant subspace, where
+    the recursion stops with ``breakdown`` set rather than raising."""
     x = require_hermitian(x)
     n = x.shape[0]
-    start = rqbl_init(n, b, rng_seed)
+    if not 1 <= b <= n:
+        raise ValueError(f"block size {b} outside [1, {n}]")
     if k is None:
         k = n // b
     if not 1 <= k * b <= n:
         raise ValueError(f"k*b = {k * b} outside [1, {n}]")
+    rng = np.random.default_rng(rng_seed)
     # one column-major basis; the blocks and every step's history are views of it
     basis = np.empty((n, k * b), dtype=complex, order="F")
-    basis[:, :b] = start
+    basis[:, :b] = orthonormalize_svd(rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b)))
     fact = LanczosFactorization(block_size=b, columns=basis, s=np.zeros((k * b, k * b), dtype=complex))
     floor = BREAKDOWN_RTOL * max(float(np.linalg.norm(x)), 1e-300)
-    psi_prev, b_p = None, None
     for p in range(k):
         here, after = slice(p * b, (p + 1) * b), slice((p + 1) * b, (p + 2) * b)
         psi = basis[:, here]
-        step = rqbl_step(x, psi, psi_prev, b_p, history=basis[:, :(p + 1) * b],
-                         breakdown_floor=floor)
-        fact.s[here, here], fact.steps = step.a_block, p + 1
-        if step.psi_next is None or p + 1 == k:
+        work = x @ psi
+        a_p = psi.conj().T @ work
+        a_p = (a_p + a_p.conj().T) / 2
+        fact.s[here, here], fact.steps = a_p, p + 1
+        if p + 1 == k:
             break
-        fact.s[after, here], fact.s[here, after] = step.b_next, step.b_next.conj().T
-        basis[:, after] = step.psi_next
-        psi_prev, b_p = psi, step.b_next
+        r = work - psi @ a_p
+        if p:
+            r = r - basis[:, (p - 1) * b:p * b] @ b_dag
+        r = _project_out(r, basis[:, :(p + 1) * b])
+        u, sigma, vh = np.linalg.svd(r, full_matrices=False)
+        if sigma[-1] < floor:
+            break
+        b_next = (vh.conj().T * sigma) @ vh
+        b_dag = b_next.conj().T
+        fact.s[after, here], fact.s[here, after] = b_next, b_dag
+        basis[:, after] = u @ vh
     fact.breakdown = fact.steps < k
     return fact
 

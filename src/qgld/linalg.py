@@ -425,10 +425,7 @@ def inverse(a) -> np.ndarray:
 
 def orthonormalize_svd(block) -> np.ndarray:
     """Replace an N x b block by U V^dag from its SVD (orthonormal, same span)."""
-    block = np.asarray(block, dtype=complex)
-    if block.ndim == 1:
-        block = block[:, None]
-    u, s, vh = np.linalg.svd(block, full_matrices=False)
+    u, s, vh = np.linalg.svd(np.asarray(block, dtype=complex), full_matrices=False)
     if s[-1] <= RANK_RTOL * s[0]:
         raise RankDeficientBlock(
             f"singular value ratio {s[-1] / s[0]:.3e} below {RANK_RTOL:.1e}"

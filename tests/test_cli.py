@@ -221,6 +221,14 @@ class TestGradient:
         _, rows = parse_csv(out)
         assert len(rows) == 4 and all(row[2] == "outer" and float(row[7]) <= 1e-5 for row in rows)
 
+    def test_outer_delta_without_phi_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "gradient", "--matrix", "random-spd:4:1", "--delta", "outer")
+        assert (code, out, err) == (2, "", "error: outer direction needs --phi\n")
+
+    def test_unknown_delta_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "gradient", "--matrix", "random-spd:4:1", "--delta", "diagonal")
+        assert (code, out, err) == (2, "", "error: unknown delta source 'diagonal'\n")
+
 
 class TestFamilySize:
     # m = 12 at N = 512 would hold 2^30 eigenvector entries (17 GB); each command exits 2
@@ -257,10 +265,28 @@ class TestQgldCommand:
         assert abs(payload["total"]) <= 2e-6
 
     def test_identity_preset(self, capsys):
-        code, out, _ = run_cli(capsys, "qgld", "--matrix", "identity:4", "--phi", "uniform")
+        for preset, n in (("identity:4", 4), ("identity", 2)):
+            code, out, _ = run_cli(capsys, "qgld", "--matrix", preset, "--phi", "uniform")
+            assert code == 0
+            payload = json.loads(out)
+            assert len(payload["contributions"]) == n
+            assert payload["total"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_basis0_phi_reads_the_first_diagonal_entry_of_the_inverse(self, capsys):
+        code, out, _ = run_cli(capsys, "qgld", "--matrix", "random-spd:4:1", "--phi", "basis0")
         assert code == 0
         payload = json.loads(out)
-        assert payload["total"] == pytest.approx(1.0, abs=1e-6)
+        want = np.linalg.inv(random_spd(4, 1))[0, 0].real
+        assert payload["classical_reference"] == pytest.approx(want, abs=1e-12)
+        assert payload["total"] == pytest.approx(want, abs=1e-6)
+
+    def test_phi_file_is_normalized(self, capsys, tmp_path):
+        # weights (2, 2, 2, 2) normalize to exactly the uniform vector
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"re": [2.0, 2.0, 2.0, 2.0]}))
+        from_file = run_cli(capsys, "qgld", "--matrix", "random-spd:4:1", "--phi", str(path))
+        assert from_file[0] == 0
+        assert from_file == run_cli(capsys, "qgld", "--matrix", "random-spd:4:1", "--phi", "uniform")
 
     def test_sigma_mode(self, capsys):
         code, out, _ = run_cli(capsys, "qgld", "--matrix", "sigma-z", "--phi", "uniform",
@@ -275,6 +301,19 @@ class TestQgldCommand:
         payload = json.loads(out)
         assert code == 0
         assert payload["estimate"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_sampled_mode_without_shots_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "qgld", "--matrix", "identity:4", "--phi", "uniform",
+                                 "--mode", "sampled", "--shots", "0")
+        assert (code, out) == (2, "")
+        assert "n_samples must be >= 1" in err
+
+    def test_sigma_mode_on_a_zero_matrix_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        write_matrix(path, np.zeros((2, 2)))
+        code, out, err = run_cli(capsys, "qgld", "--matrix", str(path), "--phi", "uniform", "--mode", "sigma")
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: all eigenvalues below the pseudo-inverse threshold\n"
 
     def test_l_sweep_monotone(self, capsys):
         code, out, _ = run_cli(capsys, "qgld", "--matrix", "random-spd:4:7", "--phi", "uniform",
@@ -631,3 +670,16 @@ class TestOutputFile:
         payload = json.loads(out)
         assert payload["max_alpha_diff"] <= 1e-3
         assert payload["holdout_max_err_classical"] < 1e-2
+
+    def test_kernel_demo_csv_is_the_default(self, capsys):
+        code, out, _ = run_cli(capsys, "kernel-demo")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["i", "x", "target", "alpha_classical", "alpha_qgld", "alpha_absdiff"]
+        table = np.array(rows, dtype=float)
+        np.testing.assert_array_equal(table[:, 0], np.arange(16))
+        np.testing.assert_allclose(table[:, 1], np.linspace(0.0, 2 * np.pi, 16), rtol=1e-8)
+        assert np.max(table[:, 5]) <= 1e-3
+        payload = json.loads(run_cli(capsys, "kernel-demo", "--format", "json")[1])
+        np.testing.assert_allclose(table[:, 3], payload["alpha_classical"], rtol=1e-8)
+        np.testing.assert_allclose(table[:, 4], payload["alpha_qgld"], rtol=1e-8)

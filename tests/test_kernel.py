@@ -157,6 +157,24 @@ class TestProbeSolver:
         kernel_fit(points, targets, sigma=1.0, ridge=1e-6, solver="qgld")
         assert len(calls) == 1
 
+    def test_ill_conditioned_raises_from_the_resolve(self):
+        points = np.array([0.0, 1e-9, 1.0, 2.0])
+        with pytest.raises(IllConditioned):
+            kernel_fit(points, np.sin(points), sigma=1.0, ridge=1e-16, solver="qgld")
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_no_svd(self, monkeypatch, n):
+        # kappa_2 = max|E| / min|E| of the fit's one resolve replaces np.linalg.cond's SVD
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an SVD ran")
+
+        points = np.linspace(0.0, 2 * np.pi, n)
+        want = np.linalg.solve(gaussian_kernel_matrix(points, 0.5) + 1e-3 * np.eye(n), np.sin(points))
+        monkeypatch.setattr(np.linalg, "svd", unreachable)
+        monkeypatch.setattr(np.linalg, "cond", unreachable)
+        model = kernel_fit(points, np.sin(points), sigma=0.5, ridge=1e-3, solver="qgld")
+        assert np.max(np.abs(model.alpha - want)) <= 1e-3
+
     def test_alpha_is_per_weight_directional_derivative(self):
         points, targets = sin_training_set()
         model = kernel_fit(points, targets, sigma=1.0, ridge=1e-6, solver="qgld", k=12)

@@ -5,85 +5,80 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgld import (
-    assemble_and_solve,
-    build_factorization,
-    rqbl_init,
-    rqbl_step,
-    run_rqbl,
-)
+from qgld import assemble_and_solve, build_factorization, run_rqbl
 from qgld.cli import random_spd
-from qgld.lanczos import BREAKDOWN_RTOL, _project_out
+from qgld.lanczos import _project_out
 from conftest import SIGMA_X, SIGMA_Z, random_hermitian, random_symmetric_decaying
 
 
 class TestInit:
+    """The start block, read as the basis of a one-step factorization."""
+
     def test_single_column_is_unit(self):
-        psi = rqbl_init(4, 1, rng_seed=3)
+        psi = build_factorization(random_spd(4, 1), 1, 1, rng_seed=3).basis()
         assert psi.shape == (4, 1)
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
 
     def test_block_orthonormal(self):
-        psi = rqbl_init(8, 2, rng_seed=3)
+        psi = build_factorization(random_spd(8, 1), 2, 1, rng_seed=3).basis()
         gram = psi.conj().T @ psi
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
 
     def test_deterministic(self):
-        np.testing.assert_array_equal(rqbl_init(8, 2, 7), rqbl_init(8, 2, 7))
+        x = random_spd(8, 1)
+        np.testing.assert_array_equal(build_factorization(x, 2, 1, 7).basis(), build_factorization(x, 2, 1, 7).basis())
 
 
 class TestStep:
     def test_invariant_subspace_breakdown(self):
-        x = np.diag([3.0, 1.0, 0.5, 0.2]).astype(complex)
-        psi0 = np.eye(4, dtype=complex)[:, :2]
-        step = rqbl_step(x, psi0, None, None, history=psi0,
-                         breakdown_floor=BREAKDOWN_RTOL * np.linalg.norm(x))
-        np.testing.assert_allclose(step.a_block, np.diag([3.0, 1.0]), atol=1e-12)
-        assert step.psi_next is None
+        # two distinct eigenvalues, each at least twice: the block Krylov space of two columns has
+        # dimension 4, so b = 2 breaks down after 2 of 4 steps, with X's values in S
+        x = np.diag([3.0, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]).astype(complex)
+        fact = build_factorization(x, b=2, k=4, rng_seed=3)
+        assert fact.breakdown
+        assert fact.steps == 2
+        np.testing.assert_allclose(np.linalg.eigvalsh(fact.tridiagonal()), [1.0, 1.0, 3.0, 3.0], atol=1e-12)
 
     def test_sigma_x_hand_recursion(self):
-        psi0 = np.array([[1.0], [0.0]], dtype=complex)
-        step = rqbl_step(SIGMA_X, psi0, None, None, history=psi0,
-                         breakdown_floor=BREAKDOWN_RTOL * np.linalg.norm(SIGMA_X))
-        assert step.a_block[0, 0] == pytest.approx(0.0, abs=1e-12)
-        assert step.b_next[0, 0] == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(step.psi_next, [[0.0], [1.0]], atol=1e-12)
+        # from the start vector psi_0 = (u, v): A_0 = 2 Re(conj(u) v), B_1 = sqrt(1 - A_0^2),
+        # psi_1 = (sigma_x psi_0 - A_0 psi_0) / B_1 and A_1 = -A_0, so S has eigenvalues -1, +1
+        fact = build_factorization(SIGMA_X, b=1, k=2, rng_seed=3)
+        psi_0, psi_1 = fact.basis().T
+        a_0 = 2 * (psi_0[0].conj() * psi_0[1]).real
+        b_1 = np.sqrt(1 - a_0**2)
+        s = fact.tridiagonal()
+        np.testing.assert_allclose(s, [[a_0, b_1], [b_1, -a_0]], atol=1e-12)
+        np.testing.assert_allclose(psi_1, (SIGMA_X @ psi_0 - a_0 * psi_0) / b_1, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.eigvalsh(s), [-1.0, 1.0], atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(2, 32),
         b=st.integers(1, 4),
-        depth=st.integers(0, 6),
+        k=st.integers(2, 32),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_one_svd_step_contract(self, n, b, depth, seed):
-        # psi_p is the last of depth + 1 orthonormal blocks in the history;
-        # at least one block of dimension stays free for psi_next
-        depth = min(depth, n // b - 2)
-        if depth < 0:
-            b, depth = 1, 0
+    def test_one_svd_step_contract(self, n, b, k, seed):
+        # at every step p of a factorization, Psi_{p+1} B_{p+1} is the residual
+        # X Psi_p - Psi_p A_p - Psi_{p-1} B_p^dag projected out of Psi_0 .. Psi_p
+        b = min(b, n)
         rng = np.random.default_rng(seed)
         x = random_hermitian(rng, n, indefinite=True)
-        gauss = rng.standard_normal((n, (depth + 1) * b)) + 1j * rng.standard_normal((n, (depth + 1) * b))
-        history, _ = np.linalg.qr(gauss)
-        psi_p = history[:, depth * b:]
-        psi_prev = history[:, (depth - 1) * b:depth * b] if depth else None
-        b_p = random_hermitian(rng, b) if depth else None
-        step = rqbl_step(x, psi_p, psi_prev, b_p, history=history,
-                         breakdown_floor=BREAKDOWN_RTOL * np.linalg.norm(x))
-
-        residual = x @ psi_p - psi_p @ step.a_block
-        if depth:
-            residual -= psi_prev @ b_p.conj().T
-        residual -= history @ (history.conj().T @ residual)
-        if step.psi_next is None:  # breakdown
-            return
-        psi, b_next = step.psi_next, step.b_next
-        assert np.max(np.abs(psi @ b_next - residual)) <= 1e-12
-        assert np.max(np.abs(b_next - b_next.conj().T)) <= 1e-12
-        assert np.min(np.linalg.eigvalsh((b_next + b_next.conj().T) / 2)) >= -1e-12
-        assert np.max(np.abs(psi.conj().T @ psi - np.eye(b))) <= 1e-12
-        assert np.max(np.abs(history.conj().T @ psi)) <= 1e-12
+        fact = build_factorization(x, b, min(k, n // b), rng_seed=seed)
+        q, s = fact.basis(), fact.tridiagonal()
+        for p in range(fact.steps - 1):
+            before, here, after = (slice(i * b, (i + 1) * b) for i in (p - 1, p, p + 1))
+            history, psi, b_next = q[:, :(p + 1) * b], q[:, after], s[after, here]
+            residual = x @ q[:, here] - q[:, here] @ s[here, here]
+            if p:
+                residual -= q[:, before] @ s[before, here]
+            residual -= history @ (history.conj().T @ residual)
+            assert np.max(np.abs(psi @ b_next - residual)) <= 1e-12
+            assert np.array_equal(s[here, after], b_next.conj().T)
+            assert np.max(np.abs(b_next - b_next.conj().T)) <= 1e-12
+            assert np.min(np.linalg.eigvalsh((b_next + b_next.conj().T) / 2)) >= -1e-12
+            assert np.max(np.abs(psi.conj().T @ psi - np.eye(b))) <= 1e-12
+            assert np.max(np.abs(history.conj().T @ psi)) <= 1e-12
 
     def test_a_blocks_recomputable(self, rng):
         x = rng.standard_normal((10, 10))

@@ -32,6 +32,7 @@ from .linalg import Spectrum, as_complex_matrix, eig_hermitian, eigen_residuals,
 from .qgpe import (
     GradientEncoding,
     PerturbationDirection,
+    _require_family_size,
     build_delta,
     eigenbasis_families,
     evolution_family,
@@ -254,30 +255,30 @@ def _probe_relevant_eigenpairs(spectrum: Spectrum, probes, k: int, symmetric: bo
     ``probes`` adapts degenerate clusters and probes the used pairs,
     unshifted for outer(phi) (slopes |<p|phi>|^2 >= 0) and shifted by
     ||Delta||_2 otherwise.  The rank, each used pair's eigen-residual, and
-    every direction, readout range, rounding floor and cut (no cluster of
-    the adaptation split by k) are checked before any circuit runs.
-    Returns arrays: the used eigenvalues (|E| descending), the skipped ones
-    (a list), and per probe a row of the (probes, used) slopes deltaE_p and
-    adapted residuals, and the totals sum_p deltaE_p / E_p as a running sum
-    in |E| order.
+    every direction, readout range, rounding floor, family size and cut (no
+    cluster of the adaptation split by k) are checked before any family is
+    built.  Returns arrays: the used eigenvalues (|E| descending), the
+    skipped ones (a list), and per probe a row of the (probes, used) slopes
+    deltaE_p and adapted residuals, and the totals sum_p deltaE_p / E_p as a
+    running sum in |E| order.
 
     The direction alone picks the family: ``custom`` matrices run the dense
     family exp(i t (X + s Delta)); factors F run :func:`eigenbasis_families`
-    of Theta = diag(values) and U^dag F, one batch per signs pattern, in the
-    basis U of the adapted pairs (any count: each resolve checks N), whose
-    first-order read is exactly <u_p|Delta|u_p>.  At m = 1 a slope is
-    within L ||Delta||_2 (1 + eta)^2 ||Delta||_2 (1 + W L / g_p) / g_p +
-    4 sqrt(2 eps) W of it, eta = ||U^dag U - I||_2 and g_p the gap from E_p
-    to the values outside its cluster.  Theta stands in for U^dag X U, off
+    of Theta = diag(values) and U^dag F, one call per signs pattern and
+    window, in the basis U of the adapted pairs (any count: each resolve
+    checks N), whose first-order read is exactly <u_p|Delta|u_p>.  At m = 1
+    a slope is within L ||Delta||_2 (1 + eta)^2 ||Delta||_2 (1 + W L / g_p)
+    / g_p + 4 sqrt(2 eps) W of it, eta = ||U^dag U - I||_2 and g_p the gap
+    from E_p to the values outside its cluster.  Theta stands in for U^dag X U, off
     by D = U^dag R + (U^dag U - I) Theta, R the residual columns, which could
     move a read about 2 (1 + eta) ||Delta||_2 ||D||_2 / g_p more.
     """
     x, values = spectrum.x, spectrum.values
     used, skipped = spectrum.select(k)
+    windows = 2 if symmetric else 1
     # one pass checks, adapts and keeps what the circuits need; they all run after it
-    plans, residuals = [], []  # per probe: (windows, shift, dense-family job or None)
-    in_eigenbasis = {}  # signs -> [(probe index, coupling U^dag F)]
-    windows_of = {}  # encoding -> the windows it reads
+    shifts, residuals, dense = [], [], []  # dense: per custom probe, (index, windows, used columns, direction)
+    in_eigenbasis = {}  # (signs, window) -> [(probe index, window index, coupling U^dag F)]
     for j, (delta, enc) in enumerate(probes):
         if not isinstance(delta, PerturbationDirection):
             raise TypeError(f"direction {j} is a {type(delta).__name__}, not a PerturbationDirection; "
@@ -285,36 +286,35 @@ def _probe_relevant_eigenpairs(spectrum: Spectrum, probes, k: int, symmetric: bo
         if delta.dim != len(x):
             raise ValueError(f"direction {j} has dimension {delta.dim}, expected {len(x)}")
         shift = 0.0 if delta.kind == "outer" else delta.norm
-        encodings = windows_of.get(enc)
-        if encodings is None:
-            encodings = windows_of[enc] = ((enc, replace(enc, shift="centered" if enc.shift == "unshifted"
-                                                          else "unshifted")) if symmetric else (enc,))
+        encodings = (enc, replace(enc, shift="centered" if enc.shift == "unshifted" else "unshifted"))[:windows]
         _require_readable(delta.norm + shift, encodings, spectrum.x_norm if delta.factors is None else None)
+        for window in encodings:
+            _require_family_size(window, len(x) if delta.factors is None else len(values))
         spectrum.require_whole_clusters(k, 4.0 * enc.L * delta.norm)
         adapted, adapted_residuals = adapt_degenerate_eigenvectors(spectrum, delta, enc.L)
         residuals.append(adapted_residuals[used])
-        if delta.factors is not None:
-            in_eigenbasis.setdefault(delta.signs, []).append((j, (delta.factors.conj().T @ adapted).conj().T))
-        plans.append((encodings, shift, (adapted[:, used], delta) if delta.factors is None else None))
+        shifts.append(shift)
+        if delta.factors is None:
+            dense.append((j, encodings, adapted[:, used], delta))
+        else:
+            coupling = (delta.factors.conj().T @ adapted).conj().T
+            for w, window in enumerate(encodings):
+                in_eigenbasis.setdefault((delta.signs, window), []).append((j, w, coupling))
         del adapted  # only the used columns or the couplings outlive the pass
 
     # each slope is its windows' mean read less the shift
-    slopes = np.empty((len(plans), len(used)))
-    for j, (encodings, shift, job) in enumerate(plans):
-        if job is not None:
-            grads = [_read_slopes(evolution_family(x, job[1], e), job[0], e, shift) for e in encodings]
-            slopes[j] = np.mean(grads, axis=0) - shift
+    shifts = np.array(shifts)
+    reads = np.empty((len(shifts), windows, len(used)))
+    for j, encodings, used_columns, delta in dense:
+        for w, window in enumerate(encodings):
+            reads[j, w] = _read_slopes(evolution_family(x, delta, window), used_columns, window, shifts[j])
     columns = np.eye(len(values), dtype=complex)[:, used]
-    for signs, couplings in in_eigenbasis.items():
-        directions = [j for j, _ in couplings]
-        shifts = np.array([plans[j][1] for j in directions])
-        windows = len(plans[directions[0]][0])
-        # probe q reads window q % windows of direction q // windows, one stack per batch and window
-        window_probes = [(coupling, enc_w) for j, coupling in couplings for enc_w in plans[j][0]]
-        grads = np.empty((len(window_probes), len(used)))
-        for rows, family in eigenbasis_families(values, signs, window_probes):
-            grads[rows] = _read_slopes(family, columns, window_probes[rows[0]][1], shifts[rows // windows])
-        slopes[directions] = grads.reshape(len(directions), windows, -1).mean(axis=1) - shifts[:, None]
+    for (signs, window), members in in_eigenbasis.items():
+        rows, w, couplings = zip(*members)
+        rows, w = np.array(rows), np.array(w)
+        for part, family in eigenbasis_families(values, signs, couplings, window):
+            reads[rows[part], w[part]] = _read_slopes(family, columns, window, shifts[rows[part]])
+    slopes = reads.mean(axis=1) - shifts[:, None]
     # + 0.0: a sum from 0.0, as a loop would give it, so a zero total is never -0.0
     totals = np.cumsum(slopes / values[used], axis=1)[:, -1] + 0.0
     return values[used], skipped, slopes, np.reshape(residuals, slopes.shape), totals

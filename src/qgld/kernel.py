@@ -6,9 +6,9 @@ because K and f are real, alpha_i = ||f|| * e_i^T (K + lambda*I)^-1 f_hat is
 ||f|| times the derivative of log det(K + lambda*I) along the signed
 direction (e_i f_hat^T + f_hat e_i^T)/2, one probe set per weight, all n
 directions read from one eigendecomposition of K + lambda*I, whose
-eigenvalues also give its condition number.  Each direction is passed in
-its rank-two factored form, so its probes run in the eigenbasis of
-K + lambda*I.
+eigenvalues also give its condition number; the classical solver reads the
+same kappa_2 from its eigenvalues alone.  Each direction is passed in its
+rank-two factored form, so its probes run in the eigenbasis of K + lambda*I.
 """
 from __future__ import annotations
 
@@ -61,9 +61,11 @@ def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "class
     system = gaussian_kernel_matrix(points, sigma) + ridge * np.eye(n)
     if solver == "qgld":
         spectrum = DenseSource().resolve(system)  # refuses an N that is not a power of two before its eigh
-        cond = float(np.max(np.abs(spectrum.values)) / np.min(np.abs(spectrum.values)))  # kappa_2
+        magnitudes = np.abs(spectrum.values)
     else:
-        cond = float(np.linalg.cond(system))
+        magnitudes = np.abs(np.linalg.eigvalsh(system))
+    # kappa_2 = max|E| / min|E|, inf for a singular system
+    cond = float(np.max(magnitudes) / np.min(magnitudes)) if np.min(magnitudes) > 0.0 else np.inf
     if cond > CONDITION_LIMIT:
         raise IllConditioned(f"condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
 

@@ -15,8 +15,9 @@ W = W'/(2*pi): the time step, the bin decode and the m = 1 decode all agree.
 
 :func:`evolution_family` builds the family of a ``custom`` matrix from the
 eigendecompositions of X + s(eps) Delta, and :func:`eigenbasis_families`
-that of a factored direction in the basis of the resolved pairs of X; both
-keep each member as its factors Q diag(exp(i t lambda)) Q^dag.
+those of factored directions in one window, in the basis of the resolved
+pairs of X, as fixed-size stacks from the secular equation; both keep each
+member as its factors Q diag(exp(i t lambda)) Q^dag.
 :func:`probe_distributions` reads any of them, in a basis of any size (the
 power-of-two check is on X), from the amplitudes <c|U(eps)|c> of each column c.
 """
@@ -326,75 +327,45 @@ def evolution_family(x, delta: PerturbationDirection, enc: GradientEncoding) -> 
     return sv.ControlledFamily(np.exp(1j * enc.time_step() * values), vectors)
 
 
-def eigenbasis_families(values, signs, probes):
-    """Controlled families in the basis V of the resolved pairs of X (any
-    count: each resolve checks N), with diag(values) for V^dag X V, for the
-    (C = V^dag F, encoding) pairs of ``probes`` of factored directions Delta
-    = F diag(signs) F^dag (``custom`` ones run :func:`evolution_family`),
-    yielded as (rows, stack): the indices into ``probes`` of one stack's
-    probes, an integer array in order, and their ControlledFamily stack.
+def eigenbasis_families(values, signs, couplings, enc: GradientEncoding):
+    """Controlled families of the window ``enc`` in the basis V of the
+    resolved pairs of X (any count: each resolve checks N), with
+    diag(values) for V^dag X V, one for each coupling C = V^dag F of the
+    (P, N, r) ``couplings`` of factored directions Delta = F diag(signs)
+    F^dag (``custom`` ones run :func:`evolution_family`), yielded as (rows,
+    stack): a slice of ``couplings`` and the ControlledFamily stack of its
+    probes.
 
     Member eps is exp(i t (Lambda + s C diag(signs) C^dag)).  Its s = 0
-    member is the diagonal slot exp(i t Lambda), formed once per encoding;
-    the others come from :func:`low_rank_update_eigh`, batched over
-    consecutive probes up to EIGENBASIS_BATCH entries of N x N work arrays,
-    and stay factored (see :func:`_solved_factors`).  Each batch yields one
-    stack per encoding, so a stack never spans two batches.  Every probe's
-    family size is checked before the first solve, and every stack of a
-    batch before the first one is yielded.
+    member is the diagonal slot exp(i t Lambda), formed once; the K slots of
+    nonzero s come from :func:`low_rank_update_eigh`, one solve per chunk of
+    max(1, EIGENBASIS_BATCH // (K N^2)) probes, and stay factored as
+    Q diag(d) Q^dag.  With eigenvalue k held as values[anchor_k] + offset_k,
+    d = exp(i t Lambda)[anchor] exp(i t offset): N exponentials per member.
+    Every member shares the one exp(i t Lambda), and a phase common to a
+    column's M amplitudes leaves its readout unchanged, so in the term of
+    each anchor's own amplitude exp(i t lambda_b) drops out and the decoded
+    phase stays t offset at full relative precision.  The family size is
+    checked before the first solve.
     """
     values = np.asarray(values, dtype=float)
+    couplings = np.asarray(couplings, dtype=complex)
     n = len(values)
-    plans = {}  # encoding -> (exp(i t Lambda), slots of the solved members, their strengths s, t)
-    for _, enc in probes:
-        _require_family_size(enc, n)
-        if enc not in plans:
-            offsets, t = enc.offsets(), enc.time_step()
-            plans[enc] = np.exp(1j * t * values), np.flatnonzero(offsets), offsets[offsets != 0], t
-    members = [len(plans[enc][1]) for _, enc in probes]  # solved members of each probe
-    start = 0
-    while start < len(probes):
-        stop, size = start + 1, members[start]
-        while stop < len(probes) and (size + members[stop]) * n * n <= EIGENBASIS_BATCH:
-            size += members[stop]
-            stop += 1
-        stacks = {}  # encoding -> rows, in order of first appearance
-        for j in range(start, stop):
-            stacks.setdefault(probes[j][1], []).append(j)
-        vectors, solved = _solved_factors(values, signs, [(probes[j][0], plans[enc])
-                                                          for enc, rows in stacks.items() for j in rows])
-        families, done = [], 0
-        for enc, rows in stacks.items():
-            exp_lambda, slots = plans[enc][:2]
-            part = slice(done, done + len(rows) * len(slots))
-            phases = np.empty((len(rows), enc.deviation_dim, n), dtype=complex)
-            phases[:] = exp_lambda
-            phases[:, slots] = solved[part].reshape(len(rows), len(slots), n)
-            stacked = vectors[part].reshape(len(rows), len(slots), n, n)
-            families.append((np.array(rows), sv.ControlledFamily(phases, stacked, slots)))
-            done = part.stop
-        yield from families
-        start = stop
-
-
-def _solved_factors(values, signs, batch):
-    """Factors of the solved members of the (coupling, (E, slots, strengths
-    s, t)) probes of ``batch``, probe by probe and slot by slot, from one
-    low-rank update solve: eigenvectors Q (P, N, N) and the phases d (P, N)
-    of member Q diag(d) Q^dag.
-
-    With eigenvalue k held as values[anchor_k] + offset_k and E = exp(i t
-    Lambda) of the probe's encoding, d = E[anchor] exp(i t offset): N
-    exponentials per member.  Every member of a probe shares the one E, and
-    a phase common to a column's M amplitudes leaves its readout unchanged,
-    so in the term of each anchor's own amplitude E_b drops out and the
-    decoded phase stays t offset at full relative precision.
-    """
-    couplings, bare, strengths, times = zip(*[(coupling, exp_lambda, s, t) for coupling, (exp_lambda, _, each, t)
-                                              in batch for s in each])
-    vectors, anchor, offset = low_rank_update_eigh(values, np.stack(couplings), np.outer(strengths, signs))
-    phases = np.take_along_axis(np.stack(bare), anchor, axis=1)
-    return vectors, phases * np.exp(1j * np.array(times)[:, None] * offset)
+    _require_family_size(enc, n)
+    offsets, t = enc.offsets(), enc.time_step()
+    slots = np.flatnonzero(offsets)
+    bare = np.exp(1j * t * values)
+    weights = np.outer(offsets[slots], signs)
+    chunk = max(1, EIGENBASIS_BATCH // (len(slots) * n * n))
+    for start in range(0, len(couplings), chunk):
+        rows = slice(start, start + chunk)
+        part = couplings[rows]
+        vectors, anchor, offset = low_rank_update_eigh(values, np.repeat(part, len(slots), axis=0),
+                                                       np.tile(weights, (len(part), 1)))
+        phases = np.empty((len(part), enc.deviation_dim, n), dtype=complex)
+        phases[:] = bare
+        phases[:, slots] = (bare[anchor] * np.exp(1j * t * offset)).reshape(len(part), len(slots), n)
+        yield rows, sv.ControlledFamily(phases, vectors.reshape(len(part), len(slots), n, n), slots)
 
 
 def _column(flat: int, shape) -> str:

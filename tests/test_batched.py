@@ -149,7 +149,7 @@ def _family(builder, x, enc, rng):
         e, f = np.eye(n)[int(rng.integers(0, n))], random_state(rng, n)
         delta = PerturbationDirection.from_factors(np.stack([e + f, e - f], axis=1) / 2, (1.0, -1.0))
     dec = eig_hermitian(x)
-    [(_, stack)] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc)])
+    [(_, stack)] = eigenbasis_families(dec.values, delta.signs, [dec.vectors.conj().T @ delta.factors], enc)
     return unstacked(stack), delta.norm
 
 
@@ -328,46 +328,51 @@ class TestStackedRead:
     @settings(max_examples=40, deadline=None)
     @given(
         n_qubits=st.integers(1, 4),
-        m=st.sampled_from([1, 2, 3]),
-        shift=st.sampled_from(["unshifted", "centered"]),
         symmetric=st.booleans(),
-        kinds=st.lists(st.sampled_from(["element", "outer", "factors"]), min_size=1, max_size=6),
-        budget=st.integers(1, 8),
+        probes=st.lists(st.tuples(st.sampled_from(["element", "outer", "factors", "custom"]),
+                                  st.sampled_from([1e-5, 1e-6]), st.sampled_from([1, 2, 3]),
+                                  st.sampled_from(["unshifted", "centered"])), min_size=1, max_size=6),
+        budget=st.integers(1, 24),
         seed=st.integers(0, 2**32 - 1),
     )
-    # three directions in both windows, three probes a batch: the second direction's two windows
-    # fall into two batches, each read from a stack of its own
-    @example(n_qubits=3, m=1, shift="unshifted", symmetric=True, kinds=["element", "outer", "factors"], budget=3,
-             seed=7)
-    def test_stack_reads_each_probe_alone(self, n_qubits, m, shift, symmetric, kinds, budget, seed):
-        # the directions of one call are read from one stack per secular batch and window, of at most
-        # ``budget`` probes a batch; their slopes, adapted residuals and totals equal those of
-        # each direction read alone (its one probe per window, a stack of one) bit for bit.  Element
-        # and factored directions read with the identity shift ||Delta||_2, outer ones without
+    # the element and factored directions read the same two m = 1 windows in opposite order, so each
+    # of those stacks holds both, one at window index 0 and one at 1; the outer direction's m = 2
+    # windows take one probe a stack, and the custom matrix runs a dense family per window
+    @example(n_qubits=3, symmetric=True, probes=[("element", 1e-5, 1, "unshifted"), ("outer", 1e-5, 2, "centered"),
+                                                 ("factors", 1e-5, 1, "centered"), ("custom", 1e-6, 2, "unshifted")],
+             budget=3, seed=7)
+    def test_stack_reads_each_probe_alone(self, n_qubits, symmetric, probes, budget, seed):
+        # the directions of one call, each in an encoding of its own, are read from one stack per
+        # chunk of a (signs, window) group, of at most max(1, budget // K) probes of K solved
+        # members, and from a dense family per window for a custom matrix; their slopes, adapted
+        # residuals and totals equal those of each direction read alone bit for bit.  Element,
+        # factored and custom directions read with the identity shift ||Delta||_2, outer ones without
         rng = np.random.default_rng(seed)
         n = 1 << n_qubits
         x = random_hermitian(rng, n, indefinite=True)
-        deltas = []
-        for kind in kinds:
+        pairs = []
+        for kind, l_value, m, shift in probes:
             if kind == "element":
                 i, j = (int(v) for v in rng.integers(0, n, size=2))
-                deltas.append(build_delta("element", n, i=i, j=j))
+                delta = build_delta("element", n, i=i, j=j)
             elif kind == "outer":
-                deltas.append(build_delta("outer", n, phi=random_state(rng, n)))
-            else:  # the kernel weight's (e_i f^T + f e_i^T) / 2
+                delta = build_delta("outer", n, phi=random_state(rng, n))
+            elif kind == "factors":  # the kernel weight's (e_i f^T + f e_i^T) / 2
                 e, f = np.eye(n)[int(rng.integers(0, n))], random_state(rng, n)
-                deltas.append(PerturbationDirection.from_factors(np.stack([e + f, e - f], axis=1) / 2, (1.0, -1.0)))
-        enc = GradientEncoding(L=1e-5, W=4.0, m=m, shift=shift)
+                delta = PerturbationDirection.from_factors(np.stack([e + f, e - f], axis=1) / 2, (1.0, -1.0))
+            else:
+                matrix = random_hermitian(rng, n)
+                delta = build_delta("custom", n, matrix=matrix / np.linalg.norm(matrix, ord=2))
+            pairs.append((delta, GradientEncoding(L=l_value, W=4.0, m=m, shift=shift)))
 
-        def read(directions):
-            return qgld.expectation._probe_relevant_eigenpairs(DenseSource().resolve(x), [(d, enc) for d in directions],
-                                                               n, symmetric)
+        def read(probes):
+            return qgld.expectation._probe_relevant_eigenpairs(DenseSource().resolve(x), probes, n, symmetric)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(qgld.qgpe, "EIGENBASIS_BATCH", budget * (enc.deviation_dim - 1) * n * n)
-            _, _, slopes, residuals, totals = read(deltas)
-        for row, delta in enumerate(deltas):
-            _, _, alone, alone_residuals, alone_total = read([delta])
+            patch.setattr(qgld.qgpe, "EIGENBASIS_BATCH", budget * n * n)
+            _, _, slopes, residuals, totals = read(pairs)
+        for row, pair in enumerate(pairs):
+            _, _, alone, alone_residuals, alone_total = read([pair])
             np.testing.assert_array_equal(slopes[row], alone[0])
             np.testing.assert_array_equal(residuals[row], alone_residuals[0])
             assert totals[row] == alone_total[0]
@@ -485,15 +490,18 @@ class TestFactoredFamilyCheck:
         assert readouts == []
 
     def test_phase_defect_across_the_bound_names_the_slot_before_any_readout(self, rng, monkeypatch):
-        # as above, with the phases of slot 2 grown by 1e-9 instead: eta = 2e-9 sqrt(8)
-        real_factors, readouts = qgld.qgpe._solved_factors, []
+        # as above, with the phases of slot 2 grown by 1e-9 instead, eta = 2e-9 sqrt(8): its offset
+        # takes the imaginary part -ln(1 + 1e-9) / t, so that exp(i t offset) grows by 1 + 1e-9
+        real_solve, readouts = qgld.qgpe.low_rank_update_eigh, []
+        t = GradientEncoding(m=2).time_step()
 
         def stretched(*args):
-            vectors, phases = real_factors(*args)
-            phases[1] *= 1.0 + 1e-9
-            return vectors, phases
+            vectors, anchor, offset = real_solve(*args)
+            offset = offset.astype(complex)
+            offset[1] -= 1j * np.log1p(1e-9) / t
+            return vectors, anchor, offset
 
-        monkeypatch.setattr(qgld.qgpe, "_solved_factors", stretched)
+        monkeypatch.setattr(qgld.qgpe, "low_rank_update_eigh", stretched)
         monkeypatch.setattr(qgld.expectation, "probe_distributions", lambda *args, **kwargs: readouts.append(1))
         with pytest.raises(NonUnitaryMember, match="member 2 unitarity defect up to 5.6"):
             logdet_directional_derivatives(random_hermitian(rng, 8), [build_delta("element", 8, i=1, j=5)], 8,

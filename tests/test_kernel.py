@@ -20,6 +20,44 @@ def sin_training_set():
     return points, np.sin(points)
 
 
+def fit_without_svd(monkeypatch, n: int, solver: str) -> None:
+    """Fit sin on ``n`` points with np.linalg.svd and np.linalg.cond patched
+    to fail, and check alpha against the direct solve."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    points = np.linspace(0.0, 2 * np.pi, n)
+    want = np.linalg.solve(gaussian_kernel_matrix(points, 0.5) + 1e-3 * np.eye(n), np.sin(points))
+    monkeypatch.setattr(np.linalg, "svd", unreachable)
+    monkeypatch.setattr(np.linalg, "cond", unreachable)
+    model = kernel_fit(points, np.sin(points), sigma=0.5, ridge=1e-3, solver=solver)
+    assert np.max(np.abs(model.alpha - want)) <= 1e-3
+
+
+def count_stacks(monkeypatch, n: int) -> tuple:
+    """Fit sin on ``n`` points with the qgld solver, and return the probes of
+    each eigenbasis_families call, the probes of each stack it yields, and
+    the probe circuits run."""
+    circuits, called, built = [], [], []
+    distributions, families = qgld.expectation.probe_distributions, qgld.expectation.eigenbasis_families
+
+    def counting_circuit(*args, **kwargs):
+        circuits.append(1)
+        return distributions(*args, **kwargs)
+
+    def counting_families(values, signs, couplings, enc):
+        called.append(len(couplings))
+        for rows, stack in families(values, signs, couplings, enc):
+            built.append(len(stack.phases))
+            yield rows, stack
+
+    monkeypatch.setattr(qgld.expectation, "probe_distributions", counting_circuit)
+    monkeypatch.setattr(qgld.expectation, "eigenbasis_families", counting_families)
+    points = np.linspace(0.0, 2 * np.pi, n)
+    kernel_fit(points, np.sin(points), sigma=0.5, ridge=1e-3, solver="qgld")
+    return called, built, len(circuits)
+
+
 class TestKernelMatrix:
     def test_unit_diagonal(self):
         points = np.array([0.0, 1.0, 2.5])
@@ -70,6 +108,18 @@ class TestClassicalSolver:
         points = np.array([0.0, 1e-9, 1.0])
         with pytest.raises(IllConditioned):
             kernel_fit(points, np.sin(points), sigma=1.0, ridge=1e-16)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_no_svd(self, monkeypatch, n):
+        # kappa_2 = max|E| / min|E| of eigvalsh replaces np.linalg.cond's SVD
+        fit_without_svd(monkeypatch, n, "classical")
+
+    @pytest.mark.parametrize("solver", ["classical", "qgld"])
+    def test_singular_system_refused_without_a_warning(self, solver):
+        # K + 1e-300 I for two equal points: an eigenvalue of 0 reads as kappa_2 = inf, with no
+        # divide by zero (a RuntimeWarning is an error under the test config)
+        with pytest.raises(IllConditioned, match="condition estimate inf exceeds"):
+            kernel_fit([0.0, 0.0], [0.0, 1.0], sigma=1.0, ridge=1e-300, solver=solver)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -123,26 +173,15 @@ class TestProbeSolver:
         assert np.max(np.abs(pred_classical - np.sin(grid))) < 1e-2
         assert np.max(np.abs(pred_probe - pred_classical)) <= 1e-3
 
+    # every weight's probes are read in both windows (the fit is symmetric), each window's from one
+    # secular call, solved and read EIGENBASIS_BATCH // N^2 probes a stack, one batched circuit a stack
     def test_one_probe_set_per_alpha(self, monkeypatch):
-        circuits, batches = [], []
-        distributions, families = qgld.expectation.probe_distributions, qgld.expectation.eigenbasis_families
+        # all 16 weights in one stack per window
+        assert count_stacks(monkeypatch, 16) == ([16, 16], [16, 16], 2)
 
-        def counting_circuit(*args, **kwargs):
-            circuits.append(1)
-            return distributions(*args, **kwargs)
-
-        def counting_families(values, signs, probes):
-            batches.append(len(probes))
-            return families(values, signs, probes)
-
-        monkeypatch.setattr(qgld.expectation, "probe_distributions", counting_circuit)
-        monkeypatch.setattr(qgld.expectation, "eigenbasis_families", counting_families)
-        points, targets = sin_training_set()
-        kernel_fit(points, targets, sigma=1.0, ridge=1e-6, solver="qgld")
-        # every weight's families come from one secular batch, read as one stack
-        # and one batched circuit per deviation window (the fit is symmetric)
-        assert len(circuits) == 2
-        assert batches == [2 * len(points)]
+    def test_fixed_size_stacks_at_32_points(self, monkeypatch):
+        # 16 of the 32 weights a stack: two stacks per window, where mixed windows made eight
+        assert count_stacks(monkeypatch, 32) == ([32, 32], [16, 16, 16, 16], 4)
 
     def test_one_resolve_per_fit(self, monkeypatch):
         calls = []
@@ -165,15 +204,7 @@ class TestProbeSolver:
     @pytest.mark.parametrize("n", [16, 32])
     def test_no_svd(self, monkeypatch, n):
         # kappa_2 = max|E| / min|E| of the fit's one resolve replaces np.linalg.cond's SVD
-        def unreachable(*args, **kwargs):
-            raise AssertionError("an SVD ran")
-
-        points = np.linspace(0.0, 2 * np.pi, n)
-        want = np.linalg.solve(gaussian_kernel_matrix(points, 0.5) + 1e-3 * np.eye(n), np.sin(points))
-        monkeypatch.setattr(np.linalg, "svd", unreachable)
-        monkeypatch.setattr(np.linalg, "cond", unreachable)
-        model = kernel_fit(points, np.sin(points), sigma=0.5, ridge=1e-3, solver="qgld")
-        assert np.max(np.abs(model.alpha - want)) <= 1e-3
+        fit_without_svd(monkeypatch, n, "qgld")
 
     def test_alpha_is_per_weight_directional_derivative(self):
         points, targets = sin_training_set()

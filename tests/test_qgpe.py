@@ -21,6 +21,7 @@ from qgld import (
     low_rank_update_eigh,
     suggest_gradient_bound,
 )
+import qgld.expectation
 import qgld.qgpe
 from qgld.cli import random_spd
 import qgld.statevector as sv
@@ -293,13 +294,21 @@ class TestFamilySize:
             evolution_family(x, build_delta("element", 512, i=0, j=1), GradientEncoding(m=12))
 
     def test_eigenbasis_families_refused_before_any_solve(self, monkeypatch):
-        # the first probe fits; the second one's size is refused before the first probe is solved
         monkeypatch.setattr(qgld.qgpe, "low_rank_update_eigh", _unreachable)
-        coupling = np.full((512, 1), 1.0 / np.sqrt(512), dtype=complex)
-        families = eigenbasis_families(np.arange(1.0, 513.0), (1.0,), [(coupling, GradientEncoding(m=1)),
-                                                                      (coupling, GradientEncoding(m=12))])
+        coupling = np.full((1, 512, 1), 1.0 / np.sqrt(512), dtype=complex)
+        families = eigenbasis_families(np.arange(1.0, 513.0), (1.0,), coupling, GradientEncoding(m=12))
         with pytest.raises(ValueError, match=self.MESSAGE):
             next(families)
+
+    def test_core_refuses_every_window_before_any_solve(self, monkeypatch):
+        # an outer probe at m = 1 fits and would be solved first, in its own signs group; the
+        # element probe's m = 12 window (2^12 * 64^2 = 2^24 entries) is refused before that solve
+        monkeypatch.setattr(qgld.qgpe, "low_rank_update_eigh", _unreachable)
+        spectrum = qgld.expectation.DenseSource().resolve(random_spd(64, 1))
+        probes = [(build_delta("outer", 64, phi=np.full(64, 0.125)), GradientEncoding(m=1)),
+                  (build_delta("element", 64, i=0, j=1), GradientEncoding(m=12))]
+        with pytest.raises(ValueError, match=r"m = 12, N = 64 holds M \* N\^2 = 16777216 eigenvector entries"):
+            qgld.expectation._probe_relevant_eigenpairs(spectrum, probes, 64)
 
     def test_budget_edge(self):
         qgld.qgpe._require_family_size(GradientEncoding(m=11), 64)  # 2^11 * 64^2 = 2^23 entries
@@ -644,7 +653,7 @@ class TestEigenbasisFamily:
         # the eigenbasis family's members are in the eigenbasis of X; the dense family's are not
         basis = dec.vectors if builder == "eigenbasis" else np.eye(n)
         if builder == "eigenbasis":
-            [(_, stack)] = eigenbasis_families(dec.values, delta.signs, [(dec.vectors.conj().T @ delta.factors, enc)])
+            [(_, stack)] = eigenbasis_families(dec.values, delta.signs, [dec.vectors.conj().T @ delta.factors], enc)
             family = unstacked(stack)
             zero = list(enc.offsets()).index(0.0)
             assert zero not in family.slots
@@ -669,7 +678,7 @@ class TestEigenbasisFamily:
         t = enc.time_step()
         assert t == pytest.approx(1e7)
         s, c = enc.offsets()[1], 0.5
-        [(_, stack)] = eigenbasis_families(values, (1.0,), [(coupling, enc)])
+        [(_, stack)] = eigenbasis_families(values, (1.0,), [coupling], enc)
         family = unstacked(stack)
         _, anchor, offset = low_rank_update_eigh(values, coupling[None], [[s]])
         assert sorted(anchor[0]) == list(range(n))

@@ -30,6 +30,7 @@ from .expectation import (
     DenseSource,
     InverseExpectationRequest,
     RqblSource,
+    _probe_pairs,
     adapt_degenerate_eigenvectors,
     classical_reference_expectation,
     eigenvalue_gradient_probes,
@@ -138,16 +139,13 @@ def cmd_gradient(args) -> str:
     if not 0 <= args.k <= n:
         raise ValueError(f"--k {args.k} outside [0, {n}] (0 = all)")
     spectrum = DenseSource().resolve(x)
-    # inside a degenerate cluster, the eigenvectors that diagonalize Delta there are the ones read
-    vectors, _ = adapt_degenerate_eigenvectors(spectrum, delta, enc.L)
     selected = spectrum.order[:args.k or n]
-    grads = eigenvalue_gradient_probes(x, vectors[:, selected], delta, enc, identity_shift=delta.norm)
-    rows = []
-    for p, grad in zip(selected, grads.tolist()):
-        v = vectors[:, p]
-        oracle = float(np.real(v.conj() @ delta.matrix @ v))  # <p|Delta|p>
-        rows.append([int(p), float(spectrum.values[p]), args.delta, enc.L, enc.m,
-                     grad, oracle, abs(grad - oracle)])
+    [grads], _ = _probe_pairs(spectrum, [(delta, enc)], selected)
+    # the oracle <p|Delta|p> reads the vectors the probes read: in a degenerate cluster, those diagonalizing Delta
+    vectors = adapt_degenerate_eigenvectors(spectrum, delta, enc.L)[0][:, selected]
+    oracles = np.einsum("ip,ip->p", vectors.conj(), delta.matrix @ vectors).real
+    rows = [[p, spectrum.values[p], args.delta, enc.L, enc.m, grad, oracle, abs(grad - oracle)]
+            for p, grad, oracle in zip(selected.tolist(), grads.tolist(), oracles.tolist())]
     return qio.render_csv(
         ["p", "E_p", "delta_kind", "L", "m", "gradient_quantum", "gradient_oracle", "abs_error"],
         rows,

@@ -238,29 +238,25 @@ def adapt_degenerate_eigenvectors(spectrum: Spectrum, delta: PerturbationDirecti
     clusters = spectrum.clusters(4.0 * l_value * delta.norm)
     if not clusters:
         return spectrum.vectors, spectrum.residuals
-    vectors, residuals = spectrum.vectors.copy(), spectrum.residuals.copy()
+    vectors, residuals, matrix = spectrum.vectors.copy(), spectrum.residuals.copy(), delta.matrix
     for idx in clusters:
         basis = vectors[:, idx]
-        restricted = basis.conj().T @ delta.matrix @ basis
+        restricted = basis.conj().T @ matrix @ basis
         _, rot = np.linalg.eigh((restricted + restricted.conj().T) / 2)
         vectors[:, idx] = basis @ rot
         residuals[idx] = eigen_residuals(spectrum.x, spectrum.values[idx], vectors[:, idx])
     return vectors, residuals
 
 
-def _probe_relevant_eigenpairs(spectrum: Spectrum, probes, k: int, symmetric: bool = False):
-    """The one probe path of the log-det queries, on the one resolve of X
-    that each public query makes: selects the k most relevant pairs
-    (:meth:`Spectrum.select`), then per (direction, encoding) pair of
-    ``probes`` adapts degenerate clusters and probes the used pairs,
-    unshifted for outer(phi) (slopes |<p|phi>|^2 >= 0) and shifted by
-    ||Delta||_2 otherwise.  The rank, each used pair's eigen-residual, and
-    every direction, readout range, rounding floor, family size and cut (no
-    cluster of the adaptation split by k) are checked before any family is
-    built.  Returns arrays: the used eigenvalues (|E| descending), the
-    skipped ones (a list), and per probe a row of the (probes, used) slopes
-    deltaE_p and adapted residuals, and the totals sum_p deltaE_p / E_p as a
-    running sum in |E| order.
+def _probe_pairs(spectrum: Spectrum, probes, pairs, windows: int = 1, k: int | None = None):
+    """The one probe pass: per (direction, encoding) of ``probes``, adapts
+    degenerate clusters and reads the slopes of the pairs at the indices
+    ``pairs``, unshifted for outer(phi) (slopes |<p|phi>|^2 >= 0), shifted
+    by ||Delta||_2 otherwise, averaged over the encoding's window and, at 2
+    ``windows``, the other one.  Every direction, readout range, rounding
+    floor, family size and, given ``k``, cut (no cluster of the adaptation
+    split by k) is checked before any family is built.  Returns the
+    (probes, pairs) slopes deltaE_p and adapted residuals.
 
     The direction alone picks the family: ``custom`` matrices run the dense
     family exp(i t (X + s Delta)); factors F run :func:`eigenbasis_families`
@@ -274,10 +270,8 @@ def _probe_relevant_eigenpairs(spectrum: Spectrum, probes, k: int, symmetric: bo
     move a read about 2 (1 + eta) ||Delta||_2 ||D||_2 / g_p more.
     """
     x, values = spectrum.x, spectrum.values
-    used, skipped = spectrum.select(k)
-    windows = 2 if symmetric else 1
     # one pass checks, adapts and keeps what the circuits need; they all run after it
-    shifts, residuals, dense = [], [], []  # dense: per custom probe, (index, windows, used columns, direction)
+    shifts, residuals, dense = [], [], []  # dense: per custom probe, (index, windows, probed columns, direction)
     in_eigenbasis = {}  # (signs, window) -> [(probe index, window index, coupling U^dag F)]
     for j, (delta, enc) in enumerate(probes):
         if not isinstance(delta, PerturbationDirection):
@@ -290,34 +284,47 @@ def _probe_relevant_eigenpairs(spectrum: Spectrum, probes, k: int, symmetric: bo
         _require_readable(delta.norm + shift, encodings, spectrum.x_norm if delta.factors is None else None)
         for window in encodings:
             _require_family_size(window, len(x) if delta.factors is None else len(values))
-        spectrum.require_whole_clusters(k, 4.0 * enc.L * delta.norm)
+        if k is not None:
+            spectrum.require_whole_clusters(k, 4.0 * enc.L * delta.norm)
         adapted, adapted_residuals = adapt_degenerate_eigenvectors(spectrum, delta, enc.L)
-        residuals.append(adapted_residuals[used])
+        residuals.append(adapted_residuals[pairs])
         shifts.append(shift)
         if delta.factors is None:
-            dense.append((j, encodings, adapted[:, used], delta))
+            dense.append((j, encodings, adapted[:, pairs], delta))
         else:
             coupling = (delta.factors.conj().T @ adapted).conj().T
             for w, window in enumerate(encodings):
                 in_eigenbasis.setdefault((delta.signs, window), []).append((j, w, coupling))
-        del adapted  # only the used columns or the couplings outlive the pass
+        del adapted  # only the probed columns or the couplings outlive the pass
 
     # each slope is its windows' mean read less the shift
     shifts = np.array(shifts)
-    reads = np.empty((len(shifts), windows, len(used)))
-    for j, encodings, used_columns, delta in dense:
+    reads = np.empty((len(shifts), windows, len(pairs)))
+    for j, encodings, probed, delta in dense:
         for w, window in enumerate(encodings):
-            reads[j, w] = _read_slopes(evolution_family(x, delta, window), used_columns, window, shifts[j])
-    columns = np.eye(len(values), dtype=complex)[:, used]
+            reads[j, w] = _read_slopes(evolution_family(x, delta, window), probed, window, shifts[j])
+    columns = np.eye(len(values), dtype=complex)[:, pairs]
     for (signs, window), members in in_eigenbasis.items():
         rows, w, couplings = zip(*members)
         rows, w = np.array(rows), np.array(w)
         for part, family in eigenbasis_families(values, signs, couplings, window):
             reads[rows[part], w[part]] = _read_slopes(family, columns, window, shifts[rows[part]])
     slopes = reads.mean(axis=1) - shifts[:, None]
+    return slopes, np.reshape(residuals, slopes.shape)
+
+
+def _probe_relevant_eigenpairs(spectrum: Spectrum, probes, k: int, symmetric: bool = False):
+    """The log-det core on the one resolve of X of a public query: the k
+    most relevant pairs (:meth:`Spectrum.select`: rank, pseudo-inverse mask
+    and residuals), their :func:`_probe_pairs` pass, in both windows when
+    ``symmetric``, and their sum.  Returns the used eigenvalues (|E|
+    descending), the skipped ones (a list), the slopes and residuals of the
+    pass, and the totals sum_p deltaE_p / E_p as a running sum in |E| order."""
+    used, skipped = spectrum.select(k)
+    slopes, residuals = _probe_pairs(spectrum, probes, used, 2 if symmetric else 1, k)
     # + 0.0: a sum from 0.0, as a loop would give it, so a zero total is never -0.0
-    totals = np.cumsum(slopes / values[used], axis=1)[:, -1] + 0.0
-    return values[used], skipped, slopes, np.reshape(residuals, slopes.shape), totals
+    totals = np.cumsum(slopes / spectrum.values[used], axis=1)[:, -1] + 0.0
+    return spectrum.values[used], skipped, slopes, residuals, totals
 
 
 def qgld_expectation_sweep(request: InverseExpectationRequest, l_values,

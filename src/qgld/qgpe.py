@@ -17,13 +17,13 @@ W = W'/(2*pi): the time step, the bin decode and the m = 1 decode all agree.
 eigendecompositions of X + s(eps) Delta, and :func:`eigenbasis_families`
 those of factored directions in one window, in the basis of the resolved
 pairs of X, as fixed-size stacks from the secular equation; both keep each
-member as its factors Q diag(exp(i t lambda)) Q^dag.
+member as its factors Q diag(exp(i t lambda)) Q^dag.  A factored direction
+stores no N x N matrix: each read of it forms one.
 :func:`probe_distributions` reads any of them, in a basis of any size (the
 power-of-two check is on X), from the amplitudes <c|U(eps)|c> of each column c.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,15 +61,15 @@ class PerturbationDirection:
     norms and the low-rank ``factors`` F (N, r) and ``signs`` (r,) of +-1
     with Delta = F diag(signs) F^dag (None for a matrix alone) are set only
     by :func:`build_delta` and :meth:`from_factors`, so no field can
-    disagree with the matrix.  A direction with factors forms its N x N
-    ``matrix`` on the first read, by its builder's formula (see
-    :func:`_factored_matrix`), and keeps it: the eigenbasis probes read
-    only the factors.
+    disagree with the matrix.  A direction with factors stores no matrix:
+    each read of ``matrix`` forms it, read-only, by its builder's formula
+    (:func:`_factored_matrix`).  The eigenbasis probes read only the
+    factors, and every other reader reads the matrix once per call.
 
-    A direction is a value: it keeps read-only copies of ``matrix`` and
-    ``factors``, so a write to the caller's arrays leaves it unchanged and a
-    write to its own raises ValueError.  Directions compare and hash by
-    identity.
+    A direction is a value: it keeps read-only copies of a ``custom``
+    matrix and of ``factors``, so a write to the caller's arrays leaves it
+    unchanged and a write to its own raises ValueError.  Directions compare
+    and hash by identity.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -83,17 +83,15 @@ class PerturbationDirection:
         self._set("custom", (mat + mat.conj().T) / 2)
 
     @classmethod
-    def _exact(cls, kind: str, norm: float, factors, signs, entry=()) -> "PerturbationDirection":
-        """A direction whose builder knows its kind, exact norm and factors,
-        and for an element its ``entry`` (i, j); its matrix is formed when
-        first read."""
+    def _exact(cls, kind: str, norm: float, factors, signs) -> "PerturbationDirection":
+        """A direction whose builder knows its kind, exact norm and factors;
+        its matrix is formed on each read."""
         delta = object.__new__(cls)
         delta._set(kind, None, norm, factors, signs)
-        object.__setattr__(delta, "_entry", entry)
         return delta
 
     def _set(self, kind, matrix, norm=None, factors=None, signs=None) -> None:
-        """Set every field once (``matrix`` None: formed when first read);
+        """Set every field once (``matrix`` None: formed on each read);
         ``norm`` None takes the SVD of the matrix."""
         fields = {"kind": kind, "matrix": matrix, "factors": factors, "signs": signs}
         for name in ("matrix", "factors"):
@@ -107,16 +105,10 @@ class PerturbationDirection:
             object.__setattr__(self, name, value)
 
     def __getattr__(self, name):
-        # reached only for an attribute not set: the matrix of a factored direction before its first read
-        entry = self.__dict__.get("_entry") if name == "matrix" else None
-        if entry is None:
+        # reached only for an attribute not set: the matrix of a factored direction, formed on each read
+        if name != "matrix" or self.__dict__.get("factors") is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        with _MATRIX_LOCK:  # so that concurrent first reads form it once
-            if "matrix" not in self.__dict__:
-                matrix = _factored_matrix(self, *entry)
-                matrix.flags.writeable = False
-                object.__setattr__(self, "matrix", matrix)
-        return self.__dict__["matrix"]
+        return _factored_matrix(self)
 
     @classmethod
     def from_factors(cls, factors, signs) -> "PerturbationDirection":
@@ -139,26 +131,26 @@ class PerturbationDirection:
         return (self.matrix if self.factors is None else self.factors).shape[0]
 
 
-_MATRIX_LOCK = threading.Lock()
-
-
-def _factored_matrix(delta: PerturbationDirection, i=None, j=None) -> np.ndarray:
-    """The N x N matrix of a direction with factors, by its builder's
-    formula: ones at (i, j) and (j, i) for an element, every entry 1 for
-    all-ones, phi phi^dag for outer(phi), and F diag(signs) F^dag,
-    symmetrized, from :meth:`PerturbationDirection.from_factors`."""
+def _factored_matrix(delta: PerturbationDirection) -> np.ndarray:
+    """The read-only N x N matrix of a direction with factors, by its
+    builder's formula: ones at (i, j) and (j, i) for an element, i and j the
+    nonzero rows of its first factor, every entry 1 for all-ones, phi
+    phi^dag for outer(phi), and F diag(signs) F^dag, symmetrized, from
+    :meth:`PerturbationDirection.from_factors`."""
     n = delta.dim
     if delta.kind == "element":
+        rows = np.flatnonzero(delta.factors[:, 0])  # (i, j) ascending, or (i,) on the diagonal
         mat = np.zeros((n, n), dtype=complex)
-        mat[i, j] = 1.0
-        mat[j, i] = 1.0
-        return mat
-    if delta.kind == "all_ones":
-        return np.ones((n, n), dtype=complex)
-    if delta.kind == "outer":
-        return np.outer(delta.factors[:, 0], delta.factors[:, 0].conj())
-    mat = (delta.factors * delta.signs) @ delta.factors.conj().T
-    return (mat + mat.conj().T) / 2
+        mat[rows, rows[::-1]] = 1.0
+    elif delta.kind == "all_ones":
+        mat = np.ones((n, n), dtype=complex)
+    elif delta.kind == "outer":
+        mat = np.outer(delta.factors[:, 0], delta.factors[:, 0].conj())
+    else:
+        mat = (delta.factors * delta.signs) @ delta.factors.conj().T
+        mat = (mat + mat.conj().T) / 2
+    mat.flags.writeable = False
+    return mat
 
 
 def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
@@ -176,13 +168,13 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
     (e_i +- e_j)/sqrt(2) with signs +-1 otherwise, the all-ones vector, and
     phi.  A ``custom`` matrix is symmetrized.
     """
-    signs, entry = (1.0,), ()
+    signs = (1.0,)
     if kind == "element":
         if i is None or j is None:
             raise ValueError("element direction needs indices i and j")
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"indices ({i}, {j}) outside [0, {n})")
-        norm, entry = 1.0, (i, j)
+        norm = 1.0
         factors = np.zeros((n, 1 if i == j else 2), dtype=complex)
         if i == j:
             factors[i, 0] = 1.0
@@ -207,7 +199,7 @@ def build_delta(kind: str, n: int, i: int | None = None, j: int | None = None,
         return PerturbationDirection(mat)
     else:
         raise ValueError(f"unknown direction kind {kind!r}; choose from {DELTA_KINDS}")
-    return PerturbationDirection._exact(kind, norm, factors, signs, entry)
+    return PerturbationDirection._exact(kind, norm, factors, signs)
 
 
 def require_weight_vector(phi, n: int) -> np.ndarray:
@@ -313,9 +305,9 @@ def evolution_family(x, delta: PerturbationDirection, enc: GradientEncoding) -> 
     """The M controlled members exp(i * t * (X + s(eps) * Delta)), kept as
     the eigenvectors and the phases exp(i t lambda) of their stacked
     eigendecompositions, at most EIGENBASIS_BATCH // N^2 members a stack."""
-    x = require_hermitian(x)
-    if delta.matrix.shape != x.shape:
-        raise ValueError(f"direction shape {delta.matrix.shape} != matrix shape {x.shape}")
+    x, matrix = require_hermitian(x), delta.matrix
+    if matrix.shape != x.shape:
+        raise ValueError(f"direction shape {matrix.shape} != matrix shape {x.shape}")
     _require_family_size(enc, len(x))
     offsets = enc.offsets()
     values = np.empty((len(offsets), len(x)))
@@ -323,7 +315,7 @@ def evolution_family(x, delta: PerturbationDirection, enc: GradientEncoding) -> 
     chunk = max(1, EIGENBASIS_BATCH // x.size)
     for start in range(0, len(offsets), chunk):
         part = slice(start, start + chunk)
-        values[part], vectors[part] = np.linalg.eigh(x + offsets[part, None, None] * delta.matrix)
+        values[part], vectors[part] = np.linalg.eigh(x + offsets[part, None, None] * matrix)
     return sv.ControlledFamily(np.exp(1j * enc.time_step() * values), vectors)
 
 

@@ -29,6 +29,10 @@ def parse_csv(text):
     return header, rows
 
 
+def unreachable_dense_family(*args):
+    raise AssertionError("a dense family was built")
+
+
 TABLE1_STDOUT = """\
 matrix,delta,eigenstate,L,m,gradient
 sigma-x,X,+,1e-06,1,1
@@ -81,6 +85,13 @@ class TestReproduceTable1:
 
 
 class TestGradient:
+    def test_custom_stdout_is_pinned(self, capsys):
+        # a custom direction runs the dense family with the shift ||Delta||_2, and its rows do not move
+        want = ("p,E_p,delta_kind,L,m,gradient_quantum,gradient_oracle,abs_error\n"
+                "0,-1,matrix,1e-06,1,-1,-1,2.22044605e-16\n"
+                "1,1,matrix,1e-06,1,1,1,2.32830866e-10\n")
+        assert run_cli(capsys, "gradient", "--matrix", "sigma-x", "--delta", "matrix") == (0, want, "")
+
     def test_table_row_config(self, capsys):
         code, out, _ = run_cli(capsys, "gradient", "--matrix", "sigma-x", "--delta", "matrix")
         assert code == 0
@@ -155,9 +166,8 @@ class TestGradient:
         assert err
 
     def test_oracle_reads_the_one_eigendecomposition(self, capsys, monkeypatch):
-        # LAPACK eigh runs twice: the resolve, and one stacked call for the 2
-        # members of the m = 1 family; the Hellmann-Feynman oracle
-        # re-diagonalizes nothing
+        # LAPACK eigh runs once, for the resolve: the element direction is probed in its
+        # eigenbasis, and the Hellmann-Feynman oracle re-diagonalizes nothing
         resolved, lapack = [], []
         eig, eigh = qgld.linalg.eig_hermitian, np.linalg.eigh
 
@@ -172,12 +182,53 @@ class TestGradient:
         for module in (qgld.linalg, qgld.cli, qgld.expectation):
             monkeypatch.setattr(module, "eig_hermitian", counting)
         monkeypatch.setattr(np.linalg, "eigh", counting_lapack)
+        monkeypatch.setattr(qgld.expectation, "evolution_family", unreachable_dense_family)
         code, out, _ = run_cli(capsys, "gradient", "--matrix", "random-spd:8:3",
                                "--delta", "element:1,4", "--k", "0")
         assert code == 0
         assert len(parse_csv(out)[1]) == 8
         assert len(resolved) == 1
-        assert lapack == [(8, 8), (2, 8, 8)]
+        assert lapack == [(8, 8)]
+
+    @pytest.mark.parametrize("argv", [("--delta", "element:0,5"), ("--delta", "all-ones", "--W", "20"),
+                                      ("--phi", "uniform", "--delta", "outer")])
+    def test_factored_directions_skip_the_dense_family(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(qgld.expectation, "evolution_family", unreachable_dense_family)
+        code, out, err = run_cli(capsys, "gradient", "--matrix", "random-spd:8:3", *argv)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == 8 and all(float(row[7]) <= 1e-5 for row in rows)
+
+    def test_large_n_reads_below_the_dense_rounding_floor(self, capsys):
+        # the dense family refused L = 1e-9 at N = 256 (exit 3, "rounding floor M eps ||X||_F / L");
+        # the eigenbasis family has no such floor
+        code, out, err = run_cli(capsys, "gradient", "--matrix", "random-spd:256:1", "--delta", "element:0,1",
+                                 "--L", "1e-9")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        quantum, oracle = (np.array([float(row[column]) for row in rows]) for column in (5, 6))
+        assert len(rows) == 256
+        np.testing.assert_allclose(quantum, oracle, rtol=0, atol=1e-9)
+
+    def test_k_splitting_a_cluster_still_reads(self, capsys):
+        # no sum is taken, so no cut is checked: --k 1 on identity:4 reads one adapted pair
+        code, out, err = run_cli(capsys, "gradient", "--matrix", "identity:4", "--delta", "element:0,1", "--k", "1")
+        assert (code, err) == (0, "")
+        [[p, e_p, _, _, _, quantum, oracle, _]] = parse_csv(out)[1]
+        assert (p, e_p, oracle) == ("0", "1", "-1")
+        assert abs(float(quantum) + 1.0) <= 1e-6
+
+    def test_zero_eigenvalue_is_read(self, capsys, tmp_path):
+        # no pseudo-inverse mask: a zero eigenvalue's slope is defined, and it is printed
+        path = str(tmp_path / "x.json")
+        write_matrix(path, np.diag([0.0, 1.0, 2.0, 3.0]))
+        code, out, err = run_cli(capsys, "gradient", "--matrix", path, "--delta", "element:0,0")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [row[1] for row in rows] == ["3", "2", "1", "0"]
+        quantum, oracle = (np.array([float(row[column]) for row in rows]) for column in (5, 6))
+        np.testing.assert_array_equal(oracle, [0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_allclose(quantum, oracle, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("coupling", [None, 0.0, 1e-9], ids=["identity", "diag-1123", "diag-1123-coupled"])
     def test_degenerate_pairs_are_read_adapted(self, capsys, tmp_path, coupling):

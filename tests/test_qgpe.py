@@ -21,6 +21,7 @@ from qgld import (
     low_rank_update_eigh,
     suggest_gradient_bound,
 )
+import qgld.cli
 import qgld.expectation
 import qgld.qgpe
 from qgld.cli import random_spd
@@ -149,17 +150,20 @@ class TestBuildDelta:
         assert directions[3] == directions[3] and directions[3] != build_delta("element", 4, i=1, j=2)
         assert len({*directions, *directions}) == 4
 
-    def test_factored_matrix_formed_on_first_read(self, rng):
+    def test_factored_matrix_formed_on_each_read(self, rng):
         # 2080 element directions at N = 64 once held 136 MB of matrices that the eigenbasis probes
-        # never read: a direction with factors forms its matrix when it is first read, by its kind's
-        # formula, once, read-only; a custom matrix is kept as given
+        # never read: a direction with factors stores none, and each read forms it by its kind's
+        # formula, read-only; a custom matrix is kept as given
         n, phi = 8, random_state(rng, 8)
         e, f = np.eye(n)[2], random_state(rng, n)
         factors = np.stack([e + f, e - f], axis=1) / 2
         element = np.zeros((n, n), dtype=complex)
         element[1, 5] = element[5, 1] = 1.0
+        diagonal = np.zeros((n, n), dtype=complex)
+        diagonal[3, 3] = 1.0
         pair = (factors * (1.0, -1.0)) @ factors.conj().T
-        cases = [(build_delta("element", n, i=1, j=5), element),
+        cases = [(build_delta("element", n, i=1, j=5), element), (build_delta("element", n, i=5, j=1), element),
+                 (build_delta("element", n, i=3, j=3), diagonal),
                  (build_delta("all_ones", n), np.ones((n, n), dtype=complex)),
                  (build_delta("outer", n, phi=phi), np.outer(phi, phi.conj())),
                  (PerturbationDirection.from_factors(factors, (1.0, -1.0)), (pair + pair.conj().T) / 2)]
@@ -167,10 +171,41 @@ class TestBuildDelta:
         logdet_directional_derivatives(x, [delta for delta, _ in cases], n, GradientEncoding(W=4.0 * n))
         for delta, want in cases:
             assert "matrix" not in vars(delta) and delta.dim == n
-            formed = delta.matrix
-            np.testing.assert_array_equal(formed, want)
-            assert delta.matrix is formed and not formed.flags.writeable
+            for _ in range(3):
+                formed = delta.matrix
+                np.testing.assert_array_equal(formed, want)
+                assert not formed.flags.writeable
+                assert "matrix" not in vars(delta)
         assert "matrix" in vars(build_delta("custom", n, matrix=element))
+
+    def test_factored_matrix_formed_once_per_reading_call(self, capsys, monkeypatch):
+        # every reader takes the matrix once per call: the adaptation over all its clusters, the
+        # dense family over all its chunks, and the gradient command for its oracle column
+        formed, form = [], qgld.qgpe._factored_matrix
+
+        def counting(delta):
+            formed.append(delta.kind)
+            return form(delta)
+
+        monkeypatch.setattr(qgld.qgpe, "_factored_matrix", counting)
+        q, _ = np.linalg.qr(random_spd(8, 2))
+        spectrum = eig_hermitian((q * [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 5.0]) @ q.conj().T)
+        delta = build_delta("element", 8, i=0, j=3)
+        assert len(spectrum.clusters(4e-6)) == 3
+        for calls in (1, 2):
+            qgld.expectation.adapt_degenerate_eigenvectors(spectrum, delta, 1e-6)
+            assert len(formed) == calls
+        formed.clear()
+        x, enc = random_spd(64, 1), GradientEncoding(m=3)  # 8 members in chunks of EIGENBASIS_BATCH // N^2 = 4
+        for calls in (1, 2):
+            evolution_family(x, build_delta("all_ones", 64), enc)
+            assert len(formed) == calls
+        for argv in (("--delta", "element:1,4"), ("--delta", "all-ones", "--W", "20"),
+                     ("--phi", "uniform", "--delta", "outer")):
+            formed.clear()
+            assert qgld.cli.main(["gradient", "--matrix", "random-spd:8:3", *argv]) == 0
+            assert len(formed) == 1
+        capsys.readouterr()
 
     def test_a_matrix_is_all_a_caller_gives(self, rng):
         # a kind, a norm or factors given beside the matrix were taken on trust, and on

@@ -44,20 +44,25 @@ def gaussian_kernel_matrix(points: np.ndarray, sigma: float, other: np.ndarray |
 
 def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "classical",
                k: int | None = None, enc: GradientEncoding = GradientEncoding()) -> KernelModel:
-    """Fit alpha = (K + ridge*I)^-1 f with the chosen solver.  Raises
-    ValueError unless sigma and ridge are finite and positive."""
+    """Fit alpha = (K + ridge*I)^-1 f with the chosen solver.  Before any numerical work, raises ValueError
+    unless sigma and ridge are finite and positive, the solver is known and the qgld solver's k is in [1, N]."""
     points = np.asarray(points, dtype=float)
     targets = np.asarray(targets, dtype=float)
     for name, value in (("sigma", sigma), ("ridge", ridge)):
         if not (np.isfinite(value) and value > 0):  # negated, so that a NaN fails here
             raise ValueError(f"{name} = {value} must be finite and positive")
+    if solver not in ("classical", "qgld"):
+        raise ValueError(f"unknown solver {solver!r}")
     if len(points) != len(targets):
         raise ValueError("points and targets differ in length")
+    n = len(targets)
+    k = n if k is None else k
+    if solver == "qgld" and not 1 <= k <= n:
+        raise ValueError(f"k = {k} outside [1, {n}]")
     for name, values in (("points", points), ("targets", targets)):
         if not np.isfinite(values).all():
             bad = int(np.sum(~np.isfinite(values)))
             raise NonFiniteInput(f"{name} has {bad} non-finite entries (NaN or inf)")
-    n = len(targets)
     system = gaussian_kernel_matrix(points, sigma) + ridge * np.eye(n)
     if solver == "qgld":
         spectrum = DenseSource().resolve(system)  # refuses an N that is not a power of two before its eigh
@@ -71,10 +76,7 @@ def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "class
 
     if solver == "classical":
         alpha = (inverse(system) @ targets).real
-    elif solver == "qgld":
-        k = n if k is None else k
-        if not 1 <= k <= n:
-            raise ValueError(f"k = {k} outside [1, {n}]")
+    else:
         f_norm = float(np.linalg.norm(targets))
         alpha = np.zeros(n)
         if f_norm > 0.0:  # zero targets give alpha = 0; f_hat would be 0/0
@@ -83,8 +85,6 @@ def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "class
             probes = ((PerturbationDirection.from_factors(np.stack([e + f_hat, e - f_hat], axis=1) / 2, (1.0, -1.0)),
                        enc) for e in np.eye(n))
             alpha = f_norm * _probe_relevant_eigenpairs(spectrum, probes, k, symmetric=True)[4]
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
     return KernelModel(
         training_points=points,
         targets=targets,

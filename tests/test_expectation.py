@@ -35,6 +35,7 @@ from qgld import (
 )
 from qgld.cli import random_spd
 from conftest import SIGMA_X, SIGMA_Z, random_hermitian, random_state, reference_distributions, unitary_phase_exp
+from reports import draw
 
 
 def random_spd_pow2(rng, n):
@@ -458,6 +459,18 @@ class TestSigmaQgld:
         phi /= np.linalg.norm(phi)
         want = classical_reference_expectation(x, phi)
         assert abs(sigma_qgld_expectation(x, phi) - want) <= 1e-8 * abs(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_fuzz_draw_reads_the_solve_or_raises(self, seed):
+        # the two-outcome contract over the CI fuzz's draw space: definite, indefinite and low-rank + 1e-2
+        _, _, x, phi = draw(np.random.default_rng(seed))
+        want = float(np.real(phi.conj() @ np.linalg.solve(x, phi)))
+        try:
+            got = sigma_qgld_expectation(x, phi)
+        except (QgldError, ValueError):
+            return
+        assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 16), reach=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))

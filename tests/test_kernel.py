@@ -127,6 +127,19 @@ class TestClassicalSolver:
         with pytest.raises(ValueError):
             kernel_fit([0.0], [1.0], sigma=1.0, ridge=0.0)
 
+    @pytest.mark.parametrize("kwargs, message", [({"solver": "nope"}, "unknown solver 'nope'"),
+                                                 ({"solver": "qgld", "k": 0}, r"k = 0 outside \[1, 16\]")],
+                             ids=["unknown-solver", "qgld-k-0"])
+    def test_solver_and_k_checked_before_any_numerical_work(self, monkeypatch, kwargs, message):
+        # on this system each raised IllConditioned ("condition estimate 2.571e+18") from the eigensolve
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the kernel matrix was formed")
+
+        monkeypatch.setattr(qgld.kernel, "gaussian_kernel_matrix", unreachable)
+        points = np.linspace(0.0, 2 * np.pi, 16)
+        with pytest.raises(ValueError, match=message):
+            kernel_fit(points, np.sin(points), 10.0, 1e-300, **kwargs)
+
     @pytest.mark.parametrize("solver", ["classical", "qgld"])
     @pytest.mark.parametrize("name, value", [("sigma", 0.0), ("sigma", -1.0), ("sigma", np.nan), ("sigma", np.inf),
                                              ("ridge", np.nan), ("ridge", np.inf), ("ridge", -1e-3)])

@@ -12,6 +12,7 @@ from .errors import (
     NonHermitianInput,
     NonUnitaryMember,
     NotInGroundRegister,
+    NumericalFailure,
     ProbabilityOutOfRange,
     QgldError,
     RankDeficientBlock,

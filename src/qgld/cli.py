@@ -5,7 +5,7 @@ taking only the flags its handler reads (COMMANDS).  Matrices come from JSON
 files ({"dim", "re", "im"}) or built-in presets (sigma-x, sigma-z, hadamard,
 identity[:N], random-spd:N:SEED).  Identical configuration and seeds produce
 byte-identical output.  Exit codes: 0 on success, 2 on validation or I/O
-failure (an unread flag included), 3 on numerical failure.
+failure (an unread flag or a failed --out included), 3 on NumericalFailure.
 """
 from __future__ import annotations
 
@@ -17,21 +17,12 @@ import sys
 import numpy as np
 
 from . import io as qio
-from .errors import (
-    AliasedReadout,
-    FlatDistribution,
-    IllConditioned,
-    NearZeroEigenvalue,
-    QgldError,
-    RoundingFloor,
-    SingularMatrix,
-)
+from .errors import NumericalFailure, QgldError
 from .expectation import (
     DenseSource,
     InverseExpectationRequest,
     RqblSource,
     _probe_pairs,
-    adapt_degenerate_eigenvectors,
     classical_reference_expectation,
     eigenvalue_gradient_probes,
     qgld_expectation,
@@ -43,15 +34,6 @@ from .kernel import kernel_fit, kernel_predict
 from .lanczos import assemble_and_solve, build_factorization, dump_factorization
 from .linalg import eig_hermitian
 from .qgpe import GradientEncoding, PerturbationDirection, build_delta, require_weight_vector
-
-NUMERIC_ERRORS = (
-    AliasedReadout,
-    SingularMatrix,
-    NearZeroEigenvalue,
-    FlatDistribution,
-    IllConditioned,
-    RoundingFloor,
-)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -140,10 +122,8 @@ def cmd_gradient(args) -> str:
         raise ValueError(f"--k {args.k} outside [0, {n}] (0 = all)")
     spectrum = DenseSource().resolve(x)
     selected = spectrum.order[:args.k or n]
-    [grads], _ = _probe_pairs(spectrum, [(delta, enc)], selected)
-    # the oracle <p|Delta|p> reads the vectors the probes read: in a degenerate cluster, those diagonalizing Delta
-    vectors = adapt_degenerate_eigenvectors(spectrum, delta, enc.L)[0][:, selected]
-    oracles = np.einsum("ip,ip->p", vectors.conj(), delta.matrix @ vectors).real
+    # the oracle is the pass's first-order read <p|Delta|p> of the vectors its probes read
+    [grads], _, [oracles] = _probe_pairs(spectrum, [(delta, enc)], selected)
     rows = [[p, spectrum.values[p], args.delta, enc.L, enc.m, grad, oracle, abs(grad - oracle)]
             for p, grad, oracle in zip(selected.tolist(), grads.tolist(), oracles.tolist())]
     return qio.render_csv(
@@ -360,17 +340,17 @@ def main(argv=None) -> int:
     try:
         reject_unread(args, COMMANDS[args.command][2])
         output = args.handler(args)
-    except NUMERIC_ERRORS as exc:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        else:
+            sys.stdout.write(output)
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (QgldError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
-    else:
-        sys.stdout.write(output)
     return 0
 
 

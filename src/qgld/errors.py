@@ -5,6 +5,10 @@ class QgldError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class NumericalFailure(QgldError):
+    """Base class of the errors that say the numbers, not the request, failed (CLI exit 3)."""
+
+
 class NonFiniteInput(QgldError):
     """Input matrix has NaN or infinite entries."""
 
@@ -13,7 +17,7 @@ class NonHermitianInput(QgldError):
     """Input matrix violates the hermiticity tolerance."""
 
 
-class SingularMatrix(QgldError):
+class SingularMatrix(NumericalFailure):
     """A matrix's LU met a zero pivot, or its condition number reached the inverse's limit."""
 
 
@@ -53,22 +57,22 @@ class ProbabilityOutOfRange(QgldError):
     """Probabilities are outside [0, 1] or do not sum to one."""
 
 
-class FlatDistribution(QgldError):
+class FlatDistribution(NumericalFailure):
     """Readout distribution has no usable peak (aliasing or wrong scale)."""
 
 
-class AliasedReadout(QgldError):
+class AliasedReadout(NumericalFailure):
     """A gradient the probe may have to read lies beyond its window's readout range."""
 
 
-class RoundingFloor(QgldError):
+class RoundingFloor(NumericalFailure):
     """The rounding floor of a readout at its probe scale W exceeds the
     accuracy its pipeline promises."""
 
 
-class NearZeroEigenvalue(QgldError):
+class NearZeroEigenvalue(NumericalFailure):
     """All usable eigenvalues fell below the pseudo-inverse threshold."""
 
 
-class IllConditioned(QgldError):
+class IllConditioned(NumericalFailure):
     """Linear system condition estimate exceeds the supported range."""

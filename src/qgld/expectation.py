@@ -256,7 +256,8 @@ def _probe_pairs(spectrum: Spectrum, probes, pairs, windows: int = 1, k: int | N
     ``windows``, the other one.  Every direction, readout range, rounding
     floor, family size and, given ``k``, cut (no cluster of the adaptation
     split by k) is checked before any family is built.  Returns the
-    (probes, pairs) slopes deltaE_p and adapted residuals.
+    (probes, pairs) slopes deltaE_p, adapted residuals and first-order
+    reads <u_p|Delta|u_p> of the adapted pairs, the oracle of each slope.
 
     The direction alone picks the family: ``custom`` matrices run the dense
     family exp(i t (X + s Delta)); factors F run :func:`eigenbasis_families`
@@ -271,7 +272,7 @@ def _probe_pairs(spectrum: Spectrum, probes, pairs, windows: int = 1, k: int | N
     """
     x, values = spectrum.x, spectrum.values
     # one pass checks, adapts and keeps what the circuits need; they all run after it
-    shifts, residuals, dense = [], [], []  # dense: per custom probe, (index, windows, probed columns, direction)
+    shifts, residuals, first_order, dense = [], [], [], []  # dense: per custom probe, (j, windows, columns, delta)
     in_eigenbasis = {}  # (signs, window) -> [(probe index, window index, coupling U^dag F)]
     for j, (delta, enc) in enumerate(probes):
         if not isinstance(delta, PerturbationDirection):
@@ -290,9 +291,12 @@ def _probe_pairs(spectrum: Spectrum, probes, pairs, windows: int = 1, k: int | N
         residuals.append(adapted_residuals[pairs])
         shifts.append(shift)
         if delta.factors is None:
-            dense.append((j, encodings, adapted[:, pairs], delta))
+            probed = adapted[:, pairs]
+            first_order.append(np.einsum("ip,ip->p", probed.conj(), delta.matrix @ probed).real)
+            dense.append((j, encodings, probed, delta))
         else:
             coupling = (delta.factors.conj().T @ adapted).conj().T
+            first_order.append(np.abs(coupling[pairs]) ** 2 @ delta.signs)
             for w, window in enumerate(encodings):
                 in_eigenbasis.setdefault((delta.signs, window), []).append((j, w, coupling))
         del adapted  # only the probed columns or the couplings outlive the pass
@@ -310,7 +314,7 @@ def _probe_pairs(spectrum: Spectrum, probes, pairs, windows: int = 1, k: int | N
         for part, family in eigenbasis_families(values, signs, couplings, window):
             reads[rows[part], w[part]] = _read_slopes(family, columns, window, shifts[rows[part]])
     slopes = reads.mean(axis=1) - shifts[:, None]
-    return slopes, np.reshape(residuals, slopes.shape)
+    return slopes, np.reshape(residuals, slopes.shape), np.reshape(first_order, slopes.shape)
 
 
 def _probe_relevant_eigenpairs(spectrum: Spectrum, probes, k: int, symmetric: bool = False):
@@ -321,7 +325,7 @@ def _probe_relevant_eigenpairs(spectrum: Spectrum, probes, k: int, symmetric: bo
     descending), the skipped ones (a list), the slopes and residuals of the
     pass, and the totals sum_p deltaE_p / E_p as a running sum in |E| order."""
     used, skipped = spectrum.select(k)
-    slopes, residuals = _probe_pairs(spectrum, probes, used, 2 if symmetric else 1, k)
+    slopes, residuals, _ = _probe_pairs(spectrum, probes, used, 2 if symmetric else 1, k)
     # + 0.0: a sum from 0.0, as a loop would give it, so a zero total is never -0.0
     totals = np.cumsum(slopes / spectrum.values[used], axis=1)[:, -1] + 0.0
     return spectrum.values[used], skipped, slopes, residuals, totals
@@ -441,11 +445,11 @@ def _superposition_weights(x, phi):
 
 
 def _superposition_family(weights: np.ndarray) -> tuple:
-    """The family of one superposition read and its probe scale w = max(1,
-    SUPERPOSITION_ZOOM * max |w_p|).  Its phase is about max |w_p| / w, so its
-    rounding (about 2 eps) puts a floor of N * w * 2 eps in the total: a
-    relative 2e4 * N * eps of max |w_p|."""
-    w_run = max(1.0, SUPERPOSITION_ZOOM * float(np.max(np.abs(weights))))
+    """The family of one superposition read and its probe scale w =
+    SUPERPOSITION_ZOOM * max |w_p| (1 if every w_p = 0).  Its phase is about
+    max |w_p| / w, so its rounding (about 2 eps) puts a floor of N * w * 2 eps
+    in the total: a relative 2e4 * N * eps of max |w_p|, at any scale of X."""
+    w_run = SUPERPOSITION_ZOOM * float(np.max(np.abs(weights))) or 1.0
     return _scaled_phase_family(weights, w_run), w_run
 
 

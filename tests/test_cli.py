@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qgld
 import qgld.cli
+import qgld.errors
 import qgld.expectation
 import qgld.linalg
 import qgld.qgpe
@@ -359,12 +361,16 @@ class TestQgldCommand:
         assert (code, out) == (2, "")
         assert "n_samples must be >= 1" in err
 
-    def test_sigma_mode_on_a_zero_matrix_exits_3(self, capsys, tmp_path):
+    @pytest.mark.parametrize("mode,message", [
+        ("per-eigenvector", "every requested eigenvalue is below the pseudo-inverse threshold"),
+        ("sigma", "all eigenvalues below the pseudo-inverse threshold"),
+        ("sampled", "all eigenvalues below the pseudo-inverse threshold"),
+    ], ids=["per-eigenvector", "sigma", "sampled"])
+    def test_zero_matrix_exits_3(self, capsys, tmp_path, mode, message):
         path = tmp_path / "zero.json"
         write_matrix(path, np.zeros((2, 2)))
-        code, out, err = run_cli(capsys, "qgld", "--matrix", str(path), "--phi", "uniform", "--mode", "sigma")
-        assert (code, out) == (3, "")
-        assert err == "numerical failure: all eigenvalues below the pseudo-inverse threshold\n"
+        code, out, err = run_cli(capsys, "qgld", "--matrix", str(path), "--phi", "uniform", "--mode", mode)
+        assert (code, out, err) == (3, "", f"numerical failure: {message}\n")
 
     def test_l_sweep_monotone(self, capsys):
         code, out, _ = run_cli(capsys, "qgld", "--matrix", "random-spd:4:7", "--phi", "uniform",
@@ -506,6 +512,26 @@ class TestQgldCommand:
         code, _, err = run_cli(capsys, "qgld", "--matrix", str(path), "--phi", "uniform")
         assert code == 3
         assert "numerical" in err
+
+
+class TestErrorExitCodes:
+    NUMERICAL = {"AliasedReadout", "FlatDistribution", "IllConditioned", "NearZeroEigenvalue", "RoundingFloor",
+                 "SingularMatrix", "NumericalFailure"}
+
+    def test_each_package_error_exits_by_its_class(self, capsys, monkeypatch):
+        # the six numerical failures under NumericalFailure exit 3, as when the CLI listed them by hand,
+        # and every other package error exits 2
+        classes = {name: cls for name, cls in vars(qgld.errors).items()
+                   if isinstance(cls, type) and issubclass(cls, qgld.errors.QgldError)}
+        assert self.NUMERICAL < set(classes)
+        assert qgld.NumericalFailure is qgld.errors.NumericalFailure
+        for name, cls in classes.items():
+            def raising(*args, cls=cls):
+                raise cls("raised")
+
+            monkeypatch.setattr(qgld.cli, "eig_hermitian", raising)
+            want = (3, "", "numerical failure: raised\n") if name in self.NUMERICAL else (2, "", "error: raised\n")
+            assert run_cli(capsys, "reproduce-table1") == want, name
 
 
 class TestMalformedJson:
@@ -708,6 +734,13 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("matrix,delta,eigenstate")
+
+    # both printed a FileNotFoundError / IsADirectoryError traceback and exited 1
+    @pytest.mark.parametrize("target", ["missing/table.csv", "."], ids=["missing-directory", "a-directory"])
+    def test_failed_write_exits_2(self, capsys, tmp_path, target):
+        code, out, err = run_cli(capsys, "reproduce-table1", "--out", str(tmp_path / target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_kernel_demo_rejects_negative_k(self, capsys):
         code, out, err = run_cli(capsys, "kernel-demo", "--k", "-1")

@@ -536,8 +536,7 @@ class TestSampledQgld:
         q = np.linalg.qr(draws.standard_normal((8, 8)) + 1j * draws.standard_normal((8, 8)))[0]
         readings = []
         for weights in (scaled, raw):
-            w_run = max(1.0, qgld.expectation.SUPERPOSITION_ZOOM * float(np.max(np.abs(weights))))
-            family = qgld.expectation._scaled_phase_family(weights, w_run)
+            family, w_run = qgld.expectation._superposition_family(weights)
             dense = sv.ControlledFamily(family.phases, np.stack([dec.vectors] * len(family)))
             readings.append(8 * w_run * qgld.expectation._signed_phases(dense, q))
         assert abs(estimate - np.mean(readings[0] / readings[1])) <= 1e-9 * abs(estimate)
@@ -582,6 +581,18 @@ def test_zero_weights_read_positive_zero():
     assert total == 0.0 and not np.signbit(total)
     estimate, spread = sampled_qgld(x, phi, 6, rng_seed=0)
     assert (estimate, spread) == (0.0, 0.0) and not np.signbit(estimate)
+
+
+@pytest.mark.parametrize("scale", [1e10, 1e16, 1e100])
+def test_superposition_reads_keep_their_relative_error_at_any_scale(scale):
+    # a probe scale clamped at 1 made the rounding floor absolute: on random_spd(64, 1) at 1e10, 1e16
+    # and 1e100 sigma read 8.3e-4, 1.0 and 1.0 relative off (0.0 at 1e16 and up), sampled 1.2e-3, 1.0, 1.0
+    x, phi = random_spd(64, 1), np.full(64, 1 / 8, dtype=complex)
+    want = float((phi.conj() @ np.linalg.solve(x, phi)).real)
+    assert abs(sigma_qgld_expectation(x / scale, phi) / scale - want) <= 1e-9 * want
+    assert abs(sigma_qgld_expectation(scale * x, phi) * scale - want) <= 1e-9 * want
+    estimate = sampled_qgld(x, phi, 8, 3)[0]
+    assert abs(sampled_qgld(scale * x, phi, 8, 3)[0] * scale - estimate) <= 1e-9 * estimate
 
 
 @pytest.mark.parametrize("call", [lambda x, phi, enc: sigma_qgld_expectation(x, phi, enc),

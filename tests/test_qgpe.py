@@ -179,8 +179,9 @@ class TestBuildDelta:
         assert "matrix" in vars(build_delta("custom", n, matrix=element))
 
     def test_factored_matrix_formed_once_per_reading_call(self, capsys, monkeypatch):
-        # every reader takes the matrix once per call: the adaptation over all its clusters, the
-        # dense family over all its chunks, and the gradient command for its oracle column
+        # every reader takes the matrix once per call: the adaptation over all its clusters and the
+        # dense family over all its chunks; the gradient command's oracle column is the probe pass's
+        # first-order read, so without a cluster it forms none
         formed, form = [], qgld.qgpe._factored_matrix
 
         def counting(delta):
@@ -204,8 +205,28 @@ class TestBuildDelta:
                      ("--phi", "uniform", "--delta", "outer")):
             formed.clear()
             assert qgld.cli.main(["gradient", "--matrix", "random-spd:8:3", *argv]) == 0
-            assert len(formed) == 1
+            assert len(formed) == 0
         capsys.readouterr()
+
+    def test_gradient_adapts_a_degenerate_cluster_once(self, capsys, monkeypatch):
+        # the oracle column once re-ran the adaptation: 3 eighs and 3 element matrices on identity:4
+        formed, form = [], qgld.qgpe._factored_matrix
+        shapes, eigh = [], np.linalg.eigh
+
+        def counting_form(delta):
+            formed.append(delta.kind)
+            return form(delta)
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(qgld.qgpe, "_factored_matrix", counting_form)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        assert qgld.cli.main(["gradient", "--matrix", "identity:4", "--delta", "element:0,1"]) == 0
+        assert (shapes, formed) == ([(4, 4), (4, 4)], ["element"])
+        oracles = [float(row.split(",")[-2]) for row in capsys.readouterr().out.splitlines()[1:]]
+        assert sorted(oracles) == pytest.approx([-1.0, 0.0, 0.0, 1.0], abs=1e-15)
 
     def test_a_matrix_is_all_a_caller_gives(self, rng):
         # a kind, a norm or factors given beside the matrix were taken on trust, and on

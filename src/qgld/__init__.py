@@ -15,7 +15,6 @@ from .errors import (
     NumericalFailure,
     ProbabilityOutOfRange,
     QgldError,
-    RankDeficientBlock,
     RoundingFloor,
     SingularMatrix,
     UnnormalizedPhi,
@@ -26,7 +25,6 @@ from .linalg import (
     eig_hermitian,
     inverse,
     low_rank_update_eigh,
-    orthonormalize_svd,
     relevance_order,
 )
 from .statevector import ControlledFamily

@@ -10,7 +10,7 @@ class NumericalFailure(QgldError):
 
 
 class NonFiniteInput(QgldError):
-    """Input matrix has NaN or infinite entries."""
+    """An input array has NaN or infinite entries."""
 
 
 class NonHermitianInput(QgldError):
@@ -19,10 +19,6 @@ class NonHermitianInput(QgldError):
 
 class SingularMatrix(NumericalFailure):
     """A matrix's LU met a zero pivot, or its condition number reached the inverse's limit."""
-
-
-class RankDeficientBlock(QgldError):
-    """Block has numerical rank below its column count."""
 
 
 class IndexOutOfRange(QgldError, IndexError):

@@ -28,7 +28,7 @@ import numpy as np
 from . import statevector as sv
 from .errors import AliasedReadout, NearZeroEigenvalue, RoundingFloor
 from .linalg import EIGEN_RESIDUAL_RTOL, PSEUDO_INVERSE_RTOL  # noqa: F401 (the Spectrum's, importable here)
-from .linalg import Spectrum, as_complex_matrix, eig_hermitian, eigen_residuals, inverse
+from .linalg import DEGENERACY_RTOL, Spectrum, as_complex_matrix, eig_hermitian, eigen_residuals, inverse
 from .qgpe import (
     GradientEncoding,
     PerturbationDirection,
@@ -220,8 +220,8 @@ def eigenvalue_gradient_probe(x, p_vec, delta: PerturbationDirection, enc: Gradi
     return float(eigenvalue_gradient_probes(x, columns, delta, enc, identity_shift=identity_shift)[0])
 
 
-def adapt_degenerate_eigenvectors(spectrum: Spectrum, delta: PerturbationDirection,
-                                  l_value: float) -> tuple[np.ndarray, np.ndarray]:
+def adapt_degenerate_eigenvectors(spectrum: Spectrum, delta: PerturbationDirection, l_value: float,
+                                  k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Rotate eigenvector clusters so Delta is diagonal inside each degenerate
     (or nearly degenerate at the probe scale) eigenspace.
 
@@ -229,15 +229,30 @@ def adapt_degenerate_eigenvectors(spectrum: Spectrum, delta: PerturbationDirecti
     4 L ||Delta||_2 (:meth:`Spectrum.clusters`), the perturbed eigenvectors
     re-sort along Delta's internal eigendirections, so probing an unadapted
     basis vector reads a phase mixture.  Standard degenerate perturbation
-    theory: diagonalizing the restriction of Delta fixes the basis the
-    probes need.  Returns the rotated vectors and their residuals,
-    recomputed for rotated columns only, in copies; with no cluster it
-    returns the spectrum's own ``vectors`` and ``residuals``, so callers
-    must not write to what it returns.
+    theory: diagonalizing the restriction of Delta fixes the basis the probes
+    need.  Given ``k``, it first raises ValueError, naming the nearest k below
+    and above that do not, when the k most relevant pairs hold part of a
+    cluster the pseudo-inverse keeps: their sum would then depend on which
+    vectors of the cluster's eigenspace are taken.  Returns the rotated
+    vectors and their residuals, recomputed for rotated columns only, in
+    copies; with no cluster it returns the spectrum's own ``vectors`` and
+    ``residuals``, so callers must not write to them.
     """
-    clusters = spectrum.clusters(4.0 * l_value * delta.norm)
+    reach = max(DEGENERACY_RTOL * spectrum.x_norm, 4.0 * l_value * delta.norm)
+    clusters = spectrum.clusters(reach)
     if not clusters:
         return spectrum.vectors, spectrum.residuals
+    if k is not None:
+        rank = np.argsort(spectrum.order)  # each pair's place in the relevance order
+        inside = np.zeros(len(rank) + 1, dtype=bool)  # inside[c]: the first c pairs split a cluster
+        for idx in clusters:
+            if spectrum.usable[idx].any():  # a cluster the pseudo-inverse skips adds nothing, however it is cut
+                inside[rank[idx].min() + 1:rank[idx].max() + 1] = True
+        if inside[k]:
+            valid = np.flatnonzero(~inside[1:]) + 1
+            nearest = [*valid[valid < k][-1:], valid[valid > k][0]]
+            raise ValueError(f"k = {k} ends inside a cluster of eigenvalues with gaps at most {reach:.3g}, so the "
+                             f"sum over the first k is not defined by X; use k = {' or '.join(map(str, nearest))}")
     vectors, residuals, matrix = spectrum.vectors.copy(), spectrum.residuals.copy(), delta.matrix
     for idx in clusters:
         basis = vectors[:, idx]
@@ -285,9 +300,7 @@ def _probe_pairs(spectrum: Spectrum, probes, pairs, windows: int = 1, k: int | N
         _require_readable(delta.norm + shift, encodings, spectrum.x_norm if delta.factors is None else None)
         for window in encodings:
             _require_family_size(window, len(x) if delta.factors is None else len(values))
-        if k is not None:
-            spectrum.require_whole_clusters(k, 4.0 * enc.L * delta.norm)
-        adapted, adapted_residuals = adapt_degenerate_eigenvectors(spectrum, delta, enc.L)
+        adapted, adapted_residuals = adapt_degenerate_eigenvectors(spectrum, delta, enc.L, k)
         residuals.append(adapted_residuals[pairs])
         shifts.append(shift)
         if delta.factors is None:
@@ -436,11 +449,10 @@ def _superposition_weights(x, phi):
     within 1e-10, the bound of the outer-product direction."""
     spectrum = DenseSource().resolve(x)
     phi = require_unit_weight_vector(phi, len(spectrum.values))
-    overlaps = np.abs(spectrum.vectors.conj().T @ phi) ** 2
     usable = spectrum.usable
     if not np.any(usable):
         raise NearZeroEigenvalue("all eigenvalues below the pseudo-inverse threshold")
-    raw = np.where(usable, overlaps, 0.0)
+    raw = np.where(usable, np.abs(phi.conj() @ spectrum.vectors) ** 2, 0.0)
     return spectrum, raw, np.divide(raw, spectrum.values, out=np.zeros_like(raw), where=usable)
 
 

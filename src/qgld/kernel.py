@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned, NonFiniteInput
+from .errors import IllConditioned
 from .expectation import DenseSource, _probe_relevant_eigenpairs
-from .linalg import inverse
+from .linalg import inverse, require_finite
 from .qgpe import GradientEncoding, PerturbationDirection
 
 CONDITION_LIMIT = 1e12
@@ -60,9 +60,7 @@ def kernel_fit(points, targets, sigma: float, ridge: float, solver: str = "class
     if solver == "qgld" and not 1 <= k <= n:
         raise ValueError(f"k = {k} outside [1, {n}]")
     for name, values in (("points", points), ("targets", targets)):
-        if not np.isfinite(values).all():
-            bad = int(np.sum(~np.isfinite(values)))
-            raise NonFiniteInput(f"{name} has {bad} non-finite entries (NaN or inf)")
+        require_finite(name, values)
     system = gaussian_kernel_matrix(points, sigma) + ridge * np.eye(n)
     if solver == "qgld":
         spectrum = DenseSource().resolve(system)  # refuses an N that is not a power of two before its eigh

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RESIDUAL_COLUMNS, Spectrum, eig_hermitian, orthonormalize_svd, require_hermitian
+from .linalg import RESIDUAL_COLUMNS, Spectrum, eig_hermitian, require_hermitian
 
 BREAKDOWN_RTOL = 1e-10
 DGKS_ETA = 1 / np.sqrt(2)  # Daniel, Gragg, Kaufman & Stewart (1976)
@@ -114,7 +114,8 @@ def build_factorization(x: np.ndarray, b: int, k: int | None, rng_seed: int) -> 
     """The raw factorization behind run_rqbl, kept for inspection and dumps.
     Validates X (square, finite, hermitian), then the block size b in
     [1, N], then k*b in [1, N], before any step; k = None takes N // b steps.
-    The start block is U V^dag of a seeded complex Gaussian N x b block.
+    The start block is U V^dag, as each step's, from the SVD of a seeded
+    complex Gaussian N x b block, which has full rank almost surely.
     Every step but the last, which forms only A_p, projects its residual out
     of the whole basis so far (full reorthogonalization); a smallest singular
     value under BREAKDOWN_RTOL * ||X||_F marks an invariant subspace, where
@@ -130,7 +131,8 @@ def build_factorization(x: np.ndarray, b: int, k: int | None, rng_seed: int) -> 
     rng = np.random.default_rng(rng_seed)
     # one column-major basis; the blocks and every step's history are views of it
     basis = np.empty((n, k * b), dtype=complex, order="F")
-    basis[:, :b] = orthonormalize_svd(rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b)))
+    u, _, vh = np.linalg.svd(rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b)), full_matrices=False)
+    basis[:, :b] = u @ vh
     fact = LanczosFactorization(block_size=b, columns=basis, s=np.zeros((k * b, k * b), dtype=complex))
     floor = BREAKDOWN_RTOL * max(float(np.linalg.norm(x)), 1e-300)
     for p in range(k):

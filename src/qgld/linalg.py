@@ -11,12 +11,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NearZeroEigenvalue, NonFiniteInput, NonHermitianInput, RankDeficientBlock, SingularMatrix
+from .errors import NearZeroEigenvalue, NonFiniteInput, NonHermitianInput, SingularMatrix
 
 HERMITICITY_RTOL = 1e-12
 PIVOT_RTOL = 1e-13
 DEGENERACY_RTOL = 1e-8
-RANK_RTOL = 1e-10
 EPS = float(np.finfo(float).eps)
 SECULAR_DEFLATION = 8 * EPS
 SECULAR_MAX_STEPS = 64
@@ -30,13 +29,18 @@ def as_complex_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        bad = np.argwhere(~np.isfinite(a))
-        i, j = bad[0]
-        raise NonFiniteInput(
-            f"matrix has {len(bad)} non-finite entries (NaN or inf), first at ({i}, {j}): {a[i, j]}"
-        )
+    require_finite("matrix", a)
     return a
+
+
+def require_finite(name: str, values: np.ndarray) -> None:
+    """Raise NonFiniteInput naming ``name``, the count and the first NaN or
+    inf entry (its index a tuple past one dimension) unless all are finite."""
+    if not np.isfinite(values).all():
+        bad = np.argwhere(~np.isfinite(values))
+        first = tuple(int(i) for i in bad[0])
+        raise NonFiniteInput(f"{name} has {len(bad)} non-finite entries (NaN or inf), "
+                             f"first at {first[0] if len(first) == 1 else first}: {values[first]}")
 
 
 def require_hermitian(a) -> np.ndarray:
@@ -68,8 +72,9 @@ class Spectrum:
     vectors QY, the basis factored directions are probed in (``custom`` ones
     run the dense family), of any count: each resolve checks N.  ||X||_F,
     the ascending spacing, the relevance order, the pseudo-inverse mask and
-    the eigen-residuals are each formed on first read and kept.  X is held
-    as given, not copied, and read then; no array may be written to."""
+    the eigen-residuals are each formed on first read and kept, and the
+    clusters of a reach scanned on each call.  X is held as given, not
+    copied, and read then; no array may be written to."""
 
     x: np.ndarray = field(repr=False)
     values: np.ndarray
@@ -129,24 +134,6 @@ class Spectrum:
             raise ValueError(f"eigensource residual {worst:.3e} exceeds {EIGEN_RESIDUAL_RTOL:.0e} * ||X||_F; "
                              f"increase Lanczos steps")
         return used, self.values[order[~kept]].tolist()
-
-    def require_whole_clusters(self, k: int, reach: float) -> None:
-        """Raise ValueError, naming the nearest k below and above that do
-        not, when the k most relevant pairs hold part of a cluster of
-        :meth:`clusters` at ``reach``: the sum over them is then not
-        defined by X, since it depends on which vectors of the cluster's
-        eigenspace are taken."""
-        reach = max(DEGENERACY_RTOL * self.x_norm, reach)
-        rank = np.argsort(self.order)  # each pair's place in the relevance order
-        inside = np.zeros(len(rank) + 1, dtype=bool)  # inside[c]: the first c pairs split a cluster
-        for idx in self.clusters(reach):
-            if self.usable[idx].any():  # a cluster the pseudo-inverse skips adds nothing, however it is cut
-                inside[rank[idx].min() + 1:rank[idx].max() + 1] = True
-        if inside[k]:
-            valid = np.flatnonzero(~inside[1:]) + 1
-            nearest = [*valid[valid < k][-1:], valid[valid > k][0]]
-            raise ValueError(f"k = {k} ends inside a cluster of eigenvalues with gaps at most {reach:.3g}, so the "
-                             f"sum over the first k is not defined by X; use k = {' or '.join(map(str, nearest))}")
 
 
 def eig_hermitian(a) -> Spectrum:
@@ -221,9 +208,7 @@ def low_rank_update_eigh(values, factors, weights):
         raise ValueError(f"weights of shape {weights.shape} for factors of shape {factors.shape}: "
                          f"need (P, r), every weight nonzero")
     for name, part in (("values", values), ("factors", factors), ("weights", weights)):
-        bad = part.size - np.count_nonzero(np.isfinite(part))
-        if bad:
-            raise NonFiniteInput(f"{name} have {bad} non-finite entries (NaN or inf)")
+        require_finite(name, part)
     p_total, n = factors.shape[:2]
     anchor, offset, rows = np.tile(np.arange(n), (p_total, 1)), np.zeros((p_total, n)), np.arange(p_total)[:, None]
     vectors = None
@@ -422,12 +407,3 @@ def inverse(a) -> np.ndarray:
         raise SingularMatrix(f"||A||_F ||A^-1||_F = {condition:.3e} at least 1 / (N * {PIVOT_RTOL:.1e})")
     return inv
 
-
-def orthonormalize_svd(block) -> np.ndarray:
-    """Replace an N x b block by U V^dag from its SVD (orthonormal, same span)."""
-    u, s, vh = np.linalg.svd(np.asarray(block, dtype=complex), full_matrices=False)
-    if s[-1] <= RANK_RTOL * s[0]:
-        raise RankDeficientBlock(
-            f"singular value ratio {s[-1] / s[0]:.3e} below {RANK_RTOL:.1e}"
-        )
-    return u @ vh

@@ -33,13 +33,12 @@ from .errors import (
     FamilySizeMismatch,
     FlatDistribution,
     IndexOutOfRange,
-    NonFiniteInput,
     NotInGroundRegister,
     ProbabilityOutOfRange,
     UnnormalizedPhi,
     UnnormalizedTarget,
 )
-from .linalg import low_rank_update_eigh, require_hermitian
+from .linalg import low_rank_update_eigh, require_finite, require_hermitian
 
 DELTA_KINDS = ("element", "all_ones", "outer", "custom")
 SHIFTS = ("unshifted", "centered")
@@ -121,8 +120,7 @@ class PerturbationDirection:
         if factors.ndim != 2 or not signs or len(signs) != factors.shape[1] or any(abs(v) != 1.0 for v in signs):
             raise ValueError(f"factors of shape {factors.shape} with signs {signs} of shape ({len(signs)},): "
                              f"need (N, r) factors, r >= 1, and r signs of +-1")
-        if not np.isfinite(factors).all():
-            raise NonFiniteInput(f"factors have {np.count_nonzero(~np.isfinite(factors))} non-finite entries")
+        require_finite("factors", factors)
         norm = float(np.max(np.abs(np.linalg.eigvals(np.array(signs)[:, None] * (factors.conj().T @ factors)))))
         return cls._exact("custom", norm, factors, signs)
 
@@ -207,11 +205,7 @@ def require_weight_vector(phi, n: int) -> np.ndarray:
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (n,):
         raise ValueError(f"phi has shape {phi.shape}, expected ({n},)")
-    if not np.isfinite(phi).all():
-        bad = np.flatnonzero(~np.isfinite(phi))
-        raise NonFiniteInput(
-            f"weight vector phi has {len(bad)} non-finite entries (NaN or inf), first at {bad[0]}: {phi[bad[0]]}"
-        )
+    require_finite("weight vector phi", phi)
     if not np.any(phi):
         raise UnnormalizedPhi("weight vector phi is zero")
     return phi

@@ -68,18 +68,6 @@ def series_phase_exp(a, t, terms=60):
     return out
 
 
-def gram_schmidt(block):
-    """Independent orthonormalization oracle (classical Gram-Schmidt)."""
-    block = np.asarray(block, dtype=complex)
-    cols = []
-    for j in range(block.shape[1]):
-        v = block[:, j].copy()
-        for u in cols:
-            v = v - u * (u.conj() @ v)
-        cols.append(v / np.linalg.norm(v))
-    return np.stack(cols, axis=1)
-
-
 def preparation_unitary(v: np.ndarray) -> np.ndarray:
     """Unitary completion Gamma whose first column is v (Householder reflection).
 

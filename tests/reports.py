@@ -121,6 +121,20 @@ def fuzz():
     print(f"Lanczos, b in 1, 2, 4: {lanczos['right']} right, {lanczos['wrong']} wrong "
           f"({lanczos['low-rank wrong']} on low-rank + 1e-2), {lanczos['raised']} raised; "
           f"{time.perf_counter() - start:.1f} s")
+    # a multiplicity above the block size: at b = 1 the Krylov space of X = I closes after one step, so
+    # its 4-fold eigenvalue is one Ritz pair and the rank-1 sum reads only the start vector's share of phi
+    phi, known, reads = np.full(4, 0.5), Counter(), []
+    for seed in range(3):
+        request = InverseExpectationRequest(x=np.eye(4), phi=phi, k=1, eigensource=RqblSource(b=1, seed=seed))
+        try:
+            got = qgld_expectation(request).total
+        except (QgldError, ValueError):
+            known["raised"] += 1
+            continue
+        reads.append(f"{got:.3f}")
+        known["right" if abs(got - 1.0) <= 1e-4 else "wrong"] += 1
+    print(f"Lanczos on identity:4, uniform phi, b = 1, k = 1, seeds 0 to 2, against phi^dag X^-1 phi = 1: "
+          f"{known['right']} right, {known['wrong']} wrong ({', '.join(reads)}), {known['raised']} raised")
 
 
 def working_set():

@@ -811,6 +811,41 @@ class TestOneEigendecompositionPerCall:
         assert len(full_size) == 1
 
 
+class TestOneClusterScanPerDirection:
+    """The k-cut check reads the clusters the adaptation scans, so each
+    direction's clusters are scanned once per pass."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        counted, clusters = [], qgld.linalg.Spectrum.clusters
+
+        def counting(self, reach):
+            counted.append(reach)
+            return clusters(self, reach)
+
+        monkeypatch.setattr(qgld.linalg.Spectrum, "clusters", counting)
+        return counted
+
+    def test_three_directions_scan_three_times(self, scans):
+        deltas = [build_delta("element", 8, i=i, j=j) for i, j in ((0, 0), (1, 5), (2, 7))]
+        logdet_directional_derivatives(random_spd(8, 3), deltas, 8)
+        assert len(scans) == 3
+
+    def test_a_16_point_kernel_fit_scans_16_times(self, scans):
+        points = np.linspace(0.0, 2 * np.pi, 16)
+        kernel_fit(points, np.sin(points), 0.5, 1e-3, solver="qgld")
+        assert len(scans) == 16
+
+    def test_given_k_the_adaptation_refuses_a_cut_and_otherwise_rotates(self):
+        spectrum = eig_hermitian(np.diag([1.0, 1.0, 2.0, 4.0]))
+        delta = build_delta("outer", 4, phi=np.ones(4) / 2)
+        with pytest.raises(ValueError, match=r"k = 3 ends inside a cluster .* use k = 2 or 4$"):
+            adapt_degenerate_eigenvectors(spectrum, delta, 1e-6, 3)
+        for k in (None, 2, 4):  # the gradient CLI's pass gives no k
+            vectors, _ = adapt_degenerate_eigenvectors(spectrum, delta, 1e-6, k)
+            assert not np.array_equal(vectors[:, :2], spectrum.vectors[:, :2])
+
+
 class TestRitzBasis:
     """Ritz pairs are probed in their own basis, through the same
     eigenbasis families as a dense resolve's eigenpairs."""

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,12 +15,12 @@ from qgld import (
     InverseExpectationRequest,
     NonFiniteInput,
     NonHermitianInput,
-    RankDeficientBlock,
+    PerturbationDirection,
     SingularMatrix,
     eig_hermitian,
     inverse,
+    kernel_fit,
     low_rank_update_eigh,
-    orthonormalize_svd,
     qgld_expectation,
     relevance_order,
 )
@@ -41,7 +42,6 @@ from conftest import (
     SIGMA_Z,
     degenerate_directional_derivatives,
     directional_eigen_derivative,
-    gram_schmidt,
     random_hermitian,
     series_phase_exp,
     unitary_phase_exp,
@@ -126,6 +126,34 @@ class TestNonFiniteInput:
             as_complex_matrix(a)
         with pytest.raises(NonFiniteInput):
             eig_hermitian(a)
+
+    # each input: its name, a call that takes it, a finite value of it, and the two entries spoiled
+    INPUTS = {
+        "matrix": ("matrix", eig_hermitian, np.eye(4, dtype=complex), [(1, 2), (3, 0)]),
+        "phi": ("weight vector phi", lambda phi: build_delta("outer", 4, phi=phi), np.full(4, 0.5 + 0j), [(2,), (3,)]),
+        "update values": ("values", lambda v: low_rank_update_eigh(v, np.ones((1, 3, 2)), np.ones((1, 2))),
+                          np.arange(3.0), [(1,), (2,)]),
+        "update factors": ("factors", lambda f: low_rank_update_eigh(np.arange(3.0), f, np.ones((1, 2))),
+                           np.ones((1, 3, 2), complex), [(0, 1, 1), (0, 2, 0)]),
+        "update weights": ("weights", lambda w: low_rank_update_eigh(np.arange(3.0), np.ones((1, 3, 2)), w),
+                           np.ones((1, 2)), [(0, 0), (0, 1)]),
+        "direction factors": ("factors", lambda f: PerturbationDirection.from_factors(f, (1.0, -1.0)),
+                              np.eye(4, 2, dtype=complex), [(2, 1), (3, 0)]),
+        "kernel points": ("points", lambda x: kernel_fit(x, np.sin(np.arange(4.0)), 1.0, 1e-3, solver="qgld"),
+                          np.arange(4.0), [(1,), (3,)]),
+        "kernel targets": ("targets", lambda f: kernel_fit(np.arange(4.0), f, 1.0, 1e-3, solver="qgld"),
+                           np.sin(np.arange(4.0)), [(0,), (2,)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INPUTS))
+    def test_every_input_names_itself_its_count_and_first_entry(self, case):
+        name, call, value, spoiled = self.INPUTS[case]
+        value = value.copy()
+        value[spoiled[0]], value[spoiled[1]] = np.nan, np.inf
+        first = spoiled[0][0] if len(spoiled[0]) == 1 else spoiled[0]
+        with pytest.raises(NonFiniteInput, match=rf"^{name} has 2 non-finite entries \(NaN or inf\), "
+                                                 rf"first at {re.escape(str(first))}: "):
+            call(value)
 
     def test_pipeline_rejects_nan_matrix(self):
         x = np.diag([2.0, np.nan]).astype(complex)
@@ -272,7 +300,7 @@ class TestLowRankUpdateEigh:
         # unchecked, each flows into NaN offsets or vectors without an error
         arrays = {"values": np.arange(3.0), "factors": np.ones((1, 3, 1), complex), "weights": np.ones((1, 1))}
         arrays[name].flat[0] = entry
-        with pytest.raises(NonFiniteInput, match=f"^{name} have 1 non-finite"):
+        with pytest.raises(NonFiniteInput, match=f"^{name} has 1 non-finite"):
             low_rank_update_eigh(**arrays)
 
     def test_factor_length_must_match_values(self):
@@ -430,33 +458,6 @@ class TestRelevanceOrder:
     def test_stable_magnitude_sort_without_ties(self, rng):
         values = np.sort(rng.standard_normal(64))
         np.testing.assert_array_equal(relevance_order(values), np.argsort(-np.abs(values), kind="stable"))
-
-
-class TestOrthonormalizeSvd:
-    def test_idempotent_on_orthonormal(self, rng):
-        q, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
-        got = orthonormalize_svd(q)
-        assert np.linalg.norm(got - q) <= 1e-12
-
-    def test_single_column(self, rng):
-        v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        got = orthonormalize_svd(v[:, None])
-        np.testing.assert_allclose(got[:, 0], v / np.linalg.norm(v), atol=1e-12)
-
-    def test_span_preserved_vs_gram_schmidt(self, rng):
-        block = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-        got = orthonormalize_svd(block)
-        gram = got.conj().T @ got
-        assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
-        reference = gram_schmidt(block)
-        proj_got = got @ got.conj().T
-        proj_ref = reference @ reference.conj().T
-        assert np.linalg.norm(proj_got - proj_ref) <= 1e-10
-
-    def test_rank_deficient_raises(self):
-        block = np.ones((4, 2), dtype=complex)
-        with pytest.raises(RankDeficientBlock):
-            orthonormalize_svd(block)
 
 
 class TestDirectionalDerivative:
